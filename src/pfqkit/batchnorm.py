@@ -65,6 +65,13 @@ def _axes_and_expand(x, channels):
     raise ShapeError("bn expects 2-d or 4-d input")
 
 
+def _per_channel_dot(a, b):
+    """sum(a * b) per channel over the (N, C, ...) arrays a and b, without
+    building the full-size product."""
+    n, c = a.shape[:2]
+    return np.einsum("ncm,ncm->c", a.reshape(n, c, -1), b.reshape(n, c, -1))
+
+
 def bn_forward_train(x, params):
     """Normalize with batch statistics and advance the running statistics.
 
@@ -73,18 +80,17 @@ def bn_forward_train(x, params):
     ensure_finite("bn", x)
     c = params.gamma.shape[0]
     axes, shape = _axes_and_expand(x, c)
-    count = 1
-    for ax in axes:
-        count *= x.shape[ax]
+    count = x.size // c
     if count < 2:
         raise ValueError(f"bn training needs at least 2 elements per channel, got {count}")
 
     mu = x.mean(axis=axes)
-    centered = x - mu.reshape(shape)
-    sigma2 = np.mean(centered * centered, axis=axes)
+    xhat = x - mu.reshape(shape)  # centered here, normalized in place below
+    sigma2 = _per_channel_dot(xhat, xhat) / count
     inv_std = 1.0 / np.sqrt(sigma2 + params.epsilon)
-    xhat = centered * inv_std.reshape(shape)
-    out = xhat * params.gamma.reshape(shape) + params.beta.reshape(shape)
+    xhat *= inv_std.reshape(shape)
+    out = xhat * params.gamma.reshape(shape)
+    out += params.beta.reshape(shape)
 
     rho = params.rho
     bessel = count / (count - 1)
@@ -117,25 +123,19 @@ def bn_backward_train(grad_out, cache):
     Returns (grad_x, grad_gamma, grad_beta).
     """
     xhat = cache.xhat
-    axes, shape = _axes_and_expand(xhat, cache.gamma.shape[0])
-    count = 1
-    for ax in axes:
-        count *= xhat.shape[ax]
+    c = cache.gamma.shape[0]
+    axes, shape = _axes_and_expand(xhat, c)
+    count = xhat.size // c
 
-    grad_gamma = (grad_out * xhat).sum(axis=axes)
+    grad_gamma = _per_channel_dot(grad_out, xhat)
     grad_beta = grad_out.sum(axis=axes)
 
-    g_mean = grad_out.mean(axis=axes).reshape(shape)
-    gx_mean = (grad_out * xhat).mean(axis=axes).reshape(shape)
-    grad_x = (cache.gamma * cache.inv_std).reshape(shape) * (grad_out - g_mean - xhat * gx_mean)
+    # gamma * inv_std * (g - mean(g) - xhat * mean(g * xhat)), built in one buffer
+    grad_x = xhat * (grad_gamma / count).reshape(shape)
+    np.subtract(grad_out, grad_x, out=grad_x)
+    grad_x -= (grad_beta / count).reshape(shape)
+    grad_x *= (cache.gamma * cache.inv_std).reshape(shape)
     return grad_x, grad_gamma, grad_beta
-
-
-def bn_backward_infer(grad_out, params):
-    c = params.gamma.shape[0]
-    _, shape = _axes_and_expand(grad_out, c)
-    inv_std = 1.0 / np.sqrt(params.running_var + params.epsilon)
-    return grad_out * (params.gamma * inv_std).reshape(shape)
 
 
 def fold_bn(conv, bn):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor_ops as T
-from .batchnorm import bn_backward_infer, bn_backward_train, bn_forward_infer, bn_forward_train
+from .batchnorm import bn_backward_train, bn_forward_infer, bn_forward_train
 from .graph import CONV_LIKE, GraphError
 from .quantization import quantize, quantize_backward, update_activation_range, weight_range_cfg
 
@@ -108,8 +108,8 @@ def forward_graph(graph, x, *, training=False, update_ranges=False):
     return ForwardTrace(outputs=outputs, caches=caches, bn_stats=bn_stats)
 
 
-def backward_graph(graph, trace, grad_final, *, training=True):
-    """Backpropagate grad_final through a traced forward pass.
+def backward_graph(graph, trace, grad_final):
+    """Backpropagate grad_final through a training-mode traced forward pass.
 
     Returns (param_grads, grad_input) where param_grads maps layer name to a
     dict of gradients keyed like the parameter fields.
@@ -118,9 +118,11 @@ def backward_graph(graph, trace, grad_final, *, training=True):
     grad_map[graph.layers[-1].name] = grad_final
     param_grads = {}
 
+    # Backward ops never write to their inputs, so a gradient can be stored
+    # and shared as it is; accumulation allocates a new array.
     def send(name, g):
         if grad_map[name] is None:
-            grad_map[name] = g.copy()
+            grad_map[name] = g
         else:
             grad_map[name] = grad_map[name] + g
 
@@ -149,13 +151,8 @@ def backward_graph(graph, trace, grad_final, *, training=True):
             upstream, gw, gb = T.affine_backward(g, inp, w, has_bias=layer.params.bias is not None)
             param_grads[layer.name] = {"weights": gw} if gb is None else {"weights": gw, "bias": gb}
         elif k == "bn":
-            if training:
-                upstream, ggamma, gbeta = bn_backward_train(g, trace.caches[layer.name])
-            else:
-                upstream = bn_backward_infer(g, layer.params)
-                ggamma = gbeta = None
-            if ggamma is not None:
-                param_grads[layer.name] = {"gamma": ggamma, "beta": gbeta}
+            upstream, ggamma, gbeta = bn_backward_train(g, trace.caches[layer.name])
+            param_grads[layer.name] = {"gamma": ggamma, "beta": gbeta}
         elif k == "relu":
             upstream = T.relu_backward(g, trace.caches[layer.name])
         elif k == "relu6":
@@ -194,7 +191,7 @@ def loss_and_grads(graph, x, labels, *, update_ranges=False):
     trace = forward_graph(graph, x, training=True, update_ranges=update_ranges)
     logits = trace.outputs[graph.layers[-1].name]
     loss, grad_logits = T.softmax_cross_entropy(logits, labels)
-    param_grads, _ = backward_graph(graph, trace, grad_logits, training=True)
+    param_grads, _ = backward_graph(graph, trace, grad_logits)
     return loss, logits, param_grads, trace.bn_stats
 
 

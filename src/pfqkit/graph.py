@@ -179,7 +179,6 @@ def count_macs(graph):
     """
     shapes = infer_shapes(graph)
     macs = {}
-    prev_shape = tuple(graph.input_shape)
     for layer in graph.layers:
         if layer.kind == "conv":
             o, ci, kh, kw = layer.params.weights.shape
@@ -194,7 +193,6 @@ def count_macs(graph):
             macs[layer.name] = d * kdim
         else:
             macs[layer.name] = 0
-        prev_shape = shapes[layer.name]
     return macs
 
 

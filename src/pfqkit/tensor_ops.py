@@ -1,11 +1,13 @@
 """Dense tensor operations for small convolutional networks.
 
 Tensors are plain numpy arrays, NCHW for feature maps. Every op is a pure
-function with an explicit backward companion; there is no tape. Convolutions
-use im2col plus a single matmul, which keeps results reproducible run to run
-on a fixed machine. All ops preserve the input dtype, so the same code runs
-in float32 (the storage dtype of models) and float64 (used by gradient
-checks).
+function with an explicit backward companion; there is no tape, and no op
+writes to its inputs. Full convolutions use im2col plus a single matmul.
+Depthwise convolutions contract a strided patch view with einsum in the
+forward pass and loop over the kh x kw kernel taps in the backward pass.
+Every reduction order is fixed, so results repeat run to run on a fixed
+machine. All ops preserve the input dtype, so the same code runs in float32
+(the storage dtype of models) and float64 (used by gradient checks).
 """
 
 from __future__ import annotations
@@ -57,6 +59,13 @@ def _pad_input(x, ph, pw):
     return np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
 
 
+def _unpad(grad_xp, ph, pw):
+    """Strip the padding from an input gradient, C-contiguous: the backward op
+    that consumes it streams over it, and a strided view slows that down."""
+    h, w = grad_xp.shape[2], grad_xp.shape[3]
+    return np.ascontiguousarray(grad_xp[:, :, ph:h - ph, pw:w - pw])
+
+
 def _im2col(x, kh, kw, sh, sw):
     """View the padded input as (N, C, kh, kw, Ho, Wo) patches without copying."""
     n, c, h, w = x.shape
@@ -96,7 +105,7 @@ def conv2d_forward(x, weights, bias=None, stride=(1, 1), padding=(0, 0)):
 
 def conv2d_backward(grad_out, x, weights, stride=(1, 1), padding=(0, 0), has_bias=True):
     """Gradients of conv2d_forward. Returns (grad_x, grad_weights, grad_bias)."""
-    n, c, h, w = x.shape
+    n, c = x.shape[:2]
     o, ci, kh, kw = weights.shape
     sh, sw = stride
     ph, pw = padding
@@ -116,8 +125,7 @@ def conv2d_backward(grad_out, x, weights, stride=(1, 1), padding=(0, 0), has_bia
     for u in range(kh):
         for v in range(kw):
             grad_xp[:, :, u:u + ho * sh:sh, v:v + wo * sw:sw] += grad_cols[:, :, u, v]
-    grad_x = grad_xp[:, :, ph:ph + h, pw:pw + w]
-    return grad_x, grad_w, grad_b
+    return _unpad(grad_xp, ph, pw), grad_w, grad_b
 
 
 def depthwise_conv2d_forward(x, weights, bias=None, stride=(1, 1), padding=(0, 0)):
@@ -141,25 +149,31 @@ def depthwise_conv2d_forward(x, weights, bias=None, stride=(1, 1), padding=(0, 0
 
 
 def depthwise_conv2d_backward(grad_out, x, weights, stride=(1, 1), padding=(0, 0), has_bias=True):
-    n, c, h, w = x.shape
+    """Gradients of depthwise_conv2d_forward. Returns (grad_x, grad_weights, grad_bias).
+
+    One pass over the kh x kw kernel taps. Tap (u, v) saw the strided slice
+    xp[:, :, u::sh, v::sw] of the padded input, Ho x Wo of it, so the weight
+    gradient of that tap is the per-channel dot product of the slice with
+    grad_out, and grad_out scaled by the tap weight is added back onto the
+    same slice of the input gradient.
+    """
+    c = x.shape[1]
     kh, kw = weights.shape[2], weights.shape[3]
     sh, sw = stride
     ph, pw = padding
     ho, wo = grad_out.shape[2], grad_out.shape[3]
 
     xp = _pad_input(x, ph, pw)
-    cols = _im2col(xp, kh, kw, sh, sw)
-    grad_w = np.einsum("ncuvjk,ncjk->cuv", cols, grad_out, optimize=True)[:, None]
+    grad_w = np.empty(weights.shape, dtype=np.result_type(x, grad_out))
     grad_b = grad_out.sum(axis=(0, 2, 3)) if has_bias else None
 
     grad_xp = np.zeros_like(xp)
     for u in range(kh):
         for v in range(kw):
-            grad_xp[:, :, u:u + ho * sh:sh, v:v + wo * sw:sw] += (
-                grad_out * weights[:, 0, u, v].reshape(1, c, 1, 1)
-            )
-    grad_x = grad_xp[:, :, ph:ph + h, pw:pw + w]
-    return grad_x, grad_w, grad_b
+            tap = (slice(None), slice(None), slice(u, u + ho * sh, sh), slice(v, v + wo * sw, sw))
+            grad_w[:, 0, u, v] = np.einsum("ncjk,ncjk->c", xp[tap], grad_out)
+            grad_xp[tap] += grad_out * weights[:, 0, u, v].reshape(1, c, 1, 1)
+    return _unpad(grad_xp, ph, pw), grad_w, grad_b
 
 
 def affine_forward(x, weights, bias=None):

@@ -107,8 +107,9 @@ class TestTrainForward:
 class TestTrainBackward:
     def test_grad_matches_finite_differences(self):
         rng = np.random.default_rng(29)
-        for trial in range(8):
-            x = rng.standard_normal((3, 2, 3, 3))
+        # 4-d feature maps, and (N, C) input as after a flatten
+        for shape in [(3, 2, 3, 3)] * 8 + [(5, 2)] * 8:
+            x = rng.standard_normal(shape)
             gamma = rng.uniform(0.5, 2.0, 2)
             beta = rng.standard_normal(2)
             tgt = rng.standard_normal(x.shape)
@@ -121,9 +122,20 @@ class TestTrainBackward:
             p = _params(gamma, beta, np.zeros(2), np.ones(2))
             _, _, _, cache = bn_forward_train(x, p)
             gx, gg, gb = bn_backward_train(tgt, cache)
+            assert gx.shape == x.shape
             assert max_rel_err(gx, numeric_grad(lambda v: loss_of(v, gamma, beta), x)) < 1e-4
             assert max_rel_err(gg, numeric_grad(lambda v: loss_of(x, v, beta), gamma)) < 1e-4
             assert max_rel_err(gb, numeric_grad(lambda v: loss_of(x, gamma, v), beta)) < 1e-4
+
+    def test_grad_float32_keeps_dtype(self):
+        rng = np.random.default_rng(33)
+        x = rng.standard_normal((4, 3, 5, 5)).astype(np.float32)
+        p = init_bn(3)
+        out, stats, updated, cache = bn_forward_train(x, p)
+        gx, gg, gb = bn_backward_train(rng.standard_normal(x.shape).astype(np.float32), cache)
+        for a in (out, stats.mu, stats.sigma2, updated.running_mean, updated.running_var,
+                  cache.xhat, cache.inv_std, gx, gg, gb):
+            assert a.dtype == np.float32
 
 
 class TestFold:

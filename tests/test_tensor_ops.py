@@ -110,44 +110,88 @@ class TestConvBackward:
                 return float(np.sum(conv2d_forward(x_, w_, b_, (s, s), (pad, pad)) * tgt))
 
             gx, gw, gb = conv2d_backward(tgt, x, w, (s, s), (pad, pad))
+            assert gx.shape == x.shape and gx.flags.c_contiguous
             assert max_rel_err(gx, numeric_grad(lambda v: loss_of(v, w, b), x)) < 1e-4
             assert max_rel_err(gw, numeric_grad(lambda v: loss_of(x, v, b), w)) < 1e-4
             assert max_rel_err(gb, numeric_grad(lambda v: loss_of(x, w, v), b)) < 1e-4
+
+
+# (kh, kw), (sh, sw), (ph, pw), (H, W) beyond the square, unstrided, unpadded
+# random trials: kh != kw, stride 2, padding 1, and extents where the stride
+# does not divide size + 2p - k, which the per-tap slices must get right.
+DEPTHWISE_STRIDED_CASES = [
+    ((3, 3), (2, 2), (1, 1), (8, 8)),
+    ((2, 3), (2, 1), (1, 0), (6, 5)),
+    ((3, 1), (1, 2), (0, 1), (5, 6)),
+    ((1, 2), (2, 2), (1, 1), (4, 5)),
+    ((3, 2), (2, 2), (1, 1), (7, 7)),
+    ((2, 2), (2, 2), (0, 0), (5, 7)),
+]
 
 
 class TestDepthwise:
     def test_matches_grouped_expansion(self):
         """Depthwise equals a full conv with a block-diagonal kernel."""
         rng = np.random.default_rng(31)
+        cases = []
         for trial in range(6):
-            c = int(rng.integers(1, 5))
             k = int(rng.integers(1, 4))
             s = int(rng.integers(1, 3))
             size = int(rng.integers(k, k + 4))
-            x = rng.standard_normal((2, c, size, size))
-            w = rng.standard_normal((c, 1, k, k))
+            cases.append(((k, k), (s, s), (0, 0), (size, size), int(rng.integers(1, 5))))
+        cases += [case + (3,) for case in DEPTHWISE_STRIDED_CASES]
+        for ks, st, pad, hw, c in cases:
+            x = rng.standard_normal((2, c) + hw)
+            w = rng.standard_normal((c, 1) + ks)
             b = rng.standard_normal(c)
-            got = depthwise_conv2d_forward(x, w, b, stride=(s, s))
-            want = brute_force_conv2d(x, depthwise_as_grouped(w), b, (s, s), (0, 0))
-            assert max_rel_err(got, want) < 1e-12
+            got = depthwise_conv2d_forward(x, w, b, stride=st, padding=pad)
+            want = brute_force_conv2d(x, depthwise_as_grouped(w), b, st, pad)
+            assert max_rel_err(got, want) < 1e-12, (ks, st, pad, hw)
 
     def test_grad_matches_finite_differences(self):
         rng = np.random.default_rng(39)
+        cases = []
         for trial in range(10):
             c = int(rng.integers(1, 4))
             k = int(rng.integers(1, 3))
-            x = rng.standard_normal((2, c, k + 2, k + 2))
-            w = rng.standard_normal((c, 1, k, k))
+            cases.append(((k, k), (1, 1), (0, 0), (k + 2, k + 2), c))
+        cases += [case + (3,) for case in DEPTHWISE_STRIDED_CASES]
+        ragged = sum(
+            any((size + 2 * p - k) % s for size, p, k, s in zip(hw, pad, ks, st))
+            for ks, st, pad, hw, _ in cases
+        )
+        assert ragged >= 4
+        for ks, st, pad, hw, c in cases:
+            x = rng.standard_normal((2, c) + hw)
+            w = rng.standard_normal((c, 1) + ks)
             b = rng.standard_normal(c)
-            tgt = rng.standard_normal(depthwise_conv2d_forward(x, w, b).shape)
+            tgt = rng.standard_normal(depthwise_conv2d_forward(x, w, b, st, pad).shape)
 
             def loss_of(x_, w_, b_):
-                return float(np.sum(depthwise_conv2d_forward(x_, w_, b_) * tgt))
+                return float(np.sum(depthwise_conv2d_forward(x_, w_, b_, st, pad) * tgt))
 
-            gx, gw, gb = depthwise_conv2d_backward(tgt, x, w)
-            assert max_rel_err(gx, numeric_grad(lambda v: loss_of(v, w, b), x)) < 1e-4
-            assert max_rel_err(gw, numeric_grad(lambda v: loss_of(x, v, b), w)) < 1e-4
-            assert max_rel_err(gb, numeric_grad(lambda v: loss_of(x, w, v), b)) < 1e-4
+            gx, gw, gb = depthwise_conv2d_backward(tgt, x, w, st, pad)
+            assert gx.shape == x.shape and gw.shape == w.shape and gx.flags.c_contiguous
+            case = (ks, st, pad, hw)
+            assert max_rel_err(gx, numeric_grad(lambda v: loss_of(v, w, b), x)) < 1e-4, case
+            assert max_rel_err(gw, numeric_grad(lambda v: loss_of(x, v, b), w)) < 1e-4, case
+            assert max_rel_err(gb, numeric_grad(lambda v: loss_of(x, w, v), b)) < 1e-4, case
+
+    def test_grad_float32_matches_float64(self):
+        """The float32 weight gradient differs from float64 by rounding only."""
+        rng = np.random.default_rng(47)
+        x = rng.standard_normal((4, 5, 9, 9))
+        w = rng.standard_normal((5, 1, 3, 3))
+        tgt = rng.standard_normal(depthwise_conv2d_forward(x, w, None, (2, 2), (1, 1)).shape)
+        want = depthwise_conv2d_backward(tgt, x, w, (2, 2), (1, 1), has_bias=False)
+        got = depthwise_conv2d_backward(
+            tgt.astype(np.float32), x.astype(np.float32), w.astype(np.float32),
+            (2, 2), (1, 1), has_bias=False,
+        )
+        assert got[2] is None
+        for g32, g64 in zip(got[:2], want[:2]):
+            assert g32.dtype == np.float32
+            assert max_rel_err(g32, g64) < 1e-5
 
     def test_rejects_wrong_channel_count(self):
         with pytest.raises(ShapeError):
