@@ -54,15 +54,12 @@ def init_bn(channels, epsilon=1e-5, rho=0.9, dtype=np.float32):
 
 
 def _axes_and_expand(x, channels):
-    if x.ndim == 4:
-        if x.shape[1] != channels:
-            raise ShapeError(f"bn channel mismatch: input {x.shape[1]}, params {channels}")
-        return (0, 2, 3), (1, channels, 1, 1)
-    if x.ndim == 2:
-        if x.shape[1] != channels:
-            raise ShapeError(f"bn channel mismatch: input {x.shape[1]}, params {channels}")
-        return (0,), (1, channels)
-    raise ShapeError("bn expects 2-d or 4-d input")
+    """Reduction axes and per-channel broadcast shape for (N, C, H, W) or (N, C) input."""
+    if x.ndim not in (2, 4):
+        raise ShapeError("bn expects 2-d or 4-d input")
+    if x.shape[1] != channels:
+        raise ShapeError(f"bn channel mismatch: input {x.shape[1]}, params {channels}")
+    return (0, 2, 3)[:x.ndim - 1], (1, channels, 1, 1)[:x.ndim]
 
 
 def _per_channel_dot(a, b):

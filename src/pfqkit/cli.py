@@ -29,7 +29,6 @@ _EARLY_STOP_SCHEMA = {
 
 _SCHEMA = {
     "seed": int,
-    "threads": (int, type(None)),
     "data": {
         "kind": str,
         "class_count": int,
@@ -173,18 +172,17 @@ def _build_data(cfg):
         import numpy as np
 
         from .data import Dataset
+
+        def load_files(paths):
+            parts = [load_cifar_binary(p, d["variant"]) for p in paths]
+            return Dataset(images=np.concatenate([p.images for p in parts]),
+                           labels=np.concatenate([p.labels for p in parts]),
+                           class_count=d["variant"])
+
         if not d["train_files"]:
             raise ConfigError("config: data.train_files is empty")
-        parts = [load_cifar_binary(p, d["variant"]) for p in d["train_files"]]
-        full = Dataset(images=np.concatenate([p.images for p in parts]),
-                       labels=np.concatenate([p.labels for p in parts]),
-                       class_count=d["variant"])
-        test = None
-        if d["test_files"]:
-            tparts = [load_cifar_binary(p, d["variant"]) for p in d["test_files"]]
-            test = Dataset(images=np.concatenate([p.images for p in tparts]),
-                           labels=np.concatenate([p.labels for p in tparts]),
-                           class_count=d["variant"])
+        full = load_files(d["train_files"])
+        test = load_files(d["test_files"]) if d["test_files"] else None
         train, val = split_validation(full, cfg["split"]["per_class"], seed=cfg["split"]["seed"])
         return bundle_from_datasets(train, val, test)
     raise ConfigError(f"config: unknown data.kind '{d['kind']}'")
@@ -194,9 +192,7 @@ def _early_stop(section):
     if not section:
         return None
     from .training import EarlyStopPolicy
-    return EarlyStopPolicy(mode=section.get("mode", "fixed_epochs"),
-                           drop_threshold=section.get("drop_threshold", 0.005),
-                           reference_accuracy=section.get("reference_accuracy"))
+    return EarlyStopPolicy(**section)  # the schema admits exactly its fields
 
 
 def _out_dir(args):
@@ -205,29 +201,34 @@ def _out_dir(args):
     return out
 
 
-def cmd_train(args):
-    from .models import build
+def _train_and_save(args, cfg, graph, data, epochs):
+    """Train with the config's train section, then save model.json and
+    metrics.csv under --out. Returns the epoch metrics."""
     from .graph import save_model
     from .training import LRSchedule, OptimizerState, metrics_to_csv, train_epochs
 
-    cfg = load_config(args.config, args.set)
-    data = _build_data(cfg)
-    arch = dict(cfg["arch"])
-    arch.setdefault("class_count", cfg["data"]["class_count"])
-    arch.setdefault("input_shape", tuple(cfg["data"]["shape"]))
-    if "input_shape" in arch:
-        arch["input_shape"] = tuple(arch["input_shape"])
-    arch.setdefault("seed", cfg["seed"])
-    graph = build(arch)
     t = cfg["train"]
     schedule = LRSchedule(t["base_lr"], t["warmup_epochs"], t["period"])
     opt = OptimizerState(momentum=t["momentum"], weight_decay=t["weight_decay"])
-    graph, metrics = train_epochs(graph, data, schedule, opt, epochs=t["epochs"],
+    graph, metrics = train_epochs(graph, data, schedule, opt, epochs=epochs,
                                   batch_size=t["batch_size"], seed=cfg["seed"],
                                   stop=_early_stop(t.get("early_stop")))
     out = _out_dir(args)
     save_model(graph, out / "model.json")
     metrics_to_csv(metrics, out / "metrics.csv")
+    return metrics
+
+
+def cmd_train(args):
+    from .models import build
+
+    cfg = load_config(args.config, args.set)
+    data = _build_data(cfg)
+    arch = dict(cfg["arch"])
+    arch.setdefault("class_count", cfg["data"]["class_count"])
+    arch["input_shape"] = tuple(arch.get("input_shape", cfg["data"]["shape"]))
+    arch.setdefault("seed", cfg["seed"])
+    metrics = _train_and_save(args, cfg, build(arch), data, cfg["train"]["epochs"])
     if metrics and metrics[-1].test_acc is not None:
         print(f"test_acc={metrics[-1].test_acc!r}")
     return 0
@@ -278,33 +279,26 @@ def cmd_quantize_annotate(args):
 
 
 def cmd_finetune(args):
-    from .graph import load_model, save_model
+    from .graph import load_model
     from .quantization import set_quant_enabled
-    from .training import LRSchedule, OptimizerState, metrics_to_csv, train_epochs
 
     cfg = load_config(args.config, args.set)
     data = _build_data(cfg)
     graph = load_model(args.model)
     if args.enable_weight_quant:
         set_quant_enabled(graph, weights=True)
-    t = cfg["train"]
-    epochs = args.epochs if args.epochs is not None else t["epochs"]
-    schedule = LRSchedule(t["base_lr"], t["warmup_epochs"], t["period"])
-    opt = OptimizerState(momentum=t["momentum"], weight_decay=t["weight_decay"])
-    graph, metrics = train_epochs(graph, data, schedule, opt, epochs=epochs,
-                                  batch_size=t["batch_size"], seed=cfg["seed"],
-                                  stop=_early_stop(t.get("early_stop")))
-    out = _out_dir(args)
-    save_model(graph, out / "model.json")
-    metrics_to_csv(metrics, out / "metrics.csv")
+    epochs = args.epochs if args.epochs is not None else cfg["train"]["epochs"]
+    metrics = _train_and_save(args, cfg, graph, data, epochs)
     print(f"epochs={len(metrics)}")
     return 0
 
 
-def cmd_workflow(args):
+def _run_stages(args, run):
+    """Build the WorkflowConfig from the config file and run `run` (the
+    staged workflow or the single-stage baseline) on --model."""
     from .graph import load_model
     from .training import LRSchedule
-    from .workflow import WorkflowConfig, run_workflow
+    from .workflow import WorkflowConfig
 
     cfg = load_config(args.config, args.set)
     data = _build_data(cfg)
@@ -320,33 +314,22 @@ def cmd_workflow(args):
         weight_decay=w["weight_decay"],
         stop_act=_early_stop(w.get("early_stop")), stop_weight=_early_stop(w.get("early_stop")),
     )
-    result = run_workflow(load_model(args.model), data, wcfg, out_dir=_out_dir(args))
+    result = run(load_model(args.model), data, wcfg, out_dir=_out_dir(args))
     for line in result.trace:
         print(line)
     return 0
+
+
+def cmd_workflow(args):
+    from .workflow import run_workflow
+
+    return _run_stages(args, run_workflow)
 
 
 def cmd_baseline_once(args):
-    from .graph import load_model
-    from .training import LRSchedule
-    from .workflow import WorkflowConfig, run_single_stage_baseline
+    from .workflow import run_single_stage_baseline
 
-    cfg = load_config(args.config, args.set)
-    data = _build_data(cfg)
-    w = cfg["workflow"]
-    wcfg = WorkflowConfig(
-        epochs_act=w["epochs_act"], epochs_weight=w["epochs_weight"],
-        act_bits=cfg["quant"]["act_bits"], weight_bits=cfg["quant"]["weight_bits"],
-        epsilon=cfg["pfq"]["epsilon"], ema_momentum=cfg["quant"]["ema_momentum"],
-        batch_size=cfg["train"]["batch_size"], seed=cfg["seed"],
-        act_schedule=LRSchedule(w["act_lr"], w["act_warmup"], w["act_period"]),
-        act_momentum=w["act_momentum"], weight_decay=w["weight_decay"],
-        stop_act=_early_stop(w.get("early_stop")),
-    )
-    result = run_single_stage_baseline(load_model(args.model), data, wcfg, out_dir=_out_dir(args))
-    for line in result.trace:
-        print(line)
-    return 0
+    return _run_stages(args, run_single_stage_baseline)
 
 
 def cmd_eval(args):
@@ -477,22 +460,13 @@ def build_parser():
     return parser
 
 
-def _apply_threads(argv):
-    # Thread caps must be exported before numpy initializes its BLAS.
-    if "--threads" in argv:
-        idx = argv.index("--threads")
-        if idx + 1 < len(argv):
-            n = argv[idx + 1]
-            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                        "NUMEXPR_NUM_THREADS"):
-                os.environ[var] = n
-
-
 def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
-    _apply_threads(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # Thread caps must be exported before numpy initializes its BLAS.
+    if args.threads is not None:
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "NUMEXPR_NUM_THREADS"):
+            os.environ[var] = str(args.threads)
     try:
         return args.func(args)
     except Exception as e:  # single-line, machine-parseable failure surface

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import tensor_ops as T
 from .batchnorm import bn_backward_train, bn_forward_infer, bn_forward_train
-from .graph import CONV_LIKE, GraphError
-from .quantization import quantize, quantize_backward, update_activation_range, weight_range_cfg
+from .quantization import (act_point_applies, quantize, quantize_backward, update_activation_range,
+                           weight_range_cfg)
 
 
 @dataclass
@@ -40,8 +40,86 @@ def _quantized_weights(layer):
     return quantize(w, weight_range_cfg(w, point.cfg.bits))
 
 
-def _act_quant_applies(point):
-    return point.enabled and point.cfg.initialized and point.cfg.M_up > point.cfg.m
+def _weighted(forward_op, backward_op):
+    """(forward, backward) of a conv, depthwise conv or affine layer, which
+    differ only in the tensor op: forward_op(layer, x, w) and
+    backward_op(layer, grad, x, w, has_bias)."""
+
+    def forward(layer, x, *_):
+        w = _quantized_weights(layer)
+        return forward_op(layer, x, w), (x, w)
+
+    def backward(layer, g, cache, send):
+        upstream, gw, gb = backward_op(layer, g, *cache, layer.params.bias is not None)
+        return upstream, {"weights": gw} if gb is None else {"weights": gw, "bias": gb}
+
+    return forward, backward
+
+
+def _bn_forward(layer, x, trace, training, update_ranges):
+    if not training:
+        return bn_forward_infer(x, layer.params), None
+    out, stats, layer.params, cache = bn_forward_train(x, layer.params)
+    trace.bn_stats[layer.name] = stats
+    return out, cache
+
+
+def _bn_backward(layer, g, cache, send):
+    upstream, ggamma, gbeta = bn_backward_train(g, cache)
+    return upstream, {"gamma": ggamma, "beta": gbeta}
+
+
+def _junction_forward(layer, x, trace, training, update_ranges):
+    a, b = layer.params
+    return T.elementwise_add(trace.outputs[a], trace.outputs[b]), None
+
+
+def _junction_backward(layer, g, cache, send):
+    for ref in layer.params:
+        send(ref, g)
+    return None, None
+
+
+def _act_quant_forward(layer, x, trace, training, update_ranges):
+    point = layer.params
+    if point.enabled and training and update_ranges:
+        point.cfg = update_activation_range(x, point.cfg)
+    if not act_point_applies(point):
+        return x, None
+    return quantize(x, point.cfg), (x, point.cfg)
+
+
+def _act_quant_backward(layer, g, cache, send):
+    return (g if cache is None else quantize_backward(g, *cache)), None
+
+
+# One (forward, backward) pair per layer kind. A forward maps
+# (layer, x, trace, training, update_ranges) to (output, cache); a backward
+# maps (layer, grad, cache, send) to (upstream gradient, parameter gradients).
+# Ops are looked up through `T` and this module's globals at call time, never
+# bound at import, so that a patched module attribute reaches every call (the
+# traced benchmark run, perfbench/spans.py, times ops that way).
+_LAYER_OPS = {
+    "conv": _weighted(
+        lambda l, x, w: T.conv2d_forward(x, w, l.params.bias, l.stride, l.padding),
+        lambda l, g, x, w, b: T.conv2d_backward(g, x, w, l.stride, l.padding, has_bias=b)),
+    "depthwise_conv": _weighted(
+        lambda l, x, w: T.depthwise_conv2d_forward(x, w, l.params.bias, l.stride, l.padding),
+        lambda l, g, x, w, b: T.depthwise_conv2d_backward(g, x, w, l.stride, l.padding,
+                                                          has_bias=b)),
+    "affine": _weighted(
+        lambda l, x, w: T.affine_forward(x, w, l.params.bias),
+        lambda l, g, x, w, b: T.affine_backward(g, x, w, has_bias=b)),
+    "bn": (_bn_forward, _bn_backward),
+    "relu": (lambda l, x, *_: (T.relu_forward(x), x),
+             lambda l, g, cache, send: (T.relu_backward(g, cache), None)),
+    "relu6": (lambda l, x, *_: (T.relu6_forward(x), x),
+              lambda l, g, cache, send: (T.relu6_backward(g, cache), None)),
+    "global_avg_pool": (lambda l, x, *_: (T.global_avg_pool_forward(x), x.shape[2:]),
+                        lambda l, g, cache, send: (T.global_avg_pool_backward(g, cache), None)),
+    "add_junction": (_junction_forward, _junction_backward),
+    "quant_point": (_act_quant_forward, _act_quant_backward),
+}
 
 
 def forward_graph(graph, x, *, training=False, update_ranges=False):
@@ -52,60 +130,13 @@ def forward_graph(graph, x, *, training=False, update_ranges=False):
     quant points fold the observed range into their EMA when update_ranges is
     set. Inference mode touches nothing.
     """
-    outputs = {}
-    caches = {}
-    bn_stats = {}
+    trace = ForwardTrace(outputs={}, caches={}, bn_stats={})
     prev = x
     for layer in graph.layers:
-        k = layer.kind
-        if k == "conv":
-            w = _quantized_weights(layer)
-            out = T.conv2d_forward(prev, w, layer.params.bias, layer.stride, layer.padding)
-            caches[layer.name] = (prev, w)
-        elif k == "depthwise_conv":
-            w = _quantized_weights(layer)
-            out = T.depthwise_conv2d_forward(prev, w, layer.params.bias, layer.stride, layer.padding)
-            caches[layer.name] = (prev, w)
-        elif k == "affine":
-            w = _quantized_weights(layer)
-            out = T.affine_forward(prev, w, layer.params.bias)
-            caches[layer.name] = (prev, w)
-        elif k == "bn":
-            if training:
-                out, stats, updated, cache = bn_forward_train(prev, layer.params)
-                layer.params = updated
-                bn_stats[layer.name] = stats
-                caches[layer.name] = cache
-            else:
-                out = bn_forward_infer(prev, layer.params)
-                caches[layer.name] = None
-        elif k == "relu":
-            out = T.relu_forward(prev)
-            caches[layer.name] = prev
-        elif k == "relu6":
-            out = T.relu6_forward(prev)
-            caches[layer.name] = prev
-        elif k == "global_avg_pool":
-            out = T.global_avg_pool_forward(prev)
-            caches[layer.name] = prev.shape[2:]
-        elif k == "add_junction":
-            a, b = layer.params
-            out = T.elementwise_add(outputs[a], outputs[b])
-        elif k == "quant_point":
-            point = layer.params
-            if point.enabled and training and update_ranges:
-                point.cfg = update_activation_range(prev, point.cfg)
-            if _act_quant_applies(point):
-                out = quantize(prev, point.cfg)
-                caches[layer.name] = (prev, point.cfg)
-            else:
-                out = prev
-                caches[layer.name] = None
-        else:  # pragma: no cover
-            raise GraphError(f"unknown layer kind {k}")
-        outputs[layer.name] = out
-        prev = out
-    return ForwardTrace(outputs=outputs, caches=caches, bn_stats=bn_stats)
+        prev, trace.caches[layer.name] = _LAYER_OPS[layer.kind][0](
+            layer, prev, trace, training, update_ranges)
+        trace.outputs[layer.name] = prev
+    return trace
 
 
 def backward_graph(graph, trace, grad_final):
@@ -132,45 +163,9 @@ def backward_graph(graph, trace, grad_final):
         g = grad_map[layer.name]
         if g is None:
             continue
-        k = layer.kind
-        upstream = None
-        if k == "conv":
-            inp, w = trace.caches[layer.name]
-            upstream, gw, gb = T.conv2d_backward(
-                g, inp, w, layer.stride, layer.padding, has_bias=layer.params.bias is not None
-            )
-            param_grads[layer.name] = {"weights": gw} if gb is None else {"weights": gw, "bias": gb}
-        elif k == "depthwise_conv":
-            inp, w = trace.caches[layer.name]
-            upstream, gw, gb = T.depthwise_conv2d_backward(
-                g, inp, w, layer.stride, layer.padding, has_bias=layer.params.bias is not None
-            )
-            param_grads[layer.name] = {"weights": gw} if gb is None else {"weights": gw, "bias": gb}
-        elif k == "affine":
-            inp, w = trace.caches[layer.name]
-            upstream, gw, gb = T.affine_backward(g, inp, w, has_bias=layer.params.bias is not None)
-            param_grads[layer.name] = {"weights": gw} if gb is None else {"weights": gw, "bias": gb}
-        elif k == "bn":
-            upstream, ggamma, gbeta = bn_backward_train(g, trace.caches[layer.name])
-            param_grads[layer.name] = {"gamma": ggamma, "beta": gbeta}
-        elif k == "relu":
-            upstream = T.relu_backward(g, trace.caches[layer.name])
-        elif k == "relu6":
-            upstream = T.relu6_backward(g, trace.caches[layer.name])
-        elif k == "global_avg_pool":
-            upstream = T.global_avg_pool_backward(g, trace.caches[layer.name])
-        elif k == "add_junction":
-            a, b = layer.params
-            send(a, g)
-            send(b, g)
-        elif k == "quant_point":
-            cached = trace.caches[layer.name]
-            if cached is None:
-                upstream = g
-            else:
-                inp, cfg = cached
-                upstream = quantize_backward(g, inp, cfg)
-
+        upstream, grads = _LAYER_OPS[layer.kind][1](layer, g, trace.caches[layer.name], send)
+        if grads is not None:
+            param_grads[layer.name] = grads
         if upstream is not None:
             if i == 0:
                 grad_input = upstream

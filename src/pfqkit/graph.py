@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -73,23 +74,19 @@ class ModelGraph:
                 raise GraphError(f"unknown layer kind '{layer.kind}'")
             if layer.name in seen:
                 raise GraphError(f"duplicate layer name '{layer.name}'")
-            seen.add(layer.name)
             if layer.kind == "bn":
                 if i == 0 or self.layers[i - 1].kind not in CONV_LIKE:
                     raise GraphError(f"bn layer '{layer.name}' must directly follow a conv, depthwise conv, or affine")
             if layer.kind == "add_junction":
-                a, b = layer.params
-                earlier = {l.name for l in self.layers[:i]}
-                for ref in (a, b):
-                    if ref not in earlier:
-                        raise GraphError(f"add_junction '{layer.name}' references '{ref}' which is not an earlier layer")
+                for ref in layer.params:
+                    if ref not in seen:
+                        raise GraphError(f"add_junction '{layer.name}' references '{ref}' "
+                                         "which is not an earlier layer")
+            seen.add(layer.name)
         infer_shapes(self)
 
     def layer(self, name):
-        for layer in self.layers:
-            if layer.name == name:
-                return layer
-        raise KeyError(name)
+        return self.layers[self.index(name)]
 
     def index(self, name):
         for i, layer in enumerate(self.layers):
@@ -113,26 +110,18 @@ def infer_shapes(graph):
     prev_shape = tuple(graph.input_shape)
     for layer in graph.layers:
         k = layer.kind
-        if k == "conv":
+        if k in ("conv", "depthwise_conv"):
             if len(prev_shape) != 3:
-                raise GraphError(f"conv '{layer.name}' needs a (C, H, W) input, got {prev_shape}")
+                raise GraphError(f"{k} '{layer.name}' needs a (C, H, W) input, got {prev_shape}")
             c, h, w = prev_shape
             o, ci, kh, kw = layer.params.weights.shape
-            if ci != c:
-                raise GraphError(f"conv '{layer.name}' expects {ci} input channels, gets {c}")
+            # A depthwise kernel (C, 1, kh, kw) has one filter per input channel.
+            expected = ci if k == "conv" else o
+            if expected != c:
+                raise GraphError(f"{k} '{layer.name}' expects {expected} input channels, gets {c}")
             ho = _extent(layer, h, kh, layer.stride[0], layer.padding[0])
             wo = _extent(layer, w, kw, layer.stride[1], layer.padding[1])
             out = (o, ho, wo)
-        elif k == "depthwise_conv":
-            if len(prev_shape) != 3:
-                raise GraphError(f"depthwise '{layer.name}' needs a (C, H, W) input, got {prev_shape}")
-            c, h, w = prev_shape
-            cw, _, kh, kw = layer.params.weights.shape
-            if cw != c:
-                raise GraphError(f"depthwise '{layer.name}' has {cw} channels, input has {c}")
-            ho = _extent(layer, h, kh, layer.stride[0], layer.padding[0])
-            wo = _extent(layer, w, kw, layer.stride[1], layer.padding[1])
-            out = (c, ho, wo)
         elif k == "affine":
             if len(prev_shape) != 1:
                 raise GraphError(f"affine '{layer.name}' needs a flat input, got {prev_shape}")
@@ -173,27 +162,13 @@ def _extent(layer, size, kernel, stride, pad):
 def count_macs(graph):
     """Multiply-accumulate count per layer (one MAC = one multiply plus add).
 
-    Convolutions count out_ch * in_ch * kh * kw per output position,
-    depthwise convs ch * kh * kw per position, affines in_dim * out_dim.
-    Everything else is 0.
+    Every conv, depthwise conv and affine costs its weight count per output
+    position (one position for an affine). Everything else is 0.
     """
     shapes = infer_shapes(graph)
-    macs = {}
-    for layer in graph.layers:
-        if layer.kind == "conv":
-            o, ci, kh, kw = layer.params.weights.shape
-            _, ho, wo = shapes[layer.name]
-            macs[layer.name] = o * ci * kh * kw * ho * wo
-        elif layer.kind == "depthwise_conv":
-            c, _, kh, kw = layer.params.weights.shape
-            _, ho, wo = shapes[layer.name]
-            macs[layer.name] = c * kh * kw * ho * wo
-        elif layer.kind == "affine":
-            d, kdim = layer.params.weights.shape
-            macs[layer.name] = d * kdim
-        else:
-            macs[layer.name] = 0
-    return macs
+    return {layer.name: (layer.params.weights.size * math.prod(shapes[layer.name][1:])
+                         if layer.kind in CONV_LIKE else 0)
+            for layer in graph.layers}
 
 
 def param_count(graph):
@@ -281,11 +256,10 @@ FORMAT_NAME = "pfqkit-model"
 FORMAT_VERSION = 1
 
 _TENSOR_FIELDS = {
-    "conv": ("weights", "bias"),
-    "depthwise_conv": ("weights", "bias"),
-    "affine": ("weights", "bias"),
+    **{kind: ("weights", "bias") for kind in CONV_LIKE},
     "bn": ("gamma", "beta", "running_mean", "running_var"),
 }
+_PARAMS_CLASS = {"conv": ConvParams, "depthwise_conv": DepthwiseConvParams, "affine": AffineParams}
 
 
 def _quant_dict(point):
@@ -411,12 +385,10 @@ def load_model(manifest_path):
             raise ModelFormatError(f"tensor '{t['id']}' checksum mismatch")
         arrays[t["id"]] = np.frombuffer(data, dtype="<f4").reshape(t["shape"]).copy()
 
-    def tensor(layer_name, fieldname, required=True):
+    def tensor(layer_name, fieldname):
         key = f"{layer_name}.{fieldname}"
         if key not in arrays:
-            if required:
-                raise ModelFormatError(f"manifest lists no tensor '{key}'")
-            return None
+            raise ModelFormatError(f"manifest lists no tensor '{key}'")
         return arrays[key]
 
     layers = []
@@ -426,16 +398,13 @@ def load_model(manifest_path):
         if kind in ("conv", "depthwise_conv"):
             layer.stride = tuple(doc["stride"])
             layer.padding = tuple(doc["padding"])
-            cls = ConvParams if kind == "conv" else DepthwiseConvParams
-            layer.params = cls(
+        if kind in CONV_LIKE:
+            layer.params = _PARAMS_CLASS[kind](
                 weights=tensor(name, "weights"),
-                bias=tensor(name, "bias", required=doc["has_bias"]) if doc["has_bias"] else None,
+                bias=tensor(name, "bias") if doc["has_bias"] else None,
             )
-        elif kind == "affine":
-            layer.params = AffineParams(
-                weights=tensor(name, "weights"),
-                bias=tensor(name, "bias", required=doc["has_bias"]) if doc["has_bias"] else None,
-            )
+            if doc.get("weight_quant"):
+                layer.weight_quant = _quant_from_dict(doc["weight_quant"])
         elif kind == "bn":
             layer.params = BNParams(
                 gamma=tensor(name, "gamma"),
@@ -449,8 +418,6 @@ def load_model(manifest_path):
             layer.params = tuple(doc["inputs"])
         elif kind == "quant_point":
             layer.params = _quant_from_dict(doc["quant"])
-        if kind in CONV_LIKE and doc.get("weight_quant"):
-            layer.weight_quant = _quant_from_dict(doc["weight_quant"])
         layers.append(layer)
 
     try:

@@ -24,14 +24,14 @@ candidates at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .engine import forward_graph
-from .graph import ModelGraph, copy_graph, count_macs, param_count
-from .quantization import quantize
+from .graph import copy_graph, count_macs, param_count
+from .quantization import act_point_applies, quantize
 
 _PASS_THROUGH = ("relu", "relu6", "global_avg_pool", "quant_point")
 
@@ -73,7 +73,10 @@ class PruneReport:
     params_after: int
     macs_before: int
     macs_after: int
-    weights_removed: int
+
+    @property
+    def weights_removed(self):
+        return self.params_before - self.params_after
 
     @property
     def removed(self):
@@ -125,10 +128,8 @@ def _chain_const(graph, chain, value, quantize_act_of_beta, dtype):
             value, was_clipped = _activate_const(value, layer.kind)
             clipped = clipped or was_clipped
         elif layer.kind == "quant_point":
-            point = layer.params
-            if (quantize_act_of_beta and point.enabled and point.cfg.initialized
-                    and point.cfg.M_up > point.cfg.m):
-                value = float(quantize(np.asarray([value], dtype=dtype), point.cfg)[0])
+            if quantize_act_of_beta and act_point_applies(layer.params):
+                value = float(quantize(np.asarray([value], dtype=dtype), layer.params.cfg)[0])
         # global_avg_pool passes a constant unchanged
     return value, clipped
 
@@ -142,14 +143,6 @@ def _walk_chain(graph, start):
         chain.append(j)
         j += 1
     return chain, (j if j < len(graph.layers) else None)
-
-
-def _junction_refs(graph):
-    refs = set()
-    for layer in graph.layers:
-        if layer.kind == "add_junction":
-            refs.update(layer.params)
-    return refs
 
 
 @dataclass
@@ -166,7 +159,7 @@ class _Plan:
     hops: list
     consumer_index: int
     mode: str  # bias | beta | materialize
-    beta_bn_index: int | None
+    beta_bn_index: int | None  # the BN after the consumer; mode beta shifts its beta
     first_chain: list
 
 
@@ -174,56 +167,62 @@ def _resolve_plan(graph, bn_index):
     """Work out how pruning BN channels at bn_index lands downstream.
 
     Returns a _Plan or a skip-reason string."""
-    bn_layer = graph.layers[bn_index]
-    producer = graph.layers[bn_index - 1]
+    layers = graph.layers
+    producer = layers[bn_index - 1]
     if producer.kind == "depthwise_conv":
         return "depthwise-producer"
     if producer.kind == "affine":
         return "affine-producer"
 
-    junction_refs = _junction_refs(graph)
-    carrying = {producer.name, bn_layer.name}
+    junction_refs = {ref for l in layers if l.kind == "add_junction" for ref in l.params}
+    carrying = {producer.name, layers[bn_index].name}
     hops = []
     first_chain = None
-    current_hop = None
-
     cursor = bn_index + 1
     while True:
         chain, consumer_idx = _walk_chain(graph, cursor)
-        carrying.update(graph.layers[i].name for i in chain)
-        if current_hop is None:
-            first_chain = chain
+        carrying.update(layers[i].name for i in chain)
+        if hops:
+            hops[-1].chain = chain
         else:
-            current_hop.chain = chain
+            first_chain = chain
         if consumer_idx is None:
             return "network-output"
-        consumer = graph.layers[consumer_idx]
-        if consumer.kind == "add_junction":
+        consumer = layers[consumer_idx]
+        if consumer.kind == "add_junction" or carrying & junction_refs:
             return "residual"
-        if carrying & junction_refs:
-            return "residual"
+        bn_after = consumer_idx + 1
+        if bn_after == len(layers) or layers[bn_after].kind != "bn":
+            bn_after = None
         if consumer.kind in ("conv", "affine"):
             if consumer.params.bias is not None:
-                mode, beta_bn = "bias", None
-            elif (consumer_idx + 1 < len(graph.layers)
-                  and graph.layers[consumer_idx + 1].kind == "bn"):
-                mode, beta_bn = "beta", consumer_idx + 1
+                mode = "bias"
             else:
-                mode, beta_bn = "materialize", None
+                mode = "materialize" if bn_after is None else "beta"
             return _Plan(hops=hops, consumer_index=consumer_idx, mode=mode,
-                         beta_bn_index=beta_bn, first_chain=first_chain)
-        if consumer.kind == "depthwise_conv":
-            bn_after = None
-            if consumer_idx + 1 < len(graph.layers) and graph.layers[consumer_idx + 1].kind == "bn":
-                bn_after = consumer_idx + 1
-            carrying.add(consumer.name)
-            if bn_after is not None:
-                carrying.add(graph.layers[bn_after].name)
-            current_hop = _Hop(dw_index=consumer_idx, bn_index=bn_after, chain=[])
-            hops.append(current_hop)
-            cursor = (bn_after if bn_after is not None else consumer_idx) + 1
-            continue
-        return "residual"  # pragma: no cover - no other consumer kinds exist
+                         beta_bn_index=bn_after, first_chain=first_chain)
+        # The consumer is a depthwise conv (no other kind can follow a chain):
+        # the constant cascades through it and its BN.
+        carrying.add(consumer.name)
+        if bn_after is not None:
+            carrying.add(layers[bn_after].name)
+        hops.append(_Hop(dw_index=consumer_idx, bn_index=bn_after, chain=[]))
+        cursor = (consumer_idx if bn_after is None else bn_after) + 1
+
+
+def _candidates(graph, bn_index, channels, quantize_act_of_beta):
+    """PruneCandidates for the given channels of the BN layer at bn_index."""
+    layer = graph.layers[bn_index]
+    params = layer.params
+    chain, _ = _walk_chain(graph, bn_index + 1)
+    out = []
+    for c in channels:
+        beta = float(params.beta[c])
+        a, _ = _chain_const(graph, chain, beta, quantize_act_of_beta, params.beta.dtype)
+        out.append(PruneCandidate(layer=layer.name, channel=c,
+                                  running_var=float(params.running_var[c]),
+                                  beta=beta, act_of_beta=a))
+    return out
 
 
 def scan_candidates(graph, epsilon, *, quantize_act_of_beta=False):
@@ -231,18 +230,9 @@ def scan_candidates(graph, epsilon, *, quantize_act_of_beta=False):
     then channel order, with their post-activation constants."""
     out = []
     for i, layer in enumerate(graph.layers):
-        if layer.kind != "bn":
-            continue
-        params = layer.params
-        chain, _ = _walk_chain(graph, i + 1)
-        dtype = params.beta.dtype
-        for c in np.flatnonzero(params.running_var < epsilon):
-            c = int(c)
-            beta = float(params.beta[c])
-            a, _ = _chain_const(graph, chain, beta, quantize_act_of_beta, dtype)
-            out.append(PruneCandidate(layer=layer.name, channel=c,
-                                      running_var=float(params.running_var[c]),
-                                      beta=beta, act_of_beta=a))
+        if layer.kind == "bn":
+            channels = [int(c) for c in np.flatnonzero(layer.params.running_var < epsilon)]
+            out.extend(_candidates(graph, i, channels, quantize_act_of_beta))
     return out
 
 
@@ -258,14 +248,24 @@ def compute_bias_correction(weight_slice, act_value):
     raise ValueError(f"unexpected weight slice rank {weight_slice.ndim}")
 
 
-def _delete(arr, channels, axis):
-    return np.delete(arr, channels, axis=axis)
+def _drop_bn_channels(layer, channels):
+    p = layer.params
+    layer.params = replace(p, **{f: np.delete(getattr(p, f), channels, axis=0)
+                                 for f in ("gamma", "beta", "running_mean", "running_var")})
+
+
+def _drop_output_channels(layer, channels):
+    """Delete output channels (filters and bias entries) of a conv or depthwise conv."""
+    p = layer.params
+    p.weights = np.delete(p.weights, channels, axis=0)
+    if p.bias is not None:
+        p.bias = np.delete(p.bias, channels, axis=0)
 
 
 def _process_group(graph, bn_index, group, plan, quantize_act_of_beta, correct):
     """Prune one BN layer's candidate channels following a resolved plan.
 
-    Mutates graph layers in place; returns (entries, param_delta)."""
+    Mutates graph layers in place; returns the PruneEntries."""
     layers = graph.layers
     bn_layer = layers[bn_index]
     producer = layers[bn_index - 1]
@@ -274,7 +274,6 @@ def _process_group(graph, bn_index, group, plan, quantize_act_of_beta, correct):
     channels = [c.channel for c in group]
 
     entries = []
-    removed = 0
     total_u = None
     for cand in group:
         c = cand.channel
@@ -316,64 +315,46 @@ def _process_group(graph, bn_index, group, plan, quantize_act_of_beta, correct):
                                   u_norm=u_norm, cascade=cascade))
         total_u = u if total_u is None else total_u + u
 
-    if correct and total_u is not None:
+    if correct:
         if plan.mode == "bias":
             consumer.params.bias = (consumer.params.bias + total_u).astype(dtype, copy=False)
         elif plan.mode == "materialize":
             consumer.params.bias = total_u.astype(dtype, copy=False)
-            removed -= total_u.size
         elif plan.mode == "beta":
             bnp = layers[plan.beta_bn_index].params
             factor = bnp.gamma / np.sqrt(bnp.running_var + bnp.epsilon)
             bnp.beta = (bnp.beta + factor * total_u).astype(dtype, copy=False)
 
     # Surgery, after every correction is computed from original weights.
-    removed += len(channels) * 2  # bn gamma and beta
-    bnp = bn_layer.params
-    bn_layer.params = type(bnp)(
-        gamma=_delete(bnp.gamma, channels, 0),
-        beta=_delete(bnp.beta, channels, 0),
-        running_mean=_delete(bnp.running_mean, channels, 0),
-        running_var=_delete(bnp.running_var, channels, 0),
-        epsilon=bnp.epsilon,
-        rho=bnp.rho,
-    )
-
-    removed += int(np.prod(producer.params.weights.shape[1:])) * len(channels)
-    producer.params.weights = _delete(producer.params.weights, channels, 0)
-    if producer.params.bias is not None:
-        producer.params.bias = _delete(producer.params.bias, channels, 0)
-        removed += len(channels)
-
+    _drop_bn_channels(bn_layer, channels)
+    _drop_output_channels(producer, channels)
     for hop in plan.hops:
-        dw = layers[hop.dw_index]
-        removed += int(np.prod(dw.params.weights.shape[1:])) * len(channels)
-        dw.params.weights = _delete(dw.params.weights, channels, 0)
-        if dw.params.bias is not None:
-            dw.params.bias = _delete(dw.params.bias, channels, 0)
-            removed += len(channels)
+        _drop_output_channels(layers[hop.dw_index], channels)
         if hop.bn_index is not None:
-            hbn = layers[hop.bn_index].params
-            removed += len(channels) * 2
-            layers[hop.bn_index].params = type(hbn)(
-                gamma=_delete(hbn.gamma, channels, 0),
-                beta=_delete(hbn.beta, channels, 0),
-                running_mean=_delete(hbn.running_mean, channels, 0),
-                running_var=_delete(hbn.running_var, channels, 0),
-                epsilon=hbn.epsilon,
-                rho=hbn.rho,
-            )
+            _drop_bn_channels(layers[hop.bn_index], channels)
+    # An affine consumer takes input channels on axis 0, a conv on axis 1.
+    consumer.params.weights = np.delete(consumer.params.weights, channels,
+                                        axis=0 if consumer.kind == "affine" else 1)
+    return entries
 
-    if consumer.kind == "affine":
-        removed += consumer.params.weights.shape[1] * len(channels)
-        consumer.params.weights = _delete(consumer.params.weights, channels, 0)
-    else:
-        removed += int(
-            consumer.params.weights.shape[0] * np.prod(consumer.params.weights.shape[2:])
-        ) * len(channels)
-        consumer.params.weights = _delete(consumer.params.weights, channels, 1)
 
-    return entries, removed
+def _prune(graph, next_group, quantize_act_of_beta, correct):
+    """Shared driver: prune groups from a copy of graph until next_group(g,
+    skips) returns None; it returns (bn_index, candidates, plan) and may
+    append PruneSkips to skips. Returns (new_graph, PruneReport)."""
+    g = copy_graph(graph)
+    params_before = param_count(g)
+    macs_before = sum(count_macs(g).values())
+    entries = []
+    skips = []
+    while (step := next_group(g, skips)) is not None:
+        bn_index, group, plan = step
+        entries.extend(_process_group(g, bn_index, group, plan, quantize_act_of_beta, correct))
+        g.validate()
+    report = PruneReport(entries=entries, skips=skips, params_before=params_before,
+                         params_after=param_count(g), macs_before=macs_before,
+                         macs_after=sum(count_macs(g).values()))
+    return g, report
 
 
 def apply_pfq(graph, epsilon, *, quantize_act_of_beta=False, correct=True):
@@ -383,98 +364,61 @@ def apply_pfq(graph, epsilon, *, quantize_act_of_beta=False, correct=True):
     With correct=False the channels are removed without any compensation
     (the ablation arm); inference output is then not preserved.
     """
-    g = copy_graph(graph)
-    params_before = param_count(g)
-    macs_before = sum(count_macs(g).values())
-    entries = []
-    skips = []
-    skip_memo = set()
-    weights_removed = 0
+    def next_group(g, skips):
+        while True:
+            skipped = {(s.layer, s.channel) for s in skips}
+            by_layer = {}
+            for cand in scan_candidates(g, epsilon, quantize_act_of_beta=quantize_act_of_beta):
+                if (cand.layer, cand.channel) not in skipped:
+                    by_layer.setdefault(cand.layer, []).append(cand)
+            if not by_layer:
+                return None
+            group = next(iter(by_layer.values()))  # the first layer in graph order
+            bn_index = g.index(group[0].layer)
+            if len(group) == g.layers[bn_index].params.gamma.shape[0]:
+                plan = "would-empty"
+            else:
+                plan = _resolve_plan(g, bn_index)
+            if not isinstance(plan, str):
+                return bn_index, group, plan
+            skips.extend(PruneSkip(layer=c.layer, channel=c.channel, reason=plan,
+                                   running_var=c.running_var, beta=c.beta) for c in group)
 
-    while True:
-        candidates = scan_candidates(g, epsilon, quantize_act_of_beta=quantize_act_of_beta)
-        by_layer = {}
-        for cand in candidates:
-            if (cand.layer, cand.channel) in skip_memo:
-                continue
-            by_layer.setdefault(cand.layer, []).append(cand)
-        if not by_layer:
-            break
-        layer_name = next(l.name for l in g.layers if l.name in by_layer)
-        group = by_layer[layer_name]
-        bn_index = g.index(layer_name)
-        bn_layer = g.layers[bn_index]
-
-        if len(group) == bn_layer.params.gamma.shape[0]:
-            reason = "would-empty"
-        else:
-            plan = _resolve_plan(g, bn_index)
-            reason = plan if isinstance(plan, str) else None
-
-        if reason is not None:
-            for cand in group:
-                skip_memo.add((cand.layer, cand.channel))
-                skips.append(PruneSkip(layer=cand.layer, channel=cand.channel, reason=reason,
-                                       running_var=cand.running_var, beta=cand.beta))
-            continue
-
-        new_entries, removed = _process_group(g, bn_index, group, plan,
-                                              quantize_act_of_beta, correct)
-        entries.extend(new_entries)
-        weights_removed += removed
-        g = ModelGraph(layers=g.layers, input_shape=g.input_shape)  # revalidate
-
-    report = PruneReport(
-        entries=entries,
-        skips=skips,
-        params_before=params_before,
-        params_after=param_count(g),
-        macs_before=macs_before,
-        macs_after=sum(count_macs(g).values()),
-        weights_removed=weights_removed,
-    )
-    return g, report
+    return _prune(graph, next_group, quantize_act_of_beta, correct)
 
 
 def prune_channels(graph, targets, *, correct=True, quantize_act_of_beta=False):
     """Remove explicitly chosen (bn_layer_name, channel) pairs, regardless of
     their running variance. Channels must share no layer unless listed
-    together. Returns (new_graph, PruneReport)."""
-    g = copy_graph(graph)
-    params_before = param_count(g)
-    macs_before = sum(count_macs(g).values())
-    entries = []
-    weights_removed = 0
-
+    together. Every pair is checked before any surgery: a name that is not a
+    BN layer, a channel outside [0, C) or a pair listed twice raises
+    ValueError. Returns (new_graph, PruneReport)."""
+    layers = {layer.name: layer for layer in graph.layers}
     by_layer = {}
     for name, channel in targets:
-        by_layer.setdefault(name, []).append(channel)
+        layer = layers.get(name)
+        if layer is None or layer.kind != "bn":
+            raise ValueError(f"prune target ({name!r}, {channel}): not a BN layer")
+        count = layer.params.gamma.shape[0]
+        if not 0 <= channel < count:
+            raise ValueError(f"prune target ({name!r}, {channel}): channel outside [0, {count})")
+        if channel in by_layer.setdefault(name, []):
+            raise ValueError(f"prune target ({name!r}, {channel}): listed twice")
+        by_layer[name].append(channel)
+    pending = iter([name for name in layers if name in by_layer])
 
-    for name in [l.name for l in g.layers if l.name in by_layer]:
+    def next_group(g, skips):
+        name = next(pending, None)
+        if name is None:
+            return None
         bn_index = g.index(name)
-        bn_layer = g.layers[bn_index]
-        chain, _ = _walk_chain(g, bn_index + 1)
-        group = []
-        for c in sorted(by_layer[name]):
-            beta = float(bn_layer.params.beta[c])
-            a, _ = _chain_const(g, chain, beta, quantize_act_of_beta, bn_layer.params.beta.dtype)
-            group.append(PruneCandidate(layer=name, channel=c,
-                                        running_var=float(bn_layer.params.running_var[c]),
-                                        beta=beta, act_of_beta=a))
         plan = _resolve_plan(g, bn_index)
         if isinstance(plan, str):
             raise ValueError(f"cannot prune channels of '{name}': {plan}")
-        new_entries, removed = _process_group(g, bn_index, group, plan,
-                                              quantize_act_of_beta, correct)
-        entries.extend(new_entries)
-        weights_removed += removed
-        g = ModelGraph(layers=g.layers, input_shape=g.input_shape)
+        group = _candidates(g, bn_index, sorted(by_layer[name]), quantize_act_of_beta)
+        return bn_index, group, plan
 
-    report = PruneReport(entries=entries, skips=[], params_before=params_before,
-                         params_after=param_count(g), macs_before=macs_before,
-                         macs_after=sum(count_macs(g).values()),
-                         weights_removed=weights_removed)
-    return g, report
+    return _prune(graph, next_group, quantize_act_of_beta, correct)
 
 
 @dataclass

@@ -54,6 +54,12 @@ class QuantPoint:
     enabled: bool = True
 
 
+def act_point_applies(point):
+    """Whether an activation point snaps its input: it is enabled and has a
+    range that is initialized and not collapsed to a single value."""
+    return point.enabled and point.cfg.initialized and point.cfg.M_up > point.cfg.m
+
+
 def _round_half_away(t):
     return np.where(t >= 0, np.floor(t + 0.5), np.ceil(t - 0.5))
 
@@ -127,7 +133,7 @@ def insert_quant_points(graph, act_bits, weight_bits, *, ema_momentum=0.99,
         if layer.kind == "add_junction":
             a, b = layer.params
             layer.params = (renames.get(a, a), renames.get(b, b))
-        if layer.kind in ("conv", "depthwise_conv", "affine"):
+        if layer.kind in graph_mod.CONV_LIKE:
             layer.weight_quant = QuantPoint(
                 target="weights",
                 cfg=QuantConfig(bits=weight_bits, range_policy=WEIGHT_POLICY),

@@ -119,6 +119,9 @@ def train_epochs(graph, data, schedule, optimizer, *, epochs, batch_size=16, see
         l.kind == "bn" for l in g.layers
     ):
         raise ValueError("weight quantization requires a folded graph (BN layers still present)")
+    if stop is not None and stop.mode not in ("fixed_epochs", "accuracy_drop"):
+        raise ValueError(f"unknown early stop mode {stop.mode!r}; "
+                         "expected 'fixed_epochs' or 'accuracy_drop'")
     if stop is not None and stop.mode == "accuracy_drop":
         if stop.reference_accuracy is None:
             raise ValueError("accuracy_drop early stop needs a reference_accuracy")

@@ -60,10 +60,12 @@ class WorkflowResult:
     trace: list
 
 
-def _persist(out_dir, stage, graph, *, prune_report=None, metrics=None):
+def _persist(out_dir, subdir, graph, *, prune_report=None, metrics=None):
+    """Save a stage's artifacts in out_dir/subdir ("" for out_dir itself);
+    nothing is written without an out_dir."""
     if out_dir is None:
         return
-    stage_dir = Path(out_dir) / f"stage{stage}"
+    stage_dir = Path(out_dir) / subdir
     stage_dir.mkdir(parents=True, exist_ok=True)
     save_model(graph, stage_dir / "model.json")
     if prune_report is not None:
@@ -84,7 +86,7 @@ def run_workflow(graph, data, cfg, out_dir=None):
 
     g, prune_first = apply_pfq(graph, cfg.epsilon, quantize_act_of_beta=False)
     trace.append(f"stage0 pfq: {prune_first.summary()}")
-    _persist(out_dir, 0, g, prune_report=prune_first)
+    _persist(out_dir, "stage0", g, prune_report=prune_first)
 
     g = insert_quant_points(g, cfg.act_bits, cfg.weight_bits,
                             ema_momentum=cfg.ema_momentum,
@@ -96,18 +98,18 @@ def run_workflow(graph, data, cfg, out_dir=None):
         stop=cfg.stop_act, update_ranges=True,
     )
     trace.append(f"stage1 finetune-activations: epochs={len(metrics_act)}")
-    _persist(out_dir, 1, g, metrics=metrics_act)
+    _persist(out_dir, "stage1", g, metrics=metrics_act)
 
     g, prune_second = apply_pfq(g, cfg.epsilon, quantize_act_of_beta=True)
     trace.append(f"stage2 pfq: {prune_second.summary()}")
-    _persist(out_dir, 2, g, prune_report=prune_second)
+    _persist(out_dir, "stage2", g, prune_report=prune_second)
 
     g = fold_bn_graph(g)
     remaining = sum(1 for l in g.layers if l.kind == "bn")
     if remaining:
         raise WorkflowError(f"{remaining} BN layers survived folding")
     trace.append("stage3 fold-bn: remaining_bn=0")
-    _persist(out_dir, 3, g)
+    _persist(out_dir, "stage3", g)
 
     # A zero weight budget skips the whole stage, enabling included, so the
     # degenerate workflow stays functionally equal to prune + prune + fold.
@@ -120,7 +122,7 @@ def run_workflow(graph, data, cfg, out_dir=None):
         stop=cfg.stop_weight, update_ranges=True, range_update_epochs=1,
     )
     trace.append(f"stage4 finetune-weights: epochs={len(metrics_weight)}")
-    _persist(out_dir, 4, g, metrics=metrics_weight)
+    _persist(out_dir, "stage4", g, metrics=metrics_weight)
 
     if out_dir is not None:
         (Path(out_dir) / "workflow.log").write_text("\n".join(trace) + "\n")
@@ -151,12 +153,8 @@ def run_single_stage_baseline(graph, data, cfg, out_dir=None):
     )
     trace.append(f"baseline finetune: epochs={len(metrics)}")
 
+    _persist(out_dir, "", g, prune_report=prune_report, metrics=metrics)
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        save_model(g, out / "model.json")
-        prune_report.to_csv(out / "prune_report.csv")
-        metrics_to_csv(metrics, out / "metrics.csv")
-        (out / "workflow.log").write_text("\n".join(trace) + "\n")
+        (Path(out_dir) / "workflow.log").write_text("\n".join(trace) + "\n")
     return WorkflowResult(graph=g, prune_first=prune_report, prune_second=None,
                           metrics_act=metrics, metrics_weight=[], trace=trace)

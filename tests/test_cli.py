@@ -297,8 +297,10 @@ class TestFailureSurface:
 
     def test_threads_flag_caps_blas_pools(self, trained, monkeypatch, capsys):
         cfg, model, root = trained
-        monkeypatch.setenv("OMP_NUM_THREADS", "sentinel")
-        rc = main(["count-macs", "--model", model, "--threads", "2"])
-        assert rc == 0
-        assert os.environ["OMP_NUM_THREADS"] == "2"
-        assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+        for flag in (["--threads", "2"], ["--threads=2"]):
+            monkeypatch.setenv("OMP_NUM_THREADS", "sentinel")
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", "sentinel")
+            rc = main(["count-macs", "--model", model] + flag)
+            assert rc == 0
+            assert os.environ["OMP_NUM_THREADS"] == "2"
+            assert os.environ["OPENBLAS_NUM_THREADS"] == "2"

@@ -380,6 +380,26 @@ class TestExplicitTargets:
         with pytest.raises(ValueError):
             prune_channels(g, [(bn_name, 0)])
 
+    def test_rejects_duplicate_target(self):
+        g = _graph_bias_consumer(np.random.default_rng(101))
+        with pytest.raises(ValueError, match=r"\('b1', 1\): listed twice"):
+            prune_channels(g, [("b1", 1), ("b1", 1)])
+
+    def test_rejects_negative_channel(self):
+        g = _graph_bias_consumer(np.random.default_rng(103))
+        with pytest.raises(ValueError, match=r"\('b1', -1\): channel outside \[0, 3\)"):
+            prune_channels(g, [("b1", -1)])
+
+    def test_rejects_channel_past_end(self):
+        g = _graph_bias_consumer(np.random.default_rng(107))
+        with pytest.raises(ValueError, match=r"\('b1', 99\): channel outside \[0, 3\)"):
+            prune_channels(g, [("b1", 0), ("b1", 99)])
+
+    def test_rejects_non_bn_target(self):
+        g = _graph_bias_consumer(np.random.default_rng(109))
+        with pytest.raises(ValueError, match=r"\('c1', 0\): not a BN layer"):
+            prune_channels(g, [("b1", 0), ("c1", 0)])
+
 
 class TestConstancyReport:
     def test_dead_channel_has_zero_spread(self):

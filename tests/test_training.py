@@ -231,6 +231,14 @@ class TestEarlyStop:
                          epochs=1, seed=0,
                          stop=EarlyStopPolicy(mode="accuracy_drop"))
 
+    def test_unknown_mode_rejected(self):
+        data = _bundle(seed=17)
+        g = build_small_convnet(class_count=3, width=4, seed=5)
+        with pytest.raises(ValueError, match="unknown early stop mode 'acuracy_drop'"):
+            train_epochs(g, data, LRSchedule(0.02, 0, 1), OptimizerState(),
+                         epochs=1, seed=0,
+                         stop=EarlyStopPolicy(mode="acuracy_drop", reference_accuracy=0.5))
+
 
 class TestMetricsCsv:
     def test_layout_and_empty_cells(self, tmp_path):
