@@ -391,8 +391,9 @@ def prune_channels(graph, targets, *, correct=True, quantize_act_of_beta=False):
     """Remove explicitly chosen (bn_layer_name, channel) pairs, regardless of
     their running variance. Channels must share no layer unless listed
     together. Every pair is checked before any surgery: a name that is not a
-    BN layer, a channel outside [0, C) or a pair listed twice raises
-    ValueError. Returns (new_graph, PruneReport)."""
+    BN layer, a channel outside [0, C), a pair listed twice or a set naming
+    every channel of a layer raises ValueError. Returns (new_graph,
+    PruneReport)."""
     layers = {layer.name: layer for layer in graph.layers}
     by_layer = {}
     for name, channel in targets:
@@ -405,6 +406,9 @@ def prune_channels(graph, targets, *, correct=True, quantize_act_of_beta=False):
         if channel in by_layer.setdefault(name, []):
             raise ValueError(f"prune target ({name!r}, {channel}): listed twice")
         by_layer[name].append(channel)
+    for name, channels in by_layer.items():
+        if len(channels) == layers[name].params.gamma.shape[0]:
+            raise ValueError(f"prune targets name every channel of {name!r}: would-empty")
     pending = iter([name for name in layers if name in by_layer])
 
     def next_group(g, skips):

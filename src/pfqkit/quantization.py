@@ -4,7 +4,10 @@ A quantizer is described by a closed range [m, M] and a bit width n. The
 grid step is (M - m) / 2**n, which places 2**n + 1 representable points with
 both range endpoints on the grid. Values are clamped to the range first,
 snapped with round-half-away-from-zero, and reconstructed on the real axis
-(fake quantization: outputs stay floating point).
+(fake quantization: outputs stay floating point). After the clamp the grid
+index t = (x - m) / scale is never negative, so rounding half away from
+zero is exactly floor(t + 0.5), which the quantizer computes in one output
+buffer.
 
 Two range policies exist. Weight tensors use their own min/max, recomputed
 live at every forward. Activation ranges are tracked as an exponential
@@ -60,10 +63,6 @@ def act_point_applies(point):
     return point.enabled and point.cfg.initialized and point.cfg.M_up > point.cfg.m
 
 
-def _round_half_away(t):
-    return np.where(t >= 0, np.floor(t + 0.5), np.ceil(t - 0.5))
-
-
 def quantize(x, cfg):
     """Snap x onto the quantizer grid of cfg. Errors on a degenerate range."""
     ensure_finite("quantize", x)
@@ -71,9 +70,15 @@ def quantize(x, cfg):
         raise QuantRangeError(f"bits must be >= 1, got {cfg.bits}")
     if not cfg.M_up > cfg.m:
         raise QuantRangeError(f"degenerate quantizer range [{cfg.m}, {cfg.M_up}]")
-    scale = cfg.scale
-    clipped = np.clip(x, cfg.m, cfg.M_up)
-    return (_round_half_away((clipped - cfg.m) / scale) * scale + cfg.m).astype(x.dtype, copy=False)
+    m, scale = cfg.m, cfg.scale
+    out = np.asarray(np.clip(x, m, cfg.M_up))  # a 0-d clip returns a scalar
+    out -= m
+    out /= scale
+    out += 0.5
+    np.floor(out, out=out)
+    out *= scale
+    out += m
+    return out.astype(x.dtype, copy=False)
 
 
 def quantize_backward(grad_out, x, cfg):
@@ -89,6 +94,18 @@ def weight_range_cfg(weights, bits):
     if not hi > lo:
         raise QuantRangeError("weight tensor has zero spread, cannot derive a range")
     return QuantConfig(bits=bits, m=lo, M_up=hi, range_policy=WEIGHT_POLICY, initialized=True)
+
+
+def check_weight_ranges(graph):
+    """Derive the range of every enabled weight point once, so that a weight
+    tensor with zero spread fails before training with the layer named."""
+    for layer in graph.layers:
+        point = layer.weight_quant
+        if point is not None and point.enabled:
+            try:
+                weight_range_cfg(layer.params.weights, point.cfg.bits)
+            except QuantRangeError as e:
+                raise QuantRangeError(f"layer '{layer.name}': {e}") from None
 
 
 def update_activation_range(observed, cfg):

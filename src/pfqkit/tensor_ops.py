@@ -2,9 +2,13 @@
 
 Tensors are plain numpy arrays, NCHW for feature maps. Every op is a pure
 function with an explicit backward companion; there is no tape, and no op
-writes to its inputs. Full convolutions use im2col plus a single matmul.
-Depthwise convolutions contract a strided patch view with einsum in the
-forward pass and loop over the kh x kw kernel taps in the backward pass.
+writes to its inputs. Full convolutions lay each image's patches out as a
+(C*kh*kw, Ho*Wo) im2col matrix in NCHW order and left-multiply it by the
+(O, C*kh*kw) weights in one batched matmul, whose product is already the
+NCHW output; for a 1x1, stride-1, unpadded convolution the matrix is a view
+of the input. Depthwise convolutions contract a strided patch view with
+einsum in the forward pass and loop over the kh x kw kernel taps in the
+backward pass.
 Every reduction order is fixed, so results repeat run to run on a fixed
 machine. All ops preserve the input dtype, so the same code runs in float32
 (the storage dtype of models) and float64 (used by gradient checks).
@@ -80,7 +84,10 @@ def _im2col(x, kh, kw, sh, sw):
 def conv2d_forward(x, weights, bias=None, stride=(1, 1), padding=(0, 0)):
     """Cross-correlate x (N, C, H, W) with weights (O, C, kh, kw).
 
-    Zero padding only. Returns (N, O, Ho, Wo).
+    Zero padding only. Returns (N, O, Ho, Wo), C-contiguous. The patches of
+    each image form a (C*kh*kw, Ho*Wo) matrix, and the weights, viewed as
+    (O, C*kh*kw), multiply it from the left, so each image's product is
+    already its (O, Ho*Wo) output plane.
     """
     ensure_finite("conv2d", x, weights, bias)
     if x.ndim != 4 or weights.ndim != 4:
@@ -93,18 +100,23 @@ def conv2d_forward(x, weights, bias=None, stride=(1, 1), padding=(0, 0)):
     ph, pw = padding
     ho = conv_output_extent(h, kh, sh, ph)
     wo = conv_output_extent(w, kw, sw, pw)
-    xp = _pad_input(x, ph, pw)
-    cols = _im2col(xp, kh, kw, sh, sw)
-    # (N, Ho, Wo, C*kh*kw) @ (C*kh*kw, O)
-    mat = np.ascontiguousarray(cols.transpose(0, 4, 5, 1, 2, 3)).reshape(n, ho, wo, c * kh * kw)
-    out = mat @ weights.reshape(o, c * kh * kw).T
+    cols = _im2col(_pad_input(x, ph, pw), kh, kw, sh, sw).reshape(n, c * kh * kw, ho * wo)
+    out = np.matmul(weights.reshape(o, c * kh * kw), cols).reshape(n, o, ho, wo)
     if bias is not None:
-        out = out + bias
-    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+        out += bias.reshape(1, o, 1, 1)
+    return out
 
 
 def conv2d_backward(grad_out, x, weights, stride=(1, 1), padding=(0, 0), has_bias=True):
-    """Gradients of conv2d_forward. Returns (grad_x, grad_weights, grad_bias)."""
+    """Gradients of conv2d_forward. Returns (grad_x, grad_weights, grad_bias).
+
+    Rebuilds the forward's (N, C*kh*kw, Ho*Wo) patch matrices. With grad_out
+    viewed as (N, O, Ho*Wo), the weight gradient is the sum over images of
+    grad_out times the transposed patch matrix, and the patch gradient is
+    the transposed weights times grad_out. Each kernel tap's (N, C, Ho, Wo)
+    slab of the patch gradient is added back onto the strided input
+    positions the tap read.
+    """
     n, c = x.shape[:2]
     o, ci, kh, kw = weights.shape
     sh, sw = stride
@@ -112,15 +124,13 @@ def conv2d_backward(grad_out, x, weights, stride=(1, 1), padding=(0, 0), has_bia
     ho, wo = grad_out.shape[2], grad_out.shape[3]
 
     xp = _pad_input(x, ph, pw)
-    cols = _im2col(xp, kh, kw, sh, sw)
-    mat = np.ascontiguousarray(cols.transpose(0, 4, 5, 1, 2, 3)).reshape(n * ho * wo, c * kh * kw)
-    g = np.ascontiguousarray(grad_out.transpose(0, 2, 3, 1)).reshape(n * ho * wo, o)
+    cols = _im2col(xp, kh, kw, sh, sw).reshape(n, c * kh * kw, ho * wo)
+    g3 = grad_out.reshape(n, o, ho * wo)
 
-    grad_w = (g.T @ mat).reshape(o, c, kh, kw)
+    grad_w = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(o, c, kh, kw)
     grad_b = grad_out.sum(axis=(0, 2, 3)) if has_bias else None
 
-    grad_cols = (g @ weights.reshape(o, c * kh * kw)).reshape(n, ho, wo, c, kh, kw)
-    grad_cols = grad_cols.transpose(0, 3, 4, 5, 1, 2)  # (N, C, kh, kw, Ho, Wo)
+    grad_cols = np.matmul(weights.reshape(o, c * kh * kw).T, g3).reshape(n, c, kh, kw, ho, wo)
     grad_xp = np.zeros_like(xp)
     for u in range(kh):
         for v in range(kw):

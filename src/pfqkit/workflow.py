@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .graph import fold_bn_graph, save_model
 from .pruning import apply_pfq
-from .quantization import insert_quant_points, set_quant_enabled
+from .quantization import check_weight_ranges, insert_quant_points, set_quant_enabled
 from .training import EarlyStopPolicy, LRSchedule, OptimizerState, metrics_to_csv, train_epochs
 
 
@@ -115,6 +115,7 @@ def run_workflow(graph, data, cfg, out_dir=None):
     # degenerate workflow stays functionally equal to prune + prune + fold.
     if cfg.epochs_weight > 0:
         set_quant_enabled(g, weights=True)
+        check_weight_ranges(g)
     opt = OptimizerState(momentum=cfg.weight_momentum, weight_decay=cfg.weight_decay)
     g, metrics_weight = train_epochs(
         g, data, cfg.weight_schedule, opt,
@@ -145,6 +146,7 @@ def run_single_stage_baseline(graph, data, cfg, out_dir=None):
     g = insert_quant_points(g, cfg.act_bits, cfg.weight_bits,
                             ema_momentum=cfg.ema_momentum,
                             act_enabled=True, weight_enabled=total_epochs > 0)
+    check_weight_ranges(g)
     opt = OptimizerState(momentum=cfg.act_momentum, weight_decay=cfg.weight_decay)
     g, metrics = train_epochs(
         g, data, cfg.act_schedule, opt,

@@ -39,6 +39,17 @@ def brute_force_conv2d(x, weights, bias, stride, padding):
     return out
 
 
+def reference_quantize(x, m, M, bits):
+    """Fake quantization written out step by step: clamp to [m, M], map to
+    the grid index (x - m) / scale, round half away from zero, map back.
+    Arithmetic runs in the dtype numpy promotes x and the bounds to, and the
+    result is cast back to x's dtype."""
+    scale = (M - m) / (2 ** bits)
+    t = (np.clip(x, m, M) - m) / scale
+    rounded = np.where(t >= 0, np.floor(t + 0.5), np.ceil(t - 0.5))
+    return (rounded * scale + m).astype(x.dtype, copy=False)
+
+
 def depthwise_as_grouped(weights):
     """Expand depthwise weights (C, 1, kh, kw) to an equivalent full-conv
     weight tensor (C, C, kh, kw) with zeros off the diagonal."""

@@ -7,9 +7,13 @@ correctly, and that failures surface as a single `error:` line.
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pfqkit
 from pfqkit.cli import ConfigError, load_config, main
 from pfqkit.graph import count_macs, load_model
 
@@ -304,3 +308,13 @@ class TestFailureSurface:
             assert rc == 0
             assert os.environ["OMP_NUM_THREADS"] == "2"
             assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+
+    def test_cli_import_leaves_numpy_unloaded(self):
+        """--threads only caps the running command's BLAS pools if numpy has
+        not loaded yet when main() exports the caps."""
+        code = ("import sys, pfqkit.cli; assert 'numpy' not in sys.modules; "
+                "from pfqkit import apply_pfq, __version__; assert 'numpy' in sys.modules")
+        env = {**os.environ, "PYTHONPATH": str(Path(pfqkit.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr

@@ -395,6 +395,12 @@ class TestExplicitTargets:
         with pytest.raises(ValueError, match=r"\('b1', 99\): channel outside \[0, 3\)"):
             prune_channels(g, [("b1", 0), ("b1", 99)])
 
+    def test_rejects_every_channel_of_a_layer(self):
+        g = _graph_bias_consumer(np.random.default_rng(113))
+        with pytest.raises(ValueError, match=r"every channel of 'b1': would-empty"):
+            prune_channels(g, [("b1", 0), ("b1", 1), ("b1", 2)])
+        assert g.layer("b1").params.gamma.shape == (3,)
+
     def test_rejects_non_bn_target(self):
         g = _graph_bias_consumer(np.random.default_rng(109))
         with pytest.raises(ValueError, match=r"\('c1', 0\): not a BN layer"):

@@ -17,6 +17,8 @@ from pfqkit.quantization import (
     weight_range_cfg,
 )
 
+from oracles import reference_quantize
+
 
 def _cfg(bits, m, M, initialized=True):
     return QuantConfig(bits=bits, m=m, M_up=M, initialized=initialized)
@@ -50,6 +52,53 @@ class TestQuantizeValues:
             quantize(np.ones(3), _cfg(4, 1.0, 1.0))
         with pytest.raises(QuantRangeError):
             quantize(np.ones(3), _cfg(0, 0.0, 1.0))
+
+
+class TestMatchesReference:
+    """quantize is bit-identical to the step-by-step formula, and it computes
+    in a buffer of its own, so its input stays untouched."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    # Dyadic bounds and steps make the midpoints exact grid ties in both
+    # dtypes; the others check ordinary rounding on inexact steps.
+    @pytest.mark.parametrize("m, M, bits, dyadic", [
+        (-2.0, 2.0, 8, True), (0.25, 3.25, 4, True), (-0.75, -0.25, 3, True),
+        (0.0, 6.0, 2, True), (-1.3, 2.7, 4, False), (0.3, 3.1, 4, False)])
+    def test_bit_identical(self, dtype, m, M, bits, dyadic):
+        rng = np.random.default_rng(131)
+        scale = (M - m) / 2 ** bits
+        span = M - m
+        ties = m + (np.arange(2 ** bits) + 0.5) * scale  # exact midpoints between grid points
+        grid = m + np.arange(2 ** bits + 1) * scale
+        outside = np.array([m - span, m - 1e-3, M + 1e-3, M + span])
+        inside = rng.uniform(m, M, 400)
+        x = np.concatenate([ties, grid, outside, inside]).astype(dtype)
+        cfg = _cfg(bits, m, M)
+        want = reference_quantize(x, m, M, bits)
+        assert (x < m).any() and (x > M).any()
+        if dyadic:
+            t = (x[:ties.size] - dtype(m)) / dtype(scale)
+            assert np.array_equal(t, np.arange(2 ** bits) + 0.5)
+        self._check(x, cfg, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_non_contiguous_input(self, dtype):
+        rng = np.random.default_rng(137)
+        base = rng.uniform(-2.5, 3.5, (6, 10, 9)).astype(dtype)
+        x = base[1::2, ::-3, 2:7].transpose(2, 0, 1)
+        assert not x.flags.c_contiguous and not x.flags.f_contiguous
+        m, M, bits = -1.1, 2.9, 4
+        self._check(x, _cfg(bits, m, M), reference_quantize(x, m, M, bits))
+
+    @staticmethod
+    def _check(x, cfg, want):
+        before = x.copy()
+        got = quantize(x, cfg)
+        assert got.dtype == want.dtype == x.dtype
+        assert got.shape == x.shape
+        assert got.tobytes() == want.tobytes()
+        assert x.tobytes() == before.tobytes()
+        assert not np.shares_memory(got, x)
 
 
 class TestGridAlgebra:

@@ -116,6 +116,69 @@ class TestConvBackward:
             assert max_rel_err(gb, numeric_grad(lambda v: loss_of(x, w, v), b)) < 1e-4
 
 
+def _sliced(rng, shape, dtype):
+    """A non-contiguous (N, C, H, W) view: every other channel, a shifted
+    spatial window."""
+    n, c, h, w = shape
+    base = rng.standard_normal((n, 2 * c, h + 3, w + 2)).astype(dtype)
+    x = base[:, ::2, 2:h + 2, 1:w + 1]
+    assert not x.flags.c_contiguous and not x.flags.f_contiguous
+    return x
+
+
+# The width-32 net's full convolutions at a small spatial extent:
+# name, (N, C, H, W), (O, C, kh, kw), stride, padding, non-contiguous input.
+WIDE_NET_CONVS = [
+    ("stem", (2, 3, 8, 8), (32, 3, 3, 3), (1, 1), (1, 1), False),
+    ("pointwise", (2, 32, 6, 6), (64, 32, 1, 1), (1, 1), (0, 0), False),
+    ("stride2", (2, 8, 9, 9), (16, 8, 3, 3), (2, 2), (1, 1), False),
+    ("pointwise_sliced", (2, 32, 6, 5), (64, 32, 1, 1), (1, 1), (0, 0), True),
+    ("stem_sliced", (2, 3, 7, 8), (32, 3, 3, 3), (1, 1), (1, 1), True),
+]
+
+
+@pytest.mark.parametrize("name, xshape, wshape, stride, pad, sliced", WIDE_NET_CONVS,
+                         ids=[case[0] for case in WIDE_NET_CONVS])
+class TestConvWideNetShapes:
+    """float32 convolution on the wide net's layer shapes against the
+    float64 oracles, which see the same values widened to float64."""
+
+    @staticmethod
+    def _inputs(xshape, wshape, sliced):
+        rng = np.random.default_rng(71)
+        f32 = np.float32
+        x = _sliced(rng, xshape, f32) if sliced else rng.standard_normal(xshape).astype(f32)
+        w = rng.standard_normal(wshape).astype(f32)
+        b = rng.standard_normal(wshape[0]).astype(f32)
+        return x, w, b, rng
+
+    def test_forward(self, name, xshape, wshape, stride, pad, sliced):
+        x, w, b, _ = self._inputs(xshape, wshape, sliced)
+        got = conv2d_forward(x, w, b, stride, pad)
+        want = brute_force_conv2d(x, w, b, stride, pad)
+        assert got.dtype == np.float32 and got.flags.c_contiguous
+        assert got.shape == want.shape
+        assert max_rel_err(got, want) < 1e-5
+        x64, w64, b64 = (a.astype(np.float64) for a in (x, w, b))
+        assert max_rel_err(conv2d_forward(x64, w64, b64, stride, pad), want) < 1e-12
+
+    def test_backward(self, name, xshape, wshape, stride, pad, sliced):
+        x, w, b, rng = self._inputs(xshape, wshape, sliced)
+        tgt = rng.standard_normal(conv2d_forward(x, w, b, stride, pad).shape)
+
+        def loss_of(x_, w_, b_):
+            return float(np.sum(conv2d_forward(x_, w_, b_, stride, pad) * tgt))
+
+        gx, gw, gb = conv2d_backward(tgt.astype(np.float32), x, w, stride, pad)
+        assert gx.shape == x.shape and gx.flags.c_contiguous
+        for got in (gx, gw, gb):
+            assert got.dtype == np.float32
+        x64, w64, b64 = (a.astype(np.float64) for a in (x, w, b))
+        assert max_rel_err(gx, numeric_grad(lambda v: loss_of(v, w64, b64), x64)) < 1e-4
+        assert max_rel_err(gw, numeric_grad(lambda v: loss_of(x64, v, b64), w64)) < 1e-4
+        assert max_rel_err(gb, numeric_grad(lambda v: loss_of(x64, w64, v), b64)) < 1e-4
+
+
 # (kh, kw), (sh, sw), (ph, pw), (H, W) beyond the square, unstrided, unpadded
 # random trials: kh != kw, stride 2, padding 1, and extents where the stride
 # does not divide size + 2p - k, which the per-tap slices must get right.

@@ -8,7 +8,9 @@ from pfqkit.engine import run_inference
 from pfqkit.graph import fold_bn_graph, load_model
 from pfqkit.models import build_small_convnet
 from pfqkit.pruning import apply_pfq
+from pfqkit.quantization import QuantRangeError
 from pfqkit.training import LRSchedule, OptimizerState, train_epochs
+from pfqkit import workflow
 from pfqkit.workflow import (
     WorkflowConfig,
     WorkflowError,
@@ -142,3 +144,37 @@ class TestHealthyGraphNoop:
         assert not result.prune_first.entries
         assert not result.prune_second.entries
         assert result.prune_first.params_before == result.prune_first.params_after
+
+
+class TestZeroSpreadWeights:
+    """A weight tensor whose elements are all equal has no quantizer range.
+    BN at its initial state folds with one factor for every channel, so
+    conv2 still has zero spread when weight quantization turns on."""
+
+    @staticmethod
+    def _flat_conv_graph(monkeypatch):
+        """The graph, and the epoch budget of every train_epochs call the
+        workflow makes from here on."""
+        g = build_small_convnet(input_shape=(3, 8, 8), class_count=3, width=6, seed=1)
+        g.layer("conv2").params.weights[...] = 0.05
+        budgets = []
+        real_train_epochs = workflow.train_epochs
+
+        def counting_train_epochs(*args, epochs, **kw):
+            budgets.append(epochs)
+            return real_train_epochs(*args, epochs=epochs, **kw)
+
+        monkeypatch.setattr(workflow, "train_epochs", counting_train_epochs)
+        return g, budgets
+
+    def test_workflow_names_layer_before_stage4_trains(self, monkeypatch):
+        g, budgets = self._flat_conv_graph(monkeypatch)
+        with pytest.raises(QuantRangeError, match="layer 'conv2': weight tensor has zero spread"):
+            run_workflow(g, _bundle(), _cfg(epochs_act=0, epochs_weight=1))
+        assert budgets == [0]  # stage 1 ran with no epochs, stage 4 never started
+
+    def test_baseline_names_layer_before_training(self, monkeypatch):
+        g, budgets = self._flat_conv_graph(monkeypatch)
+        with pytest.raises(QuantRangeError, match="layer 'conv2': weight tensor has zero spread"):
+            run_single_stage_baseline(g, _bundle(), _cfg())
+        assert budgets == []
