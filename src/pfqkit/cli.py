@@ -384,12 +384,12 @@ def cmd_count_macs(args):
 
 
 def _add_common(p, *, config=True, model=False, out=False):
-    p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                   help="override a config key (dotted path, JSON value)")
     p.add_argument("--threads", type=int, default=None,
                    help="cap BLAS thread pools (set before numpy loads)")
     if config:
         p.add_argument("--config", default=None, help="JSON run configuration")
+        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                       help="override a config key (dotted path, JSON value)")
     if model:
         p.add_argument("--model", required=True, help="model manifest to load")
     if out:

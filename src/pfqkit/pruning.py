@@ -2,29 +2,44 @@
 
 A channel whose running variance sits below the BN epsilon produces an
 output that is constant in practice, equal to its shift beta after
-normalization. Such a channel can be removed exactly: the constant it fed
-downstream is folded into the consumer as a bias correction. The correction
-for a conv consumer is the kernel sum of the consumer's input slice times
-the activated constant; when the consumer has no bias but is followed by a
-BN, the equivalent shift lands on that BN's beta instead; an affine consumer
-corrects its bias with its single weight per output unit.
+normalization. Such a channel is removed and the constant it fed downstream
+is pushed along one path of layers, from the BN to its consumer: through
+relu, relu6, quant_point and global_avg_pool, and through any depthwise conv
+(with its BN), which cannot absorb the constant because it does not mix
+channels, so its channel is removed too (the cascade). The consumer absorbs
+what arrives: a conv adds the kernel sum of its input slice times the
+constant to its bias; a conv with no bias but a BN after it shifts that BN's
+beta instead; a conv with neither gets a bias; an affine corrects its bias
+with its single weight per output unit.
 
-A depthwise consumer cannot absorb the constant (it has no cross-channel
-mixing), so its channel is removed as well and the constant, convolved with
-the removed depthwise kernel and passed through the depthwise's own BN and
-activation, cascades into the next consumer.
+Candidates are left in place, with the skip reason in the report, when
+- residual: the channel, on its way to the consumer, feeds an add junction,
+  whose other arm still carries it;
+- depthwise-producer: the BN follows a depthwise conv (removal would have to
+  cascade upstream);
+- affine-producer: the BN follows an affine (output units are out of scope);
+- network-output: the path runs off the end of the graph;
+- would-empty: every channel of the BN is a candidate;
+- padded-consumer: with correct=True only, the constant enters a
+  zero-padded conv or depthwise conv, on the path or as the consumer, as a
+  nonzero value; at the zero-padded border that layer sees only part of its
+  kernel, so the kernel sum is not the exact correction there.
+prune_channels raises ValueError for such a channel instead.
 
-Candidates that feed an add junction are skipped: the junction's other arm
-still carries the channel, so removal is not output-preserving. Candidates
-whose producer is a depthwise conv (removal would have to cascade upstream)
-or an affine (output units are out of scope) are skipped too, as is a BN
-whose output is the network output, and a layer whose channels are all
-candidates at once.
+Compensation is exact, so that run_inference of the pruned graph equals the
+original to float rounding, for every channel pruned with correct=True,
+provided that the channel's BN output really is the constant beta at
+inference, that weight quantization is off, and that quantize_act_of_beta is
+True whenever an activation quant point that snaps values lies on the path
+(the constant is then snapped as inference snaps it). A zero constant
+contributes nothing, at a padded border or not, so it stays prunable; one
+that a ReLU clipped to zero is reported as kind none-ReLU-zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -109,120 +124,81 @@ class PruneReport:
         )
 
 
-def _activate_const(value, kind):
-    if kind == "relu":
-        return max(value, 0.0), value <= 0.0
-    if kind == "relu6":
-        return min(max(value, 0.0), 6.0), value <= 0.0
-    return value, False
-
-
-def _chain_const(graph, chain, value, quantize_act_of_beta, dtype):
-    """Push a per-channel constant through pass-through layers.
-
-    Returns (value, clipped_to_zero_by_relu)."""
-    clipped = False
-    for idx in chain:
-        layer = graph.layers[idx]
-        if layer.kind in ("relu", "relu6"):
-            value, was_clipped = _activate_const(value, layer.kind)
-            clipped = clipped or was_clipped
-        elif layer.kind == "quant_point":
-            if quantize_act_of_beta and act_point_applies(layer.params):
-                value = float(quantize(np.asarray([value], dtype=dtype), layer.params.cfg)[0])
-        # global_avg_pool passes a constant unchanged
-    return value, clipped
-
-
-def _walk_chain(graph, start):
-    """Indices of pass-through layers from start onward, then the consumer
-    index (None when the chain falls off the end of the graph)."""
-    chain = []
-    j = start
-    while j < len(graph.layers) and graph.layers[j].kind in _PASS_THROUGH:
-        chain.append(j)
-        j += 1
-    return chain, (j if j < len(graph.layers) else None)
-
-
-@dataclass
-class _Hop:
-    """One depthwise layer the constant cascades through, with its BN."""
-
-    dw_index: int
-    bn_index: int | None
-    chain: list
-
-
-@dataclass
-class _Plan:
-    hops: list
-    consumer_index: int
-    mode: str  # bias | beta | materialize
-    beta_bn_index: int | None  # the BN after the consumer; mode beta shifts its beta
-    first_chain: list
-
-
 def _resolve_plan(graph, bn_index):
-    """Work out how pruning BN channels at bn_index lands downstream.
-
-    Returns a _Plan or a skip-reason string."""
+    """Work out where pruning BN channels at bn_index lands downstream: the
+    path of layer indices through pass-through layers and cascading depthwise
+    convs with their BNs, ending at the conv or affine consumer. Returns the
+    path or a skip reason."""
     layers = graph.layers
     producer = layers[bn_index - 1]
     if producer.kind == "depthwise_conv":
         return "depthwise-producer"
     if producer.kind == "affine":
         return "affine-producer"
-
     junction_refs = {ref for l in layers if l.kind == "add_junction" for ref in l.params}
-    carrying = {producer.name, layers[bn_index].name}
-    hops = []
-    first_chain = None
-    cursor = bn_index + 1
-    while True:
-        chain, consumer_idx = _walk_chain(graph, cursor)
-        carrying.update(layers[i].name for i in chain)
-        if hops:
-            hops[-1].chain = chain
-        else:
-            first_chain = chain
-        if consumer_idx is None:
-            return "network-output"
-        consumer = layers[consumer_idx]
-        if consumer.kind == "add_junction" or carrying & junction_refs:
+    path = []
+    for j in range(bn_index + 1, len(layers)):
+        path.append(j)
+        # A BN can only follow a conv-like layer, so one met here belongs to
+        # a depthwise conv on the path; conv, affine and junction end it.
+        if layers[j].kind not in ("conv", "affine", "add_junction"):
+            continue
+        carrying = {layers[i].name for i in [bn_index - 1, bn_index, *path[:-1]]}
+        if layers[j].kind == "add_junction" or carrying & junction_refs:
             return "residual"
-        bn_after = consumer_idx + 1
-        if bn_after == len(layers) or layers[bn_after].kind != "bn":
-            bn_after = None
-        if consumer.kind in ("conv", "affine"):
-            if consumer.params.bias is not None:
-                mode = "bias"
-            else:
-                mode = "materialize" if bn_after is None else "beta"
-            return _Plan(hops=hops, consumer_index=consumer_idx, mode=mode,
-                         beta_bn_index=bn_after, first_chain=first_chain)
-        # The consumer is a depthwise conv (no other kind can follow a chain):
-        # the constant cascades through it and its BN.
-        carrying.add(consumer.name)
-        if bn_after is not None:
-            carrying.add(layers[bn_after].name)
-        hops.append(_Hop(dw_index=consumer_idx, bn_index=bn_after, chain=[]))
-        cursor = (consumer_idx if bn_after is None else bn_after) + 1
+        return path
+    return "network-output"
+
+
+def _push_const(graph, path, value, channel, quantize_act_of_beta, dtype):
+    """Push one channel's constant through the layers at the indices in path.
+
+    Returns (value, clipped, padded): clipped tells that a ReLU clipped the
+    constant to zero on the way, padded that it entered a zero-padded conv or
+    depthwise conv as a nonzero value, where the kernel sum misses the border
+    taps. The consumer, when on the path, leaves the value unchanged."""
+    clipped = padded = False
+    for idx in path:
+        layer = graph.layers[idx]
+        p = layer.params
+        padded = padded or (value != 0.0 and layer.padding != (0, 0))
+        if layer.kind in ("relu", "relu6"):
+            clipped = clipped or value <= 0.0
+            value = max(value, 0.0) if layer.kind == "relu" else min(max(value, 0.0), 6.0)
+        elif layer.kind == "quant_point":
+            if quantize_act_of_beta and act_point_applies(p):
+                value = float(quantize(np.asarray([value], dtype=dtype), p.cfg)[0])
+        elif layer.kind == "depthwise_conv":
+            value = float(p.weights[channel, 0].sum()) * value
+            if p.bias is not None:
+                value += float(p.bias[channel])
+        elif layer.kind == "bn":
+            inv = 1.0 / float(np.sqrt(p.running_var[channel] + p.epsilon))
+            value = ((value - float(p.running_mean[channel])) * inv * float(p.gamma[channel])
+                     + float(p.beta[channel]))
+        # global_avg_pool passes a constant unchanged
+    return value, clipped, padded
 
 
 def _candidates(graph, bn_index, channels, quantize_act_of_beta):
-    """PruneCandidates for the given channels of the BN layer at bn_index."""
-    layer = graph.layers[bn_index]
-    params = layer.params
-    chain, _ = _walk_chain(graph, bn_index + 1)
+    """PruneCandidates for the given channels of the BN layer at bn_index;
+    act_of_beta is beta pushed through the pass-through layers after it."""
+    layers = graph.layers
+    params = layers[bn_index].params
+    chain = list(takewhile(lambda j: layers[j].kind in _PASS_THROUGH,
+                           range(bn_index + 1, len(layers))))
     out = []
     for c in channels:
         beta = float(params.beta[c])
-        a, _ = _chain_const(graph, chain, beta, quantize_act_of_beta, params.beta.dtype)
-        out.append(PruneCandidate(layer=layer.name, channel=c,
+        a, _, _ = _push_const(graph, chain, beta, c, quantize_act_of_beta, params.beta.dtype)
+        out.append(PruneCandidate(layer=layers[bn_index].name, channel=c,
                                   running_var=float(params.running_var[c]),
                                   beta=beta, act_of_beta=a))
     return out
+
+
+def _below(layer, epsilon):
+    return [int(c) for c in np.flatnonzero(layer.params.running_var < epsilon)]
 
 
 def scan_candidates(graph, epsilon, *, quantize_act_of_beta=False):
@@ -231,8 +207,7 @@ def scan_candidates(graph, epsilon, *, quantize_act_of_beta=False):
     out = []
     for i, layer in enumerate(graph.layers):
         if layer.kind == "bn":
-            channels = [int(c) for c in np.flatnonzero(layer.params.running_var < epsilon)]
-            out.extend(_candidates(graph, i, channels, quantize_act_of_beta))
+            out.extend(_candidates(graph, i, _below(layer, epsilon), quantize_act_of_beta))
     return out
 
 
@@ -248,53 +223,36 @@ def compute_bias_correction(weight_slice, act_value):
     raise ValueError(f"unexpected weight slice rank {weight_slice.ndim}")
 
 
-def _drop_bn_channels(layer, channels):
+def _drop_channels(layer, channels):
+    """Delete output channels of a conv or depthwise conv (filters and bias
+    entries) or of a BN (every per-channel vector)."""
     p = layer.params
+    fields = ("gamma", "beta", "running_mean", "running_var") if layer.kind == "bn" else ("weights", "bias")
     layer.params = replace(p, **{f: np.delete(getattr(p, f), channels, axis=0)
-                                 for f in ("gamma", "beta", "running_mean", "running_var")})
+                                 for f in fields if getattr(p, f) is not None})
 
 
-def _drop_output_channels(layer, channels):
-    """Delete output channels (filters and bias entries) of a conv or depthwise conv."""
-    p = layer.params
-    p.weights = np.delete(p.weights, channels, axis=0)
-    if p.bias is not None:
-        p.bias = np.delete(p.bias, channels, axis=0)
-
-
-def _process_group(graph, bn_index, group, plan, quantize_act_of_beta, correct):
-    """Prune one BN layer's candidate channels following a resolved plan.
-
-    Mutates graph layers in place; returns the PruneEntries."""
+def _process_group(graph, bn_index, pushed, path, correct):
+    """Prune channels of the BN layer at bn_index along a resolved path;
+    pushed holds (channel, value, clipped) with each channel's constant as it
+    reaches the consumer. Mutates graph layers in place; returns the
+    PruneEntries."""
     layers = graph.layers
     bn_layer = layers[bn_index]
-    producer = layers[bn_index - 1]
-    consumer = layers[plan.consumer_index]
+    consumer = layers[path[-1]]
     dtype = bn_layer.params.beta.dtype
-    channels = [c.channel for c in group]
+    cascade = [i for i in path if layers[i].kind in ("depthwise_conv", "bn")]
+    channels = [c for c, _, _ in pushed]
+    # A bias-free consumer followed by a BN takes the correction on that BN's
+    # beta; any other gets it on its bias, created if missing.
+    after = path[-1] + 1
+    bn_after = None
+    if consumer.params.bias is None and after < len(layers) and layers[after].kind == "bn":
+        bn_after = layers[after]
 
     entries = []
     total_u = None
-    for cand in group:
-        c = cand.channel
-        value, clipped = _chain_const(graph, plan.first_chain, float(bn_layer.params.beta[c]),
-                                      quantize_act_of_beta, dtype)
-        cascade = []
-        for hop in plan.hops:
-            dw = layers[hop.dw_index]
-            ksum = float(dw.params.weights[c, 0].sum())
-            value = ksum * value
-            if dw.params.bias is not None:
-                value += float(dw.params.bias[c])
-            cascade.append((dw.name, c))
-            if hop.bn_index is not None:
-                bnp = layers[hop.bn_index].params
-                inv = 1.0 / float(np.sqrt(bnp.running_var[c] + bnp.epsilon))
-                value = (value - float(bnp.running_mean[c])) * inv * float(bnp.gamma[c]) + float(bnp.beta[c])
-                cascade.append((layers[hop.bn_index].name, c))
-            value, was_clipped = _chain_const(graph, hop.chain, value, quantize_act_of_beta, dtype)
-            clipped = clipped or was_clipped
-
+    for c, value, clipped in pushed:
         if consumer.kind == "affine":
             slice_w = consumer.params.weights[c, :]
         else:
@@ -306,51 +264,77 @@ def _process_group(graph, bn_index, group, plan, quantize_act_of_beta, correct):
             kind = "uncorrected"
         elif value == 0.0 and clipped:
             kind = "none-ReLU-zero"
-        elif plan.mode == "beta":
+        elif bn_after is not None:
             kind = "beta"
         else:
             kind = "bias"
         entries.append(PruneEntry(layer=bn_layer.name, channel=c, kind=kind,
-                                  running_var=cand.running_var, beta=cand.beta,
-                                  u_norm=u_norm, cascade=cascade))
+                                  running_var=float(bn_layer.params.running_var[c]),
+                                  beta=float(bn_layer.params.beta[c]),
+                                  u_norm=u_norm, cascade=[(layers[i].name, c) for i in cascade]))
         total_u = u if total_u is None else total_u + u
 
-    if correct:
-        if plan.mode == "bias":
-            consumer.params.bias = (consumer.params.bias + total_u).astype(dtype, copy=False)
-        elif plan.mode == "materialize":
-            consumer.params.bias = total_u.astype(dtype, copy=False)
-        elif plan.mode == "beta":
-            bnp = layers[plan.beta_bn_index].params
-            factor = bnp.gamma / np.sqrt(bnp.running_var + bnp.epsilon)
-            bnp.beta = (bnp.beta + factor * total_u).astype(dtype, copy=False)
+    if correct and bn_after is not None:
+        bnp = bn_after.params
+        factor = bnp.gamma / np.sqrt(bnp.running_var + bnp.epsilon)
+        bnp.beta = (bnp.beta + factor * total_u).astype(dtype, copy=False)
+    elif correct:
+        bias = consumer.params.bias
+        consumer.params.bias = (total_u if bias is None else bias + total_u).astype(dtype, copy=False)
 
     # Surgery, after every correction is computed from original weights.
-    _drop_bn_channels(bn_layer, channels)
-    _drop_output_channels(producer, channels)
-    for hop in plan.hops:
-        _drop_output_channels(layers[hop.dw_index], channels)
-        if hop.bn_index is not None:
-            _drop_bn_channels(layers[hop.bn_index], channels)
+    for i in (bn_index - 1, bn_index, *cascade):
+        _drop_channels(layers[i], channels)
     # An affine consumer takes input channels on axis 0, a conv on axis 1.
     consumer.params.weights = np.delete(consumer.params.weights, channels,
                                         axis=0 if consumer.kind == "affine" else 1)
     return entries
 
 
-def _prune(graph, next_group, quantize_act_of_beta, correct):
-    """Shared driver: prune groups from a copy of graph until next_group(g,
-    skips) returns None; it returns (bn_index, candidates, plan) and may
-    append PruneSkips to skips. Returns (new_graph, PruneReport)."""
+def _prune(graph, select, strict, quantize_act_of_beta, correct):
+    """Shared driver: one pass over the BN layers of a copy of graph, in graph
+    order, pruning the channels select(layer) returns. Pruning a BN changes
+    only layers after it, so each BN is seen after every earlier change.
+    Unprunable channels raise ValueError when strict, else they are recorded
+    as PruneSkips. Returns (new_graph, PruneReport)."""
     g = copy_graph(graph)
     params_before = param_count(g)
     macs_before = sum(count_macs(g).values())
     entries = []
     skips = []
-    while (step := next_group(g, skips)) is not None:
-        bn_index, group, plan = step
-        entries.extend(_process_group(g, bn_index, group, plan, quantize_act_of_beta, correct))
-        g.validate()
+
+    def reject(layer, channels, reason):
+        if strict:
+            raise ValueError(f"cannot prune channels of '{layer.name}': {reason}")
+        p = layer.params
+        skips.extend(PruneSkip(layer=layer.name, channel=c, reason=reason,
+                               running_var=float(p.running_var[c]), beta=float(p.beta[c]))
+                     for c in channels)
+
+    for i, layer in enumerate(g.layers):
+        channels = select(layer) if layer.kind == "bn" else []
+        if not channels:
+            continue
+        if not strict and len(channels) == layer.params.gamma.shape[0]:
+            plan = "would-empty"  # prune_channels checks this before any surgery
+        else:
+            plan = _resolve_plan(g, i)
+        if isinstance(plan, str):
+            reject(layer, channels, plan)
+            continue
+        pushed, padded = [], []
+        for c in channels:
+            value, clipped, pad = _push_const(g, plan, float(layer.params.beta[c]), c,
+                                              quantize_act_of_beta, layer.params.beta.dtype)
+            if correct and pad:
+                padded.append(c)
+            else:
+                pushed.append((c, value, clipped))
+        if padded:
+            reject(layer, padded, "padded-consumer")
+        if pushed:
+            entries.extend(_process_group(g, i, pushed, plan, correct))
+            g.validate()
     report = PruneReport(entries=entries, skips=skips, params_before=params_before,
                          params_after=param_count(g), macs_before=macs_before,
                          macs_after=sum(count_macs(g).values()))
@@ -364,27 +348,8 @@ def apply_pfq(graph, epsilon, *, quantize_act_of_beta=False, correct=True):
     With correct=False the channels are removed without any compensation
     (the ablation arm); inference output is then not preserved.
     """
-    def next_group(g, skips):
-        while True:
-            skipped = {(s.layer, s.channel) for s in skips}
-            by_layer = {}
-            for cand in scan_candidates(g, epsilon, quantize_act_of_beta=quantize_act_of_beta):
-                if (cand.layer, cand.channel) not in skipped:
-                    by_layer.setdefault(cand.layer, []).append(cand)
-            if not by_layer:
-                return None
-            group = next(iter(by_layer.values()))  # the first layer in graph order
-            bn_index = g.index(group[0].layer)
-            if len(group) == g.layers[bn_index].params.gamma.shape[0]:
-                plan = "would-empty"
-            else:
-                plan = _resolve_plan(g, bn_index)
-            if not isinstance(plan, str):
-                return bn_index, group, plan
-            skips.extend(PruneSkip(layer=c.layer, channel=c.channel, reason=plan,
-                                   running_var=c.running_var, beta=c.beta) for c in group)
-
-    return _prune(graph, next_group, quantize_act_of_beta, correct)
+    return _prune(graph, lambda layer: _below(layer, epsilon), False,
+                  quantize_act_of_beta, correct)
 
 
 def prune_channels(graph, targets, *, correct=True, quantize_act_of_beta=False):
@@ -409,20 +374,8 @@ def prune_channels(graph, targets, *, correct=True, quantize_act_of_beta=False):
     for name, channels in by_layer.items():
         if len(channels) == layers[name].params.gamma.shape[0]:
             raise ValueError(f"prune targets name every channel of {name!r}: would-empty")
-    pending = iter([name for name in layers if name in by_layer])
-
-    def next_group(g, skips):
-        name = next(pending, None)
-        if name is None:
-            return None
-        bn_index = g.index(name)
-        plan = _resolve_plan(g, bn_index)
-        if isinstance(plan, str):
-            raise ValueError(f"cannot prune channels of '{name}': {plan}")
-        group = _candidates(g, bn_index, sorted(by_layer[name]), quantize_act_of_beta)
-        return bn_index, group, plan
-
-    return _prune(graph, next_group, quantize_act_of_beta, correct)
+    return _prune(graph, lambda layer: sorted(by_layer.get(layer.name, [])), True,
+                  quantize_act_of_beta, correct)
 
 
 @dataclass

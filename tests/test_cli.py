@@ -290,6 +290,16 @@ class TestFailureSurface:
         assert captured.err.startswith("error:")
         assert "\n" not in captured.err.strip()
 
+    @pytest.mark.parametrize("command", ["fold-bn", "report-range", "count-macs"])
+    def test_set_rejected_where_no_config_is_read(self, tmp_path, capsys, command):
+        argv = [command, "--set", "seed=1", "--model", str(tmp_path / "m.json")]
+        if command == "fold-bn":
+            argv += ["--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --set seed=1" in capsys.readouterr().err
+
     def test_bad_config_key_via_cli(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_text('{"trian": {"epochs": 1}}')

@@ -314,6 +314,59 @@ class TestSkips:
         assert report.skips[0].reason == "affine-producer"
 
 
+class TestPaddedConsumer:
+    """The kernel sum is the exact correction only away from a zero-padded
+    border, so a nonzero constant that meets padding is not pruned."""
+
+    def _padded(self, make, layer, channel, beta):
+        g = make(np.random.default_rng(7))
+        g.layer(layer).padding = (1, 1)
+        g.validate()
+        return _kill_channel(g, "b1", channel, beta=beta)
+
+    def test_padded_conv_consumer_skipped(self):
+        g = self._padded(_graph_bias_consumer, "c2", 1, 0.42)
+        pruned, report = apply_pfq(g, EPS)
+        assert not report.entries
+        assert [(s.layer, s.channel, s.reason) for s in report.skips] == [("b1", 1, "padded-consumer")]
+        x = _probe(np.random.default_rng(8), g)
+        assert np.array_equal(run_inference(pruned, x), run_inference(g, x))
+
+    def test_padded_depthwise_on_path_skipped(self):
+        g = self._padded(_graph_cascade_consumer, "d1", 2, 0.42)
+        pruned, report = apply_pfq(g, EPS)
+        assert [s.reason for s in report.skips] == ["padded-consumer"]
+        assert param_count(pruned) == param_count(g)
+
+    def test_zero_constant_stays_prunable(self):
+        rng = np.random.default_rng(9)
+        g = self._padded(_graph_bias_consumer, "c2", 1, -0.8)
+        pruned, report = apply_pfq(g, EPS)
+        assert [e.kind for e in report.entries] == ["none-ReLU-zero"]
+        x = _probe(rng, g)
+        assert np.max(np.abs(run_inference(pruned, x) - run_inference(g, x))) < 1e-9
+
+    def test_only_the_padded_channel_is_kept(self):
+        rng = np.random.default_rng(10)
+        g = self._padded(_graph_bias_consumer, "c2", 1, 0.42)
+        _kill_channel(g, "b1", 0, beta=-0.5)
+        pruned, report = apply_pfq(g, EPS)
+        assert [(e.channel, e.kind) for e in report.entries] == [(0, "none-ReLU-zero")]
+        assert [(s.channel, s.reason) for s in report.skips] == [(1, "padded-consumer")]
+        x = _probe(rng, g)
+        assert np.max(np.abs(run_inference(pruned, x) - run_inference(g, x))) < 1e-9
+
+    def test_uncorrected_ablation_still_prunes(self):
+        g = self._padded(_graph_bias_consumer, "c2", 1, 0.42)
+        _, report = apply_pfq(g, EPS, correct=False)
+        assert [e.kind for e in report.entries] == ["uncorrected"]
+
+    def test_prune_channels_refuses(self):
+        g = self._padded(_graph_cascade_consumer, "d1", 2, 0.42)
+        with pytest.raises(ValueError, match=r"cannot prune channels of 'b1': padded-consumer"):
+            prune_channels(g, [("b1", 2)])
+
+
 class TestBookkeeping:
     def test_removed_matches_param_delta(self):
         rng = np.random.default_rng(61)
@@ -343,6 +396,26 @@ class TestBookkeeping:
         pruned, report = apply_pfq(g, EPS)
         assert sorted(e.channel for e in report.entries) == [0, 2]
         assert pruned.layer("b1").params.gamma.shape[0] == 1
+        x = _probe(rng, g)
+        assert np.max(np.abs(run_inference(pruned, x) - run_inference(g, x))) < 1e-9
+
+    def test_later_bn_pruned_in_the_same_pass(self):
+        """Pruning b1 in mode beta shifts b2's beta; b2's own dead channel is
+        then pruned from the shifted graph in the same call, as two calls in
+        a row would."""
+        rng = np.random.default_rng(75)
+        g = _kill_channel(_graph_beta_consumer(rng), "b1", 2, beta=0.5)
+        _kill_channel(g, "b2", 1, beta=0.3)
+        pruned, report = apply_pfq(g, EPS)
+        assert [(e.layer, e.channel, e.kind) for e in report.entries] == [
+            ("b1", 2, "beta"), ("b2", 1, "bias")]
+        first, _ = prune_channels(g, [("b1", 2)])
+        assert not np.array_equal(first.layer("b2").params.beta, g.layer("b2").params.beta)
+        second, _ = prune_channels(first, [("b2", 1)])
+        for name in ("b2", "c3"):
+            for a, b in zip(vars(pruned.layer(name).params).values(),
+                            vars(second.layer(name).params).values()):
+                assert np.array_equal(a, b)
         x = _probe(rng, g)
         assert np.max(np.abs(run_inference(pruned, x) - run_inference(g, x))) < 1e-9
 
