@@ -1,9 +1,18 @@
 """Forward and backward execution over a ModelGraph.
 
-The forward pass keeps every layer output (graphs here are small), which is
-what add junctions and the backward pass need. Training mode runs BN on
-batch statistics and advances the running statistics in place on the graph;
-inference mode uses the stored running statistics and never mutates it.
+A forward pass asked to keep only the final output (run_inference,
+loss_and_grads) drops each layer output right after its last reader: the next
+layer, or the last add_junction that names it, from a schedule computed once
+per call. By default a trace keeps every output, for callers that inspect
+them. Training mode also records the caches a layer's backward reads (its
+inputs and statistics); inference mode records none. backward_graph consumes
+its trace: once a layer's backward has run, its cache, output and incoming
+gradient are gone, so each tensor is freed at its last use and a trace can be
+backpropagated once.
+
+Training mode runs BN on batch statistics and advances the running statistics
+in place on the graph; inference mode uses the stored running statistics and
+never mutates it.
 
 Quantization points apply when enabled. A weight point quantizes the layer's
 weight tensor with the tensor's own live min/max; the master weights stay
@@ -28,7 +37,7 @@ from .quantization import (act_point_applies, quantize, quantize_backward, updat
 @dataclass
 class ForwardTrace:
     outputs: dict
-    caches: dict
+    caches: dict | None  # None for an inference-mode trace
     bn_stats: dict
 
 
@@ -122,48 +131,81 @@ _LAYER_OPS = {
 }
 
 
-def forward_graph(graph, x, *, training=False, update_ranges=False):
+def _release_schedule(graph):
+    """release[i] names the outputs whose last reader is layer i: the next
+    layer, or the last add_junction that names the output. The final output
+    has no reader and is never released."""
+    n = len(graph.layers)
+    last = {layer.name: i + 1 for i, layer in enumerate(graph.layers)}
+    for i, layer in enumerate(graph.layers):
+        if layer.kind == "add_junction":
+            for ref in layer.params:
+                last[ref] = max(last[ref], i)
+    release = [[] for _ in range(n)]
+    for name, i in last.items():
+        if i < n:
+            release[i].append(name)
+    return release
+
+
+def forward_graph(graph, x, *, training=False, update_ranges=False, keep_outputs=True):
     """Run the graph on a batch x of shape (N, C, H, W).
 
     Returns a ForwardTrace. In training mode BN layers use batch statistics
     and their running statistics are updated on the graph; enabled activation
     quant points fold the observed range into their EMA when update_ranges is
-    set. Inference mode touches nothing.
+    set; the trace records the caches backward_graph reads. Inference mode
+    touches nothing and records no caches. The trace keeps every layer output
+    unless keep_outputs is False, in which case each output is dropped after
+    its last reader and only the final one is kept.
     """
-    trace = ForwardTrace(outputs={}, caches={}, bn_stats={})
+    trace = ForwardTrace(outputs={}, caches={} if training else None, bn_stats={})
+    release = None if keep_outputs else _release_schedule(graph)
     prev = x
-    for layer in graph.layers:
-        prev, trace.caches[layer.name] = _LAYER_OPS[layer.kind][0](
-            layer, prev, trace, training, update_ranges)
+    for i, layer in enumerate(graph.layers):
+        prev, cache = _LAYER_OPS[layer.kind][0](layer, prev, trace, training, update_ranges)
+        if training:
+            trace.caches[layer.name] = cache
+        # An unrecorded cache would keep this layer's input alive through the next layer.
+        del cache
         trace.outputs[layer.name] = prev
+        if release is not None:
+            for name in release[i]:
+                del trace.outputs[name]
     return trace
 
 
 def backward_graph(graph, trace, grad_final):
     """Backpropagate grad_final through a training-mode traced forward pass.
 
+    Consumes the trace: each layer's cache, output and incoming gradient are
+    dropped once its backward has run, so a trace can be backpropagated once.
     Returns (param_grads, grad_input) where param_grads maps layer name to a
     dict of gradients keyed like the parameter fields.
     """
-    grad_map = {layer.name: None for layer in graph.layers}
-    grad_map[graph.layers[-1].name] = grad_final
-    param_grads = {}
+    caches = trace.caches
+    if caches is None or len(caches) != len(graph.layers):
+        got = "an inference-mode trace" if caches is None else "a consumed trace"
+        raise ValueError("backward_graph needs a training-mode trace that has not been "
+                         f"consumed; got {got}")
+    grad_map = {graph.layers[-1].name: grad_final}
 
     # Backward ops never write to their inputs, so a gradient can be stored
     # and shared as it is; accumulation allocates a new array.
     def send(name, g):
-        if grad_map[name] is None:
-            grad_map[name] = g
-        else:
-            grad_map[name] = grad_map[name] + g
+        prior = grad_map.get(name)
+        grad_map[name] = g if prior is None else prior + g
 
+    param_grads = {}
     grad_input = None
     for i in range(len(graph.layers) - 1, -1, -1):
         layer = graph.layers[i]
-        g = grad_map[layer.name]
+        cache = caches.pop(layer.name)
+        trace.outputs.pop(layer.name, None)
+        g = grad_map.pop(layer.name, None)
         if g is None:
             continue
-        upstream, grads = _LAYER_OPS[layer.kind][1](layer, g, trace.caches[layer.name], send)
+        upstream, grads = _LAYER_OPS[layer.kind][1](layer, g, cache, send)
         if grads is not None:
             param_grads[layer.name] = grads
         if upstream is not None:
@@ -176,14 +218,15 @@ def backward_graph(graph, trace, grad_final):
 
 def run_inference(graph, x):
     """Inference-mode output of the whole graph."""
-    return forward_graph(graph, x, training=False).outputs[graph.layers[-1].name]
+    return forward_graph(graph, x, keep_outputs=False).outputs[graph.layers[-1].name]
 
 
 def loss_and_grads(graph, x, labels, *, update_ranges=False):
     """One training-mode forward/backward with softmax cross entropy.
 
     Returns (loss, logits, param_grads, bn_stats)."""
-    trace = forward_graph(graph, x, training=True, update_ranges=update_ranges)
+    trace = forward_graph(graph, x, training=True, update_ranges=update_ranges,
+                          keep_outputs=False)
     logits = trace.outputs[graph.layers[-1].name]
     loss, grad_logits = T.softmax_cross_entropy(logits, labels)
     param_grads, _ = backward_graph(graph, trace, grad_logits)

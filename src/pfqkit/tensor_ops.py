@@ -7,8 +7,10 @@ writes to its inputs. Full convolutions lay each image's patches out as a
 (O, C*kh*kw) weights in one batched matmul, whose product is already the
 NCHW output; for a 1x1, stride-1, unpadded convolution the matrix is a view
 of the input. Depthwise convolutions contract a strided patch view with
-einsum in the forward pass and loop over the kh x kw kernel taps in the
-backward pass.
+einsum in the forward pass; with optimize=True that einsum copies the view
+into a full (N, C, kh, kw, Ho, Wo) patch matrix, kh*kw times the size of the
+output, so a 3x3 depthwise forward peaks at about 11x its output at stride 1
+and 14.5x at stride 2. The backward pass loops over the kh x kw kernel taps.
 Every reduction order is fixed, so results repeat run to run on a fixed
 machine. All ops preserve the input dtype, so the same code runs in float32
 (the storage dtype of models) and float64 (used by gradient checks).

@@ -1,0 +1,114 @@
+"""The engine's trace contract and the memory it keeps alive.
+
+run_inference keeps each layer output only until its last reader, so it must
+give exactly the final output of a full trace. backward_graph consumes its
+trace and names the error when it is given one it cannot backpropagate.
+Peak memory is measured with tracemalloc on a deep chain of cheap
+elementwise layers: there the set of live activations sets the peak, where on
+the builder nets a convolution's im2col transient would.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from pfqkit.engine import backward_graph, forward_graph, loss_and_grads, run_inference
+from pfqkit.graph import AffineParams, LayerSpec, ModelGraph, fold_bn_graph
+from pfqkit.models import BUILDERS, build_ds_convnet, build_small_convnet
+from pfqkit.quantization import insert_quant_points
+from pfqkit.tensor_ops import ConvParams
+
+CONSUMED = "needs a training-mode trace that has not been consumed"
+
+
+def _batch(graph, n=6, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n,) + tuple(graph.input_shape)).astype(np.float32)
+
+
+def _assert_streams_exactly(graph, x):
+    full = forward_graph(graph, x).outputs[graph.layers[-1].name]
+    streamed = run_inference(graph, x)
+    assert streamed.dtype == full.dtype and streamed.shape == full.shape
+    assert streamed.tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_run_inference_equals_full_trace(name):
+    # residual_net's junction reads the stem activation six layers later, so
+    # that output must outlive the layers in between.
+    graph = BUILDERS[name](seed=4)
+    x = _batch(graph)
+    forward_graph(graph, x, training=True)  # moves BN running statistics off their init
+    _assert_streams_exactly(graph, x)
+    kept = forward_graph(graph, x, keep_outputs=False).outputs
+    assert list(kept) == [graph.layers[-1].name]
+
+
+def test_run_inference_equals_full_trace_folded_4bit():
+    net = build_ds_convnet(blocks=3, seed=5)
+    x = _batch(net)
+    forward_graph(net, x, training=True)
+    q = insert_quant_points(fold_bn_graph(net), 4, 4, act_enabled=True, weight_enabled=True)
+    for seed in (1, 2):
+        forward_graph(q, _batch(q, seed=seed), training=True, update_ranges=True)
+    _assert_streams_exactly(q, x)
+
+
+def test_backward_rejects_an_inference_trace():
+    net = build_small_convnet(seed=1)
+    x = _batch(net)
+    trace = forward_graph(net, x)
+    with pytest.raises(ValueError, match=f"{CONSUMED}; got an inference-mode trace"):
+        backward_graph(net, trace, np.ones((len(x), 4), np.float32))
+
+
+def test_backward_rejects_a_consumed_trace():
+    net = build_small_convnet(seed=1)
+    x = _batch(net)
+    trace = forward_graph(net, x, training=True)
+    grad = np.ones_like(trace.outputs[net.layers[-1].name])
+    backward_graph(net, trace, grad)
+    assert not trace.caches and not trace.outputs
+    with pytest.raises(ValueError, match=f"{CONSUMED}; got a consumed trace"):
+        backward_graph(net, trace, grad)
+
+
+DEPTH = 24
+
+
+def _relu_chain():
+    """A 1x1 conv (its im2col matrix is a view of the input), DEPTH
+    alternating relu/relu6 layers, pooling and an affine, in float64."""
+    rng = np.random.default_rng(0)
+    layers = [LayerSpec("conv", "conv", ConvParams(rng.standard_normal((16, 2, 1, 1))))]
+    layers += [LayerSpec(f"act{i}", ("relu", "relu6")[i % 2]) for i in range(DEPTH)]
+    layers += [LayerSpec("pool", "global_avg_pool"),
+               LayerSpec("fc", "affine", AffineParams(rng.standard_normal((16, 4)), None))]
+    return ModelGraph(layers=layers, input_shape=(2, 16, 16))
+
+
+def _peak_bytes(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_peak_memory_of_inference_and_training_on_a_deep_chain():
+    graph = _relu_chain()
+    x = np.random.default_rng(1).standard_normal((32, 2, 16, 16))
+    labels = np.arange(32) % 4
+    activation = 32 * 16 * 16 * 16 * 8  # bytes of one (32, 16, 16, 16) float64 tensor
+
+    # Streaming holds the current input and output; a full trace holds all 25.
+    assert _peak_bytes(run_inference, graph, x) <= 3 * activation
+
+    # Backward frees each cache and gradient at its last use, so training
+    # adds a few activations to the forward pass's peak, not one per layer.
+    forward_peak = _peak_bytes(forward_graph, graph, x, training=True)
+    assert forward_peak >= DEPTH * activation
+    assert _peak_bytes(loss_and_grads, graph, x, labels) <= forward_peak + 3 * activation

@@ -1,5 +1,6 @@
 """Property: apply_pfq preserves run_inference to float rounding on random
-valid graphs.
+valid graphs, and run_inference, which drops each layer output after its last
+reader, equals the final output of a full trace exactly.
 
 The graphs are float64 and sequential: full, depthwise and pointwise convs
 with or without bias and with padding 0 or 1, each optionally followed by a
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pfqkit.batchnorm import BNParams
-from pfqkit.engine import run_inference
+from pfqkit.engine import forward_graph, run_inference
 from pfqkit.graph import AffineParams, LayerSpec, ModelGraph
 from pfqkit.pruning import apply_pfq
 from pfqkit.tensor_ops import ConvParams, DepthwiseConvParams
@@ -106,6 +107,7 @@ def _kill(graph, bn_name, channel, beta):
 def test_apply_pfq_preserves_inference(graph):
     x = np.random.default_rng(0).uniform(-1, 1, (4,) + graph.input_shape)
     before = run_inference(graph, x)
+    assert before.tobytes() == forward_graph(graph, x).outputs["fc"].tobytes()
     pruned, _ = apply_pfq(graph, EPS)
     after = run_inference(pruned, x)
     assert np.max(np.abs(after - before)) <= 1e-9 * max(1.0, np.max(np.abs(before)))
