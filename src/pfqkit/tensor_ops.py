@@ -6,11 +6,16 @@ writes to its inputs. Full convolutions lay each image's patches out as a
 (C*kh*kw, Ho*Wo) im2col matrix in NCHW order and left-multiply it by the
 (O, C*kh*kw) weights in one batched matmul, whose product is already the
 NCHW output; for a 1x1, stride-1, unpadded convolution the matrix is a view
-of the input. Depthwise convolutions contract a strided patch view with
-einsum in the forward pass; with optimize=True that einsum copies the view
-into a full (N, C, kh, kw, Ho, Wo) patch matrix, kh*kw times the size of the
-output, so a 3x3 depthwise forward peaks at about 11x its output at stride 1
-and 14.5x at stride 2. The backward pass loops over the kh x kw kernel taps.
+of the input. Depthwise convolutions run one batched matmul per kernel row,
+forward and backward, at every stride and padding: the strided input rows
+of row u, as (Ho, Wp) matrices, times a banded (Wp, Wo) matrix per channel
+that carries that row's taps on its diagonals. The forward's transient is a
+padded copy of the input plus about two outputs (the sum and one product).
+The band does about Wp/kw times the multiply-adds of a direct per-tap sum,
+which BLAS repays at the widths the library serves (builder defaults, demos,
+CIFAR and the benchmark nets are at most 32x32) but not far beyond: in
+float32 on one core of an Intel Xeon, the backward on a (4, 32, 128, 128)
+input took 1.4-1.8x as long as per-tap loops (53-71 ms against 39 ms).
 Every reduction order is fixed, so results repeat run to run on a fixed
 machine. All ops preserve the input dtype, so the same code runs in float32
 (the storage dtype of models) and float64 (used by gradient checks).
@@ -140,9 +145,39 @@ def conv2d_backward(grad_out, x, weights, stride=(1, 1), padding=(0, 0), has_bia
     return _unpad(grad_xp, ph, pw), grad_w, grad_b
 
 
+def _band_diagonals(kw, sw, wo):
+    """Index of the (C, Wp, Wo) band entries (k*sw + v, k) as a (C, kw, Wo)
+    selection: tap v of a kernel row sits on the v-th band diagonal."""
+    k = np.arange(wo)
+    return slice(None), np.arange(kw)[:, None] + sw * k, k
+
+
+def _depthwise_rows(xp, taps, sh, sw, ho, wo):
+    """Per-channel cross-correlation of xp (N, C, Hp, Wp) with taps (C, kh, kw)
+    as one batched matmul per kernel row.
+
+    Kernel row u reads the strided rows xp[:, :, u::sh] as (Ho, Wp) matrices
+    and right-multiplies them by a banded (Wp, Wo) matrix per channel that
+    holds taps[c, u, v] at (k*sw + v, k); the output is the sum over u. One
+    band buffer serves every row, since only the values on its diagonals
+    change, and every product after the first goes into one temporary.
+    """
+    c, kh, kw = taps.shape
+    diag = _band_diagonals(kw, sw, wo)
+    band = np.zeros((c, xp.shape[3], wo), dtype=np.result_type(xp, taps))
+    band[diag] = taps[:, 0, :, None]
+    out = np.matmul(xp[:, :, 0:ho * sh:sh], band)
+    tmp = None
+    for u in range(1, kh):
+        band[diag] = taps[:, u, :, None]
+        tmp = np.matmul(xp[:, :, u:u + ho * sh:sh], band, out=tmp)
+        out += tmp
+    return out
+
+
 def depthwise_conv2d_forward(x, weights, bias=None, stride=(1, 1), padding=(0, 0)):
     """Per-channel convolution: weights (C, 1, kh, kw), channel i only sees
-    input channel i. Returns (N, C, Ho, Wo)."""
+    input channel i. Returns (N, C, Ho, Wo), C-contiguous."""
     ensure_finite("depthwise_conv2d", x, weights, bias)
     n, c, h, w = x.shape
     cw, one, kh, kw = weights.shape
@@ -152,39 +187,51 @@ def depthwise_conv2d_forward(x, weights, bias=None, stride=(1, 1), padding=(0, 0
     ph, pw = padding
     ho = conv_output_extent(h, kh, sh, ph)
     wo = conv_output_extent(w, kw, sw, pw)
-    xp = _pad_input(x, ph, pw)
-    cols = _im2col(xp, kh, kw, sh, sw)  # (N, C, kh, kw, Ho, Wo)
-    out = np.einsum("ncuvjk,cuv->ncjk", cols, weights[:, 0], optimize=True)
+    out = _depthwise_rows(_pad_input(x, ph, pw), weights[:, 0], sh, sw, ho, wo)
     if bias is not None:
-        out = out + bias.reshape(1, c, 1, 1)
+        out += bias.reshape(1, c, 1, 1)
     return out
 
 
 def depthwise_conv2d_backward(grad_out, x, weights, stride=(1, 1), padding=(0, 0), has_bias=True):
     """Gradients of depthwise_conv2d_forward. Returns (grad_x, grad_weights, grad_bias).
 
-    One pass over the kh x kw kernel taps. Tap (u, v) saw the strided slice
-    xp[:, :, u::sh, v::sw] of the padded input, Ho x Wo of it, so the weight
-    gradient of that tap is the per-channel dot product of the slice with
-    grad_out, and grad_out scaled by the tap weight is added back onto the
-    same slice of the input gradient.
+    The forward is a banded matmul per kernel row (_depthwise_rows); its
+    adjoint is the same correlation at stride 1 with the taps flipped, run on
+    grad_out dilated by the stride and set at offset (kh - 1, kw - 1) in a
+    zeroed (Hp + kh - 1, Wp + kw - 1) buffer. That yields the gradient of the
+    padded input for any stride and padding, and the padding is stripped.
+    The weight gradient of kernel row u is read off the (C, Wp, Wo) matrix
+    sum over images of xp[:, :, u::sh]^T @ grad_out: tap (u, v) is the sum
+    along its band diagonal (k*sw + v, k).
+
+    grad_out is not checked for finite values (the forward still raises
+    ValueError on a non-finite input through ensure_finite). A non-finite
+    grad_out entry meets the band's zeros, 0 * inf is nan, so it spreads
+    across the full width of the kh rows of grad_x that it reaches, where a
+    per-tap sum keeps it to the kh x kw positions the taps touch.
     """
-    c = x.shape[1]
+    n, c = x.shape[:2]
     kh, kw = weights.shape[2], weights.shape[3]
     sh, sw = stride
     ph, pw = padding
     ho, wo = grad_out.shape[2], grad_out.shape[3]
 
     xp = _pad_input(x, ph, pw)
-    grad_w = np.empty(weights.shape, dtype=np.result_type(x, grad_out))
+    hp, wp = xp.shape[2], xp.shape[3]
     grad_b = grad_out.sum(axis=(0, 2, 3)) if has_bias else None
 
-    grad_xp = np.zeros_like(xp)
+    dilated = np.zeros((n, c, hp + kh - 1, wp + kw - 1), dtype=x.dtype)
+    dilated[:, :, kh - 1:kh - 1 + ho * sh:sh, kw - 1:kw - 1 + wo * sw:sw] = grad_out
+    grad_xp = _depthwise_rows(dilated, weights[:, 0, ::-1, ::-1], 1, 1, hp, wp)
+    del dilated
+
+    grad_w = np.empty(weights.shape, dtype=np.result_type(x, grad_out))
+    diag = _band_diagonals(kw, sw, wo)
+    prod = None
     for u in range(kh):
-        for v in range(kw):
-            tap = (slice(None), slice(None), slice(u, u + ho * sh, sh), slice(v, v + wo * sw, sw))
-            grad_w[:, 0, u, v] = np.einsum("ncjk,ncjk->c", xp[tap], grad_out)
-            grad_xp[tap] += grad_out * weights[:, 0, u, v].reshape(1, c, 1, 1)
+        prod = np.matmul(xp[:, :, u:u + ho * sh:sh].swapaxes(2, 3), grad_out, out=prod)
+        grad_w[:, 0, u] = prod.sum(axis=0)[diag].sum(axis=2)
     return _unpad(grad_xp, ph, pw), grad_w, grad_b
 
 

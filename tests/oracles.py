@@ -50,6 +50,50 @@ def reference_quantize(x, m, M, bits):
     return (rounded * scale + m).astype(x.dtype, copy=False)
 
 
+def reference_depthwise_forward(x, weights, bias, stride, padding):
+    """Depthwise convolution the direct way: einsum of the weights with the
+    strided (N, C, kh, kw, Ho, Wo) patch view of the zero-padded input.
+    Arithmetic in the dtype numpy promotes the inputs to."""
+    c, _, kh, kw = weights.shape
+    sh, sw = stride
+    ph, pw = padding
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    n, _, hp, wp = xp.shape
+    ho = (hp - kh) // sh + 1
+    wo = (wp - kw) // sw + 1
+    ns, cs, hs, ws = xp.strides
+    cols = np.lib.stride_tricks.as_strided(
+        xp, shape=(n, c, kh, kw, ho, wo), strides=(ns, cs, hs, ws, hs * sh, ws * sw))
+    out = np.einsum("ncuvjk,cuv->ncjk", cols, weights[:, 0], optimize=True)
+    if bias is not None:
+        out = out + bias.reshape(1, c, 1, 1)
+    return out
+
+
+def reference_depthwise_backward(grad_out, x, weights, stride, padding, has_bias=True):
+    """Gradients of reference_depthwise_forward, one kernel tap at a time.
+    Tap (u, v) read the strided slice xp[:, :, u::sh, v::sw] of the padded
+    input, Ho x Wo of it: its weight gradient is the per-channel dot product
+    of that slice with grad_out, and grad_out times the tap weight goes back
+    onto the same slice of the input gradient. Returns (grad_x, grad_w,
+    grad_b)."""
+    c, _, kh, kw = weights.shape
+    sh, sw = stride
+    ph, pw = padding
+    ho, wo = grad_out.shape[2], grad_out.shape[3]
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    grad_w = np.empty(weights.shape, dtype=np.result_type(x, grad_out))
+    grad_xp = np.zeros_like(xp)
+    for u in range(kh):
+        for v in range(kw):
+            tap = (slice(None), slice(None), slice(u, u + ho * sh, sh), slice(v, v + wo * sw, sw))
+            grad_w[:, 0, u, v] = np.einsum("ncjk,ncjk->c", xp[tap], grad_out)
+            grad_xp[tap] += grad_out * weights[:, 0, u, v].reshape(1, c, 1, 1)
+    grad_x = grad_xp[:, :, ph:xp.shape[2] - ph, pw:xp.shape[3] - pw]
+    grad_b = grad_out.sum(axis=(0, 2, 3)) if has_bias else None
+    return grad_x, grad_w, grad_b
+
+
 def depthwise_as_grouped(weights):
     """Expand depthwise weights (C, 1, kh, kw) to an equivalent full-conv
     weight tensor (C, C, kh, kw) with zeros off the diagonal."""

@@ -4,7 +4,9 @@ The engine stores the first gradient that reaches a layer as it is and may
 hand the same array to several consumers (add junctions, pass-through quant
 points), and BN caches are reused between the forward and backward pass. That
 is only sound if no backward op writes to grad_out, x, the weights or the BN
-cache, which is what these tests pin down, in both storage dtypes.
+cache, which is what these tests pin down, in both storage dtypes. The
+depthwise forward is in the table too: unpadded, it multiplies views of x
+and adds the bias in place into the product, which must be a new array.
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ from pfqkit.tensor_ops import (
     affine_backward,
     conv2d_backward,
     depthwise_conv2d_backward,
+    depthwise_conv2d_forward,
     global_avg_pool_backward,
     relu6_backward,
     relu_backward,
@@ -41,6 +44,15 @@ def _depthwise_unpadded(rng, dt):
     w = rng.standard_normal((3, 1, 3, 3)).astype(dt)
     g = rng.standard_normal((2, 3, 3, 3)).astype(dt)
     return lambda: depthwise_conv2d_backward(g, x, w), [g, x, w]
+
+
+def _depthwise_forward(padding):
+    def make(rng, dt):
+        x = rng.standard_normal((2, 3, 7, 6)).astype(dt)
+        w = rng.standard_normal((3, 1, 3, 2)).astype(dt)
+        b = rng.standard_normal(3).astype(dt)
+        return lambda: depthwise_conv2d_forward(x, w, b, (1, 2), padding), [x, w, b]
+    return make
 
 
 def _affine(rng, dt):
@@ -88,6 +100,8 @@ OPS = {
     "conv": _conv,
     "depthwise": _depthwise,
     "depthwise_unpadded": _depthwise_unpadded,
+    "depthwise_forward": _depthwise_forward((1, 1)),
+    "depthwise_forward_unpadded": _depthwise_forward((0, 0)),
     "affine": _affine,
     "bn_train_4d": _bn((4, 3, 5, 5)),
     "bn_train_2d": _bn((6, 3)),

@@ -5,6 +5,8 @@ reference convolution; every backward path is checked against central finite
 differences on float64 inputs.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -259,6 +261,24 @@ class TestDepthwise:
     def test_rejects_wrong_channel_count(self):
         with pytest.raises(ShapeError):
             depthwise_conv2d_forward(np.ones((1, 2, 4, 4)), np.ones((3, 1, 3, 3)))
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_forward_peak_memory(self, stride):
+        """The banded forward holds the padded copy, the output, one product
+        temporary and a (C, Wp, Wo) band. A kernel that materializes the
+        kh*kw patch matrix peaks above 11x the output and fails here."""
+        x = np.random.default_rng(83).standard_normal((8, 4, 32, 32)).astype(np.float32)
+        w = np.ones((4, 1, 3, 3), np.float32)
+        b = np.ones(4, np.float32)
+        depthwise_conv2d_forward(x, w, b, (stride, stride), (1, 1))
+        tracemalloc.start()
+        try:
+            out = depthwise_conv2d_forward(x, w, b, (stride, stride), (1, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        padded = 8 * 4 * 34 * 34 * 4
+        assert peak <= padded + 2.5 * out.nbytes
 
 
 class TestAffine:
