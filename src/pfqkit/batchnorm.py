@@ -6,6 +6,13 @@ variance update applies the N/(N-1) correction, where N counts the elements
 contributing to one channel (batch times spatial extent). Running statistics
 are part of the parameter record and updates are returned functionally; the
 caller decides where to store them.
+
+The training forward takes the mean with numpy's pairwise sum and the
+variance as the mean square of the centered input (two passes), then writes
+out = centered * (gamma * inv_std) + beta. Its cache holds the centered
+input x - mu, inv_std = 1/sqrt(sigma2 + epsilon) and gamma: one full-size
+array. The normalized input x-hat = centered * inv_std is never built; the
+backward folds inv_std into its per-channel coefficients instead.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ class BatchStats:
 
 @dataclass
 class BNCache:
-    xhat: np.ndarray
+    centered: np.ndarray  # x - mu; the normalized input is centered * inv_std
     inv_std: np.ndarray
     gamma: np.ndarray
 
@@ -82,11 +89,10 @@ def bn_forward_train(x, params):
         raise ValueError(f"bn training needs at least 2 elements per channel, got {count}")
 
     mu = x.mean(axis=axes)
-    xhat = x - mu.reshape(shape)  # centered here, normalized in place below
-    sigma2 = _per_channel_dot(xhat, xhat) / count
+    centered = x - mu.reshape(shape)
+    sigma2 = _per_channel_dot(centered, centered) / count
     inv_std = 1.0 / np.sqrt(sigma2 + params.epsilon)
-    xhat *= inv_std.reshape(shape)
-    out = xhat * params.gamma.reshape(shape)
+    out = centered * (params.gamma * inv_std).reshape(shape)
     out += params.beta.reshape(shape)
 
     rho = params.rho
@@ -99,7 +105,7 @@ def bn_forward_train(x, params):
         running_var=new_var.astype(params.running_var.dtype, copy=False),
     )
     stats = BatchStats(mu=mu, sigma2=sigma2, count=count)
-    cache = BNCache(xhat=xhat, inv_std=inv_std, gamma=params.gamma)
+    cache = BNCache(centered=centered, inv_std=inv_std, gamma=params.gamma)
     return out, stats, updated, cache
 
 
@@ -119,19 +125,20 @@ def bn_backward_train(grad_out, cache):
 
     Returns (grad_x, grad_gamma, grad_beta).
     """
-    xhat = cache.xhat
+    centered, inv_std = cache.centered, cache.inv_std
     c = cache.gamma.shape[0]
-    axes, shape = _axes_and_expand(xhat, c)
-    count = xhat.size // c
+    axes, shape = _axes_and_expand(centered, c)
+    count = centered.size // c
 
-    grad_gamma = _per_channel_dot(grad_out, xhat)
+    grad_gamma = _per_channel_dot(grad_out, centered) * inv_std
     grad_beta = grad_out.sum(axis=axes)
 
-    # gamma * inv_std * (g - mean(g) - xhat * mean(g * xhat)), built in one buffer
-    grad_x = xhat * (grad_gamma / count).reshape(shape)
+    # gamma * inv_std * (g - mean(g) - xhat * mean(g * xhat)) with
+    # xhat = centered * inv_std, built in one buffer
+    grad_x = centered * (grad_gamma * inv_std / count).reshape(shape)
     np.subtract(grad_out, grad_x, out=grad_x)
     grad_x -= (grad_beta / count).reshape(shape)
-    grad_x *= (cache.gamma * cache.inv_std).reshape(shape)
+    grad_x *= (cache.gamma * inv_std).reshape(shape)
     return grad_x, grad_gamma, grad_beta
 
 

@@ -5,7 +5,10 @@ loss_and_grads) drops each layer output right after its last reader: the next
 layer, or the last add_junction that names it, from a schedule computed once
 per call. By default a trace keeps every output, for callers that inspect
 them. Training mode also records the caches a layer's backward reads (its
-inputs and statistics); inference mode records none. backward_graph consumes
+inputs and statistics); inference mode records none. relu and relu6 cache
+their output, which selects the same elements as their input and is held
+by the next layer anyway, so the BN output that feeds an activation dies
+there instead of living until backward. backward_graph consumes
 its trace: once a layer's backward has run, its cache, output and incoming
 gradient are gone, so each tensor is freed at its last use and a trace can be
 backpropagated once.
@@ -65,6 +68,17 @@ def _weighted(forward_op, backward_op):
     return forward, backward
 
 
+def _activation(forward_op, backward_op):
+    """(forward, backward) of an activation whose backward reads its output
+    y, which the next layer holds anyway, so the input dies here."""
+
+    def forward(layer, x, *_):
+        y = forward_op(x)
+        return y, y
+
+    return forward, lambda layer, g, y, send: (backward_op(g, y), None)
+
+
 def _bn_forward(layer, x, trace, training, update_ranges):
     if not training:
         return bn_forward_infer(x, layer.params), None
@@ -120,10 +134,8 @@ _LAYER_OPS = {
         lambda l, x, w: T.affine_forward(x, w, l.params.bias),
         lambda l, g, x, w, b: T.affine_backward(g, x, w, has_bias=b)),
     "bn": (_bn_forward, _bn_backward),
-    "relu": (lambda l, x, *_: (T.relu_forward(x), x),
-             lambda l, g, cache, send: (T.relu_backward(g, cache), None)),
-    "relu6": (lambda l, x, *_: (T.relu6_forward(x), x),
-              lambda l, g, cache, send: (T.relu6_backward(g, cache), None)),
+    "relu": _activation(lambda x: T.relu_forward(x), lambda g, y: T.relu_backward(g, y)),
+    "relu6": _activation(lambda x: T.relu6_forward(x), lambda g, y: T.relu6_backward(g, y)),
     "global_avg_pool": (lambda l, x, *_: (T.global_avg_pool_forward(x), x.shape[2:]),
                         lambda l, g, cache, send: (T.global_avg_pool_backward(g, cache), None)),
     "add_junction": (_junction_forward, _junction_backward),

@@ -9,13 +9,20 @@ NCHW output; for a 1x1, stride-1, unpadded convolution the matrix is a view
 of the input. Depthwise convolutions run one batched matmul per kernel row,
 forward and backward, at every stride and padding: the strided input rows
 of row u, as (Ho, Wp) matrices, times a banded (Wp, Wo) matrix per channel
-that carries that row's taps on its diagonals. The forward's transient is a
-padded copy of the input plus about two outputs (the sum and one product).
+that carries that row's taps on its diagonals. The input gradient is the
+adjoint: grad_out times the transposed band, added back onto the input rows
+u::sh, so its cost follows grad_out and a stride-2 layer does a quarter of
+a stride-1 layer's work. The forward's transient is a padded copy of the
+input plus about two outputs (the sum and one product); the backward's is
+the padded copy and one per-row product for the weight gradient, then the
+input gradient and one per-row product for it.
 The band does about Wp/kw times the multiply-adds of a direct per-tap sum,
 which BLAS repays at the widths the library serves (builder defaults, demos,
 CIFAR and the benchmark nets are at most 32x32) but not far beyond: in
-float32 on one core of an Intel Xeon, the backward on a (4, 32, 128, 128)
-input took 1.4-1.8x as long as per-tap loops (53-71 ms against 39 ms).
+float32 on one core of an Intel Xeon, the stride-1 backward on a
+(4, 32, 128, 128) input took 1.4-1.8x as long as per-tap loops (53-71 ms
+against 39 ms), most of it the banded weight gradient; at stride 2 the
+backward beat them (17 ms against 20 ms).
 Every reduction order is fixed, so results repeat run to run on a fixed
 machine. All ops preserve the input dtype, so the same code runs in float32
 (the storage dtype of models) and float64 (used by gradient checks).
@@ -196,35 +203,34 @@ def depthwise_conv2d_forward(x, weights, bias=None, stride=(1, 1), padding=(0, 0
 def depthwise_conv2d_backward(grad_out, x, weights, stride=(1, 1), padding=(0, 0), has_bias=True):
     """Gradients of depthwise_conv2d_forward. Returns (grad_x, grad_weights, grad_bias).
 
-    The forward is a banded matmul per kernel row (_depthwise_rows); its
-    adjoint is the same correlation at stride 1 with the taps flipped, run on
-    grad_out dilated by the stride and set at offset (kh - 1, kw - 1) in a
-    zeroed (Hp + kh - 1, Wp + kw - 1) buffer. That yields the gradient of the
-    padded input for any stride and padding, and the padding is stripped.
-    The weight gradient of kernel row u is read off the (C, Wp, Wo) matrix
-    sum over images of xp[:, :, u::sh]^T @ grad_out: tap (u, v) is the sum
-    along its band diagonal (k*sw + v, k).
+    The forward is a banded matmul per kernel row (_depthwise_rows). Kernel
+    row u's weight gradient is read off the (C, Wp, Wo) matrix sum over
+    images of xp[:, :, u::sh]^T @ grad_out: tap (u, v) is the sum along its
+    band diagonal (k*sw + v, k). Its input gradient is the adjoint of the
+    same product: grad_out @ band_u^T, with the transposed (C, Wo, Wp) band
+    holding w[c, u, v] at (k, k*sw + v), goes back onto the input rows
+    u::sh that row u read. The band's columns are cut to the unpadded input
+    and each row's grad_out rows to those whose tap lands inside it, so the
+    product adds straight into grad_x and no padded gradient is built. The
+    multiply-adds scale with grad_out, so a stride-2 layer does a quarter of
+    a stride-1 layer's on the same input.
 
     grad_out is not checked for finite values (the forward still raises
     ValueError on a non-finite input through ensure_finite). A non-finite
-    grad_out entry meets the band's zeros, 0 * inf is nan, so it spreads
-    across the full width of the kh rows of grad_x that it reaches, where a
-    per-tap sum keeps it to the kh x kw positions the taps touch.
+    grad_out entry (j, k) meets the zeros of band row k, 0 * inf is nan, so
+    it spreads across the full width of every input row j*sh + u it reaches
+    (one per kernel row), where a per-tap sum keeps it to the kh x kw
+    positions the taps touch; the weight gradient of its channel reads the
+    whole column k and goes non-finite at every tap.
     """
-    n, c = x.shape[:2]
+    n, c, h, w = x.shape
     kh, kw = weights.shape[2], weights.shape[3]
     sh, sw = stride
     ph, pw = padding
     ho, wo = grad_out.shape[2], grad_out.shape[3]
 
     xp = _pad_input(x, ph, pw)
-    hp, wp = xp.shape[2], xp.shape[3]
     grad_b = grad_out.sum(axis=(0, 2, 3)) if has_bias else None
-
-    dilated = np.zeros((n, c, hp + kh - 1, wp + kw - 1), dtype=x.dtype)
-    dilated[:, :, kh - 1:kh - 1 + ho * sh:sh, kw - 1:kw - 1 + wo * sw:sw] = grad_out
-    grad_xp = _depthwise_rows(dilated, weights[:, 0, ::-1, ::-1], 1, 1, hp, wp)
-    del dilated
 
     grad_w = np.empty(weights.shape, dtype=np.result_type(x, grad_out))
     diag = _band_diagonals(kw, sw, wo)
@@ -232,7 +238,23 @@ def depthwise_conv2d_backward(grad_out, x, weights, stride=(1, 1), padding=(0, 0
     for u in range(kh):
         prod = np.matmul(xp[:, :, u:u + ho * sh:sh].swapaxes(2, 3), grad_out, out=prod)
         grad_w[:, 0, u] = prod.sum(axis=0)[diag].sum(axis=2)
-    return _unpad(grad_xp, ph, pw), grad_w, grad_b
+    del xp, prod
+
+    band_t = np.zeros((c, wo, w + 2 * pw), dtype=np.result_type(grad_out, weights))
+    diag_t = (diag[0], diag[2], diag[1])
+    cols = band_t[:, :, pw:pw + w]  # the columns of the unpadded input
+    grad_x = np.zeros(x.shape, dtype=x.dtype)
+    tmp = np.empty((n, c, ho, w), dtype=band_t.dtype)
+    for u in range(kh):
+        # output rows j whose tap u reads input row j*sh + u - ph inside [0, h)
+        j0, j1 = max(0, (ph - u + sh - 1) // sh), min(ho, (h - 1 + ph - u) // sh + 1)
+        if j0 >= j1:
+            continue
+        band_t[diag_t] = weights[:, 0, u, :, None]
+        part = np.matmul(grad_out[:, :, j0:j1], cols, out=tmp[:, :, :j1 - j0])
+        r0 = j0 * sh + u - ph
+        grad_x[:, :, r0:r0 + (j1 - j0) * sh:sh] += part
+    return grad_x, grad_w, grad_b
 
 
 def affine_forward(x, weights, bias=None):
@@ -259,18 +281,21 @@ def relu_forward(x):
     return np.maximum(x, 0)
 
 
-def relu_backward(grad_out, x):
-    # Derivative at exactly zero is taken as zero, so channels parked at the
-    # activation threshold receive no gradient.
-    return grad_out * (x > 0)
+def relu_backward(grad_out, y):
+    """Gradient through relu from its output y: y > 0 selects exactly the
+    inputs x > 0. The derivative at exactly zero is taken as zero, so
+    channels parked at the activation threshold receive no gradient."""
+    return grad_out * (y > 0)
 
 
 def relu6_forward(x):
     return np.clip(x, 0, 6)
 
 
-def relu6_backward(grad_out, x):
-    return grad_out * ((x > 0) & (x < 6))
+def relu6_backward(grad_out, y):
+    """Gradient through relu6 from its output y: 0 < y < 6 selects exactly
+    the inputs 0 < x < 6."""
+    return grad_out * ((y > 0) & (y < 6))
 
 
 def global_avg_pool_forward(x):

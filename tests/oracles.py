@@ -156,6 +156,26 @@ def reference_bn_train(x, gamma, beta, eps):
     return xhat * _expand(gamma, x.ndim) + _expand(beta, x.ndim), mu, sigma2
 
 
+def reference_bn_backward(grad_out, x, gamma, eps):
+    """Gradients of reference_bn_train through the batch statistics, the
+    chain rule of Ioffe & Szegedy (arXiv 1502.03167) term by term, in
+    float64. Returns (grad_x, grad_gamma, grad_beta)."""
+    g, x = np.asarray(grad_out, np.float64), np.asarray(x, np.float64)
+    gamma = np.asarray(gamma, np.float64)
+    axes = (0,) if x.ndim == 2 else (0, 2, 3)
+    m = x.size // x.shape[1]
+    mu = _expand(x.mean(axis=axes), x.ndim)
+    var = _expand(np.mean((x - mu) ** 2, axis=axes), x.ndim)
+    xhat = (x - mu) / np.sqrt(var + eps)
+    grad_xhat = g * _expand(gamma, x.ndim)
+    grad_var = np.sum(grad_xhat * (x - mu) * -0.5 * (var + eps) ** -1.5, axis=axes)
+    grad_mu = (np.sum(-grad_xhat / np.sqrt(var + eps), axis=axes)
+               + grad_var * np.sum(-2.0 * (x - mu), axis=axes) / m)
+    grad_x = (grad_xhat / np.sqrt(var + eps) + _expand(grad_var, x.ndim) * 2.0 * (x - mu) / m
+              + _expand(grad_mu, x.ndim) / m)
+    return grad_x, np.sum(g * xhat, axis=axes), np.sum(g, axis=axes)
+
+
 def _expand(v, ndim):
     if ndim == 2:
         return v.reshape(1, -1)

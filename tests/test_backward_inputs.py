@@ -68,7 +68,7 @@ def _bn(shape):
         p.gamma = rng.uniform(0.5, 2.0, shape[1]).astype(dt)
         _, _, _, cache = bn_forward_train(rng.standard_normal(shape).astype(dt), p)
         g = rng.standard_normal(shape).astype(dt)
-        return lambda: bn_backward_train(g, cache), [g, cache.xhat, cache.inv_std, cache.gamma]
+        return lambda: bn_backward_train(g, cache), [g, cache.centered, cache.inv_std, cache.gamma]
     return make
 
 

@@ -134,7 +134,7 @@ class TestTrainBackward:
         out, stats, updated, cache = bn_forward_train(x, p)
         gx, gg, gb = bn_backward_train(rng.standard_normal(x.shape).astype(np.float32), cache)
         for a in (out, stats.mu, stats.sigma2, updated.running_mean, updated.running_var,
-                  cache.xhat, cache.inv_std, gx, gg, gb):
+                  cache.centered, cache.inv_std, gx, gg, gb):
             assert a.dtype == np.float32
 
 

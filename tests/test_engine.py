@@ -13,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pfqkit.batchnorm import init_bn
 from pfqkit.engine import backward_graph, forward_graph, loss_and_grads, run_inference
 from pfqkit.graph import AffineParams, LayerSpec, ModelGraph, fold_bn_graph
 from pfqkit.models import BUILDERS, build_ds_convnet, build_small_convnet
@@ -112,3 +113,30 @@ def test_peak_memory_of_inference_and_training_on_a_deep_chain():
     forward_peak = _peak_bytes(forward_graph, graph, x, training=True)
     assert forward_peak >= DEPTH * activation
     assert _peak_bytes(loss_and_grads, graph, x, labels) <= forward_peak + 3 * activation
+
+
+def _cached_arrays(cache):
+    if isinstance(cache, np.ndarray):
+        yield cache
+    elif isinstance(cache, (tuple, list)):
+        for item in cache:
+            yield from _cached_arrays(item)
+    elif hasattr(cache, "__dataclass_fields__"):
+        yield from _cached_arrays(tuple(vars(cache).values()))
+
+
+def test_bn_output_dies_at_its_activation():
+    """relu6 caches its output, which the next layer holds anyway, so no
+    cache keeps the BN output alive until backward."""
+    rng = np.random.default_rng(2)
+    graph = ModelGraph(layers=[
+        LayerSpec("conv", "conv", ConvParams(rng.standard_normal((4, 2, 3, 3)).astype(np.float32)),
+                  padding=(1, 1)),
+        LayerSpec("bn", "bn", init_bn(4)),
+        LayerSpec("act", "relu6"),
+    ], input_shape=(2, 5, 5))
+    trace = forward_graph(graph, _batch(graph), training=True)
+    bn_out = trace.outputs["bn"]
+    cached = [a for cache in trace.caches.values() for a in _cached_arrays(cache)]
+    assert len(cached) == 6  # conv input, weights; BN centered, inv_std, gamma; relu6 output
+    assert not any(np.shares_memory(a, bn_out) for a in cached)

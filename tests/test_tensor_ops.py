@@ -280,6 +280,30 @@ class TestDepthwise:
         padded = 8 * 4 * 34 * 34 * 4
         assert peak <= padded + 2.5 * out.nbytes
 
+    def test_backward_peak_memory(self):
+        """The weight gradient holds the padded input and one (N, C, Wp, Wo)
+        product; the input gradient then holds grad_x and one (N, C, Ho, W)
+        product. At stride 2 both products are half as wide, so the backward
+        peaks clearly below stride 1 on the same input. A backward that runs
+        the input gradient through a padded or dilated input-sized buffer
+        peaks at about the same at both strides (about 636 kB) and fails here."""
+        x = np.random.default_rng(83).standard_normal((8, 4, 32, 32)).astype(np.float32)
+        w = np.ones((4, 1, 3, 3), np.float32)
+        peaks = {}
+        for stride in (1, 2):
+            g = np.ones(depthwise_conv2d_forward(x, w, None, (stride, stride), (1, 1)).shape,
+                        np.float32)
+            depthwise_conv2d_backward(g, x, w, (stride, stride), (1, 1))
+            tracemalloc.start()
+            try:
+                depthwise_conv2d_backward(g, x, w, (stride, stride), (1, 1))
+                peaks[stride] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        padded = 8 * 4 * 34 * 34 * 4
+        assert peaks[1] <= padded + 2 * x.nbytes
+        assert peaks[2] <= 0.85 * peaks[1]
+
 
 class TestAffine:
     def test_forward_hand_value(self):
@@ -315,6 +339,20 @@ class TestActivationsAndPool:
         x = np.array([-1.0, 0.0, 2.0, 6.0, 9.0])
         assert relu6_forward(x).tolist() == [0.0, 0.0, 2.0, 6.0, 6.0]
         assert relu6_backward(np.ones(5), x).tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("dt", [np.float32, np.float64])
+    @pytest.mark.parametrize("forward, backward", [(relu_forward, relu_backward),
+                                                   (relu6_forward, relu6_backward)])
+    def test_backward_from_output_matches_backward_from_input(self, forward, backward, dt):
+        """The engine hands the backward the activation's output, not its
+        input; the mask read off y must be the mask read off x, byte for
+        byte, at the thresholds, at both zeros and at their neighbours."""
+        edges = [dt(0.0), dt(-0.0), dt(6.0), dt(-6.0)]
+        near = [np.nextafter(e, dt(d)) for e in edges for d in (-np.inf, np.inf)]
+        x = np.array(edges + near + [-3.0, 3.0, 9.0, np.inf, -np.inf, np.nan], dtype=dt)
+        g = np.random.default_rng(5).standard_normal((3,) + x.shape).astype(dt)
+        x = np.broadcast_to(x, g.shape)
+        assert backward(g, forward(x)).tobytes() == backward(g, x).tobytes()
 
     def test_global_avg_pool_constant_exact(self):
         # dyadic constant: the mean of 16 copies of 0.25 is exact in binary
