@@ -81,14 +81,14 @@ def bn_forward_train(x, params):
 
     Returns (out, BatchStats, updated BNParams, BNCache).
     """
-    ensure_finite("bn", x)
+    ensure_finite("bn", x=x)
     c = params.gamma.shape[0]
     axes, shape = _axes_and_expand(x, c)
     count = x.size // c
     if count < 2:
         raise ValueError(f"bn training needs at least 2 elements per channel, got {count}")
 
-    mu = x.mean(axis=axes)
+    mu = np.add.reduce(x, axis=axes) / count
     centered = x - mu.reshape(shape)
     sigma2 = _per_channel_dot(centered, centered) / count
     inv_std = 1.0 / np.sqrt(sigma2 + params.epsilon)
@@ -111,7 +111,7 @@ def bn_forward_train(x, params):
 
 def bn_forward_infer(x, params):
     """Normalize with the stored running statistics."""
-    ensure_finite("bn", x)
+    ensure_finite("bn", x=x)
     c = params.gamma.shape[0]
     _, shape = _axes_and_expand(x, c)
     inv_std = 1.0 / np.sqrt(params.running_var + params.epsilon)
@@ -131,7 +131,7 @@ def bn_backward_train(grad_out, cache):
     count = centered.size // c
 
     grad_gamma = _per_channel_dot(grad_out, centered) * inv_std
-    grad_beta = grad_out.sum(axis=axes)
+    grad_beta = np.add.reduce(grad_out, axis=axes)
 
     # gamma * inv_std * (g - mean(g) - xhat * mean(g * xhat)) with
     # xhat = centered * inv_std, built in one buffer

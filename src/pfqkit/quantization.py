@@ -65,7 +65,7 @@ def act_point_applies(point):
 
 def quantize(x, cfg):
     """Snap x onto the quantizer grid of cfg. Errors on a degenerate range."""
-    ensure_finite("quantize", x)
+    ensure_finite("quantize", x=x)
     if cfg.bits < 1:
         raise QuantRangeError(f"bits must be >= 1, got {cfg.bits}")
     if not cfg.M_up > cfg.m:

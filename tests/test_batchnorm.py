@@ -104,6 +104,24 @@ class TestTrainForward:
         assert np.array_equal(v, p.running_var)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(37, 5), (300, 4), (6, 5, 7, 3), (16, 3, 9, 9)])
+def test_reductions_match_numpy_mean_and_sum(shape, dtype):
+    """The batch mean is x.mean and grad_beta is grad_out.sum over the same
+    axes, byte for byte: same summation order, same rounding of the divide."""
+    rng = np.random.default_rng(53)
+    axes = (0, 2, 3)[:len(shape) - 1]
+    p = init_bn(shape[1], dtype=dtype)
+    for _ in range(10):
+        x = (rng.standard_normal(shape) * rng.uniform(0.1, 100) + rng.uniform(-50, 50)).astype(dtype)
+        g = rng.standard_normal(shape).astype(dtype)
+        _, stats, _, cache = bn_forward_train(x, p)
+        _, _, grad_beta = bn_backward_train(g, cache)
+        for got, want in ((stats.mu, x.mean(axis=axes)), (grad_beta, g.sum(axis=axes))):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 class TestTrainBackward:
     def test_grad_matches_finite_differences(self):
         rng = np.random.default_rng(29)

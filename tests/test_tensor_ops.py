@@ -10,8 +10,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pfqkit.batchnorm import bn_forward_infer, bn_forward_train, init_bn
+from pfqkit.quantization import QuantConfig, quantize
 from pfqkit.tensor_ops import (
     ShapeError,
+    _pad_input,
     affine_backward,
     affine_forward,
     conv2d_backward,
@@ -126,6 +129,65 @@ def _sliced(rng, shape, dtype):
     x = base[:, ::2, 2:h + 2, 1:w + 1]
     assert not x.flags.c_contiguous and not x.flags.f_contiguous
     return x
+
+
+@pytest.mark.parametrize("ph, pw", [(ph, pw) for ph in range(3) for pw in range(3)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("sliced", [False, True], ids=["contiguous", "sliced"])
+def test_pad_input_matches_np_pad(ph, pw, dtype, sliced):
+    """The padded copy is np.pad's zero padding byte for byte, C-contiguous
+    and separate from x; unpadded, x itself comes back."""
+    rng = np.random.default_rng(37)
+    shape = (2, 3, 5, 4)
+    x = _sliced(rng, shape, dtype) if sliced else rng.standard_normal(shape).astype(dtype)
+    x[0, 0, 0, 0] = -0.0
+    got = _pad_input(x, ph, pw)
+    if ph == pw == 0:
+        assert got is x
+        return
+    want = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert got.flags.c_contiguous and not np.shares_memory(got, x)
+
+
+def _finite_checked_ops():
+    """Every op that checks its arguments with ensure_finite, by test id:
+    (op name in the error, call, clean array arguments by name)."""
+    rng = np.random.default_rng(43)
+    x4 = rng.standard_normal((2, 3, 5, 5))
+    bn = init_bn(3, dtype=np.float64)
+    cfg = QuantConfig(bits=4, m=-1.0, M_up=1.0, initialized=True)
+    return {
+        "conv2d": ("conv2d", lambda x, weights, bias: conv2d_forward(x, weights, bias, padding=(1, 1)),
+                   dict(x=x4, weights=rng.standard_normal((4, 3, 3, 3)), bias=rng.standard_normal(4))),
+        "depthwise_conv2d": (
+            "depthwise_conv2d",
+            lambda x, weights, bias: depthwise_conv2d_forward(x, weights, bias, padding=(1, 1)),
+            dict(x=x4, weights=rng.standard_normal((3, 1, 3, 3)), bias=rng.standard_normal(3))),
+        "affine": ("affine", affine_forward,
+                   dict(x=rng.standard_normal((2, 6)), weights=rng.standard_normal((6, 4)),
+                        bias=rng.standard_normal(4))),
+        "bn_forward_train": ("bn", lambda x: bn_forward_train(x, bn), dict(x=x4)),
+        "bn_forward_infer": ("bn", lambda x: bn_forward_infer(x, bn), dict(x=x4)),
+        "quantize": ("quantize", lambda x: quantize(x, cfg), dict(x=x4)),
+    }
+
+
+FINITE_CHECKED = _finite_checked_ops()
+NON_FINITE = [(case, arg, bad) for case, (_, _, arrays) in FINITE_CHECKED.items()
+              for arg in arrays for bad in (np.nan, np.inf, -np.inf)]
+
+
+@pytest.mark.parametrize("case, arg, bad", NON_FINITE,
+                         ids=[f"{c}-{a}-{b}" for c, a, b in NON_FINITE])
+def test_non_finite_argument_raises_naming_it(case, arg, bad):
+    op, call, arrays = FINITE_CHECKED[case]
+    call(**arrays)  # the clean arguments pass
+    poisoned = arrays[arg].copy()
+    poisoned.flat[poisoned.size // 2] = bad
+    with pytest.raises(ValueError, match=f"^{op}: non-finite values in {arg}$"):
+        call(**{**arrays, arg: poisoned})
 
 
 # The width-32 net's full convolutions at a small spatial extent:
