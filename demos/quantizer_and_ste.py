@@ -66,7 +66,7 @@ def show_gradients():
     x = rng.uniform(0.0, 1.0, (4, 2, 6, 6))
     readout = rng.standard_normal((4, 4))
     trace = forward_graph(net, x, training=True)
-    grads, _ = backward_graph(net, trace, readout)
+    grads = backward_graph(net, trace, readout)
 
     # The same chain by hand, with the quantizer replaced by a clamp.
     w1, b1 = net.layer("c1").params.weights, net.layer("c1").params.bias

@@ -55,14 +55,14 @@ def _quantized_weights(layer):
 def _weighted(forward_op, backward_op):
     """(forward, backward) of a conv, depthwise conv or affine layer, which
     differ only in the tensor op: forward_op(layer, x, w) and
-    backward_op(layer, grad, x, w, has_bias)."""
+    backward_op(layer, grad, x, w, has_bias, input_grad)."""
 
     def forward(layer, x, *_):
         w = _quantized_weights(layer)
         return forward_op(layer, x, w), (x, w)
 
-    def backward(layer, g, cache, send):
-        upstream, gw, gb = backward_op(layer, g, *cache, layer.params.bias is not None)
+    def backward(layer, g, cache, send, input_grad):
+        upstream, gw, gb = backward_op(layer, g, *cache, layer.params.bias is not None, input_grad)
         return upstream, {"weights": gw} if gb is None else {"weights": gw, "bias": gb}
 
     return forward, backward
@@ -76,7 +76,7 @@ def _activation(forward_op, backward_op):
         y = forward_op(x)
         return y, y
 
-    return forward, lambda layer, g, y, send: (backward_op(g, y), None)
+    return forward, lambda layer, g, y, *_: (backward_op(g, y), None)
 
 
 def _bn_forward(layer, x, trace, training, update_ranges):
@@ -87,7 +87,7 @@ def _bn_forward(layer, x, trace, training, update_ranges):
     return out, cache
 
 
-def _bn_backward(layer, g, cache, send):
+def _bn_backward(layer, g, cache, *_):
     upstream, ggamma, gbeta = bn_backward_train(g, cache)
     return upstream, {"gamma": ggamma, "beta": gbeta}
 
@@ -97,7 +97,7 @@ def _junction_forward(layer, x, trace, training, update_ranges):
     return T.elementwise_add(trace.outputs[a], trace.outputs[b]), None
 
 
-def _junction_backward(layer, g, cache, send):
+def _junction_backward(layer, g, cache, send, _):
     for ref in layer.params:
         send(ref, g)
     return None, None
@@ -112,32 +112,37 @@ def _act_quant_forward(layer, x, trace, training, update_ranges):
     return quantize(x, point.cfg), (x, point.cfg)
 
 
-def _act_quant_backward(layer, g, cache, send):
+def _act_quant_backward(layer, g, cache, *_):
     return (g if cache is None else quantize_backward(g, *cache)), None
 
 
 # One (forward, backward) pair per layer kind. A forward maps
 # (layer, x, trace, training, update_ranges) to (output, cache); a backward
-# maps (layer, grad, cache, send) to (upstream gradient, parameter gradients).
+# maps (layer, grad, cache, send, input_grad) to (upstream gradient, parameter
+# gradients); a conv or depthwise conv skips its upstream gradient when
+# input_grad is False (the first layer, whose input gradient has no reader),
+# and any other kind may still return one, which is then dropped. An affine
+# layer needs a flat input, so it is never first.
 # Ops are looked up through `T` and this module's globals at call time, never
 # bound at import, so that a patched module attribute reaches every call (the
 # traced benchmark run, perfbench/spans.py, times ops that way).
 _LAYER_OPS = {
     "conv": _weighted(
         lambda l, x, w: T.conv2d_forward(x, w, l.params.bias, l.stride, l.padding),
-        lambda l, g, x, w, b: T.conv2d_backward(g, x, w, l.stride, l.padding, has_bias=b)),
+        lambda l, g, x, w, b, gx: T.conv2d_backward(g, x, w, l.stride, l.padding, has_bias=b,
+                                                    input_grad=gx)),
     "depthwise_conv": _weighted(
         lambda l, x, w: T.depthwise_conv2d_forward(x, w, l.params.bias, l.stride, l.padding),
-        lambda l, g, x, w, b: T.depthwise_conv2d_backward(g, x, w, l.stride, l.padding,
-                                                          has_bias=b)),
+        lambda l, g, x, w, b, gx: T.depthwise_conv2d_backward(g, x, w, l.stride, l.padding,
+                                                              has_bias=b, input_grad=gx)),
     "affine": _weighted(
         lambda l, x, w: T.affine_forward(x, w, l.params.bias),
-        lambda l, g, x, w, b: T.affine_backward(g, x, w, has_bias=b)),
+        lambda l, g, x, w, b, _: T.affine_backward(g, x, w, has_bias=b)),
     "bn": (_bn_forward, _bn_backward),
     "relu": _activation(lambda x: T.relu_forward(x), lambda g, y: T.relu_backward(g, y)),
     "relu6": _activation(lambda x: T.relu6_forward(x), lambda g, y: T.relu6_backward(g, y)),
     "global_avg_pool": (lambda l, x, *_: (T.global_avg_pool_forward(x), x.shape[2:]),
-                        lambda l, g, cache, send: (T.global_avg_pool_backward(g, cache), None)),
+                        lambda l, g, cache, *_: (T.global_avg_pool_backward(g, cache), None)),
     "add_junction": (_junction_forward, _junction_backward),
     "quant_point": (_act_quant_forward, _act_quant_backward),
 }
@@ -192,8 +197,9 @@ def backward_graph(graph, trace, grad_final):
 
     Consumes the trace: each layer's cache, output and incoming gradient are
     dropped once its backward has run, so a trace can be backpropagated once.
-    Returns (param_grads, grad_input) where param_grads maps layer name to a
-    dict of gradients keyed like the parameter fields.
+    Returns param_grads, which maps layer name to a dict of gradients keyed
+    like the parameter fields. The gradient of the graph input has no reader,
+    so the first layer computes none.
     """
     caches = trace.caches
     if caches is None or len(caches) != len(graph.layers):
@@ -209,7 +215,6 @@ def backward_graph(graph, trace, grad_final):
         grad_map[name] = g if prior is None else prior + g
 
     param_grads = {}
-    grad_input = None
     for i in range(len(graph.layers) - 1, -1, -1):
         layer = graph.layers[i]
         cache = caches.pop(layer.name)
@@ -217,15 +222,12 @@ def backward_graph(graph, trace, grad_final):
         g = grad_map.pop(layer.name, None)
         if g is None:
             continue
-        upstream, grads = _LAYER_OPS[layer.kind][1](layer, g, cache, send)
+        upstream, grads = _LAYER_OPS[layer.kind][1](layer, g, cache, send, i > 0)
         if grads is not None:
             param_grads[layer.name] = grads
-        if upstream is not None:
-            if i == 0:
-                grad_input = upstream
-            else:
-                send(graph.layers[i - 1].name, upstream)
-    return param_grads, grad_input
+        if upstream is not None and i > 0:
+            send(graph.layers[i - 1].name, upstream)
+    return param_grads
 
 
 def run_inference(graph, x):
@@ -241,7 +243,7 @@ def loss_and_grads(graph, x, labels, *, update_ranges=False):
                           keep_outputs=False)
     logits = trace.outputs[graph.layers[-1].name]
     loss, grad_logits = T.softmax_cross_entropy(logits, labels)
-    param_grads, _ = backward_graph(graph, trace, grad_logits)
+    param_grads = backward_graph(graph, trace, grad_logits)
     return loss, logits, param_grads, trace.bn_stats
 
 

@@ -7,32 +7,35 @@ writes to its inputs. Full convolutions lay each image's patches out as a
 (O, C*kh*kw) weights in one batched matmul, whose product is already the
 NCHW output; for a 1x1, stride-1, unpadded convolution the matrix is a view
 of the input. Depthwise convolutions run one batched matmul per kernel row,
-forward and backward, at every stride and padding: the strided input rows
-of row u, as (Ho, Wp) matrices, times a banded (Wp, Wo) matrix per channel
-that carries that row's taps on its diagonals. The input gradient is the
+forward and backward, at every stride and padding, and never pad: the
+input rows that row u reads inside the unpadded input, as (rows, W)
+matrices, times the W rows of a banded (Wp, Wo) matrix per channel that
+carries that row's taps on its diagonals. The input gradient is the
 adjoint: grad_out times the transposed band, added back onto the input rows
-u::sh, so its cost follows grad_out and a stride-2 layer does a quarter of
-a stride-1 layer's work. The forward's transient is a padded copy of the
-input plus about two outputs (the sum and one product); the backward's is
-the padded copy and one per-row product for the weight gradient, then the
-input gradient and one per-row product for it.
-The band does about Wp/kw times the multiply-adds of a direct per-tap sum,
+row u read, so its cost follows grad_out and a stride-2 layer does a
+quarter of a stride-1 layer's work. The forward's transient is the output,
+one output-sized product temporary and the band; the backward's is one
+(N, C, W, Wo) per-row product for the weight gradient, then the input
+gradient and one per-row product for it.
+The band does about W/kw times the multiply-adds of a direct per-tap sum,
 which BLAS repays at the widths the library serves (builder defaults, demos,
 CIFAR and the benchmark nets are at most 32x32) but not far beyond: in
 float32 on one core of an Intel Xeon, the stride-1 backward on a
-(4, 32, 128, 128) input took 1.4-1.8x as long as per-tap loops (53-71 ms
-against 39 ms), most of it the banded weight gradient; at stride 2 the
-backward beat them (17 ms against 20 ms).
+(4, 32, 128, 128) input took 1.0-1.4x as long as per-tap loops (44-57 ms
+against 41-44 ms), most of it the banded weight gradient; at stride 2 the
+backward beat them (16 ms against 23 ms).
 Every reduction order is fixed, so results repeat run to run on a fixed
 machine. All ops preserve the input dtype, so the same code runs in float32
 (the storage dtype of models) and float64 (used by gradient checks).
 
 On the small tensors of a toy net a call costs more in numpy's Python
 layer than in arithmetic, so the ops avoid its wrappers where a direct
-call gives the same bytes. A padded input is a new zero array with the
-input copied into its interior (np.pad costs four to eight times as much
-per call at that size), and the band diagonals' index arrays are built once
-per (kw, sw, Wo) and cached read-only.
+call gives the same bytes. A full convolution's padded input is a new
+zero array with the input copied into its interior (np.pad costs four to
+eight times as much per call at that size); its patch view is built with
+the ndarray constructor, not as_strided (1.1 against 3.9-4.1 µs a call).
+The band diagonals' index arrays and the depthwise row plans are built
+once per shape and cached.
 """
 
 from __future__ import annotations
@@ -72,6 +75,12 @@ def ensure_finite(op, **arrays):
 
 
 def conv_output_extent(size, kernel, stride, pad):
+    """Output extent along one axis; raises ShapeError on a stride below 1, a
+    negative padding or an output shorter than 1."""
+    if stride < 1:
+        raise ShapeError(f"convolution stride {stride} < 1")
+    if pad < 0:
+        raise ShapeError(f"convolution padding {pad} < 0")
     out = (size + 2 * pad - kernel) // stride + 1
     if out < 1:
         raise ShapeError(
@@ -100,14 +109,16 @@ def _unpad(grad_xp, ph, pw):
 
 
 def _im2col(x, kh, kw, sh, sw):
-    """View the padded input as (N, C, kh, kw, Ho, Wo) patches without copying."""
+    """View the padded input as (N, C, kh, kw, Ho, Wo) patches without copying
+    (a non-contiguous x is copied first)."""
+    x = np.ascontiguousarray(x)
     n, c, h, w = x.shape
     ho = (h - kh) // sh + 1
     wo = (w - kw) // sw + 1
     ns, cs, hs, ws = x.strides
     shape = (n, c, kh, kw, ho, wo)
     strides = (ns, cs, hs, ws, hs * sh, ws * sw)
-    return np.lib.stride_tricks.as_strided(x, shape=shape, strides=strides)
+    return np.ndarray(shape, x.dtype, buffer=x, strides=strides)
 
 
 def conv2d_forward(x, weights, bias=None, stride=(1, 1), padding=(0, 0)):
@@ -136,15 +147,19 @@ def conv2d_forward(x, weights, bias=None, stride=(1, 1), padding=(0, 0)):
     return out
 
 
-def conv2d_backward(grad_out, x, weights, stride=(1, 1), padding=(0, 0), has_bias=True):
-    """Gradients of conv2d_forward. Returns (grad_x, grad_weights, grad_bias).
+def conv2d_backward(grad_out, x, weights, stride=(1, 1), padding=(0, 0), has_bias=True,
+                    input_grad=True):
+    """Gradients of conv2d_forward. Returns (grad_x, grad_weights, grad_bias);
+    grad_x is None when input_grad is False.
 
     Rebuilds the forward's (N, C*kh*kw, Ho*Wo) patch matrices. With grad_out
     viewed as (N, O, Ho*Wo), the weight gradient is the sum over images of
     grad_out times the transposed patch matrix, and the patch gradient is
     the transposed weights times grad_out. Each kernel tap's (N, C, Ho, Wo)
     slab of the patch gradient is added back onto the strided input
-    positions the tap read.
+    positions the tap read. A 1x1, stride-1 convolution reads every input
+    position once, so its patch gradient is the padded input's gradient as
+    it stands (up to the sign of a zero, which adding onto +0 would clear).
     """
     n, c = x.shape[:2]
     o, ci, kh, kw = weights.shape
@@ -158,12 +173,17 @@ def conv2d_backward(grad_out, x, weights, stride=(1, 1), padding=(0, 0), has_bia
 
     grad_w = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(o, c, kh, kw)
     grad_b = grad_out.sum(axis=(0, 2, 3)) if has_bias else None
+    if not input_grad:
+        return None, grad_w, grad_b
 
     grad_cols = np.matmul(weights.reshape(o, c * kh * kw).T, g3).reshape(n, c, kh, kw, ho, wo)
-    grad_xp = np.zeros(xp.shape, dtype=xp.dtype)
-    for u in range(kh):
-        for v in range(kw):
-            grad_xp[:, :, u:u + ho * sh:sh, v:v + wo * sw:sw] += grad_cols[:, :, u, v]
+    if kh == kw == sh == sw == 1:
+        grad_xp = grad_cols.reshape(xp.shape).astype(xp.dtype, copy=False)
+    else:
+        grad_xp = np.zeros(xp.shape, dtype=xp.dtype)
+        for u in range(kh):
+            for v in range(kw):
+                grad_xp[:, :, u:u + ho * sh:sh, v:v + wo * sw:sw] += grad_cols[:, :, u, v]
     return _unpad(grad_xp, ph, pw), grad_w, grad_b
 
 
@@ -179,25 +199,64 @@ def _band_diagonals(kw, sw, wo):
     return slice(None), rows, k
 
 
-def _depthwise_rows(xp, taps, sh, sw, ho, wo):
-    """Per-channel cross-correlation of xp (N, C, Hp, Wp) with taps (C, kh, kw)
-    as one batched matmul per kernel row.
+@lru_cache
+def _row_plan(kh, h, ho, sh, ph):
+    """The kernel rows of a depthwise convolution over the unpadded input, as
+    (u, j0, j1, r0): tap row u of output row j reads input row j*sh + u - ph,
+    which lies inside [0, h) for the output rows [j0, j1), read from input
+    row r0 on with step sh. Rows that read only padding are left out. The
+    first row that covers every output row leads and the rest follow in
+    order, so a 3x3 kernel at padding 1 adds its rows as (1 + 0) + 2, which
+    rounds as the padded sum (0 + 1) + 2 did. Built once per shape."""
+    plan = []
+    for u in range(kh):
+        j0, j1 = max(0, (ph - u + sh - 1) // sh), min(ho, (h - 1 + ph - u) // sh + 1)
+        if j0 < j1:
+            plan.append((u, j0, j1, j0 * sh + u - ph))
+    full = [row for row in plan if row[2] - row[1] == ho][:1]
+    return tuple(full + [row for row in plan if row not in full])
 
-    Kernel row u reads the strided rows xp[:, :, u::sh] as (Ho, Wp) matrices
-    and right-multiplies them by a banded (Wp, Wo) matrix per channel that
-    holds taps[c, u, v] at (k*sw + v, k); the output is the sum over u. One
-    band buffer serves every row, since only the values on its diagonals
-    change, and every product after the first goes into one temporary.
+
+def _depthwise_rows(x, taps, sh, sw, ph, pw, ho, wo):
+    """Per-channel cross-correlation of x (N, C, H, W), zero-padded by
+    (ph, pw), with taps (C, kh, kw) as one batched matmul per kernel row.
+
+    Kernel row u right-multiplies its input rows (_row_plan), as (j1-j0, W)
+    matrices, by a banded matrix per channel that holds taps[c, u, v] at
+    (k*sw + v, k) of the padded (Wp, Wo) band; only the band's W rows of the
+    unpadded input's columns take part, so no padded copy of x is built. The
+    product lands on output rows [j0, j1). A row that covers every output row
+    writes the output directly, and the output starts from zeros only when
+    no row covers it all. Each other row's product goes into the same rows
+    of one output-sized temporary, zero elsewhere, which is added whole: a
+    numpy ufunc over a row range of every plane runs buffered, and adding
+    rows 1-31 of every plane of a (64, 32, 32, 32) float32 batch that way
+    took 1.7-1.9 ms against 0.7 ms for a contiguous add of the same
+    elements.
+    One band buffer serves every row, since only the values on its diagonals
+    change.
     """
-    c, kh, kw = taps.shape
+    n, c, h, w = x.shape
+    kh, kw = taps.shape[1:]
+    plan = _row_plan(kh, h, ho, sh, ph)
     diag = _band_diagonals(kw, sw, wo)
-    band = np.zeros((c, xp.shape[3], wo), dtype=np.result_type(xp, taps))
-    band[diag] = taps[:, 0, :, None]
-    out = np.matmul(xp[:, :, 0:ho * sh:sh], band)
-    tmp = None
-    for u in range(1, kh):
+    band = np.zeros((c, w + 2 * pw, wo), dtype=np.result_type(x, taps))
+    cols = band[:, pw:pw + w]  # the band rows of the unpadded input's columns
+
+    def product(u, j0, j1, r0, out=None):
         band[diag] = taps[:, u, :, None]
-        tmp = np.matmul(xp[:, :, u:u + ho * sh:sh], band, out=tmp)
+        return np.matmul(x[:, :, r0:r0 + (j1 - j0) * sh:sh], cols, out=out)
+
+    if plan and plan[0][2] - plan[0][1] == ho:
+        out = product(*plan[0])
+        plan = plan[1:]
+    else:
+        out = np.zeros((n, c, ho, wo), dtype=band.dtype)
+    tmp = np.zeros(out.shape, dtype=out.dtype) if plan else None
+    for u, j0, j1, r0 in plan:
+        tmp[:, :, :j0] = 0
+        tmp[:, :, j1:] = 0
+        product(u, j0, j1, r0, out=tmp[:, :, j0:j1])
         out += tmp
     return out
 
@@ -214,26 +273,28 @@ def depthwise_conv2d_forward(x, weights, bias=None, stride=(1, 1), padding=(0, 0
     ph, pw = padding
     ho = conv_output_extent(h, kh, sh, ph)
     wo = conv_output_extent(w, kw, sw, pw)
-    out = _depthwise_rows(_pad_input(x, ph, pw), weights[:, 0], sh, sw, ho, wo)
+    out = _depthwise_rows(x, weights[:, 0], sh, sw, ph, pw, ho, wo)
     if bias is not None:
         out += bias.reshape(1, c, 1, 1)
     return out
 
 
-def depthwise_conv2d_backward(grad_out, x, weights, stride=(1, 1), padding=(0, 0), has_bias=True):
-    """Gradients of depthwise_conv2d_forward. Returns (grad_x, grad_weights, grad_bias).
+def depthwise_conv2d_backward(grad_out, x, weights, stride=(1, 1), padding=(0, 0), has_bias=True,
+                              input_grad=True):
+    """Gradients of depthwise_conv2d_forward. Returns (grad_x, grad_weights,
+    grad_bias); grad_x is None when input_grad is False.
 
-    The forward is a banded matmul per kernel row (_depthwise_rows). Kernel
+    The forward is a banded matmul per kernel row (_depthwise_rows), and both
+    gradients walk the same rows of the unpadded input (_row_plan). Kernel
     row u's weight gradient is read off the (C, Wp, Wo) matrix sum over
-    images of xp[:, :, u::sh]^T @ grad_out: tap (u, v) is the sum along its
-    band diagonal (k*sw + v, k). Its input gradient is the adjoint of the
-    same product: grad_out @ band_u^T, with the transposed (C, Wo, Wp) band
-    holding w[c, u, v] at (k, k*sw + v), goes back onto the input rows
-    u::sh that row u read. The band's columns are cut to the unpadded input
-    and each row's grad_out rows to those whose tap lands inside it, so the
-    product adds straight into grad_x and no padded gradient is built. The
-    multiply-adds scale with grad_out, so a stride-2 layer does a quarter of
-    a stride-1 layer's on the same input.
+    images of x_rows^T @ grad_out[:, :, j0:j1]: the product fills the rows of
+    the unpadded columns of a zero-bordered (C, Wp, Wo) array, and tap (u, v)
+    is the sum along its band diagonal (k*sw + v, k). Its input gradient is
+    the adjoint of the same product: grad_out[:, :, j0:j1] @ band_u^T, with
+    the transposed band cut to the unpadded input's columns, adds straight
+    into the input rows that row u read, so neither gradient builds a padded
+    array. The input gradient's multiply-adds scale with grad_out, so a
+    stride-2 layer does a quarter of a stride-1 layer's on the same input.
 
     grad_out is not checked for finite values (the forward still raises
     ValueError on a non-finite input through ensure_finite). A non-finite
@@ -248,31 +309,31 @@ def depthwise_conv2d_backward(grad_out, x, weights, stride=(1, 1), padding=(0, 0
     sh, sw = stride
     ph, pw = padding
     ho, wo = grad_out.shape[2], grad_out.shape[3]
-
-    xp = _pad_input(x, ph, pw)
+    plan = _row_plan(kh, h, ho, sh, ph)
+    diag = _band_diagonals(kw, sw, wo)
     grad_b = grad_out.sum(axis=(0, 2, 3)) if has_bias else None
 
-    grad_w = np.empty(weights.shape, dtype=np.result_type(x, grad_out))
-    diag = _band_diagonals(kw, sw, wo)
-    prod = None
-    for u in range(kh):
-        prod = np.matmul(xp[:, :, u:u + ho * sh:sh].swapaxes(2, 3), grad_out, out=prod)
-        grad_w[:, 0, u] = prod.sum(axis=0)[diag].sum(axis=2)
-    del xp, prod
+    dtype = np.result_type(x, grad_out)
+    grad_w = np.zeros(weights.shape, dtype=dtype)  # rows that read only padding stay zero
+    summed = np.zeros((c, w + 2 * pw, wo), dtype=dtype)
+    prod = np.empty((n, c, w, wo), dtype=dtype)
+    for u, j0, j1, r0 in plan:
+        rows = x[:, :, r0:r0 + (j1 - j0) * sh:sh]
+        np.matmul(rows.swapaxes(2, 3), grad_out[:, :, j0:j1], out=prod)
+        summed[:, pw:pw + w] = np.add.reduce(prod, axis=0)
+        grad_w[:, 0, u] = summed[diag].sum(axis=2)
+    del summed, prod
+    if not input_grad:
+        return None, grad_w, grad_b
 
     band_t = np.zeros((c, wo, w + 2 * pw), dtype=np.result_type(grad_out, weights))
     diag_t = (diag[0], diag[2], diag[1])
     cols = band_t[:, :, pw:pw + w]  # the columns of the unpadded input
     grad_x = np.zeros(x.shape, dtype=x.dtype)
     tmp = np.empty((n, c, ho, w), dtype=band_t.dtype)
-    for u in range(kh):
-        # output rows j whose tap u reads input row j*sh + u - ph inside [0, h)
-        j0, j1 = max(0, (ph - u + sh - 1) // sh), min(ho, (h - 1 + ph - u) // sh + 1)
-        if j0 >= j1:
-            continue
+    for u, j0, j1, r0 in plan:
         band_t[diag_t] = weights[:, 0, u, :, None]
         part = np.matmul(grad_out[:, :, j0:j1], cols, out=tmp[:, :, :j1 - j0])
-        r0 = j0 * sh + u - ph
         grad_x[:, :, r0:r0 + (j1 - j0) * sh:sh] += part
     return grad_x, grad_w, grad_b
 

@@ -313,7 +313,7 @@ def test_straight_through_gradient_contract():
 
     readout = rng.standard_normal((4, 4))  # linear loss: sum(readout * logits)
     trace = forward_graph(g, x, training=True)
-    grads, _ = backward_graph(g, trace, readout)
+    grads = backward_graph(g, trace, readout)
 
     grad_pool, _, _ = affine_backward(readout, global_avg_pool_forward(
         np.clip(r1, 0.0, 1.0)), g.layer("fc").params.weights)
@@ -327,7 +327,7 @@ def test_straight_through_gradient_contract():
     plain = copy.deepcopy(g)
     plain.layer("r1_q").params.enabled = False
     trace0 = forward_graph(plain, x, training=True)
-    analytic, _ = backward_graph(plain, trace0, readout)
+    analytic = backward_graph(plain, trace0, readout)
 
     def loss_for(w_flat):
         probe = copy.deepcopy(plain)

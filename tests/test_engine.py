@@ -13,9 +13,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pfqkit import tensor_ops as T
 from pfqkit.batchnorm import init_bn
 from pfqkit.engine import backward_graph, forward_graph, loss_and_grads, run_inference
-from pfqkit.graph import AffineParams, LayerSpec, ModelGraph, fold_bn_graph
+from pfqkit.graph import AffineParams, LayerSpec, ModelGraph, copy_graph, fold_bn_graph
 from pfqkit.models import BUILDERS, build_ds_convnet, build_small_convnet
 from pfqkit.quantization import insert_quant_points
 from pfqkit.tensor_ops import ConvParams
@@ -74,6 +75,38 @@ def test_backward_rejects_a_consumed_trace():
     assert not trace.caches and not trace.outputs
     with pytest.raises(ValueError, match=f"{CONSUMED}; got a consumed trace"):
         backward_graph(net, trace, grad)
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_first_layer_skips_only_the_input_gradient(name, monkeypatch):
+    """backward_graph computes no gradient for the graph input, and the
+    parameter gradients are byte for byte those of a full backward: the same
+    net behind a relu, which passes the positive batch through unchanged,
+    makes its first layer compute the input gradient too."""
+    net = BUILDERS[name](seed=6)
+    x = np.abs(_batch(net)) + np.float32(0.5)
+    labels = np.arange(len(x)) % net.layers[-1].params.weights.shape[1]
+    lead = ModelGraph(layers=[LayerSpec("lead", "relu")] + copy_graph(net).layers,
+                      input_shape=net.input_shape)
+    asked = []
+
+    def recording(op):
+        def wrapped(*args, input_grad=True, **kwargs):
+            asked.append(input_grad)
+            return op(*args, input_grad=input_grad, **kwargs)
+        return wrapped
+
+    for op in ("conv2d_backward", "depthwise_conv2d_backward"):
+        monkeypatch.setattr(T, op, recording(getattr(T, op)))
+    _, _, grads, _ = loss_and_grads(net, x, labels)
+    assert asked[-1] is False and all(asked[:-1])  # layer 0 is a conv in every builder
+    asked.clear()
+    _, _, full, _ = loss_and_grads(lead, x, labels)
+    assert all(asked)
+    assert sorted(full) == sorted(grads)
+    for layer, fields in grads.items():
+        for field, g in fields.items():
+            assert g.tobytes() == full[layer][field].tobytes(), (layer, field)
 
 
 DEPTH = 24

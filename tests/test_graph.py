@@ -95,6 +95,44 @@ class TestValidation:
             ModelGraph(layers=[_conv_layer("c1", 2, 1, 5)], input_shape=(1, 3, 3))
 
 
+def _stem_and(kind, stride=(1, 1), padding=(1, 1)):
+    """A 3x3 stem conv, then a conv or depthwise layer 'k2' of two channels."""
+    rng = np.random.default_rng(3)
+    if kind == "conv":
+        k2 = _conv_layer("k2", 2, 2, 3, stride=stride, padding=padding, rng=rng)
+    else:
+        k2 = LayerSpec(name="k2", kind="depthwise_conv", stride=stride, padding=padding,
+                       params=DepthwiseConvParams(
+                           weights=rng.standard_normal((2, 1, 3, 3)).astype(np.float32)))
+    return [_conv_layer("c1", 2, 1, 3, padding=(1, 1), rng=rng), k2]
+
+
+BAD_GEOMETRY = [("stride", [0, 1], "stride 0 < 1"), ("stride", [1, -1], "stride -1 < 1"),
+                ("padding", [-1, 1], "padding -1 < 0"), ("padding", [0, -2], "padding -2 < 0")]
+
+
+@pytest.mark.parametrize("kind", ["conv", "depthwise_conv"])
+@pytest.mark.parametrize("field, value, message", BAD_GEOMETRY)
+class TestBadStrideOrPadding:
+    """A stride below 1 or a negative padding fails at construction with an
+    error naming the layer and the value, whether the graph is built in
+    Python or loaded from a manifest."""
+
+    def test_built_in_python(self, kind, field, value, message):
+        layers = _stem_and(kind, **{field: tuple(value)})
+        with pytest.raises(GraphError, match=f"layer 'k2': convolution {message}"):
+            ModelGraph(layers=layers, input_shape=(1, 6, 6))
+
+    def test_loaded_from_a_manifest(self, kind, field, value, message, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(ModelGraph(layers=_stem_and(kind), input_shape=(1, 6, 6)), path)
+        doc = json.loads(path.read_text())
+        doc["layers"][1][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=f"layer 'k2': convolution {message}"):
+            load_model(path)
+
+
 class TestShapesAndCounts:
     def test_infer_shapes_small_net(self):
         g = _tiny_graph()

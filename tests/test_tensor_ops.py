@@ -82,6 +82,20 @@ class TestConvForward:
         with pytest.raises(ShapeError):
             conv_output_extent(2, 5, 1, 0)
 
+    @pytest.mark.parametrize("op", [conv2d_forward, depthwise_conv2d_forward])
+    @pytest.mark.parametrize("stride, padding, message", [
+        ((0, 1), (1, 1), "stride 0 < 1"),
+        ((1, -2), (1, 1), "stride -2 < 1"),
+        ((1, 1), (-1, 0), "padding -1 < 0"),
+    ])
+    def test_rejects_bad_stride_or_padding_by_name(self, op, stride, padding, message):
+        """A stride below 1 (once a ZeroDivisionError) and a negative padding
+        (once a broadcast error deep in the op) raise ShapeError naming them."""
+        x = np.ones((1, 2, 6, 6))
+        w = np.ones((2, 1, 3, 3)) if op is depthwise_conv2d_forward else np.ones((3, 2, 3, 3))
+        with pytest.raises(ShapeError, match=message):
+            op(x, w, None, stride, padding)
+
     def test_rejects_channel_mismatch(self):
         with pytest.raises(ShapeError):
             conv2d_forward(np.ones((1, 2, 4, 4)), np.ones((1, 3, 3, 3)))
@@ -149,6 +163,42 @@ def test_pad_input_matches_np_pad(ph, pw, dtype, sliced):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
     assert got.flags.c_contiguous and not np.shares_memory(got, x)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("pad", [0, 1])
+def test_pointwise_input_gradient_is_the_patch_gradient(dtype, pad):
+    """A 1x1, stride-1 convolution returns its patch gradient as the input
+    gradient; the bytes equal the general scatter onto a zeroed buffer."""
+    rng = np.random.default_rng(53)
+    x = rng.standard_normal((3, 6, 5, 4)).astype(dtype)
+    w = rng.standard_normal((7, 6, 1, 1)).astype(dtype)
+    g = rng.standard_normal(conv2d_forward(x, w, None, padding=(pad, pad)).shape).astype(dtype)
+    gx, _, _ = conv2d_backward(g, x, w, padding=(pad, pad))
+    n, o, ho, wo = g.shape
+    patch = np.matmul(w.reshape(7, 6).T, g.reshape(n, o, ho * wo)).reshape(n, 6, ho, wo)
+    scatter = np.zeros((n, 6, ho, wo), dtype)
+    scatter += patch
+    want = scatter[:, :, pad:ho - pad, pad:wo - pad]
+    assert gx.dtype == dtype and gx.shape == x.shape and gx.flags.c_contiguous
+    assert gx.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kernel, stride", [(1, 1), (3, 1), (3, 2)])
+def test_unpadded_conv_of_a_non_contiguous_input_matches_its_copy(kernel, stride):
+    """An unpadded conv views its patches straight from x, so a sliced x is
+    made contiguous first; forward and backward give the bytes of a copy."""
+    rng = np.random.default_rng(59)
+    x = _sliced(rng, (2, 4, 7, 6), np.float32)
+    xc = np.ascontiguousarray(x)
+    w = rng.standard_normal((5, 4, kernel, kernel)).astype(np.float32)
+    b = rng.standard_normal(5).astype(np.float32)
+    st = (stride, stride)
+    out = conv2d_forward(x, w, b, st)
+    assert out.tobytes() == conv2d_forward(xc, w, b, st).tobytes()
+    g = rng.standard_normal(out.shape).astype(np.float32)
+    for got, want in zip(conv2d_backward(g, x, w, st), conv2d_backward(g, xc, w, st)):
+        assert got.tobytes() == want.tobytes()
 
 
 def _finite_checked_ops():
@@ -324,11 +374,10 @@ class TestDepthwise:
         with pytest.raises(ShapeError):
             depthwise_conv2d_forward(np.ones((1, 2, 4, 4)), np.ones((3, 1, 3, 3)))
 
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_forward_peak_memory(self, stride):
-        """The banded forward holds the padded copy, the output, one product
-        temporary and a (C, Wp, Wo) band. A kernel that materializes the
-        kh*kw patch matrix peaks above 11x the output and fails here."""
+    @staticmethod
+    def _forward_peak(stride):
+        """tracemalloc peak of a warm float32 (8, 4, 32, 32) 3x3 forward at
+        padding 1, and its output."""
         x = np.random.default_rng(83).standard_normal((8, 4, 32, 32)).astype(np.float32)
         w = np.ones((4, 1, 3, 3), np.float32)
         b = np.ones(4, np.float32)
@@ -336,15 +385,32 @@ class TestDepthwise:
         tracemalloc.start()
         try:
             out = depthwise_conv2d_forward(x, w, b, (stride, stride), (1, 1))
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1], out
         finally:
             tracemalloc.stop()
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_forward_peak_memory(self, stride):
+        """A kernel that materializes the kh*kw patch matrix peaks above 11x
+        the output and fails here."""
+        peak, out = self._forward_peak(stride)
         padded = 8 * 4 * 34 * 34 * 4
         assert peak <= padded + 2.5 * out.nbytes
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_forward_builds_no_padded_copy(self, stride):
+        """The forward reads the unpadded input: its peak is the output, one
+        output-sized product temporary and the (C, Wp, Wo) band, plus at
+        most 8 KiB of index and iterator scratch that does not grow with the
+        batch. A forward that pads x first holds a further (8, 4, 34, 34)
+        float32 copy (148 kB) and fails here."""
+        peak, out = self._forward_peak(stride)
+        band = 4 * 34 * out.shape[3] * 4
+        assert peak <= 2 * out.nbytes + band + 8192
+
     def test_backward_peak_memory(self):
-        """The weight gradient holds the padded input and one (N, C, Wp, Wo)
-        product; the input gradient then holds grad_x and one (N, C, Ho, W)
+        """The weight gradient holds one (N, C, W, Wo) product and a (C, Wp,
+        Wo) sum; the input gradient then holds grad_x and one (N, C, Ho, W)
         product. At stride 2 both products are half as wide, so the backward
         peaks clearly below stride 1 on the same input. A backward that runs
         the input gradient through a padded or dilated input-sized buffer
