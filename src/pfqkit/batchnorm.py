@@ -13,6 +13,13 @@ out = centered * (gamma * inv_std) + beta. Its cache holds the centered
 input x - mu, inv_std = 1/sqrt(sigma2 + epsilon) and gamma: one full-size
 array. The normalized input x-hat = centered * inv_std is never built; the
 backward folds inv_std into its per-channel coefficients instead.
+
+Each kernel takes out=, an array it may write into when out has its
+result's dtype: the training forward writes the centered input there (the
+engine hands over the conv output, which BN was its last reader of), the
+inference forward its output, and the backward grad_x (the engine hands
+over the consumed cache's centered input). Without out, no kernel writes to
+its inputs.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tensor_ops import ensure_finite, ShapeError
+from .tensor_ops import ensure_finite, result_buffer, ShapeError
 
 
 @dataclass
@@ -76,10 +83,11 @@ def _per_channel_dot(a, b):
     return np.einsum("ncm,ncm->c", a.reshape(n, c, -1), b.reshape(n, c, -1))
 
 
-def bn_forward_train(x, params):
+def bn_forward_train(x, params, out=None):
     """Normalize with batch statistics and advance the running statistics.
 
-    Returns (out, BatchStats, updated BNParams, BNCache).
+    Returns (out, BatchStats, updated BNParams, BNCache). The centered input,
+    which the cache keeps, is written into out when given (it may be x).
     """
     ensure_finite("bn", x=x)
     c = params.gamma.shape[0]
@@ -89,7 +97,7 @@ def bn_forward_train(x, params):
         raise ValueError(f"bn training needs at least 2 elements per channel, got {count}")
 
     mu = np.add.reduce(x, axis=axes) / count
-    centered = x - mu.reshape(shape)
+    centered = np.subtract(x, mu.reshape(shape), out=result_buffer(out, x, mu))
     sigma2 = _per_channel_dot(centered, centered) / count
     inv_std = 1.0 / np.sqrt(sigma2 + params.epsilon)
     out = centered * (params.gamma * inv_std).reshape(shape)
@@ -109,21 +117,24 @@ def bn_forward_train(x, params):
     return out, stats, updated, cache
 
 
-def bn_forward_infer(x, params):
-    """Normalize with the stored running statistics."""
+def bn_forward_infer(x, params, out=None):
+    """Normalize with the stored running statistics, into out when out has
+    the result's dtype (it may be x)."""
     ensure_finite("bn", x=x)
     c = params.gamma.shape[0]
     _, shape = _axes_and_expand(x, c)
     inv_std = 1.0 / np.sqrt(params.running_var + params.epsilon)
     scale = (params.gamma * inv_std).reshape(shape)
     shift = (params.beta - params.gamma * inv_std * params.running_mean).reshape(shape)
-    return x * scale + shift
+    out = result_buffer(out, x, scale, shift)
+    return np.add(np.multiply(x, scale, out=out), shift, out=out)
 
 
-def bn_backward_train(grad_out, cache):
+def bn_backward_train(grad_out, cache, out=None):
     """Gradients through the training-mode forward.
 
-    Returns (grad_x, grad_gamma, grad_beta).
+    Returns (grad_x, grad_gamma, grad_beta). grad_x is written into out when
+    out has its dtype; the engine hands over the consumed cache.centered.
     """
     centered, inv_std = cache.centered, cache.inv_std
     c = cache.gamma.shape[0]
@@ -135,7 +146,8 @@ def bn_backward_train(grad_out, cache):
 
     # gamma * inv_std * (g - mean(g) - xhat * mean(g * xhat)) with
     # xhat = centered * inv_std, built in one buffer
-    grad_x = centered * (grad_gamma * inv_std / count).reshape(shape)
+    coeff = (grad_gamma * inv_std / count).reshape(shape)
+    grad_x = np.multiply(centered, coeff, out=result_buffer(out, centered, coeff))
     np.subtract(grad_out, grad_x, out=grad_x)
     grad_x -= (grad_beta / count).reshape(shape)
     grad_x *= (cache.gamma * inv_std).reshape(shape)

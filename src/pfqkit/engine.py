@@ -13,6 +13,22 @@ its trace: once a layer's backward has run, its cache, output and incoming
 gradient are gone, so each tensor is freed at its last use and a trace can be
 backpropagated once.
 
+Ownership: an array that nothing can read after the current op is handed to
+that op as out=, and the elementwise ops (relu and relu6 forward and
+backward, quantize and its backward, the three BN kernels) write into it
+instead of allocating. That covers a layer output whose last reader is this
+layer and that no cache holds (in a pass that drops outputs), a consumed BN
+cache (the backward writes grad_x into its centered input) and a backward
+gradient that no junction shares. The graph input, every output of a trace
+that keeps them, an output a later add_junction reads, an activation's
+output in training (its cache), the caller's grad_final and a gradient a
+junction sent to two layers are never handed over. The decisions are made
+once per forward call (_schedule) and per gradient in backward_graph; ops
+called directly, without out=, never write to their inputs. Outputs and
+gradients are byte for byte those of a pass that hands nothing over; a
+streamed conv, activation and activation point then fill one array, not
+three.
+
 Training mode runs BN on batch statistics and advances the running statistics
 in place on the graph; inference mode uses the stored running statistics and
 never mutates it.
@@ -20,9 +36,20 @@ never mutates it.
 Quantization points apply when enabled. A weight point quantizes the layer's
 weight tensor with the tensor's own live min/max; the master weights stay
 real and gradients attach to them (the live range covers every element, so
-the straight-through mask is all ones). An activation point snaps the tensor
-with its EMA range; when the range is not yet initialized, or has collapsed
-to a single value, the point passes through unchanged.
+the straight-through mask is all ones). The quantized tensor is memoized on
+the point and served while the weight array is the same object with the same
+bytes and bits. An activation point snaps the tensor with its EMA range;
+when the range is not yet initialized, or has collapsed to a single value,
+the point passes through unchanged.
+
+Absorption: in a pass that drops outputs in inference mode, a relu or relu6
+whose only reader is an applying activation point with range [m, M] inside
+its own (0 <= m, and M <= 6 for relu6) passes its input through, since
+clip(clip(x, 0, 6), m, M) equals clip(x, m, M) bit for bit. Training never
+absorbs: range updates read the activated values, and relu6's gradient mask
+(0 < y < 6) is open where the point's straight-through mask is closed. The
+one visible difference: a conv output that overflowed to +-inf, which relu6
+clipped, reaches the quantizer, which raises its non-finite ValueError.
 """
 
 from __future__ import annotations
@@ -45,11 +72,22 @@ class ForwardTrace:
 
 
 def _quantized_weights(layer):
+    """The weights a conv, depthwise conv or affine layer computes with. An
+    enabled weight point's quantized tensor is memoized on the point, keyed
+    by the weight array object and bits, and served only while that array
+    still holds the bytes it was made from, so an in-place write to the
+    master weights is never served stale. The memo is read-only."""
     w = layer.params.weights
     point = layer.weight_quant
     if point is None or not point.enabled:
         return w
-    return quantize(w, weight_range_cfg(w, point.cfg.bits))
+    bits, memo = point.cfg.bits, point.memo
+    if memo is not None and memo[0] is w and memo[1] == bits and memo[2] == w.tobytes():
+        return memo[3]
+    wq = quantize(w, weight_range_cfg(w, bits))
+    wq.flags.writeable = False
+    point.memo = (w, bits, w.tobytes(), wq)
+    return wq
 
 
 def _weighted(forward_op, backward_op):
@@ -61,7 +99,7 @@ def _weighted(forward_op, backward_op):
         w = _quantized_weights(layer)
         return forward_op(layer, x, w), (x, w)
 
-    def backward(layer, g, cache, send, input_grad):
+    def backward(layer, g, cache, send, input_grad, out):
         upstream, gw, gb = backward_op(layer, g, *cache, layer.params.bias is not None, input_grad)
         return upstream, {"weights": gw} if gb is None else {"weights": gw, "bias": gb}
 
@@ -72,57 +110,64 @@ def _activation(forward_op, backward_op):
     """(forward, backward) of an activation whose backward reads its output
     y, which the next layer holds anyway, so the input dies here."""
 
-    def forward(layer, x, *_):
-        y = forward_op(x)
+    def forward(layer, x, trace, training, update_ranges, out):
+        y = forward_op(x, out)
         return y, y
 
-    return forward, lambda layer, g, y, *_: (backward_op(g, y), None)
+    return forward, lambda layer, g, y, send, input_grad, out: (backward_op(g, y, out), None)
 
 
-def _bn_forward(layer, x, trace, training, update_ranges):
+def _pass_through(layer, x, *_):
+    return x, None
+
+
+def _bn_forward(layer, x, trace, training, update_ranges, out):
     if not training:
-        return bn_forward_infer(x, layer.params), None
-    out, stats, layer.params, cache = bn_forward_train(x, layer.params)
+        return bn_forward_infer(x, layer.params, out=out), None
+    out, stats, layer.params, cache = bn_forward_train(x, layer.params, out=out)
     trace.bn_stats[layer.name] = stats
     return out, cache
 
 
 def _bn_backward(layer, g, cache, *_):
-    upstream, ggamma, gbeta = bn_backward_train(g, cache)
+    # The cache is consumed here, so grad_x takes over its centered input.
+    upstream, ggamma, gbeta = bn_backward_train(g, cache, out=cache.centered)
     return upstream, {"gamma": ggamma, "beta": gbeta}
 
 
-def _junction_forward(layer, x, trace, training, update_ranges):
+def _junction_forward(layer, x, trace, *_):
     a, b = layer.params
     return T.elementwise_add(trace.outputs[a], trace.outputs[b]), None
 
 
-def _junction_backward(layer, g, cache, send, _):
+def _junction_backward(layer, g, cache, send, *_):
     for ref in layer.params:
         send(ref, g)
     return None, None
 
 
-def _act_quant_forward(layer, x, trace, training, update_ranges):
+def _act_quant_forward(layer, x, trace, training, update_ranges, out):
     point = layer.params
     if point.enabled and training and update_ranges:
         point.cfg = update_activation_range(x, point.cfg)
     if not act_point_applies(point):
         return x, None
-    return quantize(x, point.cfg), (x, point.cfg)
+    return quantize(x, point.cfg, out=out), (x, point.cfg)
 
 
-def _act_quant_backward(layer, g, cache, *_):
-    return (g if cache is None else quantize_backward(g, *cache)), None
+def _act_quant_backward(layer, g, cache, send, input_grad, out):
+    return (g if cache is None else quantize_backward(g, *cache, out=out)), None
 
 
 # One (forward, backward) pair per layer kind. A forward maps
-# (layer, x, trace, training, update_ranges) to (output, cache); a backward
-# maps (layer, grad, cache, send, input_grad) to (upstream gradient, parameter
-# gradients); a conv or depthwise conv skips its upstream gradient when
-# input_grad is False (the first layer, whose input gradient has no reader),
-# and any other kind may still return one, which is then dropped. An affine
-# layer needs a flat input, so it is never first.
+# (layer, x, trace, training, update_ranges, out) to (output, cache); a
+# backward maps (layer, grad, cache, send, input_grad, out) to (upstream
+# gradient, parameter gradients). out is x, or grad, when the engine hands
+# that array over (the ownership rule in the module docstring), else None;
+# kinds that cannot write there ignore it. A conv or depthwise conv skips its
+# upstream gradient when input_grad is False (the first layer, whose input
+# gradient has no reader), and any other kind may still return one, which is
+# then dropped. An affine layer needs a flat input, so it is never first.
 # Ops are looked up through `T` and this module's globals at call time, never
 # bound at import, so that a patched module attribute reaches every call (the
 # traced benchmark run, perfbench/spans.py, times ops that way).
@@ -139,30 +184,81 @@ _LAYER_OPS = {
         lambda l, x, w: T.affine_forward(x, w, l.params.bias),
         lambda l, g, x, w, b, _: T.affine_backward(g, x, w, has_bias=b)),
     "bn": (_bn_forward, _bn_backward),
-    "relu": _activation(lambda x: T.relu_forward(x), lambda g, y: T.relu_backward(g, y)),
-    "relu6": _activation(lambda x: T.relu6_forward(x), lambda g, y: T.relu6_backward(g, y)),
+    "relu": _activation(lambda x, out: T.relu_forward(x, out=out),
+                        lambda g, y, out: T.relu_backward(g, y, out=out)),
+    "relu6": _activation(lambda x, out: T.relu6_forward(x, out=out),
+                         lambda g, y, out: T.relu6_backward(g, y, out=out)),
     "global_avg_pool": (lambda l, x, *_: (T.global_avg_pool_forward(x), x.shape[2:]),
                         lambda l, g, cache, *_: (T.global_avg_pool_backward(g, cache), None)),
     "add_junction": (_junction_forward, _junction_backward),
     "quant_point": (_act_quant_forward, _act_quant_backward),
 }
+# Per kind: whether its forward can write its output into its input, whether
+# its training cache holds its input, whether it is an activation (whose
+# training cache is its output).
+_OWNERSHIP = {kind: (kind in ("bn", "relu", "relu6", "quant_point"),
+                     kind in ("conv", "depthwise_conv", "affine", "quant_point"),
+                     kind in ("relu", "relu6"))
+              for kind in _LAYER_OPS}
 
 
-def _release_schedule(graph):
-    """release[i] names the outputs whose last reader is layer i: the next
-    layer, or the last add_junction that names the output. The final output
-    has no reader and is never released."""
-    n = len(graph.layers)
-    last = {layer.name: i + 1 for i, layer in enumerate(graph.layers)}
-    for i, layer in enumerate(graph.layers):
+def _absorbed(layer, reader):
+    """Whether activation `layer` adds nothing before its reader: an applying
+    activation point whose range [m, M] lies inside the activation's, where
+    clip(clip(x, 0, 6), m, M) equals clip(x, m, M) bit for bit."""
+    if reader.kind != "quant_point" or not act_point_applies(reader.params):
+        return False
+    cfg = reader.params.cfg
+    return cfg.m >= 0 and (layer.kind == "relu" or cfg.M_up <= 6)
+
+
+def _schedule(graph, training, keep_outputs):
+    """The plan of one forward_graph call: per layer, (layer, forward, own,
+    release).
+
+    release names the outputs whose last reader is this layer: the next
+    layer, or the last add_junction that names the output (the final output
+    has no reader and is never released). own tells that the layer's input is
+    handed to it as out=. A layer's output shares its input's buffer when the
+    layer wrote there or may pass its input through (a quant point, an
+    absorbed activation), so the input is free when every output in that
+    buffer is read by the next layer alone and no cache holds it (an
+    activation's training cache is its output; a conv, depthwise conv,
+    affine or quant point caches its input); the graph input is never free.
+    In inference, forward is a pass-through for an activation whose only
+    reader absorbs it (_absorbed). A trace that keeps every output releases,
+    hands over and absorbs nothing.
+    """
+    layers = graph.layers
+    if keep_outputs:
+        return [(layer, _LAYER_OPS[layer.kind][0], False, ()) for layer in layers]
+    n = len(layers)
+    last = {}
+    for i, layer in enumerate(layers, 1):
+        last[layer.name] = i
         if layer.kind == "add_junction":
             for ref in layer.params:
-                last[ref] = max(last[ref], i)
-    release = [[] for _ in range(n)]
+                last[ref] = i - 1
+    release = [[] for _ in range(n + 1)]
     for name, i in last.items():
-        if i < n:
-            release[i].append(name)
-    return release
+        release[i].append(name)
+    plan = []
+    free = False
+    for i, layer in enumerate(layers):
+        kind = layer.kind
+        writes_input, caches_input, activation = _OWNERSHIP[kind]
+        forward = _LAYER_OPS[kind][0]
+        if training and caches_input:
+            free = False
+        own = free and writes_input
+        sole = last[layer.name] == i + 1
+        if (activation and sole and not training and i + 1 < n
+                and _absorbed(layer, layers[i + 1])):
+            forward = _pass_through
+        shares = own or forward is _pass_through or kind == "quant_point"
+        free = (free or not shares) and sole and not (training and activation)
+        plan.append((layer, forward, own, release[i]))
+    return plan
 
 
 def forward_graph(graph, x, *, training=False, update_ranges=False, keep_outputs=True):
@@ -177,18 +273,17 @@ def forward_graph(graph, x, *, training=False, update_ranges=False, keep_outputs
     its last reader and only the final one is kept.
     """
     trace = ForwardTrace(outputs={}, caches={} if training else None, bn_stats={})
-    release = None if keep_outputs else _release_schedule(graph)
+    outputs = trace.outputs
     prev = x
-    for i, layer in enumerate(graph.layers):
-        prev, cache = _LAYER_OPS[layer.kind][0](layer, prev, trace, training, update_ranges)
+    for layer, forward, own, release in _schedule(graph, training, keep_outputs):
+        prev, cache = forward(layer, prev, trace, training, update_ranges, prev if own else None)
         if training:
             trace.caches[layer.name] = cache
         # An unrecorded cache would keep this layer's input alive through the next layer.
         del cache
-        trace.outputs[layer.name] = prev
-        if release is not None:
-            for name in release[i]:
-                del trace.outputs[name]
+        outputs[layer.name] = prev
+        for name in release:
+            del outputs[name]
     return trace
 
 
@@ -206,27 +301,30 @@ def backward_graph(graph, trace, grad_final):
         got = "an inference-mode trace" if caches is None else "a consumed trace"
         raise ValueError("backward_graph needs a training-mode trace that has not been "
                          f"consumed; got {got}")
-    grad_map = {graph.layers[-1].name: grad_final}
+    # grad_map holds (gradient, owned). A backward op may write into an owned
+    # gradient, which no other name holds: not the caller's grad_final, not a
+    # gradient a junction sent to both its inputs. A sum of two is a new array.
+    grad_map = {graph.layers[-1].name: (grad_final, False)}
 
-    # Backward ops never write to their inputs, so a gradient can be stored
-    # and shared as it is; accumulation allocates a new array.
-    def send(name, g):
+    def send(name, g, owned=False):
         prior = grad_map.get(name)
-        grad_map[name] = g if prior is None else prior + g
+        grad_map[name] = (g, owned) if prior is None else (prior[0] + g, True)
 
     param_grads = {}
     for i in range(len(graph.layers) - 1, -1, -1):
         layer = graph.layers[i]
         cache = caches.pop(layer.name)
         trace.outputs.pop(layer.name, None)
-        g = grad_map.pop(layer.name, None)
-        if g is None:
+        entry = grad_map.pop(layer.name, None)
+        if entry is None:
             continue
-        upstream, grads = _LAYER_OPS[layer.kind][1](layer, g, cache, send, i > 0)
+        g, owned = entry
+        upstream, grads = _LAYER_OPS[layer.kind][1](layer, g, cache, send, i > 0,
+                                                    g if owned else None)
         if grads is not None:
             param_grads[layer.name] = grads
         if upstream is not None and i > 0:
-            send(graph.layers[i - 1].name, upstream)
+            send(graph.layers[i - 1].name, upstream, owned or upstream is not g)
     return param_grads
 
 

@@ -82,6 +82,9 @@ class ModelGraph:
                     if ref not in seen:
                         raise GraphError(f"add_junction '{layer.name}' references '{ref}' "
                                          "which is not an earlier layer")
+            point = layer.params if layer.kind == "quant_point" else layer.weight_quant
+            if point is not None:
+                _check_quant_cfg(layer.name, point.cfg)
             seen.add(layer.name)
         infer_shapes(self)
 
@@ -93,6 +96,17 @@ class ModelGraph:
             if layer.name == name:
                 return i
         raise KeyError(name)
+
+
+def _check_quant_cfg(name, cfg):
+    """A quantizer needs bits >= 1 and, once initialized, a finite range with
+    m <= M_up; a collapsed range (m == M_up) is the documented pass-through."""
+    if not cfg.bits >= 1:
+        raise GraphError(f"layer '{name}': quantizer bits must be >= 1, got {cfg.bits}")
+    if cfg.initialized and not (math.isfinite(cfg.m) and math.isfinite(cfg.M_up)
+                                and cfg.m <= cfg.M_up):
+        raise GraphError(f"layer '{name}': quantizer range [{cfg.m}, {cfg.M_up}] "
+                         "must be finite with m <= M_up")
 
 
 def copy_layer(layer):

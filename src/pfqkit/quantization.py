@@ -9,18 +9,28 @@ index t = (x - m) / scale is never negative, so rounding half away from
 zero is exactly floor(t + 0.5), which the quantizer computes in one output
 buffer.
 
-Two range policies exist. Weight tensors use their own min/max, recomputed
-live at every forward. Activation ranges are tracked as an exponential
-moving average of observed batch min/max and frozen outside of training.
+Two range policies exist. Weight tensors use their own min/max, derived
+again whenever the weights change (the engine memoizes the quantized tensor
+on the weight point while the weight array keeps its bytes). Activation
+ranges are tracked as an exponential moving average of observed batch
+min/max and frozen outside of training.
+
+quantize and quantize_backward write into out= when handed one (it may be
+an input): quantize only when out has the dtype it would compute in, so the
+bytes match a new array. The engine hands over a dead activation, and in
+inference an activation point whose range lies inside [0, 6] also does the
+clamp of the relu6 before it (see the engine's absorption). A graph rejects
+a point with bits < 1 or an initialized range that is not finite with
+m <= M_up (ModelGraph.validate).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .tensor_ops import ensure_finite
+from .tensor_ops import ensure_finite, result_buffer
 
 WEIGHT_POLICY = "weight_minmax_per_tensor"
 ACTIVATION_POLICY = "activation_ema_minmax"
@@ -55,6 +65,9 @@ class QuantPoint:
     target: str
     cfg: QuantConfig
     enabled: bool = True
+    # A weight point's last (weights, bits, weight bytes, quantized weights),
+    # kept by the engine; never saved and never compared.
+    memo: tuple | None = field(default=None, compare=False, repr=False)
 
 
 def act_point_applies(point):
@@ -63,15 +76,17 @@ def act_point_applies(point):
     return point.enabled and point.cfg.initialized and point.cfg.M_up > point.cfg.m
 
 
-def quantize(x, cfg):
-    """Snap x onto the quantizer grid of cfg. Errors on a degenerate range."""
+def quantize(x, cfg, out=None):
+    """Snap x onto the quantizer grid of cfg. Errors on a degenerate range.
+    Writes into out (which may be x) when out has the result's dtype."""
     ensure_finite("quantize", x=x)
     if cfg.bits < 1:
         raise QuantRangeError(f"bits must be >= 1, got {cfg.bits}")
     if not cfg.M_up > cfg.m:
         raise QuantRangeError(f"degenerate quantizer range [{cfg.m}, {cfg.M_up}]")
     m, scale = cfg.m, cfg.scale
-    out = np.asarray(np.clip(x, m, cfg.M_up))  # a 0-d clip returns a scalar
+    out = result_buffer(out, x, m, cfg.M_up)
+    out = np.asarray(np.clip(x, m, cfg.M_up, out=out))  # a 0-d clip returns a scalar
     out -= m
     out /= scale
     out += 0.5
@@ -81,10 +96,10 @@ def quantize(x, cfg):
     return out.astype(x.dtype, copy=False)
 
 
-def quantize_backward(grad_out, x, cfg):
+def quantize_backward(grad_out, x, cfg, out=None):
     """Straight-through gradient: passes where x lies inside [m, M], else zero."""
     mask = (x >= cfg.m) & (x <= cfg.M_up)
-    return grad_out * mask
+    return np.multiply(grad_out, mask, out=out)
 
 
 def weight_range_cfg(weights, bits):

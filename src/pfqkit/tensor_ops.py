@@ -2,7 +2,11 @@
 
 Tensors are plain numpy arrays, NCHW for feature maps. Every op is a pure
 function with an explicit backward companion; there is no tape, and no op
-writes to its inputs. Full convolutions lay each image's patches out as a
+writes to its inputs unless that input is handed over as out=: relu and
+relu6, forward and backward, write their result into out (which may be an
+input), as quantize and the BN kernels do when out has their result's dtype
+(result_buffer). The engine hands arrays over under its ownership rule.
+Full convolutions lay each image's patches out as a
 (C*kh*kw, Ho*Wo) im2col matrix in NCHW order and left-multiply it by the
 (O, C*kh*kw) weights in one batched matmul, whose product is already the
 NCHW output; for a 1x1, stride-1, unpadded convolution the matrix is a view
@@ -74,6 +78,12 @@ def ensure_finite(op, **arrays):
             raise ValueError(f"{op}: non-finite values in {arg}")
 
 
+def result_buffer(out, *operands):
+    """out when the result of operands has its dtype, else None: an op handed
+    out= writes into it only where that rounds as a new array would."""
+    return out if out is not None and np.result_type(*operands) == out.dtype else None
+
+
 def conv_output_extent(size, kernel, stride, pad):
     """Output extent along one axis; raises ShapeError on a stride below 1, a
     negative padding or an output shorter than 1."""
@@ -140,8 +150,15 @@ def conv2d_forward(x, weights, bias=None, stride=(1, 1), padding=(0, 0)):
     ph, pw = padding
     ho = conv_output_extent(h, kh, sh, ph)
     wo = conv_output_extent(w, kw, sw, pw)
-    cols = _im2col(_pad_input(x, ph, pw), kh, kw, sh, sw).reshape(n, c * kh * kw, ho * wo)
-    out = np.matmul(weights.reshape(o, c * kh * kw), cols).reshape(n, o, ho, wo)
+    xp = _pad_input(x, ph, pw)
+    # The output is allocated before the patch matrix, whose memory then goes
+    # back to the top of the heap when it is freed, not into a hole under the
+    # output that the next layer's arrays would not fit: with glibc's malloc,
+    # that hole made the heap of a wide_infer batch grow and be trimmed on
+    # every batch, with 2.7k page faults a batch.
+    out = np.empty((n, o, ho * wo), dtype=np.result_type(x, weights))
+    cols = _im2col(xp, kh, kw, sh, sw).reshape(n, c * kh * kw, ho * wo)
+    out = np.matmul(weights.reshape(o, c * kh * kw), cols, out=out).reshape(n, o, ho, wo)
     if bias is not None:
         out += bias.reshape(1, o, 1, 1)
     return out
@@ -358,25 +375,25 @@ def affine_backward(grad_out, x, weights, has_bias=True):
     return grad_x, grad_w, grad_b
 
 
-def relu_forward(x):
-    return np.maximum(x, 0)
+def relu_forward(x, out=None):
+    return np.maximum(x, 0, out=out)
 
 
-def relu_backward(grad_out, y):
+def relu_backward(grad_out, y, out=None):
     """Gradient through relu from its output y: y > 0 selects exactly the
     inputs x > 0. The derivative at exactly zero is taken as zero, so
     channels parked at the activation threshold receive no gradient."""
-    return grad_out * (y > 0)
+    return np.multiply(grad_out, y > 0, out=out)
 
 
-def relu6_forward(x):
-    return x.clip(0, 6)
+def relu6_forward(x, out=None):
+    return x.clip(0, 6, out=out)
 
 
-def relu6_backward(grad_out, y):
+def relu6_backward(grad_out, y, out=None):
     """Gradient through relu6 from its output y: 0 < y < 6 selects exactly
     the inputs 0 < x < 6."""
-    return grad_out * ((y > 0) & (y < 6))
+    return np.multiply(grad_out, (y > 0) & (y < 6), out=out)
 
 
 def global_avg_pool_forward(x):

@@ -1,12 +1,14 @@
-"""Backward ops leave every input bit-identical.
+"""Backward ops called without out= leave every input bit-identical.
 
-The engine stores the first gradient that reaches a layer as it is and may
-hand the same array to several consumers (add junctions, pass-through quant
-points), and BN caches are reused between the forward and backward pass. That
-is only sound if no backward op writes to grad_out, x, the weights or the BN
-cache, which is what these tests pin down, in both storage dtypes. The
-depthwise forward is in the table too: unpadded, it multiplies views of x
-and adds the bias in place into the product, which must be a new array.
+The engine may hand the same gradient to several consumers (add junctions,
+pass-through quant points), and BN caches are reused between the forward
+and backward pass. It writes into an array only by handing it to an op as
+out= under its ownership rule (never a shared gradient, never a cache the
+backward still reads; tests/test_ownership.py), so every op called without
+out= must not write to grad_out, x, the weights or the BN cache, which is
+what these tests pin down, in both storage dtypes. The depthwise forward is
+in the table too: unpadded, it multiplies views of x and adds the bias in
+place into the product, which must be a new array.
 """
 
 import numpy as np

@@ -8,18 +8,23 @@ elementwise layers: there the set of live activations sets the peak, where on
 the builder nets a convolution's im2col transient would.
 """
 
+import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from pfqkit import engine
 from pfqkit import tensor_ops as T
 from pfqkit.batchnorm import init_bn
 from pfqkit.engine import backward_graph, forward_graph, loss_and_grads, run_inference
-from pfqkit.graph import AffineParams, LayerSpec, ModelGraph, copy_graph, fold_bn_graph
+from pfqkit.graph import (AffineParams, LayerSpec, ModelGraph, copy_graph, fold_bn_graph,
+                          save_model)
 from pfqkit.models import BUILDERS, build_ds_convnet, build_small_convnet
 from pfqkit.quantization import insert_quant_points
 from pfqkit.tensor_ops import ConvParams
+from pfqkit.training import OptimizerState, sgd_step
 
 CONSUMED = "needs a training-mode trace that has not been consumed"
 
@@ -173,3 +178,136 @@ def test_bn_output_dies_at_its_activation():
     cached = [a for cache in trace.caches.values() for a in _cached_arrays(cache)]
     assert len(cached) == 6  # conv input, weights; BN centered, inv_std, gamma; relu6 output
     assert not any(np.shares_memory(a, bn_out) for a in cached)
+
+
+def _folded_4bit_ds_convnet(x):
+    """ds_convnet (1 block, width 16, 16x16) folded, with enabled 4-bit weight
+    and activation points calibrated on x; the unfolded net is returned too."""
+    net = build_ds_convnet(input_shape=(3, 16, 16), width=16, blocks=1, seed=5)
+    forward_graph(net, x, training=True)
+    q = insert_quant_points(fold_bn_graph(net), 4, 4, act_enabled=True, weight_enabled=True)
+    forward_graph(q, x, training=True, update_ranges=True)
+    return net, q
+
+
+# One (16, 16, 16, 16) float32 tensor: an activation of the full-resolution layers.
+WIDE_ACTIVATION = 16 * 16 * 16 * 16 * 4
+
+
+def test_peak_memory_of_a_folded_4bit_inference():
+    """Each activation writes into the conv output it reads, or is absorbed,
+    and each point quantizes in place, so a block holds one array where it
+    held three. Measured: 4.01 activations before the ownership rule, 3.14
+    with it (the depthwise forward's input, output and product temporary)."""
+    x = _batch(build_ds_convnet(input_shape=(3, 16, 16)), n=16)
+    _, q = _folded_4bit_ds_convnet(x)
+    run_inference(q, x)  # builds the quantized-weight memos
+    assert _peak_bytes(run_inference, q, x) <= 3.5 * WIDE_ACTIVATION
+
+
+def test_peak_memory_of_a_training_step():
+    """BN writes its centered input into the conv output and each activation
+    into the BN output. Measured: 12.66 activations before the ownership
+    rule, 11.53 with it."""
+    x = _batch(build_ds_convnet(input_shape=(3, 16, 16)), n=16)
+    net, _ = _folded_4bit_ds_convnet(x)
+    labels = np.arange(16) % 4
+    loss_and_grads(net, x, labels)
+    assert _peak_bytes(loss_and_grads, net, x, labels) <= 12.1 * WIDE_ACTIVATION
+
+
+# --- the quantized-weight memo -------------------------------------------------
+
+def _weight_quantized_net():
+    net = insert_quant_points(build_small_convnet(seed=3), 4, 4, weight_enabled=True)
+    forward_graph(net, _batch(net), training=True, update_ranges=True)
+    return net
+
+
+def _without_memos(graph, x):
+    """run_inference on a copy of graph whose weight memos are cleared."""
+    g = copy_graph(graph)
+    for layer in g.layers:
+        if layer.weight_quant is not None:
+            layer.weight_quant.memo = None
+    return run_inference(g, x)
+
+
+@pytest.fixture
+def range_calls(monkeypatch):
+    """The bits of every weight range derived (each memo miss derives one)."""
+    calls = []
+    original = engine.weight_range_cfg
+    monkeypatch.setattr(engine, "weight_range_cfg",
+                        lambda w, bits: calls.append(bits) or original(w, bits))
+    return calls
+
+
+def test_memo_serves_unchanged_weights(range_calls):
+    net = _weight_quantized_net()
+    x = _batch(net)
+    first = run_inference(net, x)
+    range_calls.clear()
+    again = run_inference(net, x)
+    assert range_calls == []
+    assert again.tobytes() == first.tobytes() == _without_memos(net, x).tobytes()
+
+
+def test_memo_follows_an_sgd_step(range_calls):
+    net = _weight_quantized_net()
+    x = _batch(net)
+    run_inference(net, x)
+    _, _, grads, _ = loss_and_grads(net, x, np.arange(len(x)) % 4)
+    sgd_step(net, grads, OptimizerState(momentum=0.9), 0.1)
+    range_calls.clear()
+    out = run_inference(net, x)
+    assert len(range_calls) == 3  # conv1, conv2 and fc got new weight arrays
+    assert out.tobytes() == _without_memos(net, x).tobytes()
+
+
+def test_memo_follows_a_change_of_bits(range_calls):
+    net = _weight_quantized_net()
+    x = _batch(net)
+    before = run_inference(net, x)
+    point = net.layer("conv1").weight_quant
+    point.cfg = replace(point.cfg, bits=2)
+    range_calls.clear()
+    out = run_inference(net, x)
+    assert range_calls == [2]
+    assert out.tobytes() == _without_memos(net, x).tobytes() != before.tobytes()
+
+
+@pytest.mark.parametrize("where", [(0, 0, 0, 0), (3, 1, 1, 2)])
+def test_memo_follows_an_in_place_write(where, range_calls):
+    net = _weight_quantized_net()
+    x = _batch(net)
+    before = run_inference(net, x)
+    w = net.layer("conv2").params.weights
+    w[where] += np.float32(0.75) * (w.max() - w.min())
+    range_calls.clear()
+    out = run_inference(net, x)
+    assert range_calls == [4]
+    assert out.tobytes() == _without_memos(net, x).tobytes() != before.tobytes()
+
+
+def test_memo_of_a_copied_graph_follows_the_copy(range_calls):
+    net = _weight_quantized_net()
+    x = _batch(net)
+    before = run_inference(net, x)
+    copy = copy_graph(net)
+    assert copy.layer("conv1").weight_quant.memo[0] is copy.layer("conv1").params.weights
+    copy.layer("conv1").params.weights[0] *= 3
+    assert run_inference(copy, x).tobytes() == _without_memos(copy, x).tobytes()
+    assert run_inference(net, x).tobytes() == before.tobytes()
+
+
+def test_memo_is_read_only_unsaved_and_uncompared(tmp_path):
+    net = _weight_quantized_net()
+    trace = forward_graph(net, _batch(net), training=True)
+    assert not trace.caches["conv1"][1].flags.writeable  # (input, quantized weights)
+    point = net.layer("conv1").weight_quant
+    assert point.memo is not None and point == replace(point, memo=None)
+    manifest, _ = save_model(net, tmp_path / "model.json")
+    conv1 = json.loads(manifest.read_text())["layers"][0]
+    assert sorted(conv1["weight_quant"]) == ["M_up", "bits", "ema_momentum", "enabled",
+                                            "initialized", "m", "range_policy", "target"]

@@ -342,3 +342,63 @@ class TestBuilders:
         stem = g.layers[0]
         assert np.all(stem.params.weights[:2] == 0.0)
         assert np.any(stem.params.weights[2:] != 0.0)
+
+
+BAD_QUANT = [("bits", 0, "quantizer bits must be >= 1, got 0"),
+             ("m", float("nan"), r"quantizer range \[nan, 1.0\] must be finite"),
+             ("M_up", float("inf"), r"quantizer range \[0.0, inf\] must be finite"),
+             ("m", 2.0, r"quantizer range \[2.0, 1.0\] must be finite with m <= M_up")]
+
+
+def _initialized_point_graph():
+    g = insert_quant_points(build_small_convnet(seed=2), 4, 4)
+    for layer in g.layers:
+        if layer.kind == "quant_point":
+            layer.params.cfg.m, layer.params.cfg.M_up, layer.params.cfg.initialized = 0.0, 1.0, True
+    return g
+
+
+@pytest.mark.parametrize("field, value, message", BAD_QUANT)
+class TestMalformedQuantizer:
+    """A quantizer with bits < 1, or an initialized range that is not finite
+    or has m > M_up, fails when the graph is built or loaded, with the layer
+    named: an activation point with m = NaN would otherwise pass its input
+    through without a word, and bits = 0 would fail only at inference."""
+
+    def test_loaded_from_a_manifest(self, field, value, message, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(_initialized_point_graph(), path)
+        doc = json.loads(path.read_text())
+        relu1_q = next(d for d in doc["layers"] if d["name"] == "relu1_q")
+        relu1_q["quant"][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=f"layer 'relu1_q': {message}"):
+            load_model(path)
+
+    def test_built_in_python(self, field, value, message):
+        g = _initialized_point_graph()
+        setattr(g.layer("relu1_q").params.cfg, field, value)
+        with pytest.raises(GraphError, match=f"layer 'relu1_q': {message}"):
+            g.validate()
+
+
+def test_weight_point_bits_checked_at_load(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(_initialized_point_graph(), path)
+    doc = json.loads(path.read_text())
+    doc["layers"][0]["weight_quant"]["bits"] = 0
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match="layer 'conv1': quantizer bits must be >= 1"):
+        load_model(path)
+
+
+def test_collapsed_and_uninitialized_ranges_still_load(tmp_path):
+    g = _initialized_point_graph()
+    g.layer("relu1_q").params.cfg.M_up = 0.0  # collapsed: the documented pass-through
+    g.layer("relu2_q").params.cfg.m = float("nan")
+    g.layer("relu2_q").params.cfg.initialized = False  # never read until initialized
+    path = tmp_path / "model.json"
+    save_model(g, path)
+    loaded = load_model(path)
+    x = np.random.default_rng(0).uniform(-1, 1, (2, 3, 8, 8)).astype(np.float32)
+    assert run_inference(loaded, x).tobytes() == run_inference(g, x).tobytes()
