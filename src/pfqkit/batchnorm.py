@@ -14,6 +14,25 @@ input x - mu, inv_std = 1/sqrt(sigma2 + epsilon) and gamma: one full-size
 array. The normalized input x-hat = centered * inv_std is never built; the
 backward folds inv_std into its per-channel coefficients instead.
 
+The training kernels' per-channel elementwise passes (subtract mu, scale,
+add beta; in the backward the coefficient, mean and gamma * inv_std
+passes) take their per-channel operand as a row: the vector repeated into
+one C-contiguous image of shape (C, H, W), broadcast over the batch. numpy
+then runs each pass as one C*H*W inner loop per image, where a (1, C, 1, 1)
+operand gives one loop per (image, channel) plane, 1,024 elements long at
+32x32 and 64 at 8x8. The ufuncs and their order are unchanged, and so are
+the bytes. No operand is reshaped, so a non-contiguous x or out is read
+and written in place. In float32 on one core of an Intel Xeon, over the 13
+BN layers of the width-32 benchmark net at batch 64 (32x32 down to 8x8),
+the rows took the forward from a median of 53.2 to 44.9 ms a step and the
+backward from 49.4 to 40.8 ms. A row costs one ndarray.repeat and a reshape,
+about 1.5 us (np.repeat's wrapper would double that), which at a toy net's
+(8, 8, 8, 8) to (8, 16, 4, 4) is about what the longer loops save, so there
+it is neutral. The inference forward stays on broadcasts: a folded net has
+no BN layer, so it runs only where an unfolded net is evaluated, such as
+the toy pre-train's per-epoch evaluation, whose tensors are too small for a
+row to pay.
+
 Each kernel takes out=, an array it may write into when out has its
 result's dtype: the training forward writes the centered input there (the
 engine hands over the conv output, which BN was its last reader of), the
@@ -76,6 +95,15 @@ def _axes_and_expand(x, channels):
     return (0, 2, 3)[:x.ndim - 1], (1, channels, 1, 1)[:x.ndim]
 
 
+def _row(v, image, hw):
+    """The per-channel vector v, each entry repeated hw times, as one
+    C-contiguous image of shape (C, H, W) or (C,). Broadcast over the batch
+    axis, it lets numpy run an elementwise pass as one C*H*W inner loop per
+    image, where a (1, C, 1, 1) operand gives one loop per (image, channel)
+    plane."""
+    return v.repeat(hw).reshape(image)
+
+
 def _per_channel_dot(a, b):
     """sum(a * b) per channel over the (N, C, ...) arrays a and b, without
     building the full-size product."""
@@ -91,17 +119,18 @@ def bn_forward_train(x, params, out=None):
     """
     ensure_finite("bn", x=x)
     c = params.gamma.shape[0]
-    axes, shape = _axes_and_expand(x, c)
+    axes, _ = _axes_and_expand(x, c)
     count = x.size // c
     if count < 2:
         raise ValueError(f"bn training needs at least 2 elements per channel, got {count}")
 
+    image, hw = x.shape[1:], count // x.shape[0]
     mu = np.add.reduce(x, axis=axes) / count
-    centered = np.subtract(x, mu.reshape(shape), out=result_buffer(out, x, mu))
+    centered = np.subtract(x, _row(mu, image, hw), out=result_buffer(out, x, mu))
     sigma2 = _per_channel_dot(centered, centered) / count
     inv_std = 1.0 / np.sqrt(sigma2 + params.epsilon)
-    out = centered * (params.gamma * inv_std).reshape(shape)
-    out += params.beta.reshape(shape)
+    out = centered * _row(params.gamma * inv_std, image, hw)
+    out += _row(params.beta, image, hw)
 
     rho = params.rho
     bessel = count / (count - 1)
@@ -138,19 +167,20 @@ def bn_backward_train(grad_out, cache, out=None):
     """
     centered, inv_std = cache.centered, cache.inv_std
     c = cache.gamma.shape[0]
-    axes, shape = _axes_and_expand(centered, c)
+    axes, _ = _axes_and_expand(centered, c)
     count = centered.size // c
+    image, hw = centered.shape[1:], count // centered.shape[0]
 
     grad_gamma = _per_channel_dot(grad_out, centered) * inv_std
     grad_beta = np.add.reduce(grad_out, axis=axes)
 
     # gamma * inv_std * (g - mean(g) - xhat * mean(g * xhat)) with
     # xhat = centered * inv_std, built in one buffer
-    coeff = (grad_gamma * inv_std / count).reshape(shape)
+    coeff = _row(grad_gamma * inv_std / count, image, hw)
     grad_x = np.multiply(centered, coeff, out=result_buffer(out, centered, coeff))
     np.subtract(grad_out, grad_x, out=grad_x)
-    grad_x -= (grad_beta / count).reshape(shape)
-    grad_x *= (cache.gamma * inv_std).reshape(shape)
+    grad_x -= _row(grad_beta / count, image, hw)
+    grad_x *= _row(cache.gamma * inv_std, image, hw)
     return grad_x, grad_gamma, grad_beta
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import numbers
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -77,6 +78,7 @@ class ModelGraph:
             if layer.kind == "bn":
                 if i == 0 or self.layers[i - 1].kind not in CONV_LIKE:
                     raise GraphError(f"bn layer '{layer.name}' must directly follow a conv, depthwise conv, or affine")
+                _check_bn(layer.name, layer.params)
             if layer.kind == "add_junction":
                 for ref in layer.params:
                     if ref not in seen:
@@ -107,6 +109,19 @@ def _check_quant_cfg(name, cfg):
                                 and cfg.m <= cfg.M_up):
         raise GraphError(f"layer '{name}': quantizer range [{cfg.m}, {cfg.M_up}] "
                          "must be finite with m <= M_up")
+
+
+def _check_bn(name, params):
+    """BN divides by sqrt(running_var + epsilon): epsilon must be a finite
+    number > 0, and the running variance finite and >= 0, or inference goes
+    non-finite layers later."""
+    eps = params.epsilon
+    if not (isinstance(eps, numbers.Real) and math.isfinite(eps) and eps > 0):
+        raise GraphError(f"layer '{name}': bn epsilon must be finite and > 0, got {eps!r}")
+    var = params.running_var
+    if not (np.isfinite(var).all() and (var >= 0).all()):
+        raise GraphError(f"layer '{name}': bn running_var must be finite and >= 0, "
+                         f"got min {np.min(var)}")
 
 
 def copy_layer(layer):

@@ -15,9 +15,14 @@ forward and backward, at every stride and padding, and never pad: the
 input rows that row u reads inside the unpadded input, as (rows, W)
 matrices, times the W rows of a banded (Wp, Wo) matrix per channel that
 carries that row's taps on its diagonals. The input gradient is the
-adjoint: grad_out times the transposed band, added back onto the input rows
-row u read, so its cost follows grad_out and a stride-2 layer does a
-quarter of a stride-1 layer's work. The forward's transient is the output,
+adjoint: grad_out times the transposed band, onto the input rows row u
+read, so its cost follows grad_out and a stride-2 layer does a quarter of
+a stride-1 layer's work. The first kernel row to reach each residue of the
+input rows modulo the stride writes its product there directly (matmul
+out=), and only the rows of that residue it does not reach are zeroed
+before the later rows add on: the same bytes as adding every row onto a
+zero-filled gradient, up to the sign of a zero, which adding onto +0 would
+clear. The forward's transient is the output,
 one output-sized product temporary and the band; the backward's is one
 (N, C, W, Wo) per-row product for the weight gradient, then the input
 gradient and one per-row product for it.
@@ -38,8 +43,9 @@ call gives the same bytes. A full convolution's padded input is a new
 zero array with the input copied into its interior (np.pad costs four to
 eight times as much per call at that size); its patch view is built with
 the ndarray constructor, not as_strided (1.1 against 3.9-4.1 µs a call).
-The band diagonals' index arrays and the depthwise row plans are built
-once per shape and cached.
+The band diagonals are set and read through a strided view of the band,
+with no index arrays, and the depthwise row plans are built once per shape
+and cached.
 """
 
 from __future__ import annotations
@@ -204,16 +210,17 @@ def conv2d_backward(grad_out, x, weights, stride=(1, 1), padding=(0, 0), has_bia
     return _unpad(grad_xp, ph, pw), grad_w, grad_b
 
 
-@lru_cache
-def _band_diagonals(kw, sw, wo):
-    """Index of the (C, Wp, Wo) band entries (k*sw + v, k) as a (C, kw, Wo)
-    selection: tap v of a kernel row sits on the v-th band diagonal. A net
-    has few distinct (kw, sw, wo), so the read-only index arrays are built
-    once per shape."""
-    k = np.arange(wo)
-    rows = np.arange(kw)[:, None] + sw * k
-    k.flags.writeable = rows.flags.writeable = False
-    return slice(None), rows, k
+def _diagonals(band, kw, sw, transposed=False):
+    """The (C, kw, Wo) view of a C-contiguous band's tap diagonals, with no
+    index arrays: tap v of output column k sits at (k*sw + v, k) of a
+    (C, Wp, Wo) band, the strided run from offset v*Wo with step sw*Wo + 1,
+    and at (k, k*sw + v) of the transposed (C, Wo, Wp) band, from offset v
+    with step Wp + sw."""
+    c, rows, cols = band.shape
+    wo, v_step, k_step = (rows, 1, cols + sw) if transposed else (cols, cols, sw * cols + 1)
+    s = band.itemsize
+    return np.ndarray((c, kw, wo), band.dtype, buffer=band,
+                      strides=(band.strides[0], v_step * s, k_step * s))
 
 
 @lru_cache
@@ -256,12 +263,12 @@ def _depthwise_rows(x, taps, sh, sw, ph, pw, ho, wo):
     n, c, h, w = x.shape
     kh, kw = taps.shape[1:]
     plan = _row_plan(kh, h, ho, sh, ph)
-    diag = _band_diagonals(kw, sw, wo)
     band = np.zeros((c, w + 2 * pw, wo), dtype=np.result_type(x, taps))
+    diag = _diagonals(band, kw, sw)
     cols = band[:, pw:pw + w]  # the band rows of the unpadded input's columns
 
     def product(u, j0, j1, r0, out=None):
-        band[diag] = taps[:, u, :, None]
+        diag[...] = taps[:, u, :, None]
         return np.matmul(x[:, :, r0:r0 + (j1 - j0) * sh:sh], cols, out=out)
 
     if plan and plan[0][2] - plan[0][1] == ho:
@@ -308,10 +315,20 @@ def depthwise_conv2d_backward(grad_out, x, weights, stride=(1, 1), padding=(0, 0
     the unpadded columns of a zero-bordered (C, Wp, Wo) array, and tap (u, v)
     is the sum along its band diagonal (k*sw + v, k). Its input gradient is
     the adjoint of the same product: grad_out[:, :, j0:j1] @ band_u^T, with
-    the transposed band cut to the unpadded input's columns, adds straight
-    into the input rows that row u read, so neither gradient builds a padded
+    the transposed band cut to the unpadded input's columns, lands straight
+    on the input rows that row u read, so neither gradient builds a padded
     array. The input gradient's multiply-adds scale with grad_out, so a
     stride-2 layer does a quarter of a stride-1 layer's on the same input.
+
+    The input rows fall into one group per residue modulo sh. The first
+    kernel row of a group in plan order writes its product into its rows
+    (matmul out=), the group's rows it does not reach are zeroed, and later
+    rows of the group add onto them. Every input row thus sums its terms in
+    plan order, as adding each row onto a zero-filled grad_x did, and keeps
+    those bytes up to the sign of a zero (adding a -0.0 onto +0 gave +0.0).
+    A group no kernel row reaches is zeroed whole. For a 3x3 kernel at
+    padding 1, the middle kernel row writes the whole gradient at stride 1,
+    and nothing is added onto the even rows at stride 2.
 
     grad_out is not checked for finite values (the forward still raises
     ValueError on a non-finite input through ensure_finite). A non-finite
@@ -327,31 +344,45 @@ def depthwise_conv2d_backward(grad_out, x, weights, stride=(1, 1), padding=(0, 0
     ph, pw = padding
     ho, wo = grad_out.shape[2], grad_out.shape[3]
     plan = _row_plan(kh, h, ho, sh, ph)
-    diag = _band_diagonals(kw, sw, wo)
     grad_b = grad_out.sum(axis=(0, 2, 3)) if has_bias else None
 
     dtype = np.result_type(x, grad_out)
     grad_w = np.zeros(weights.shape, dtype=dtype)  # rows that read only padding stay zero
     summed = np.zeros((c, w + 2 * pw, wo), dtype=dtype)
+    diag = _diagonals(summed, kw, sw)
+    # (C, kw, Wo) in (kw, Wo, C) memory order, which sets the diagonal sums'
+    # summation order; a C-order copy sums, and rounds, differently
+    lanes = np.empty((kw, wo, c), dtype=dtype).transpose(2, 0, 1)
     prod = np.empty((n, c, w, wo), dtype=dtype)
     for u, j0, j1, r0 in plan:
         rows = x[:, :, r0:r0 + (j1 - j0) * sh:sh]
         np.matmul(rows.swapaxes(2, 3), grad_out[:, :, j0:j1], out=prod)
         summed[:, pw:pw + w] = np.add.reduce(prod, axis=0)
-        grad_w[:, 0, u] = summed[diag].sum(axis=2)
+        lanes[...] = diag
+        grad_w[:, 0, u] = lanes.sum(axis=2)
     del summed, prod
     if not input_grad:
         return None, grad_w, grad_b
 
     band_t = np.zeros((c, wo, w + 2 * pw), dtype=np.result_type(grad_out, weights))
-    diag_t = (diag[0], diag[2], diag[1])
+    diag_t = _diagonals(band_t, kw, sw, transposed=True)
     cols = band_t[:, :, pw:pw + w]  # the columns of the unpadded input
-    grad_x = np.zeros(x.shape, dtype=x.dtype)
+    grad_x = np.empty(x.shape, dtype=x.dtype)
     tmp = np.empty((n, c, ho, w), dtype=band_t.dtype)
+    written = set()  # the residues r0 % sh whose first kernel row has run
     for u, j0, j1, r0 in plan:
-        band_t[diag_t] = weights[:, 0, u, :, None]
-        part = np.matmul(grad_out[:, :, j0:j1], cols, out=tmp[:, :, :j1 - j0])
-        grad_x[:, :, r0:r0 + (j1 - j0) * sh:sh] += part
+        diag_t[...] = weights[:, 0, u, :, None]
+        r1, group = r0 + (j1 - j0) * sh, r0 % sh
+        if group in written:
+            grad_x[:, :, r0:r1:sh] += np.matmul(grad_out[:, :, j0:j1], cols, out=tmp[:, :, :j1 - j0])
+        else:
+            written.add(group)
+            np.matmul(grad_out[:, :, j0:j1], cols, out=grad_x[:, :, r0:r1:sh])
+            grad_x[:, :, group:r0:sh] = 0
+            grad_x[:, :, r1::sh] = 0
+    for group in range(sh):
+        if group not in written:
+            grad_x[:, :, group::sh] = 0
     return grad_x, grad_w, grad_b
 
 

@@ -94,6 +94,73 @@ def reference_depthwise_backward(grad_out, x, weights, stride, padding, has_bias
     return grad_x, grad_w, grad_b
 
 
+def _banded_plan(kh, h, ho, sh, ph):
+    """Kernel rows (u, j0, j1, r0) of the banded depthwise gradients: row u
+    covers output rows [j0, j1) and reads input rows r0, r0 + sh, ...; the
+    first row covering every output row goes first, the rest in order."""
+    plan = []
+    for u in range(kh):
+        j0, j1 = max(0, (ph - u + sh - 1) // sh), min(ho, (h - 1 + ph - u) // sh + 1)
+        if j0 < j1:
+            plan.append((u, j0, j1, j0 * sh + u - ph))
+    full = [row for row in plan if row[2] - row[1] == ho][:1]
+    return full + [row for row in plan if row not in full]
+
+
+def _band_index(kw, sw, wo):
+    """Fancy index of the (C, Wp, Wo) band entries (k*sw + v, k) as (C, kw, Wo)."""
+    k = np.arange(wo)
+    return slice(None), np.arange(kw)[:, None] + sw * k, k
+
+
+def fancy_index_depthwise_weight_grad(grad_out, x, weights, stride, padding):
+    """The banded depthwise weight gradient as the library first wrote it:
+    per kernel row, the (C, Wp, Wo) sum over images of x_rows^T @ grad_out
+    in a zero-bordered array, whose tap diagonals are read through fancy-
+    index arrays and summed. The library reads them through a strided view,
+    copied into the fancy-index copy's (kw, Wo, C) layout so that the sum
+    keeps its order, and must give these bytes."""
+    n, c, h, w = x.shape
+    kh, kw = weights.shape[2], weights.shape[3]
+    sh, sw = stride
+    ph, pw = padding
+    ho, wo = grad_out.shape[2], grad_out.shape[3]
+    dtype = np.result_type(x, grad_out)
+    grad_w = np.zeros(weights.shape, dtype=dtype)
+    summed = np.zeros((c, w + 2 * pw, wo), dtype=dtype)
+    prod = np.empty((n, c, w, wo), dtype=dtype)
+    for u, j0, j1, r0 in _banded_plan(kh, h, ho, sh, ph):
+        np.matmul(x[:, :, r0:r0 + (j1 - j0) * sh:sh].swapaxes(2, 3), grad_out[:, :, j0:j1], out=prod)
+        summed[:, pw:pw + w] = np.add.reduce(prod, axis=0)
+        grad_w[:, 0, u] = summed[_band_index(kw, sw, wo)].sum(axis=2)
+    return grad_w
+
+
+def zero_fill_depthwise_input_grad(grad_out, x, weights, stride, padding):
+    """The banded depthwise input gradient as the library first wrote it:
+    each kernel row's product grad_out[:, :, j0:j1] @ band_u^T is added onto
+    a zero-filled grad_x at the input rows the row read, and the band's
+    diagonals are set through fancy-index arrays. The library now writes
+    the first product of each stride residue directly instead, which gives
+    the same bytes up to the sign of a zero: a direct write keeps a -0.0
+    that adding onto +0.0 made +0.0."""
+    n, c, h, w = x.shape
+    kh, kw = weights.shape[2], weights.shape[3]
+    sh, sw = stride
+    ph, pw = padding
+    ho, wo = grad_out.shape[2], grad_out.shape[3]
+    _, rows, k = _band_index(kw, sw, wo)
+    band_t = np.zeros((c, wo, w + 2 * pw), dtype=np.result_type(grad_out, weights))
+    cols = band_t[:, :, pw:pw + w]
+    grad_x = np.zeros(x.shape, dtype=x.dtype)
+    tmp = np.empty((n, c, ho, w), dtype=band_t.dtype)
+    for u, j0, j1, r0 in _banded_plan(kh, h, ho, sh, ph):
+        band_t[:, k, rows] = weights[:, 0, u, :, None]
+        part = np.matmul(grad_out[:, :, j0:j1], cols, out=tmp[:, :, :j1 - j0])
+        grad_x[:, :, r0:r0 + (j1 - j0) * sh:sh] += part
+    return grad_x
+
+
 def depthwise_as_grouped(weights):
     """Expand depthwise weights (C, 1, kh, kw) to an equivalent full-conv
     weight tensor (C, C, kh, kw) with zeros off the diagonal."""

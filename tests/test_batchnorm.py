@@ -122,6 +122,72 @@ def test_reductions_match_numpy_mean_and_sum(shape, dtype):
             assert got.tobytes() == want.tobytes()
 
 
+def _broadcast_bn(x, g, gamma, beta, eps):
+    """The training forward and backward with every per-channel operand a
+    (1, C, 1, 1) broadcast, the form the per-image rows replaced: the same
+    ufuncs in the same order. Returns (centered, out, grad_x, grad_gamma,
+    grad_beta)."""
+    c = x.shape[1]
+    shape = (1, c) + (1,) * (x.ndim - 2)
+    axes = (0,) + tuple(range(2, x.ndim))
+    count = x.size // c
+
+    def dot(a, b):
+        return np.einsum("ncm,ncm->c", a.reshape(a.shape[0], c, -1), b.reshape(b.shape[0], c, -1))
+
+    mu = np.add.reduce(x, axis=axes) / count
+    centered = x - mu.reshape(shape)
+    inv_std = 1.0 / np.sqrt(dot(centered, centered) / count + eps)
+    out = centered * (gamma * inv_std).reshape(shape)
+    out += beta.reshape(shape)
+    grad_gamma = dot(g, centered) * inv_std
+    grad_beta = np.add.reduce(g, axis=axes)
+    grad_x = g - centered * (grad_gamma * inv_std / count).reshape(shape)
+    grad_x -= (grad_beta / count).reshape(shape)
+    grad_x *= (gamma * inv_std).reshape(shape)
+    return centered, out, grad_x, grad_gamma, grad_beta
+
+
+def _transposed(a):
+    """A non-contiguous view of a's values: the last two axes of a
+    C-contiguous array, swapped back."""
+    return np.ascontiguousarray(np.swapaxes(a, -1, -2)).swapaxes(-1, -2)
+
+
+@pytest.mark.parametrize("case", ["contiguous", "transposed x", "non-contiguous out",
+                                  "2-d", "float32 x, float64 params"])
+def test_per_image_rows_match_the_broadcast_form(case):
+    """The per-channel passes run against one (C, H, W) row broadcast over the
+    batch, byte-identical to (1, C, 1, 1) broadcasts for every layout and
+    dtype mix. No operand is reshaped, so a non-contiguous out receives the
+    result itself (an out= write through a reshaped copy would be lost)."""
+    rng = np.random.default_rng(61)
+    shape = (6, 5) if case == "2-d" else (4, 3, 5, 6)
+    c = shape[1]
+    x = (rng.standard_normal(shape) * 3 + rng.uniform(-2, 2, (1, c) + shape[2:])).astype(np.float32)
+    g = rng.standard_normal(shape).astype(np.float32)
+    pdt = np.float64 if case == "float32 x, float64 params" else np.float32
+    p = BNParams(gamma=rng.uniform(-2, 2, c).astype(pdt), beta=rng.standard_normal(c).astype(pdt),
+                 running_mean=np.zeros(c, pdt), running_var=np.ones(c, pdt))
+    if case == "transposed x":
+        x, g = _transposed(x), _transposed(g)
+        assert not x.flags.c_contiguous and not g.flags.c_contiguous
+    out_f = out_b = None
+    if case == "non-contiguous out":
+        out_f, out_b = _transposed(np.empty(shape, np.float32)), _transposed(np.empty(shape, np.float32))
+        assert not out_f.flags.c_contiguous
+    want = _broadcast_bn(x, g, p.gamma, p.beta, p.epsilon)
+
+    out, _, _, cache = bn_forward_train(x, p, out=out_f)
+    got_centered = cache.centered
+    got = (got_centered, out) + bn_backward_train(g, cache, out=out_b)
+    for name, a, ref in zip(("centered", "out", "grad_x", "grad_gamma", "grad_beta"), got, want):
+        assert a.dtype == ref.dtype and a.shape == ref.shape, name
+        assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(ref).tobytes(), name
+    if out_f is not None:
+        assert got_centered is out_f and got[2] is out_b
+
+
 class TestTrainBackward:
     def test_grad_matches_finite_differences(self):
         rng = np.random.default_rng(29)

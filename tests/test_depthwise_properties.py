@@ -5,9 +5,14 @@ Kernels are 1..3 on each axis, strides 1..3 and paddings 0..k per axis, so
 padding may reach the kernel size, and extents run from the smallest valid
 one (down to 1) to a few strides past the kernel, so the stride often does
 not divide size + 2p - k. Both storage dtypes, with and without bias. The
-reference sees the same values widened to float64. The pinned example has
-kernel rows and columns that read only padding, which the input gradient
-skips.
+reference sees the same values widened to float64. grad_out carries exact
++0.0 and -0.0 entries the way relu6's backward mask makes them: none, about
+half of them, or all. The gradients must also match the forms they
+replaced (tests/oracles.py): the weight gradient byte for byte, the input
+gradient byte for byte up to the sign of a zero, with exactly +0.0 on
+input rows no kernel row reads. The pinned examples have kernel rows and
+columns that read only padding, which the input gradient skips, input rows
+no kernel row reads, and a row wide enough for numpy's pairwise sum.
 """
 
 import numpy as np
@@ -16,7 +21,8 @@ from hypothesis import strategies as st
 
 from pfqkit.tensor_ops import depthwise_conv2d_backward, depthwise_conv2d_forward
 
-from oracles import max_rel_err, reference_depthwise_backward, reference_depthwise_forward
+from oracles import (fancy_index_depthwise_weight_grad, max_rel_err, reference_depthwise_backward,
+                     reference_depthwise_forward, zero_fill_depthwise_input_grad)
 
 TOL = {np.float32: 1e-5, np.float64: 1e-12}
 
@@ -36,6 +42,9 @@ def cases(draw):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(cases())
 @example(((2, 3, 1, 2), (3, 3), (3, 3), (2, 3), np.float64, True, 7))
+@example(((2, 3, 7, 5), (1, 2), (3, 1), (0, 1), np.float32, False, 5))
+@example(((1, 2, 8, 3), (2, 1), (3, 2), (0, 0), np.float32, True, 3))
+@example(((2, 2, 3, 24), (3, 3), (1, 1), (1, 1), np.float32, False, 9))
 def test_matches_reference(case):
     shape, k, stride, pad, dt, has_bias, seed = case
     rng = np.random.default_rng(seed)
@@ -47,6 +56,8 @@ def test_matches_reference(case):
     def run():
         out = depthwise_conv2d_forward(x, w, b, stride, pad)
         g = np.random.default_rng(seed + 1).standard_normal(out.shape).astype(dt)
+        keep = np.random.default_rng(seed + 2).random(out.shape) < (1.0, 0.5, 0.0)[seed % 3]
+        g = np.multiply(g, keep)  # relu6's mask: -0.0 where a negative entry is cut
         return (out,) + depthwise_conv2d_backward(g, x, w, stride, pad, has_bias), g
 
     before = [None if a is None else a.tobytes() for a in (x, w, b)]
@@ -62,6 +73,15 @@ def test_matches_reference(case):
         assert a.dtype == dt and a.shape == ref.shape, name
         assert max_rel_err(a, ref) <= TOL[dt], name
     assert got[0].flags.c_contiguous and got[1].flags.c_contiguous
+
+    assert got[2].tobytes() == fancy_index_depthwise_weight_grad(g, x, w, stride, pad).tobytes()
+    grad_x = got[1]
+    old = zero_fill_depthwise_input_grad(g, x, w, stride, pad)
+    assert (grad_x + 0.0).tobytes() == (old + 0.0).tobytes()  # -0.0 + 0.0 is +0.0
+    ho = got[0].shape[2]
+    read = {j * stride[0] + u - pad[0] for j in range(ho) for u in range(k[0])}
+    unread = grad_x[:, :, [r for r in range(shape[2]) if r not in read]]
+    assert (unread == 0).all() and not np.signbit(unread).any()
 
     again, _ = run()
     assert [None if a is None else a.tobytes() for a in again] == \

@@ -402,3 +402,56 @@ def test_collapsed_and_uninitialized_ranges_still_load(tmp_path):
     loaded = load_model(path)
     x = np.random.default_rng(0).uniform(-1, 1, (2, 3, 8, 8)).astype(np.float32)
     assert run_inference(loaded, x).tobytes() == run_inference(g, x).tobytes()
+
+
+BAD_BN = [("epsilon", -2.0, "bn epsilon must be finite and > 0, got -2.0"),
+          ("epsilon", 0.0, "bn epsilon must be finite and > 0, got 0.0"),
+          ("epsilon", float("nan"), "bn epsilon must be finite and > 0, got nan"),
+          ("epsilon", float("inf"), "bn epsilon must be finite and > 0, got inf"),
+          ("epsilon", "1e-5", "bn epsilon must be finite and > 0, got '1e-5'"),
+          ("running_var", -3.0, "bn running_var must be finite and >= 0, got min -3.0"),
+          ("running_var", float("nan"), "bn running_var must be finite and >= 0"),
+          ("running_var", float("inf"), "bn running_var must be finite and >= 0")]
+
+
+def _set_bn_field(params, field, value):
+    if field == "epsilon":
+        params.epsilon = value
+    else:
+        params.running_var[0] = value
+
+
+@pytest.mark.parametrize("field, value, message", BAD_BN)
+class TestMalformedBN:
+    """A BN epsilon that is not finite and > 0, or a running variance that is
+    negative or not finite, fails when the graph is validated or loaded, with
+    the layer named: either one otherwise passes save and load and fails at
+    inference as a non-finite input two layers later."""
+
+    def test_built_in_python(self, field, value, message):
+        g = _tiny_graph()
+        _set_bn_field(g.layer("b1").params, field, value)
+        with pytest.raises(GraphError, match=f"layer 'b1': {message}"):
+            g.validate()
+
+    def test_loaded_from_a_manifest(self, field, value, message, tmp_path):
+        g = _tiny_graph()
+        if field == "running_var":  # a blob tensor: saved as set, unchecked
+            _set_bn_field(g.layer("b1").params, field, value)
+        path = tmp_path / "model.json"
+        save_model(g, path)
+        if field == "epsilon":
+            doc = json.loads(path.read_text())
+            doc["layers"][1]["epsilon"] = value
+            path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=f"layer 'b1': {message}"):
+            load_model(path)
+
+
+def test_zero_running_var_still_loads(tmp_path):
+    g = _tiny_graph()
+    g.layer("b1").params.running_var[0] = 0.0  # a channel BN saw as constant
+    path = tmp_path / "model.json"
+    save_model(g, path)
+    x = np.random.default_rng(0).uniform(-1, 1, (2, 1, 6, 6)).astype(np.float32)
+    assert run_inference(load_model(path), x).tobytes() == run_inference(g, x).tobytes()
