@@ -5,14 +5,16 @@ Kernels are 1..3 on each axis, strides 1..3 and paddings 0..k per axis, so
 padding may reach the kernel size, and extents run from the smallest valid
 one (down to 1) to a few strides past the kernel, so the stride often does
 not divide size + 2p - k. Both storage dtypes, with and without bias. The
-reference sees the same values widened to float64. grad_out carries exact
-+0.0 and -0.0 entries the way relu6's backward mask makes them: none, about
-half of them, or all. The gradients must also match the forms they
-replaced (tests/oracles.py): the weight gradient byte for byte, the input
-gradient byte for byte up to the sign of a zero, with exactly +0.0 on
-input rows no kernel row reads. The pinned examples have kernel rows and
-columns that read only padding, which the input gradient skips, input rows
-no kernel row reads, and a row wide enough for numpy's pairwise sum.
+reference sees the same values widened to float64, with a dense random
+grad_out in every case. The same grad_out is then cut the way relu6's
+backward mask cuts it, leaving exact +0.0 and -0.0 entries: about half of
+it (checked against the reference again) and all of it. For the dense and
+both cut gradients, the gradients must match the forms they replaced
+(tests/oracles.py): the weight gradient byte for byte, the input gradient
+byte for byte up to the sign of a zero, with exactly +0.0 on input rows no
+kernel row reads. The pinned examples have kernel rows and columns that
+read only padding, which the input gradient skips, input rows no kernel
+row reads, and a row wide enough for numpy's pairwise sum.
 """
 
 import numpy as np
@@ -56,32 +58,38 @@ def test_matches_reference(case):
     def run():
         out = depthwise_conv2d_forward(x, w, b, stride, pad)
         g = np.random.default_rng(seed + 1).standard_normal(out.shape).astype(dt)
-        keep = np.random.default_rng(seed + 2).random(out.shape) < (1.0, 0.5, 0.0)[seed % 3]
-        g = np.multiply(g, keep)  # relu6's mask: -0.0 where a negative entry is cut
         return (out,) + depthwise_conv2d_backward(g, x, w, stride, pad, has_bias), g
+
+    def check(want, got):
+        for name, a, ref in zip(("out", "grad_x", "grad_w", "grad_b"), got, want):
+            if ref is None:
+                assert a is None, name
+                continue
+            assert a.dtype == dt and a.shape == ref.shape, name
+            assert max_rel_err(a, ref) <= TOL[dt], name
 
     before = [None if a is None else a.tobytes() for a in (x, w, b)]
     got, g = run()
     assert [None if a is None else a.tobytes() for a in (x, w, b)] == before
-    wide = [None if a is None else a.astype(np.float64) for a in (x, w, b, g)]
-    want = (reference_depthwise_forward(*wide[:3], stride, pad),) + \
-        reference_depthwise_backward(wide[3], *wide[:2], stride, pad, has_bias)
-    for name, a, ref in zip(("out", "grad_x", "grad_w", "grad_b"), got, want):
-        if ref is None:
-            assert a is None, name
-            continue
-        assert a.dtype == dt and a.shape == ref.shape, name
-        assert max_rel_err(a, ref) <= TOL[dt], name
+    wide = [None if a is None else a.astype(np.float64) for a in (x, w, b)]
+    check((reference_depthwise_forward(*wide, stride, pad),) +
+          reference_depthwise_backward(g.astype(np.float64), *wide[:2], stride, pad, has_bias), got)
     assert got[0].flags.c_contiguous and got[1].flags.c_contiguous
 
-    assert got[2].tobytes() == fancy_index_depthwise_weight_grad(g, x, w, stride, pad).tobytes()
-    grad_x = got[1]
-    old = zero_fill_depthwise_input_grad(g, x, w, stride, pad)
-    assert (grad_x + 0.0).tobytes() == (old + 0.0).tobytes()  # -0.0 + 0.0 is +0.0
     ho = got[0].shape[2]
     read = {j * stride[0] + u - pad[0] for j in range(ho) for u in range(k[0])}
-    unread = grad_x[:, :, [r for r in range(shape[2]) if r not in read]]
-    assert (unread == 0).all() and not np.signbit(unread).any()
+    unread = [r for r in range(shape[2]) if r not in read]
+    cut = np.random.default_rng(seed + 2).random(g.shape)
+    for keep in (1.0, 0.5, 0.0):
+        gk = np.multiply(g, cut < keep)  # relu6's mask: -0.0 where a negative entry is cut
+        grad_x, grad_w, _ = depthwise_conv2d_backward(gk, x, w, stride, pad, False)
+        if keep == 0.5:
+            check(reference_depthwise_backward(gk.astype(np.float64), *wide[:2], stride, pad, False),
+                  (grad_x, grad_w, None))
+        assert grad_w.tobytes() == fancy_index_depthwise_weight_grad(gk, x, w, stride, pad).tobytes()
+        old = zero_fill_depthwise_input_grad(gk, x, w, stride, pad)
+        assert (grad_x + 0.0).tobytes() == (old + 0.0).tobytes()  # -0.0 + 0.0 is +0.0
+        assert (grad_x[:, :, unread] == 0).all() and not np.signbit(grad_x[:, :, unread]).any()
 
     again, _ = run()
     assert [None if a is None else a.tobytes() for a in again] == \
