@@ -42,6 +42,17 @@ bytes and bits. An activation point snaps the tensor with its EMA range;
 when the range is not yet initialized, or has collapsed to a single value,
 the point passes through unchanged.
 
+Finite checks: a conv, depthwise conv or affine checks its weights and bias
+for non-finite values, and its input unless that input is what an
+activation point quantized in the same pass. Such a value is finite by
+construction: the point checked its own input, and quantize bounds its
+output to [m, M] on a grid it has verified to be finite in the dtype, so a
+second check could not fail; skipping it saves one full pass over the
+activation per conv. The forward loop decides from what the point did (it
+quantized, so it returned a cache), never from its config: a disabled,
+uninitialized or collapsed point passes its input through, and the layer
+that reads it checks it. Direct op calls check every argument.
+
 Absorption: in a pass that drops outputs in inference mode, a relu or relu6
 whose only reader is an applying activation point with range [m, M] inside
 its own (0 <= m, and M <= 6 for relu6) passes its input through, since
@@ -92,12 +103,12 @@ def _quantized_weights(layer):
 
 def _weighted(forward_op, backward_op):
     """(forward, backward) of a conv, depthwise conv or affine layer, which
-    differ only in the tensor op: forward_op(layer, x, w) and
+    differ only in the tensor op: forward_op(layer, x, w, check_x) and
     backward_op(layer, grad, x, w, has_bias, input_grad)."""
 
-    def forward(layer, x, *_):
+    def forward(layer, x, trace, training, update_ranges, out, check_x):
         w = _quantized_weights(layer)
-        return forward_op(layer, x, w), (x, w)
+        return forward_op(layer, x, w, check_x), (x, w)
 
     def backward(layer, g, cache, send, input_grad, out):
         upstream, gw, gb = backward_op(layer, g, *cache, layer.params.bias is not None, input_grad)
@@ -110,7 +121,7 @@ def _activation(forward_op, backward_op):
     """(forward, backward) of an activation whose backward reads its output
     y, which the next layer holds anyway, so the input dies here."""
 
-    def forward(layer, x, trace, training, update_ranges, out):
+    def forward(layer, x, trace, training, update_ranges, out, *_):
         y = forward_op(x, out)
         return y, y
 
@@ -121,7 +132,7 @@ def _pass_through(layer, x, *_):
     return x, None
 
 
-def _bn_forward(layer, x, trace, training, update_ranges, out):
+def _bn_forward(layer, x, trace, training, update_ranges, out, *_):
     if not training:
         return bn_forward_infer(x, layer.params, out=out), None
     out, stats, layer.params, cache = bn_forward_train(x, layer.params, out=out)
@@ -146,7 +157,7 @@ def _junction_backward(layer, g, cache, send, *_):
     return None, None
 
 
-def _act_quant_forward(layer, x, trace, training, update_ranges, out):
+def _act_quant_forward(layer, x, trace, training, update_ranges, out, *_):
     point = layer.params
     if point.enabled and training and update_ranges:
         point.cfg = update_activation_range(x, point.cfg)
@@ -160,11 +171,14 @@ def _act_quant_backward(layer, g, cache, send, input_grad, out):
 
 
 # One (forward, backward) pair per layer kind. A forward maps
-# (layer, x, trace, training, update_ranges, out) to (output, cache); a
-# backward maps (layer, grad, cache, send, input_grad, out) to (upstream
-# gradient, parameter gradients). out is x, or grad, when the engine hands
-# that array over (the ownership rule in the module docstring), else None;
-# kinds that cannot write there ignore it. A conv or depthwise conv skips its
+# (layer, x, trace, training, update_ranges, out, check_x) to (output,
+# cache); a backward maps (layer, grad, cache, send, input_grad, out) to
+# (upstream gradient, parameter gradients). out is x, or grad, when the
+# engine hands that array over (the ownership rule in the module docstring),
+# else None; kinds that cannot write there ignore it. check_x is False when
+# x is the output of an activation point that quantized it in this pass, and
+# a conv, depthwise conv or affine then does not check x for non-finite
+# values again; other kinds ignore it. A conv or depthwise conv skips its
 # upstream gradient when input_grad is False (the first layer, whose input
 # gradient has no reader), and any other kind may still return one, which is
 # then dropped. An affine layer needs a flat input, so it is never first.
@@ -173,15 +187,17 @@ def _act_quant_backward(layer, g, cache, send, input_grad, out):
 # traced benchmark run, perfbench/spans.py, times ops that way).
 _LAYER_OPS = {
     "conv": _weighted(
-        lambda l, x, w: T.conv2d_forward(x, w, l.params.bias, l.stride, l.padding),
+        lambda l, x, w, cx: T.conv2d_forward(x, w, l.params.bias, l.stride, l.padding,
+                                             check_x=cx),
         lambda l, g, x, w, b, gx: T.conv2d_backward(g, x, w, l.stride, l.padding, has_bias=b,
                                                     input_grad=gx)),
     "depthwise_conv": _weighted(
-        lambda l, x, w: T.depthwise_conv2d_forward(x, w, l.params.bias, l.stride, l.padding),
+        lambda l, x, w, cx: T.depthwise_conv2d_forward(x, w, l.params.bias, l.stride,
+                                                       l.padding, check_x=cx),
         lambda l, g, x, w, b, gx: T.depthwise_conv2d_backward(g, x, w, l.stride, l.padding,
                                                               has_bias=b, input_grad=gx)),
     "affine": _weighted(
-        lambda l, x, w: T.affine_forward(x, w, l.params.bias),
+        lambda l, x, w, cx: T.affine_forward(x, w, l.params.bias, check_x=cx),
         lambda l, g, x, w, b, _: T.affine_backward(g, x, w, has_bias=b)),
     "bn": (_bn_forward, _bn_backward),
     "relu": _activation(lambda x, out: T.relu_forward(x, out=out),
@@ -275,8 +291,12 @@ def forward_graph(graph, x, *, training=False, update_ranges=False, keep_outputs
     trace = ForwardTrace(outputs={}, caches={} if training else None, bn_stats={})
     outputs = trace.outputs
     prev = x
+    quantized = False  # whether prev is the output of a point that snapped it
     for layer, forward, own, release in _schedule(graph, training, keep_outputs):
-        prev, cache = forward(layer, prev, trace, training, update_ranges, prev if own else None)
+        prev, cache = forward(layer, prev, trace, training, update_ranges, prev if own else None,
+                              not quantized)
+        # A point caches its input exactly when it quantized it (else it passed it through).
+        quantized = cache is not None and layer.kind == "quant_point"
         if training:
             trace.caches[layer.name] = cache
         # An unrecorded cache would keep this layer's input alive through the next layer.

@@ -304,19 +304,33 @@ def _quant_dict(point):
     }
 
 
-def _quant_from_dict(d):
+def _quant_from_dict(d, what):
+    def get(key):
+        return _field(d, key, what)
+
     return QuantPoint(
-        target=d["target"],
-        enabled=d["enabled"],
-        cfg=QuantConfig(
-            bits=d["bits"],
-            m=d["m"],
-            M_up=d["M_up"],
-            range_policy=d["range_policy"],
-            ema_momentum=d["ema_momentum"],
-            initialized=d["initialized"],
-        ),
+        target=get("target"),
+        enabled=get("enabled"),
+        cfg=QuantConfig(bits=get("bits"), m=get("m"), M_up=get("M_up"),
+                        range_policy=get("range_policy"), ema_momentum=get("ema_momentum"),
+                        initialized=get("initialized")),
     )
+
+
+def _field(doc, key, what, kind=object):
+    """doc[key] of the manifest record named by what (the manifest, the blob,
+    a layer, a tensor or a quantizer); raises ModelFormatError naming what
+    and key when doc is not a JSON object, lacks key, or holds a value that
+    is not of kind. Only the fields the loader itself reads are given a
+    kind; the values of graph fields are ModelGraph.validate's to check."""
+    if not isinstance(doc, dict):
+        raise ModelFormatError(f"{what} is not a JSON object")
+    if key not in doc:
+        raise ModelFormatError(f"{what} has no field '{key}'")
+    value = doc[key]
+    if not isinstance(value, kind):
+        raise ModelFormatError(f"{what} field '{key}' is not a {kind.__name__}: {value!r}")
+    return value
 
 
 def save_model(graph, manifest_path):
@@ -387,32 +401,41 @@ def load_model(manifest_path):
     except json.JSONDecodeError as e:
         raise ModelFormatError(f"malformed manifest: {e}") from e
 
-    for key in ("format", "version", "input_shape", "blob", "layers", "tensors"):
-        if key not in manifest:
-            raise ModelFormatError(f"manifest missing key '{key}'")
-    if manifest["format"] != FORMAT_NAME:
-        raise ModelFormatError(f"not a {FORMAT_NAME} manifest: {manifest['format']!r}")
-    if manifest["version"] != FORMAT_VERSION:
-        raise ModelFormatError(f"unsupported format version {manifest['version']}")
+    def top(key, kind=object):
+        return _field(manifest, key, "manifest", kind)
 
-    blob_path = manifest_path.parent / manifest["blob"]["file"]
+    if top("format") != FORMAT_NAME:
+        raise ModelFormatError(f"not a {FORMAT_NAME} manifest: {manifest['format']!r}")
+    if top("version") != FORMAT_VERSION:
+        raise ModelFormatError(f"unsupported format version {manifest['version']}")
+    input_shape = tuple(top("input_shape", list))
+    blob_doc, layer_docs, tensor_docs = top("blob"), top("layers", list), top("tensors", list)
+
+    blob_path = manifest_path.parent / _field(blob_doc, "file", "blob", str)
     blob = blob_path.read_bytes()
-    if len(blob) != manifest["blob"]["byte_length"]:
-        raise ModelFormatError(
-            f"blob length {len(blob)} does not match manifest {manifest['blob']['byte_length']}"
-        )
-    if zlib.crc32(blob) != manifest["blob"]["crc32"]:
+    blob_length = _field(blob_doc, "byte_length", "blob", int)
+    if len(blob) != blob_length:
+        raise ModelFormatError(f"blob length {len(blob)} does not match manifest {blob_length}")
+    if zlib.crc32(blob) != _field(blob_doc, "crc32", "blob", int):
         raise ModelFormatError("blob checksum mismatch")
 
     arrays = {}
-    for t in manifest["tensors"]:
-        lo, hi = t["offset"], t["offset"] + t["byte_length"]
+    for i, t in enumerate(tensor_docs):
+        tensor_id = _field(t, "id", f"tensor {i}")
+        what = f"tensor '{tensor_id}'"
+        lo = _field(t, "offset", what, int)
+        hi = lo + _field(t, "byte_length", what, int)
+        shape = _field(t, "shape", what, list)
         if hi > len(blob):
-            raise ModelFormatError(f"tensor '{t['id']}' extends past end of blob")
+            raise ModelFormatError(f"{what} extends past end of blob")
         data = blob[lo:hi]
-        if zlib.crc32(data) != t["crc32"]:
-            raise ModelFormatError(f"tensor '{t['id']}' checksum mismatch")
-        arrays[t["id"]] = np.frombuffer(data, dtype="<f4").reshape(t["shape"]).copy()
+        if zlib.crc32(data) != _field(t, "crc32", what, int):
+            raise ModelFormatError(f"{what} checksum mismatch")
+        try:
+            arrays[tensor_id] = np.frombuffer(data, dtype="<f4").reshape(shape).copy()
+        except (TypeError, ValueError):
+            raise ModelFormatError(f"{what} holds {len(data)} bytes, which do not fill float32 "
+                                   f"shape {shape}") from None
 
     def tensor(layer_name, fieldname):
         key = f"{layer_name}.{fieldname}"
@@ -421,35 +444,42 @@ def load_model(manifest_path):
         return arrays[key]
 
     layers = []
-    for doc in manifest["layers"]:
-        name, kind = doc["name"], doc["kind"]
+    for i, doc in enumerate(layer_docs):
+        name = _field(doc, "name", f"layer {i}")
+        what = f"layer '{name}'"
+
+        def get(key, kind=object):
+            return _field(doc, key, what, kind)
+
+        kind = get("kind")
         layer = LayerSpec(name=name, kind=kind)
         if kind in ("conv", "depthwise_conv"):
-            layer.stride = tuple(doc["stride"])
-            layer.padding = tuple(doc["padding"])
+            layer.stride = tuple(get("stride", list))
+            layer.padding = tuple(get("padding", list))
         if kind in CONV_LIKE:
             layer.params = _PARAMS_CLASS[kind](
                 weights=tensor(name, "weights"),
-                bias=tensor(name, "bias") if doc["has_bias"] else None,
+                bias=tensor(name, "bias") if get("has_bias") else None,
             )
             if doc.get("weight_quant"):
-                layer.weight_quant = _quant_from_dict(doc["weight_quant"])
+                layer.weight_quant = _quant_from_dict(doc["weight_quant"],
+                                                      f"{what} weight quantizer")
         elif kind == "bn":
             layer.params = BNParams(
                 gamma=tensor(name, "gamma"),
                 beta=tensor(name, "beta"),
                 running_mean=tensor(name, "running_mean"),
                 running_var=tensor(name, "running_var"),
-                epsilon=doc["epsilon"],
-                rho=doc["rho"],
+                epsilon=get("epsilon"),
+                rho=get("rho"),
             )
         elif kind == "add_junction":
-            layer.params = tuple(doc["inputs"])
+            layer.params = tuple(get("inputs", list))
         elif kind == "quant_point":
-            layer.params = _quant_from_dict(doc["quant"])
+            layer.params = _quant_from_dict(get("quant"), f"{what} quantizer")
         layers.append(layer)
 
     try:
-        return ModelGraph(layers=layers, input_shape=tuple(manifest["input_shape"]))
+        return ModelGraph(layers=layers, input_shape=input_shape)
     except GraphError as e:
         raise ModelFormatError(f"manifest describes an invalid graph: {e}") from e

@@ -9,6 +9,25 @@ index t = (x - m) / scale is never negative, so rounding half away from
 zero is exactly floor(t + 0.5), which the quantizer computes in one output
 buffer.
 
+A zero offset is skipped: with m == 0 (also -0.0) the quantizer does not
+subtract m before scaling nor add it back at the end, since neither pass
+can change a byte. x - 0.0 is x bit for bit, -0.0 included; the last
+product k * scale is never -0.0, because k = floor(t + 0.5) >= +0, so
+adding 0.0 to it changes nothing; and for m == -0.0, subtracting it would
+turn a -0.0 input into +0.0, a sign that the + 0.5 erases anyway. Every
+activation point after a relu-family layer calibrates to m == 0 exactly
+(the EMA of batch minima that are all 0 stays 0), the zero-point-0 case of
+Jacob et al., arXiv 1712.05877, so a streamed 4-bit inference runs two
+passes fewer per point.
+
+The output is finite: a range whose grid cannot be computed in the working
+dtype (an end that overflows it, a step that rounds to zero, more grid
+points than it can count) raises QuantRangeError before any pass runs.
+Each step of the snap is monotone in x, so the two ends of the range bound
+every output; that check is memoized per range, bits and dtype. The engine
+relies on it: a conv that reads an activation point's output does not
+check it again.
+
 Two range policies exist. Weight tensors use their own min/max, derived
 again whenever the weights change (the engine memoizes the quantized tensor
 on the weight point while the weight array keeps its bytes). Activation
@@ -27,10 +46,11 @@ m <= M_up (ModelGraph.validate).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
-from .tensor_ops import ensure_finite, result_buffer
+from .tensor_ops import ensure_finite
 
 WEIGHT_POLICY = "weight_minmax_per_tensor"
 ACTIVATION_POLICY = "activation_ema_minmax"
@@ -77,23 +97,47 @@ def act_point_applies(point):
 
 
 def quantize(x, cfg, out=None):
-    """Snap x onto the quantizer grid of cfg. Errors on a degenerate range.
-    Writes into out (which may be x) when out has the result's dtype."""
+    """Snap x onto the quantizer grid of cfg. Errors on a degenerate range
+    and on one whose grid overflows the working dtype, so the result is
+    finite. Writes into out (which may be x) when out has the result's dtype."""
     ensure_finite("quantize", x=x)
-    if cfg.bits < 1:
-        raise QuantRangeError(f"bits must be >= 1, got {cfg.bits}")
-    if not cfg.M_up > cfg.m:
-        raise QuantRangeError(f"degenerate quantizer range [{cfg.m}, {cfg.M_up}]")
-    m, scale = cfg.m, cfg.scale
-    out = result_buffer(out, x, m, cfg.M_up)
-    out = np.asarray(np.clip(x, m, cfg.M_up, out=out))  # a 0-d clip returns a scalar
-    out -= m
+    bits, m, M = cfg.bits, cfg.m, cfg.M_up
+    if bits < 1:
+        raise QuantRangeError(f"bits must be >= 1, got {bits}")
+    if not M > m:
+        raise QuantRangeError(f"degenerate quantizer range [{m}, {M}]")
+    dtype = np.result_type(x, m, M)
+    if not _finite_grid(float(m), float(M), bits, dtype, x.dtype):
+        raise QuantRangeError(f"quantizer range [{m}, {M}] at {bits} bits overflows {dtype}")
+    out = out if out is not None and out.dtype == dtype else None
+    return _snap(x, m, M, cfg.scale, out).astype(x.dtype, copy=False)
+
+
+def _snap(x, m, M, scale, out):
+    """clip, shift by -m, scale, round half up, scale back and shift by m,
+    in out (a new array when None); a zero m skips both shifts."""
+    out = np.asarray(np.clip(x, m, M, out=out))  # a 0-d clip returns a scalar
+    if m:
+        out -= m
     out /= scale
     out += 0.5
     np.floor(out, out=out)
     out *= scale
-    out += m
-    return out.astype(x.dtype, copy=False)
+    if m:
+        out += m
+    return out
+
+
+@lru_cache(maxsize=128)
+def _finite_grid(m, M, bits, dtype, out_dtype):
+    """Whether every value of [m, M] snaps to a finite value in dtype, cast to
+    out_dtype. Each step of _snap is monotone in x, so the snapped ends of
+    the range bound every snapped value and every intermediate. Memoized for
+    the frozen ranges of inference (one entry per activation point); a range
+    that moves in training misses."""
+    with np.errstate(all="ignore"):
+        ends = _snap(np.array([m, M], dtype), m, M, (M - m) / 2 ** bits, None)
+        return bool(np.isfinite(ends.astype(out_dtype)).all())
 
 
 def quantize_backward(grad_out, x, cfg, out=None):

@@ -4,8 +4,8 @@ Tensors are plain numpy arrays, NCHW for feature maps. Every op is a pure
 function with an explicit backward companion; there is no tape, and no op
 writes to its inputs unless that input is handed over as out=: relu and
 relu6, forward and backward, write their result into out (which may be an
-input), as quantize and the BN kernels do when out has their result's dtype
-(result_buffer). The engine hands arrays over under its ownership rule.
+input), as quantize and the BN kernels (result_buffer) do when out has
+their result's dtype. The engine hands arrays over under its ownership rule.
 Full convolutions lay each image's patches out as a
 (C*kh*kw, Ho*Wo) im2col matrix in NCHW order and left-multiply it by the
 (O, C*kh*kw) weights in one batched matmul, whose product is already the
@@ -19,13 +19,20 @@ adjoint: grad_out times the transposed band, onto the input rows row u
 read, so its cost follows grad_out and a stride-2 layer does a quarter of
 a stride-1 layer's work. The first kernel row to reach each residue of the
 input rows modulo the stride writes its product there directly (matmul
-out=), and only the rows of that residue it does not reach are zeroed
-before the later rows add on: the same bytes as adding every row onto a
-zero-filled gradient, up to the sign of a zero, which adding onto +0 would
-clear. The forward's transient is the output,
-one output-sized product temporary and the band; the backward's is one
-(N, C, W, Wo) per-row product for the weight gradient, then the input
-gradient and one per-row product for it.
+out=), and only the rows of that residue it does not reach are zeroed;
+each later row writes into a temporary shaped like the residue's rows,
+zero outside its own, which is added whole onto them: at stride 1 the
+residue is all of grad_x and the add is contiguous. numpy runs an
+in-place add over a row range or strided slice of every plane through its
+8192-element ufunc buffers (adding rows 1-31 of every plane of a
+(64, 32, 32, 32) float32 batch took 1.7-1.9 ms against 0.7 ms for a
+contiguous add). The result is the same bytes as adding every row onto a
+zero-filled gradient, up to the sign of a zero, which adding onto +0
+would clear. The forward's transient is the output, one output-sized
+product temporary (allocated empty, since every row zeroes what it does
+not write) and the band; the backward's is one (N, C, W, Wo) per-row
+product for the weight gradient, then the input gradient and one
+residue-sized temporary for it.
 The band does about W/kw times the multiply-adds of a direct per-tap sum,
 which BLAS repays at the widths the library serves (builder defaults, demos,
 CIFAR and the benchmark nets are at most 32x32) but not far beyond: in
@@ -137,15 +144,16 @@ def _im2col(x, kh, kw, sh, sw):
     return np.ndarray(shape, x.dtype, buffer=x, strides=strides)
 
 
-def conv2d_forward(x, weights, bias=None, stride=(1, 1), padding=(0, 0)):
+def conv2d_forward(x, weights, bias=None, stride=(1, 1), padding=(0, 0), *, check_x=True):
     """Cross-correlate x (N, C, H, W) with weights (O, C, kh, kw).
 
     Zero padding only. Returns (N, O, Ho, Wo), C-contiguous. The patches of
     each image form a (C*kh*kw, Ho*Wo) matrix, and the weights, viewed as
     (O, C*kh*kw), multiply it from the left, so each image's product is
-    already its (O, Ho*Wo) output plane.
+    already its (O, Ho*Wo) output plane. check_x=False skips the non-finite
+    check of x only, for a caller that knows x is finite.
     """
-    ensure_finite("conv2d", x=x, weights=weights, bias=bias)
+    ensure_finite("conv2d", x=x if check_x else None, weights=weights, bias=bias)
     if x.ndim != 4 or weights.ndim != 4:
         raise ShapeError("conv2d expects 4-d input and weights")
     n, c, h, w = x.shape
@@ -252,11 +260,10 @@ def _depthwise_rows(x, taps, sh, sw, ph, pw, ho, wo):
     product lands on output rows [j0, j1). A row that covers every output row
     writes the output directly, and the output starts from zeros only when
     no row covers it all. Each other row's product goes into the same rows
-    of one output-sized temporary, zero elsewhere, which is added whole: a
-    numpy ufunc over a row range of every plane runs buffered, and adding
-    rows 1-31 of every plane of a (64, 32, 32, 32) float32 batch that way
-    took 1.7-1.9 ms against 0.7 ms for a contiguous add of the same
-    elements.
+    of one output-sized temporary, whose other rows it zeroes (so the
+    temporary starts empty), and the temporary is added whole: a numpy
+    ufunc over a row range of every plane runs buffered (see the module
+    docstring).
     One band buffer serves every row, since only the values on its diagonals
     change.
     """
@@ -276,7 +283,7 @@ def _depthwise_rows(x, taps, sh, sw, ph, pw, ho, wo):
         plan = plan[1:]
     else:
         out = np.zeros((n, c, ho, wo), dtype=band.dtype)
-    tmp = np.zeros(out.shape, dtype=out.dtype) if plan else None
+    tmp = np.empty(out.shape, dtype=out.dtype) if plan else None
     for u, j0, j1, r0 in plan:
         tmp[:, :, :j0] = 0
         tmp[:, :, j1:] = 0
@@ -285,10 +292,12 @@ def _depthwise_rows(x, taps, sh, sw, ph, pw, ho, wo):
     return out
 
 
-def depthwise_conv2d_forward(x, weights, bias=None, stride=(1, 1), padding=(0, 0)):
+def depthwise_conv2d_forward(x, weights, bias=None, stride=(1, 1), padding=(0, 0), *,
+                             check_x=True):
     """Per-channel convolution: weights (C, 1, kh, kw), channel i only sees
-    input channel i. Returns (N, C, Ho, Wo), C-contiguous."""
-    ensure_finite("depthwise_conv2d", x=x, weights=weights, bias=bias)
+    input channel i. Returns (N, C, Ho, Wo), C-contiguous. check_x=False
+    skips the non-finite check of x only, as in conv2d_forward."""
+    ensure_finite("depthwise_conv2d", x=x if check_x else None, weights=weights, bias=bias)
     n, c, h, w = x.shape
     cw, one, kh, kw = weights.shape
     if cw != c or one != 1:
@@ -320,15 +329,18 @@ def depthwise_conv2d_backward(grad_out, x, weights, stride=(1, 1), padding=(0, 0
     array. The input gradient's multiply-adds scale with grad_out, so a
     stride-2 layer does a quarter of a stride-1 layer's on the same input.
 
-    The input rows fall into one group per residue modulo sh. The first
-    kernel row of a group in plan order writes its product into its rows
-    (matmul out=), the group's rows it does not reach are zeroed, and later
-    rows of the group add onto them. Every input row thus sums its terms in
-    plan order, as adding each row onto a zero-filled grad_x did, and keeps
-    those bytes up to the sign of a zero (adding a -0.0 onto +0 gave +0.0).
-    A group no kernel row reaches is zeroed whole. For a 3x3 kernel at
-    padding 1, the middle kernel row writes the whole gradient at stride 1,
-    and nothing is added onto the even rows at stride 2.
+    The input rows fall into one group per residue modulo sh,
+    grad_x[:, :, group::sh]. The first kernel row of a group in plan order
+    writes its product into its rows of the group (matmul out=) and zeroes
+    the group's other rows. Each later row does the same in a temporary of
+    the group's shape, which is then added whole onto the group: one
+    contiguous add of all of grad_x at stride 1, never an add over a row
+    range. Every input row thus sums its terms in plan order, as adding each
+    row onto a zero-filled grad_x did, and keeps those bytes up to the sign
+    of a zero (adding a -0.0 onto +0 gave +0.0). A group no kernel row
+    reaches is zeroed whole. For a 3x3 kernel at padding 1, the middle
+    kernel row writes the whole gradient at stride 1, and nothing is added
+    onto the even rows at stride 2.
 
     grad_out is not checked for finite values (the forward still raises
     ValueError on a non-finite input through ensure_finite). A non-finite
@@ -368,27 +380,30 @@ def depthwise_conv2d_backward(grad_out, x, weights, stride=(1, 1), padding=(0, 0
     diag_t = _diagonals(band_t, kw, sw, transposed=True)
     cols = band_t[:, :, pw:pw + w]  # the columns of the unpadded input
     grad_x = np.empty(x.shape, dtype=x.dtype)
-    tmp = np.empty((n, c, ho, w), dtype=band_t.dtype)
+    tmp = np.empty((n, c, -(-h // sh), w), dtype=band_t.dtype)  # the largest residue group
     written = set()  # the residues r0 % sh whose first kernel row has run
     for u, j0, j1, r0 in plan:
         diag_t[...] = weights[:, 0, u, :, None]
-        r1, group = r0 + (j1 - j0) * sh, r0 % sh
-        if group in written:
-            grad_x[:, :, r0:r1:sh] += np.matmul(grad_out[:, :, j0:j1], cols, out=tmp[:, :, :j1 - j0])
-        else:
-            written.add(group)
-            np.matmul(grad_out[:, :, j0:j1], cols, out=grad_x[:, :, r0:r1:sh])
-            grad_x[:, :, group:r0:sh] = 0
-            grad_x[:, :, r1::sh] = 0
+        group = r0 % sh
+        dest = grad_x[:, :, group::sh]
+        part = tmp[:, :, :dest.shape[2]] if group in written else dest
+        i0 = r0 // sh  # row r0 is the group's row i0
+        part[:, :, :i0] = 0
+        part[:, :, i0 + j1 - j0:] = 0
+        np.matmul(grad_out[:, :, j0:j1], cols, out=part[:, :, i0:i0 + j1 - j0])
+        if part is not dest:
+            dest += part
+        written.add(group)
     for group in range(sh):
         if group not in written:
             grad_x[:, :, group::sh] = 0
     return grad_x, grad_w, grad_b
 
 
-def affine_forward(x, weights, bias=None):
-    """x (N, D) @ weights (D, K) + bias (K,)."""
-    ensure_finite("affine", x=x, weights=weights, bias=bias)
+def affine_forward(x, weights, bias=None, *, check_x=True):
+    """x (N, D) @ weights (D, K) + bias (K,). check_x=False skips the
+    non-finite check of x only, as in conv2d_forward."""
+    ensure_finite("affine", x=x if check_x else None, weights=weights, bias=bias)
     if x.ndim != 2 or weights.ndim != 2:
         raise ShapeError("affine expects 2-d input and weights")
     if x.shape[1] != weights.shape[0]:

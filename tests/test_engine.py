@@ -5,7 +5,10 @@ give exactly the final output of a full trace. backward_graph consumes its
 trace and names the error when it is given one it cannot backpropagate.
 Peak memory is measured with tracemalloc on a deep chain of cheap
 elementwise layers: there the set of live activations sets the peak, where on
-the builder nets a convolution's im2col transient would.
+the builder nets a convolution's im2col transient would. A conv, depthwise
+conv or affine that reads what an activation point quantized in the same
+pass does not check it for non-finite values again, which changes no byte,
+and one behind a point that passed its input through still checks.
 """
 
 import json
@@ -22,8 +25,9 @@ from pfqkit.engine import backward_graph, forward_graph, loss_and_grads, run_inf
 from pfqkit.graph import (AffineParams, LayerSpec, ModelGraph, copy_graph, fold_bn_graph,
                           save_model)
 from pfqkit.models import BUILDERS, build_ds_convnet, build_small_convnet
-from pfqkit.quantization import insert_quant_points
-from pfqkit.tensor_ops import ConvParams
+from pfqkit.quantization import (QuantConfig, QuantPoint, QuantRangeError, act_point_applies,
+                                 insert_quant_points)
+from pfqkit.tensor_ops import ConvParams, DepthwiseConvParams
 from pfqkit.training import OptimizerState, sgd_step
 
 CONSUMED = "needs a training-mode trace that has not been consumed"
@@ -53,14 +57,110 @@ def test_run_inference_equals_full_trace(name):
     assert list(kept) == [graph.layers[-1].name]
 
 
-def test_run_inference_equals_full_trace_folded_4bit():
-    net = build_ds_convnet(blocks=3, seed=5)
-    x = _batch(net)
-    forward_graph(net, x, training=True)
-    q = insert_quant_points(fold_bn_graph(net), 4, 4, act_enabled=True, weight_enabled=True)
+def _calibrated_4bit(net, fold=True):
+    """net (folded unless fold is False) with enabled 4-bit weight and
+    activation points whose ranges two training-mode forwards set."""
+    forward_graph(net, _batch(net), training=True)
+    q = insert_quant_points(fold_bn_graph(net) if fold else net, 4, 4, act_enabled=True,
+                            weight_enabled=True)
     for seed in (1, 2):
         forward_graph(q, _batch(q, seed=seed), training=True, update_ranges=True)
-    _assert_streams_exactly(q, x)
+    return q
+
+
+def test_run_inference_equals_full_trace_folded_4bit():
+    q = _calibrated_4bit(build_ds_convnet(blocks=3, seed=5))
+    _assert_streams_exactly(q, _batch(q))
+
+
+# --- values a point quantized are not checked again ---------------------------
+
+CHECKING_OPS = ("conv2d_forward", "depthwise_conv2d_forward", "affine_forward")
+QUANTIZED_NETS = {
+    "ds_convnet_folded_4bit": lambda: _calibrated_4bit(build_ds_convnet(blocks=3, seed=5)),
+    "residual_net_4bit": lambda: _calibrated_4bit(BUILDERS["residual_net"](seed=9), fold=False),
+}
+
+
+def _passes(net, x):
+    """The bytes of a streamed inference, of an inference trace and of a
+    training trace with range updates (on a copy, which the latter mutates)."""
+    training = forward_graph(copy_graph(net), x, training=True, update_ranges=True)
+    return [run_inference(net, x).tobytes()] + [
+        {name: out.tobytes() for name, out in trace.outputs.items()}
+        for trace in (forward_graph(net, x), training)]
+
+
+@pytest.mark.parametrize("name", sorted(QUANTIZED_NETS))
+def test_unchecked_quantized_inputs_change_no_byte(name, monkeypatch):
+    net = QUANTIZED_NETS[name]()
+    x = _batch(net, seed=7)
+    skipping = _passes(net, x)
+
+    def checking(op):
+        def wrapped(*args, check_x=True, **kwargs):
+            return op(*args, **kwargs)
+        return wrapped
+
+    for op in CHECKING_OPS:
+        monkeypatch.setattr(T, op, checking(getattr(T, op)))
+    assert _passes(net, x) == skipping
+
+
+@pytest.mark.parametrize("name", sorted(QUANTIZED_NETS))
+@pytest.mark.parametrize("keep_outputs", [False, True])
+def test_only_unquantized_inputs_are_checked(name, keep_outputs, monkeypatch):
+    """Every conv-like layer checks its weights; only the stem checks its
+    input, since every other one reads an applying activation point (or, in
+    residual_net, a junction, whose sum is checked)."""
+    net = QUANTIZED_NETS[name]()
+    layers = net.layers
+    assert all(act_point_applies(l.params) for l in layers if l.kind == "quant_point")
+    checks = []
+    original = T.ensure_finite
+
+    def counting(op, **arrays):
+        checks.append((op, {arg for arg, a in arrays.items() if a is not None}))
+        return original(op, **arrays)
+
+    monkeypatch.setattr(T, "ensure_finite", counting)
+    forward_graph(net, _batch(net), keep_outputs=keep_outputs)
+    weighted = [i for i, l in enumerate(layers) if l.kind in ("conv", "depthwise_conv", "affine")]
+    assert len(checks) == len(weighted) and weighted[0] == 0
+    assert all("weights" in arrays for _, arrays in checks)
+    checked_x = [i for i, (_, arrays) in zip(weighted, checks) if "x" in arrays]
+    assert checked_x == [i for i in weighted if i == 0 or layers[i - 1].kind != "quant_point"]
+    assert checks[0][0] == "conv2d" and "x" in checks[0][1]
+
+
+def test_a_point_whose_grid_overflows_fails_at_the_point():
+    """The affine after pool_q does not check its input again, so a range
+    whose float32 grid overflows (valid in float64, so the graph accepts
+    it) must fail in the point rather than reach the logits."""
+    net = QUANTIZED_NETS["ds_convnet_folded_4bit"]()
+    point = net.layer("pool_q").params
+    point.cfg = replace(point.cfg, m=-3e38, M_up=3e38)
+    net.validate()
+    with pytest.raises(QuantRangeError, match=r"\[-3e\+38, 3e\+38\] at 4 bits overflows float32"):
+        run_inference(net, _batch(net))
+
+
+@pytest.mark.parametrize("how", ["disabled", "uninitialized", "collapsed"])
+@pytest.mark.parametrize("kind, op", [("conv", "conv2d"), ("depthwise_conv", "depthwise_conv2d")])
+def test_a_conv_behind_a_pass_through_point_checks_its_input(how, kind, op):
+    point = QuantPoint(target="activations", enabled=how != "disabled",
+                       cfg=QuantConfig(bits=4, m=0.0, M_up=0.0 if how == "collapsed" else 6.0,
+                                       initialized=how != "uninitialized"))
+    assert not act_point_applies(point)
+    params = (ConvParams(np.ones((2, 2, 3, 3), np.float32)) if kind == "conv"
+              else DepthwiseConvParams(np.ones((2, 1, 3, 3), np.float32)))
+    net = ModelGraph(layers=[LayerSpec("in_q", "quant_point", point),
+                             LayerSpec("k", kind, params, padding=(1, 1))], input_shape=(2, 4, 4))
+    x = np.ones((1, 2, 4, 4), np.float32)
+    x[0, 1, 2, 2] = np.inf
+    for run in (run_inference, forward_graph):
+        with pytest.raises(ValueError, match=f"^{op}: non-finite values in x$"):
+            run(net, x)
 
 
 def test_backward_rejects_an_inference_trace():

@@ -321,6 +321,84 @@ class TestSerialization:
             load_model(path)
 
 
+def _saved_manifest(tmp_path):
+    """A saved small_convnet manifest (conv1 is its first layer and tensor)."""
+    path = tmp_path / "model.json"
+    save_model(build_small_convnet(seed=5), path)
+    return path, json.loads(path.read_text())
+
+
+def _load_edited(path, doc):
+    path.write_text(json.dumps(doc))
+    return load_model(path)
+
+
+class TestMalformedManifestFields:
+    """Every field load_model reads fails, when missing or of the wrong
+    kind, with a ModelFormatError that names the layer or tensor and the
+    key, not with a bare KeyError, TypeError or reshape ValueError."""
+
+    @pytest.mark.parametrize("key", ["kind", "stride", "padding", "has_bias"])
+    def test_missing_layer_field(self, key, tmp_path):
+        path, doc = _saved_manifest(tmp_path)
+        del doc["layers"][0][key]
+        with pytest.raises(ModelFormatError, match=f"^layer 'conv1' has no field '{key}'$"):
+            _load_edited(path, doc)
+
+    def test_missing_layer_name(self, tmp_path):
+        path, doc = _saved_manifest(tmp_path)
+        del doc["layers"][1]["name"]
+        with pytest.raises(ModelFormatError, match="^layer 1 has no field 'name'$"):
+            _load_edited(path, doc)
+
+    @pytest.mark.parametrize("key", ["offset", "byte_length", "shape", "crc32"])
+    def test_missing_tensor_field(self, key, tmp_path):
+        path, doc = _saved_manifest(tmp_path)
+        del doc["tensors"][0][key]
+        with pytest.raises(ModelFormatError,
+                           match=f"^tensor 'conv1.weights' has no field '{key}'$"):
+            _load_edited(path, doc)
+
+    def test_missing_tensor_id(self, tmp_path):
+        path, doc = _saved_manifest(tmp_path)
+        del doc["tensors"][2]["id"]
+        with pytest.raises(ModelFormatError, match="^tensor 2 has no field 'id'$"):
+            _load_edited(path, doc)
+
+    @pytest.mark.parametrize("key", ["layers", "tensors"])
+    @pytest.mark.parametrize("value", [{"conv1": {}}, 3, "conv1"])
+    def test_non_list_layers_or_tensors(self, key, value, tmp_path):
+        path, doc = _saved_manifest(tmp_path)
+        doc[key] = value
+        with pytest.raises(ModelFormatError, match=f"^manifest field '{key}' is not a list"):
+            _load_edited(path, doc)
+
+    @pytest.mark.parametrize("key", ["layers", "tensors"])
+    def test_a_record_that_is_not_an_object(self, key, tmp_path):
+        path, doc = _saved_manifest(tmp_path)
+        doc[key][0] = ["conv1"]
+        with pytest.raises(ModelFormatError, match=f"^{key[:-1]} 0 is not a JSON object$"):
+            _load_edited(path, doc)
+
+    @pytest.mark.parametrize("shape", [[8, 3, 3], [8, 3, 3, 3, 2], [2, "x"]])
+    def test_tensor_bytes_that_do_not_fill_its_shape(self, shape, tmp_path):
+        path, doc = _saved_manifest(tmp_path)
+        assert doc["tensors"][0]["shape"] == [8, 3, 3, 3]
+        doc["tensors"][0]["shape"] = shape
+        with pytest.raises(ModelFormatError,
+                           match=r"^tensor 'conv1.weights' holds 864 bytes, which do not fill"):
+            _load_edited(path, doc)
+
+    def test_missing_quantizer_field(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(_initialized_point_graph(), path)
+        doc = json.loads(path.read_text())
+        del next(d for d in doc["layers"] if d["name"] == "relu1_q")["quant"]["M_up"]
+        with pytest.raises(ModelFormatError,
+                           match="^layer 'relu1_q' quantizer has no field 'M_up'$"):
+            _load_edited(path, doc)
+
+
 class TestBuilders:
     def test_build_by_name(self):
         g = build({"name": "small_convnet", "seed": 1, "width": 4})

@@ -53,6 +53,17 @@ class TestQuantizeValues:
         with pytest.raises(QuantRangeError):
             quantize(np.ones(3), _cfg(0, 0.0, 1.0))
 
+    # Ranges whose grid is finite in float64 but not in float32: an end past
+    # float32's range, a span that overflows it, a step that rounds to zero,
+    # more grid points than float32 can count.
+    @pytest.mark.parametrize("m, M, bits", [(0.0, 1e39, 4), (-3e38, 3e38, 4),
+                                            (0.0, 1e-44, 4), (0.0, 1.0, 130)])
+    def test_grid_that_overflows_the_dtype_errors(self, m, M, bits):
+        x = np.linspace(-1.0, 1.0, 9)
+        with pytest.raises(QuantRangeError, match=f"at {bits} bits overflows float32"):
+            quantize(x.astype(np.float32), _cfg(bits, m, M))
+        assert np.isfinite(quantize(x, _cfg(bits, m, M))).all()
+
 
 class TestMatchesReference:
     """quantize is bit-identical to the step-by-step formula, and it computes
@@ -99,6 +110,48 @@ class TestMatchesReference:
         assert got.tobytes() == want.tobytes()
         assert x.tobytes() == before.tobytes()
         assert not np.shares_memory(got, x)
+
+    # A zero offset skips the shift by m before scaling and after rounding;
+    # the reference keeps both. m = -0.0 is falsy as well.
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bits", [1, 4, 8])
+    @pytest.mark.parametrize("m", [0.0, -0.0], ids=["m+0", "m-0"])
+    @pytest.mark.parametrize("M", [6.0, 0.7], ids=["dyadic", "inexact"])
+    @pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
+    @pytest.mark.parametrize("in_place", [False, True], ids=["new", "in_place"])
+    def test_zero_offset_bit_identical(self, dtype, bits, m, M, strided, in_place):
+        scale = (M - m) / 2 ** bits
+        ties = ((np.arange(2 ** bits) + 0.5) * scale).astype(dtype)  # exact ties when dyadic
+        tiny = np.finfo(dtype).smallest_subnormal
+        values = np.concatenate([
+            [0.0, -0.0, tiny, -tiny, 3 * tiny, np.finfo(dtype).tiny / 2],  # zeros, subnormals
+            ties, np.nextafter(ties, dtype(-np.inf)),  # ties and the values just below them
+            (np.arange(2 ** bits + 1) * scale).astype(dtype),  # the grid
+            [-1.0, -1e-30, M + 1e-3, 2 * M, 1e30]]).astype(dtype)  # outside the range
+        if M == 6.0:
+            t = ties / dtype(scale)
+            assert np.array_equal(t, np.arange(2 ** bits) + 0.5)
+        want = reference_quantize(values, m, M, bits)
+        x = values
+        if strided:
+            base = np.full((values.size, 3), 99.0, dtype)
+            base[:, 1] = values
+            x = base[:, 1]
+            assert not x.flags.c_contiguous
+        cfg = _cfg(bits, m, M)
+        if not in_place:
+            self._check(x, cfg, want)
+            return
+        got = quantize(x, cfg, out=x)
+        assert np.shares_memory(got, x)
+        assert got.tobytes() == x.tobytes() == want.tobytes()
+        if strided:
+            assert (base[:, [0, 2]] == 99.0).all()
+
+    @pytest.mark.parametrize("m", [0.0, -0.0], ids=["m+0", "m-0"])
+    def test_zero_offset_clears_the_sign_of_zero(self, m):
+        got = quantize(np.array([-0.0, 0.0, -1e-300, 5e-324]), _cfg(4, m, 1.0))
+        assert got.tobytes() == np.zeros(4).tobytes()
 
 
 class TestGridAlgebra:
