@@ -16,8 +16,9 @@ backward folds inv_std into its per-channel coefficients instead.
 
 The training kernels' per-channel elementwise passes (subtract mu, scale,
 add beta; in the backward the coefficient, mean and gamma * inv_std
-passes) take their per-channel operand as a row: the vector repeated into
-one C-contiguous image of shape (C, H, W), broadcast over the batch. numpy
+passes) take their per-channel operand as a row (tensor_ops._row, which
+the conv and depthwise bias adds use too): the vector repeated into one
+C-contiguous image of shape (C, H, W), broadcast over the batch. numpy
 then runs each pass as one C*H*W inner loop per image, where a (1, C, 1, 1)
 operand gives one loop per (image, channel) plane, 1,024 elements long at
 32x32 and 64 at 8x8. The ufuncs and their order are unchanged, and so are
@@ -47,7 +48,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tensor_ops import ensure_finite, result_buffer, ShapeError
+from .tensor_ops import _row, ensure_finite, result_buffer, ShapeError
 
 
 @dataclass
@@ -93,15 +94,6 @@ def _axes_and_expand(x, channels):
     if x.shape[1] != channels:
         raise ShapeError(f"bn channel mismatch: input {x.shape[1]}, params {channels}")
     return (0, 2, 3)[:x.ndim - 1], (1, channels, 1, 1)[:x.ndim]
-
-
-def _row(v, image, hw):
-    """The per-channel vector v, each entry repeated hw times, as one
-    C-contiguous image of shape (C, H, W) or (C,). Broadcast over the batch
-    axis, it lets numpy run an elementwise pass as one C*H*W inner loop per
-    image, where a (1, C, 1, 1) operand gives one loop per (image, channel)
-    plane."""
-    return v.repeat(hw).reshape(image)
 
 
 def _per_channel_dot(a, b):

@@ -60,11 +60,20 @@ class LayerSpec:
 class ModelGraph:
     layers: list = field(default_factory=list)
     input_shape: tuple = ()
+    # Element count of the largest per-image layer output, set by validate();
+    # it sizes the engine's inference slabs, and a stale value changes only
+    # their size, never an output byte. Never compared.
+    widest: int = field(default=1, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.validate()
 
     def validate(self):
+        """Raise GraphError, naming the layer, on a graph the ops cannot run:
+        bad structure, inconsistent shapes, geometry, quantizer ranges or BN
+        statistics, weights of the wrong rank, a parameter that is not a
+        floating-point array, or a parameter vector that is not one entry
+        per output channel. Sets widest from the inferred shapes."""
         if not self.layers:
             raise GraphError("graph has no layers")
         if len(self.input_shape) != 3:
@@ -88,7 +97,10 @@ class ModelGraph:
             if point is not None:
                 _check_quant_cfg(layer.name, point.cfg)
             seen.add(layer.name)
-        infer_shapes(self)
+        shapes = infer_shapes(self)
+        for layer in self.layers:
+            _check_params(layer, shapes[layer.name][0])
+        self.widest = max(1, *(math.prod(shape) for shape in shapes.values()))
 
     def layer(self, name):
         return self.layers[self.index(name)]
@@ -109,6 +121,24 @@ def _check_quant_cfg(name, cfg):
                                 and cfg.m <= cfg.M_up):
         raise GraphError(f"layer '{name}': quantizer range [{cfg.m}, {cfg.M_up}] "
                          "must be finite with m <= M_up")
+
+
+def _check_params(layer, channels):
+    """Raise GraphError, naming the layer and the field, unless every
+    parameter array of a conv, depthwise conv, affine or BN layer has a
+    floating dtype and every parameter vector (a bias, BN's gamma, beta and
+    running statistics) has shape (channels,), the layer's output channels."""
+    for fieldname in _TENSOR_FIELDS.get(layer.kind, ()):
+        a = getattr(layer.params, fieldname)
+        if a is None:
+            continue
+        if not (isinstance(a, np.ndarray) and a.dtype.kind == "f"):
+            got = a.dtype if isinstance(a, np.ndarray) else type(a).__name__
+            raise GraphError(f"layer '{layer.name}': {fieldname} must be a floating-point "
+                             f"array, got {got}")
+        if fieldname != "weights" and a.shape != (channels,):
+            raise GraphError(f"layer '{layer.name}': {fieldname} has shape {a.shape}, "
+                             f"expected ({channels},)")
 
 
 def _check_bn(name, params):
@@ -134,7 +164,8 @@ def copy_graph(graph):
 
 def infer_shapes(graph):
     """Per-sample output shape of every layer, in order. Raises GraphError on
-    any inconsistency."""
+    any inconsistency of the layer geometry (parameter vectors are
+    ModelGraph.validate's to check)."""
     shapes = {}
     prev_shape = tuple(graph.input_shape)
     for layer in graph.layers:
@@ -143,7 +174,7 @@ def infer_shapes(graph):
             if len(prev_shape) != 3:
                 raise GraphError(f"{k} '{layer.name}' needs a (C, H, W) input, got {prev_shape}")
             c, h, w = prev_shape
-            o, ci, kh, kw = layer.params.weights.shape
+            o, ci, kh, kw = _weights_shape(layer, 4)
             # A depthwise kernel (C, 1, kh, kw) has one filter per input channel.
             expected = ci if k == "conv" else o
             if expected != c:
@@ -154,16 +185,11 @@ def infer_shapes(graph):
         elif k == "affine":
             if len(prev_shape) != 1:
                 raise GraphError(f"affine '{layer.name}' needs a flat input, got {prev_shape}")
-            d, kdim = layer.params.weights.shape
+            d, kdim = _weights_shape(layer, 2)
             if d != prev_shape[0]:
                 raise GraphError(f"affine '{layer.name}' expects {d} inputs, gets {prev_shape[0]}")
             out = (kdim,)
-        elif k == "bn":
-            ch = layer.params.gamma.shape[0]
-            if prev_shape[0] != ch:
-                raise GraphError(f"bn '{layer.name}' has {ch} channels, input has {prev_shape[0]}")
-            out = prev_shape
-        elif k in ("relu", "relu6", "quant_point"):
+        elif k in ("bn", "relu", "relu6", "quant_point"):
             out = prev_shape
         elif k == "global_avg_pool":
             if len(prev_shape) != 3:
@@ -179,6 +205,13 @@ def infer_shapes(graph):
         shapes[layer.name] = out
         prev_shape = out
     return shapes
+
+
+def _weights_shape(layer, ndim):
+    shape = np.shape(layer.params.weights)
+    if len(shape) != ndim:
+        raise GraphError(f"layer '{layer.name}': weights must be {ndim}-d, got shape {shape}")
+    return shape
 
 
 def _extent(layer, size, kernel, stride, pad):

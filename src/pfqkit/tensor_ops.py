@@ -39,10 +39,27 @@ CIFAR and the benchmark nets are at most 32x32) but not far beyond: in
 float32 on one core of an Intel Xeon, the stride-1 backward on a
 (4, 32, 128, 128) input took 1.0-1.4x as long as per-tap loops (44-57 ms
 against 41-44 ms), most of it the banded weight gradient; at stride 2 the
-backward beat them (16 ms against 23 ms).
+backward beat them (16 ms against 23 ms). At the library's widths the
+banded weight gradient is the ceiling of the per-tap forms: median ms on
+the same core, band against the best per-tap form (an einsum over each
+tap's strided view of the padded input; a multiply-and-sum and a per-channel
+matmul on contiguous copies were slower still):
+(64, 32, 32, 32) stride 1: 11.3-12.2 against 22.2-25.0 ms;
+(64, 32, 32, 32) stride 2: 3.9-4.1 against 10.1-10.6 ms;
+(64, 64, 16, 16): 3.4-3.6 against 10.7-11.5 ms;
+(64, 64, 8, 8): 2.5 against 4.5-4.9 ms.
 Every reduction order is fixed, so results repeat run to run on a fixed
 machine. All ops preserve the input dtype, so the same code runs in float32
 (the storage dtype of models) and float64 (used by gradient checks).
+
+A conv or depthwise bias is added as a row (_row): the bias repeated into
+one C-contiguous (O, Ho, Wo) image, broadcast over the batch, so numpy runs
+the add as one O*Ho*Wo inner loop per image, where a (1, O, 1, 1) operand
+gives one loop per plane (on (64, 32, 32, 32) float32, 0.52 against
+1.05 ms; same bytes). ensure_finite tests a C-contiguous float32 or float64
+array with one BLAS self-dot and falls back to the elementwise test only
+when the dot is not finite (_finite), so it raises on exactly the inputs
+the elementwise test rejects.
 
 On the small tensors of a toy net a call costs more in numpy's Python
 layer than in arithmetic, so the ops avoid its wrappers where a direct
@@ -87,8 +104,32 @@ def ensure_finite(op, **arrays):
     """Raise ValueError naming op and the first argument that holds a nan or
     an infinity; None arguments are skipped."""
     for arg, a in arrays.items():
-        if a is not None and not np.isfinite(a).all():
+        if a is not None and not _finite(a):
             raise ValueError(f"{op}: non-finite values in {arg}")
+
+
+def _finite(a):
+    """Whether every element of a is finite. A C-contiguous float32 or
+    float64 array is first tested with one BLAS self-dot: every square is
+    >= 0, +inf or nan, so a nan or an infinity anywhere makes the dot
+    non-finite. Only a non-finite dot, which a finite array whose squares
+    overflow also gives, falls back to the elementwise test, so the answer
+    is always the elementwise one. np.vdot, unlike np.dot, raises no
+    overflow warning for such an array. On (64, 32, 32, 32) float32 the
+    dot takes 0.46 ms against 0.63 ms for the elementwise test."""
+    if (isinstance(a, np.ndarray) and a.dtype.char in "fd" and a.flags.c_contiguous
+            and np.isfinite(np.vdot(a, a))):
+        return True
+    return bool(np.isfinite(a).all())
+
+
+def _row(v, image, hw):
+    """The per-channel vector v, each entry repeated hw times, as one
+    C-contiguous image of shape (C, H, W) or (C,). Broadcast over the batch
+    axis, it lets numpy run an elementwise pass as one C*H*W inner loop per
+    image, where a (1, C, 1, 1) operand gives one loop per (image, channel)
+    plane."""
+    return v.repeat(hw).reshape(image)
 
 
 def result_buffer(out, *operands):
@@ -174,7 +215,7 @@ def conv2d_forward(x, weights, bias=None, stride=(1, 1), padding=(0, 0), *, chec
     cols = _im2col(xp, kh, kw, sh, sw).reshape(n, c * kh * kw, ho * wo)
     out = np.matmul(weights.reshape(o, c * kh * kw), cols, out=out).reshape(n, o, ho, wo)
     if bias is not None:
-        out += bias.reshape(1, o, 1, 1)
+        out += _row(bias, (o, ho, wo), ho * wo)
     return out
 
 
@@ -308,7 +349,7 @@ def depthwise_conv2d_forward(x, weights, bias=None, stride=(1, 1), padding=(0, 0
     wo = conv_output_extent(w, kw, sw, pw)
     out = _depthwise_rows(x, weights[:, 0], sh, sw, ph, pw, ho, wo)
     if bias is not None:
-        out += bias.reshape(1, c, 1, 1)
+        out += _row(bias, (c, ho, wo), ho * wo)
     return out
 
 

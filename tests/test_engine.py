@@ -1,7 +1,9 @@
 """The engine's trace contract and the memory it keeps alive.
 
 run_inference keeps each layer output only until its last reader, so it must
-give exactly the final output of a full trace. backward_graph consumes its
+give exactly the final output of a full trace; it runs the layers before the
+first affine in slabs and the rest on the whole batch, which must change no
+byte at any batch size around the slab size. backward_graph consumes its
 trace and names the error when it is given one it cannot backpropagate.
 Peak memory is measured with tracemalloc on a deep chain of cheap
 elementwise layers: there the set of live activations sets the peak, where on
@@ -23,7 +25,7 @@ from pfqkit import tensor_ops as T
 from pfqkit.batchnorm import init_bn
 from pfqkit.engine import backward_graph, forward_graph, loss_and_grads, run_inference
 from pfqkit.graph import (AffineParams, LayerSpec, ModelGraph, copy_graph, fold_bn_graph,
-                          save_model)
+                          infer_shapes, save_model)
 from pfqkit.models import BUILDERS, build_ds_convnet, build_small_convnet
 from pfqkit.quantization import (QuantConfig, QuantPoint, QuantRangeError, act_point_applies,
                                  insert_quant_points)
@@ -71,6 +73,98 @@ def _calibrated_4bit(net, fold=True):
 def test_run_inference_equals_full_trace_folded_4bit():
     q = _calibrated_4bit(build_ds_convnet(blocks=3, seed=5))
     _assert_streams_exactly(q, _batch(q))
+
+
+# --- slabs ---------------------------------------------------------------------
+
+def _slab(graph, dtype):
+    return engine.SLAB_BYTES // (graph.widest * np.dtype(dtype).itemsize)
+
+
+def _batch_sizes(monkeypatch):
+    """Records (op, batch extent) of every conv, depthwise conv and affine call."""
+    seen = []
+
+    def recording(name, op):
+        def wrapped(x, *args, **kwargs):
+            seen.append((name, x.shape[0]))
+            return op(x, *args, **kwargs)
+        return wrapped
+
+    for name in CHECKING_OPS:
+        monkeypatch.setattr(T, name, recording(name, getattr(T, name)))
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_slabs_change_no_byte(name, dtype, monkeypatch):
+    """run_inference runs the layers before the affine on slabs of the batch,
+    the affine on the whole batch, and gives the bytes of one unslabbed
+    inference at every batch size around the slab size."""
+    net = BUILDERS[name](seed=6, dtype=dtype)
+    q = _calibrated_4bit(net, fold=name != "residual_net")
+    assert all(act_point_applies(l.params) for l in q.layers if l.kind == "quant_point")
+    shapes = infer_shapes(q)
+    assert q.widest == max(int(np.prod(s)) for s in shapes.values())
+    slab = _slab(q, dtype)
+    assert slab > 1
+    x = _batch(q, n=3 * slab + 5, seed=8).astype(dtype)
+    seen = _batch_sizes(monkeypatch)
+    per_slab = sum(l.kind in ("conv", "depthwise_conv") for l in q.layers)
+    for n in (1, slab - 1, slab, slab + 1, 3 * slab + 5):
+        whole = forward_graph(q, x[:n], keep_outputs=False).outputs[q.layers[-1].name]
+        seen.clear()
+        streamed = run_inference(q, x[:n])
+        assert streamed.dtype == whole.dtype == dtype and streamed.shape == whole.shape
+        assert streamed.tobytes() == whole.tobytes()
+        assert [k for op, k in seen if op == "affine_forward"] == [n]
+        convs = [k for op, k in seen if op != "affine_forward"]
+        assert len(convs) == per_slab * -(-n // slab) and max(convs) == min(n, slab)
+
+
+def _flat_junction_net():
+    """conv, pool, then an affine whose output a junction adds to the pooled
+    features: two outputs outlive the slabs and are gathered."""
+    rng = np.random.default_rng(3)
+    return ModelGraph(layers=[
+        LayerSpec("conv", "conv", ConvParams(rng.standard_normal((6, 2, 3, 3))), padding=(1, 1)),
+        LayerSpec("pool", "global_avg_pool"),
+        LayerSpec("fc1", "affine",
+                  AffineParams(rng.standard_normal((6, 6)), rng.standard_normal(6))),
+        LayerSpec("join", "add_junction", ("pool", "fc1")),
+        LayerSpec("fc2", "affine", AffineParams(rng.standard_normal((6, 3)), None)),
+    ], input_shape=(2, 64, 64))
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 12])
+def test_outputs_read_after_the_slabs_are_gathered(n):
+    net = _flat_junction_net()
+    assert _slab(net, np.float64) == 5
+    x = np.random.default_rng(4).standard_normal((n, 2, 64, 64))
+    _assert_streams_exactly(net, x)
+    assert run_inference(net, x).shape == (n, 3)
+
+
+def _evaluate_per_batch(graph, images, labels, batch_size=64):
+    """Accuracy summed over one run_inference call per batch of 64."""
+    hits = 0
+    for lo in range(0, images.shape[0], batch_size):
+        logits = run_inference(graph, images[lo:lo + batch_size])
+        hits += int((np.argmax(logits, axis=1) == labels[lo:lo + batch_size]).sum())
+    return hits / images.shape[0]
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_evaluate_matches_the_per_batch_loop(name):
+    q = _calibrated_4bit(BUILDERS[name](seed=2), fold=name != "residual_net")
+    x = _batch(q, n=150, seed=5)
+    # Half the labels are the net's own answers, so the accuracy is not near 0.
+    labels = np.random.default_rng(6).integers(0, 4, 150)
+    labels[::2] = np.argmax(run_inference(q, x), axis=1)[::2]
+    acc = engine.evaluate(q, x, labels)
+    assert type(acc) is float and acc == _evaluate_per_batch(q, x, labels)
+    assert 0.5 <= acc < 1
 
 
 # --- values a point quantized are not checked again ---------------------------
@@ -131,6 +225,27 @@ def test_only_unquantized_inputs_are_checked(name, keep_outputs, monkeypatch):
     checked_x = [i for i, (_, arrays) in zip(weighted, checks) if "x" in arrays]
     assert checked_x == [i for i in weighted if i == 0 or layers[i - 1].kind != "quant_point"]
     assert checks[0][0] == "conv2d" and "x" in checks[0][1]
+
+
+@pytest.mark.parametrize("name", sorted(QUANTIZED_NETS))
+def test_run_inference_checks_what_a_streamed_trace_checks(name, monkeypatch):
+    """The affine runs after the slabs are gathered and still skips the
+    check of the input its activation point quantized."""
+    net = QUANTIZED_NETS[name]()
+    x = _batch(net)
+    assert _slab(net, x.dtype) >= len(x)
+    checks = []
+    original = T.ensure_finite
+
+    def counting(op, **arrays):
+        checks.append((op, sorted(arg for arg, a in arrays.items() if a is not None)))
+        return original(op, **arrays)
+
+    monkeypatch.setattr(T, "ensure_finite", counting)
+    forward_graph(net, x, keep_outputs=False)
+    streamed, checks[:] = checks[:], []
+    run_inference(net, x)
+    assert checks == streamed and streamed[-1] == ("affine", ["bias", "weights"])
 
 
 def test_a_point_whose_grid_overflows_fails_at_the_point():

@@ -1,6 +1,8 @@
 """Graph validation, shape inference, MAC counting, folding, serialization."""
 
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -533,3 +535,110 @@ def test_zero_running_var_still_loads(tmp_path):
     save_model(g, path)
     x = np.random.default_rng(0).uniform(-1, 1, (2, 1, 6, 6)).astype(np.float32)
     assert run_inference(load_model(path), x).tobytes() == run_inference(g, x).tobytes()
+
+
+def _vector_graph():
+    """conv, depthwise conv and affine with biases, and a BN: one of every
+    parameter vector, 3 channels wide (2 for the affine)."""
+    rng = np.random.default_rng(2)
+
+    def f32(*shape):
+        return rng.standard_normal(shape).astype(np.float32)
+
+    return ModelGraph(layers=[
+        LayerSpec("c1", "conv", ConvParams(f32(3, 1, 3, 3), f32(3))),
+        LayerSpec("d1", "depthwise_conv", DepthwiseConvParams(f32(3, 1, 3, 3), f32(3)),
+                  padding=(1, 1)),
+        LayerSpec("b1", "bn", init_bn(3)),
+        LayerSpec("a1", "relu"),
+        LayerSpec("p1", "global_avg_pool"),
+        LayerSpec("fc", "affine", AffineParams(f32(3, 2), f32(2))),
+    ], input_shape=(1, 6, 6))
+
+
+f32 = np.float32
+BAD_VECTORS = [("c1", "bias", np.zeros(2, f32), "(2,)", "(3,)"),
+               ("d1", "bias", np.zeros(4, f32), "(4,)", "(3,)"),
+               ("fc", "bias", np.zeros(3, f32), "(3,)", "(2,)"),
+               ("b1", "gamma", np.ones((3, 1), f32), "(3, 1)", "(3,)"),
+               ("b1", "beta", np.zeros(2, f32), "(2,)", "(3,)"),
+               ("b1", "running_mean", np.zeros(4, f32), "(4,)", "(3,)"),
+               ("b1", "running_var", np.ones(1, f32), "(1,)", "(3,)")]
+
+
+@pytest.mark.parametrize("layer, field, value, got, want", BAD_VECTORS,
+                         ids=[f"{layer}-{field}" for layer, field, *_ in BAD_VECTORS])
+class TestParameterVectorLength:
+    """A parameter vector must be 1-d with one entry per output channel;
+    otherwise it fails at validation or load with the layer and field named,
+    not at run time with an unnamed broadcast or reshape error."""
+
+    def test_built_in_python(self, layer, field, value, got, want):
+        g = _vector_graph()
+        setattr(g.layer(layer).params, field, value)
+        with pytest.raises(GraphError, match=rf"^layer '{layer}': {field} has shape "
+                                             rf"{re.escape(got)}, expected {re.escape(want)}$"):
+            g.validate()
+
+    def test_loaded_from_a_manifest(self, layer, field, value, got, want, tmp_path):
+        g = _vector_graph()
+        setattr(g.layer(layer).params, field, value)  # save_model writes it as it is
+        path = tmp_path / "model.json"
+        save_model(g, path)
+        with pytest.raises(ModelFormatError,
+                           match=rf"layer '{layer}': {field} has shape {re.escape(got)}"):
+            load_model(path)
+
+
+BAD_DTYPES = [("c1", "weights", lambda a: a.astype(np.int64), "int64"),
+              ("d1", "weights", lambda a: a.astype(np.int32), "int32"),
+              ("fc", "weights", lambda a: a > 0, "bool"),
+              ("c1", "bias", lambda a: a.astype(np.int64), "int64"),
+              ("b1", "gamma", lambda a: a.astype(np.complex64), "complex64"),
+              ("b1", "running_mean", lambda a: a.tolist(), "list")]
+
+
+@pytest.mark.parametrize("layer, field, cast, got", BAD_DTYPES,
+                         ids=[f"{layer}-{field}-{got}" for layer, field, _, got in BAD_DTYPES])
+def test_parameters_must_be_floating_arrays(layer, field, cast, got):
+    g = _vector_graph()
+    params = g.layer(layer).params
+    setattr(params, field, cast(getattr(params, field)))
+    with pytest.raises(GraphError, match=f"^layer '{layer}': {field} must be a floating-point "
+                                         f"array, got {got}$"):
+        g.validate()
+
+
+BAD_RANKS = [("c1", "weights", lambda a: a[0], "weights must be 4-d, got shape (1, 3, 3)"),
+             ("d1", "weights", lambda a: a[:, 0], "weights must be 4-d, got shape (3, 3, 3)"),
+             ("fc", "weights", lambda a: a[None], "weights must be 2-d, got shape (1, 3, 2)"),
+             ("b1", "gamma", lambda a: a[:1].reshape(()), "gamma has shape (), expected (3,)")]
+
+
+@pytest.mark.parametrize("layer, field, cut, message", BAD_RANKS,
+                         ids=[f"{layer}-{field}" for layer, field, *_ in BAD_RANKS])
+def test_parameters_of_the_wrong_rank_are_named(layer, field, cut, message, tmp_path):
+    g = _vector_graph()
+    params = g.layer(layer).params
+    setattr(params, field, cut(getattr(params, field)))
+    with pytest.raises(GraphError, match=f"^layer '{layer}': {re.escape(message)}$"):
+        g.validate()
+    path = tmp_path / "model.json"
+    save_model(g, path)
+    with pytest.raises(ModelFormatError, match=f"layer '{layer}': {re.escape(message)}$"):
+        load_model(path)
+
+
+def test_float16_and_float64_parameters_are_accepted():
+    g = _vector_graph()
+    g.layer("c1").params.weights = g.layer("c1").params.weights.astype(np.float16)
+    g.layer("b1").params.gamma = g.layer("b1").params.gamma.astype(np.float64)
+    g.validate()
+
+
+def test_widest_is_the_largest_activation_and_not_compared():
+    g = _vector_graph()
+    assert g.widest == max(int(np.prod(shape)) for shape in infer_shapes(g).values()) == 3 * 4 * 4
+    assert ModelGraph(layers=g.layers, input_shape=(1, 8, 8)).widest == 3 * 6 * 6
+    assert [f.name for f in dataclasses.fields(ModelGraph) if f.compare or f.repr or f.init] == [
+        "layers", "input_shape"]

@@ -6,6 +6,7 @@ differences on float64 inputs.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from pfqkit.tensor_ops import (
     depthwise_conv2d_backward,
     depthwise_conv2d_forward,
     elementwise_add,
+    ensure_finite,
     global_avg_pool_backward,
     global_avg_pool_forward,
     relu6_backward,
@@ -238,6 +240,55 @@ def test_non_finite_argument_raises_naming_it(case, arg, bad):
     poisoned.flat[poisoned.size // 2] = bad
     with pytest.raises(ValueError, match=f"^{op}: non-finite values in {arg}$"):
         call(**{**arrays, arg: poisoned})
+
+
+# ensure_finite tests a C-contiguous float32/float64 array with one self-dot
+# and falls back to the elementwise test only when the dot is not finite.
+LAYOUTS = {"contiguous": lambda a: a, "strided": lambda a: a[:, ::2, 1:]}
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_finite_check_finds_a_non_finite_value_anywhere(dtype, bad, where, layout):
+    a = LAYOUTS[layout](np.random.default_rng(9).standard_normal((4, 6, 10)).astype(dtype))
+    assert a.flags.c_contiguous == (layout == "contiguous")
+    ensure_finite("op", arg=a)
+    a[np.unravel_index({"first": 0, "middle": a.size // 2, "last": a.size - 1}[where],
+                       a.shape)] = bad
+    with pytest.raises(ValueError, match="^op: non-finite values in arg$"):
+        ensure_finite("op", clean=np.ones(3, dtype), arg=a)
+    # next to finite values whose squares overflow, the fallback still finds it
+    a[0, 0, 1] = 1e30
+    with pytest.raises(ValueError, match="^op: non-finite values in arg$"):
+        ensure_finite("op", arg=a)
+
+
+@pytest.mark.parametrize("a", [
+    np.full((3, 5), 1e30, dtype=np.float32),
+    np.full(7, -1e200, dtype=np.float64),
+    np.finfo(np.float32).max * np.ones((2, 2, 2), dtype=np.float32),
+    np.arange(12, dtype=np.int64).reshape(3, 4),
+    np.arange(12, dtype=np.int32)[::2],
+    np.ones(4, dtype=bool),
+    np.float32(2.5),
+    np.ones((2, 3), dtype=np.float16),
+    np.zeros((0, 4), dtype=np.float32),
+], ids=["f32-overflowing", "f64-overflowing", "f32-max", "int64", "int32-strided", "bool",
+        "scalar", "f16", "empty"])
+def test_finite_check_passes_finite_arrays_without_a_warning(a):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ensure_finite("op", arg=a)
+
+
+@pytest.mark.parametrize("a", [np.array([1.0, np.inf], dtype=np.float16), np.float64(np.nan),
+                               np.array(-np.inf, dtype=np.float32)],
+                         ids=["f16", "scalar", "0-d"])
+def test_finite_check_rejects_other_non_finite_inputs(a):
+    with pytest.raises(ValueError, match="^op: non-finite values in arg$"):
+        ensure_finite("op", arg=a)
 
 
 # The width-32 net's full convolutions at a small spatial extent:
