@@ -108,16 +108,22 @@ def bn_forward_train(x, params, out=None):
 
     Returns (out, BatchStats, updated BNParams, BNCache). The centered input,
     which the cache keeps, is written into out when given (it may be x).
+    Raises ShapeError on a malformed x, then ValueError on a non-finite one:
+    a nan or an infinity makes its channel's sum non-finite, so x itself is
+    checked only when a channel sum is (a finite x whose sum overflows then
+    runs on).
     """
-    ensure_finite("bn", x=x)
     c = params.gamma.shape[0]
     axes, _ = _axes_and_expand(x, c)
+    sums = np.add.reduce(x, axis=axes)
+    if not np.isfinite(sums).all():
+        ensure_finite("bn", x=x)
     count = x.size // c
     if count < 2:
         raise ValueError(f"bn training needs at least 2 elements per channel, got {count}")
 
     image, hw = x.shape[1:], count // x.shape[0]
-    mu = np.add.reduce(x, axis=axes) / count
+    mu = sums / count
     centered = np.subtract(x, _row(mu, image, hw), out=result_buffer(out, x, mu))
     sigma2 = _per_channel_dot(centered, centered) / count
     inv_std = 1.0 / np.sqrt(sigma2 + params.epsilon)

@@ -36,41 +36,51 @@ never mutates it.
 Quantization points apply when enabled. A weight point quantizes the layer's
 weight tensor with the tensor's own live min/max; the master weights stay
 real and gradients attach to them (the live range covers every element, so
-the straight-through mask is all ones). The quantized tensor is memoized on
-the point and served while the weight array is the same object with the same
-bytes and bits. An activation point snaps the tensor with its EMA range;
-when the range is not yet initialized, or has collapsed to a single value,
-the point passes through unchanged.
+the straight-through mask is all ones). The quantized tensor is read-only.
+An activation point snaps the tensor with its EMA range; when the range is
+not yet initialized, or has collapsed to a single value, the point passes
+through unchanged.
+
+The inference memo: a conv, depthwise conv or affine layer prepares its
+op (tensor_ops' *_prepare: quantize the weights when its weight point is
+enabled, check the weights and bias, derive the weight matrix, bias row,
+row plan and bands) once per parameter version, not once per call and
+slab. The record lives on LayerSpec.memo with its key: the weight and bias
+objects and their bytes, the weight point's bits (None when it has no
+enabled point), the input's per-image shape and dtype, and the stride and
+padding. It is served only while every part of the key holds, so a new
+array (an sgd_step), an in-place write to the weights or the bias, a change
+of bits, of input shape or of dtype each make the next pass prepare again;
+a copied graph copies the memo along with the arrays it names. Only the
+inference-mode forwards read or write it: run_inference (every slab) and
+forward_graph(training=False). A training forward quantizes and prepares
+on every call and never touches the memo: its weights move every step.
 
 Finite checks: a conv, depthwise conv or affine checks its weights and bias
-for non-finite values, and its input unless that input is what an
-activation point quantized in the same pass. Such a value is finite by
-construction: the point checked its own input, and quantize bounds its
-output to [m, M] on a grid it has verified to be finite in the dtype, so a
-second check could not fail; skipping it saves one full pass over the
-activation per conv. The forward loop decides from what the point did (it
-quantized, so it returned a cache), never from its config: a disabled,
-uninitialized or collapsed point passes its input through, and the layer
-that reads it checks it. Direct op calls check every argument.
+for non-finite values when it prepares, and its input on every call unless
+that input is what an activation point quantized in the same pass. Such a
+value is finite by construction: the point checked its own input, and
+quantize bounds its output to [m, M] on a grid it has verified to be finite
+in the dtype, so a second check could not fail. The forward loop decides
+from what the point did (it quantized, so it returned a cache), never from
+its config: a disabled, uninitialized or collapsed point passes its input
+through, and the layer that reads it checks it. An inference pass that
+prepares checks a layer's weights and bias before its input, so when both
+are non-finite it names the weights or bias. Direct op calls check every
+argument.
 
 Slabs: run_inference runs the batch in slabs of as many images as keep the
 graph's widest per-image activation (ModelGraph.widest, from the shapes
-validate infers) within SLAB_BYTES, 1 MiB: 8 images of the width-32
-benchmark net, 128 of the toy net at 16x16. A slab's activations
-then stay in cache across a block's elementwise passes (the bias add, the
-quantizer's finite check, clip, divide, add, floor and multiply) instead of
-streaming a full-batch array through memory for each pass. Every layer
-before the first affine computes each image on its own (per-image and
-per-channel matmuls, elementwise passes, per-plane means), so its bytes do
-not depend on how many images share a call. An affine is one matmul over
-the batch, and BLAS rounds a product of one or a few rows differently
-(numpy runs a 1-row product as a gemv), so the first affine and every layer
-after it run once on the gathered slabs. run_inference thus gives the bytes
-of one unslabbed pass at every batch size, through one loop and one plan
-(_schedule) per call. In float32 on one core of an Intel Xeon, a batch of
-64 on the folded 4-bit width-32 net took a median of 55.9 ms unslabbed and
-43.3 ms in slabs of 8 (4: 45.8, 16: 42.7, 32: 44.7 ms; 30 alternating
-rounds).
+validate infers) within SLAB_BYTES, so a slab's activations stay in cache
+across a block's elementwise passes. Every layer before the first affine
+computes each image on its own (per-image and per-channel matmuls,
+elementwise passes, per-plane means), so its bytes do not depend on how
+many images share a call. An affine is one matmul over the batch, and BLAS
+rounds a product of one or a few rows differently (numpy runs a 1-row
+product as a gemv), so the first affine and every layer after it run once
+on the gathered slabs. run_inference thus gives the bytes of one unslabbed
+pass at every batch size, through one loop and one plan (_schedule) per
+call.
 
 Absorption: in a pass that drops outputs in inference mode, a relu or relu6
 whose only reader is an applying activation point with range [m, M] inside
@@ -85,6 +95,7 @@ clipped, reaches the quantizer, which raises its non-finite ValueError.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,33 +117,65 @@ class ForwardTrace:
     bn_stats: dict
 
 
-def _quantized_weights(layer):
-    """The weights a conv, depthwise conv or affine layer computes with. An
-    enabled weight point's quantized tensor is memoized on the point, keyed
-    by the weight array object and bits, and served only while that array
-    still holds the bytes it was made from, so an in-place write to the
-    master weights is never served stale. The memo is read-only."""
+def _weights(layer):
+    """The weights a conv, depthwise conv or affine layer computes with: an
+    enabled weight point's quantized tensor, read-only, else the master
+    weights."""
     w = layer.params.weights
     point = layer.weight_quant
     if point is None or not point.enabled:
         return w
-    bits, memo = point.cfg.bits, point.memo
-    if memo is not None and memo[0] is w and memo[1] == bits and memo[2] == w.tobytes():
-        return memo[3]
-    wq = quantize(w, weight_range_cfg(w, bits))
+    wq = quantize(w, weight_range_cfg(w, point.cfg.bits))
     wq.flags.writeable = False
-    point.memo = (w, bits, w.tobytes(), wq)
     return wq
 
 
-def _weighted(forward_op, backward_op):
+class _Memo(NamedTuple):
+    """An inference-mode layer's prepared op and the key it was made for."""
+
+    weights: np.ndarray
+    bias: np.ndarray | None
+    key: tuple  # (bits or None, per-image input shape, dtype, stride, padding)
+    weight_bytes: bytes
+    bias_bytes: bytes | None
+    used: np.ndarray  # the weights the op computes with (quantized when the point is on)
+    prepared: tuple  # the *_prepare record
+
+
+def _prepared(layer, x, prepare_op):
+    """(weights, prepared record) of an inference-mode conv, depthwise conv
+    or affine layer reading x, served from layer.memo while its key holds
+    (see the module docstring), else derived and memoized."""
+    w, b = layer.params.weights, layer.params.bias
+    point = layer.weight_quant
+    key = (point.cfg.bits if point is not None and point.enabled else None,
+           x.shape[1:], x.dtype, layer.stride, layer.padding)
+    memo = layer.memo
+    if (memo is not None and memo.weights is w and memo.bias is b and memo.key == key
+            and memo.weight_bytes == w.tobytes()
+            and (b is None or memo.bias_bytes == b.tobytes())):
+        return memo.used, memo.prepared
+    used = _weights(layer)
+    prepared = prepare_op(layer, used, x.shape[1:], x.dtype)
+    layer.memo = _Memo(w, b, key, w.tobytes(), None if b is None else b.tobytes(), used,
+                       prepared)
+    return used, prepared
+
+
+def _weighted(forward_op, backward_op, prepare_op):
     """(forward, backward) of a conv, depthwise conv or affine layer, which
-    differ only in the tensor op: forward_op(layer, x, w, check_x) and
-    backward_op(layer, grad, x, w, has_bias, input_grad)."""
+    differ only in the tensor ops: forward_op(layer, x, w, check_x,
+    prepared), backward_op(layer, grad, x, w, has_bias, input_grad) and
+    prepare_op(layer, w, image, dtype). A training forward quantizes and
+    prepares on every call; an inference forward takes both from the
+    layer's memo (_prepared)."""
 
     def forward(layer, x, trace, training, update_ranges, out, check_x):
-        w = _quantized_weights(layer)
-        return forward_op(layer, x, w, check_x), (x, w)
+        if training:
+            w = _weights(layer)
+            return forward_op(layer, x, w, check_x, None), (x, w)
+        w, prepared = _prepared(layer, x, prepare_op)
+        return forward_op(layer, x, w, check_x, prepared), None
 
     def backward(layer, g, cache, send, input_grad, out):
         upstream, gw, gb = backward_op(layer, g, *cache, layer.params.bias is not None, input_grad)
@@ -211,18 +254,23 @@ def _act_quant_backward(layer, g, cache, send, input_grad, out):
 # traced benchmark run, perfbench/spans.py, times ops that way).
 _LAYER_OPS = {
     "conv": _weighted(
-        lambda l, x, w, cx: T.conv2d_forward(x, w, l.params.bias, l.stride, l.padding,
-                                             check_x=cx),
+        lambda l, x, w, cx, p: T.conv2d_forward(x, w, l.params.bias, l.stride, l.padding,
+                                                check_x=cx, prepared=p),
         lambda l, g, x, w, b, gx: T.conv2d_backward(g, x, w, l.stride, l.padding, has_bias=b,
-                                                    input_grad=gx)),
+                                                    input_grad=gx),
+        lambda l, w, image, dtype: T.conv2d_prepare(w, l.params.bias, l.stride, l.padding,
+                                                    image, dtype)),
     "depthwise_conv": _weighted(
-        lambda l, x, w, cx: T.depthwise_conv2d_forward(x, w, l.params.bias, l.stride,
-                                                       l.padding, check_x=cx),
+        lambda l, x, w, cx, p: T.depthwise_conv2d_forward(x, w, l.params.bias, l.stride,
+                                                          l.padding, check_x=cx, prepared=p),
         lambda l, g, x, w, b, gx: T.depthwise_conv2d_backward(g, x, w, l.stride, l.padding,
-                                                              has_bias=b, input_grad=gx)),
+                                                              has_bias=b, input_grad=gx),
+        lambda l, w, image, dtype: T.depthwise_conv2d_prepare(w, l.params.bias, l.stride,
+                                                              l.padding, image, dtype)),
     "affine": _weighted(
-        lambda l, x, w, cx: T.affine_forward(x, w, l.params.bias, check_x=cx),
-        lambda l, g, x, w, b, _: T.affine_backward(g, x, w, has_bias=b)),
+        lambda l, x, w, cx, p: T.affine_forward(x, w, l.params.bias, check_x=cx, prepared=p),
+        lambda l, g, x, w, b, _: T.affine_backward(g, x, w, has_bias=b),
+        lambda l, w, image, dtype: T.affine_prepare(w, l.params.bias, image)),
     "bn": (_bn_forward, _bn_backward),
     "relu": _activation(lambda x, out: T.relu_forward(x, out=out),
                         lambda g, y, out: T.relu_backward(g, y, out=out)),

@@ -54,6 +54,9 @@ class LayerSpec:
     stride: tuple = (1, 1)
     padding: tuple = (0, 0)
     weight_quant: QuantPoint | None = None
+    # The engine's inference memo of a conv, depthwise conv or affine layer
+    # (engine._Memo); never saved and never compared.
+    memo: tuple | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -70,8 +73,10 @@ class ModelGraph:
 
     def validate(self):
         """Raise GraphError, naming the layer, on a graph the ops cannot run:
-        bad structure, inconsistent shapes, geometry, quantizer ranges or BN
-        statistics, weights of the wrong rank, a parameter that is not a
+        bad structure (a junction that does not name two earlier layers),
+        inconsistent shapes, geometry (a stride or padding that is not a
+        pair of integers, or out of range), quantizer ranges, BN statistics
+        or rho, weights of the wrong rank, a parameter that is not a
         floating-point array, or a parameter vector that is not one entry
         per output channel. Sets widest from the inferred shapes."""
         if not self.layers:
@@ -88,7 +93,14 @@ class ModelGraph:
                 if i == 0 or self.layers[i - 1].kind not in CONV_LIKE:
                     raise GraphError(f"bn layer '{layer.name}' must directly follow a conv, depthwise conv, or affine")
                 _check_bn(layer.name, layer.params)
+            if layer.kind in ("conv", "depthwise_conv"):
+                for fieldname in ("stride", "padding"):
+                    _check_pair(layer.name, fieldname, getattr(layer, fieldname))
             if layer.kind == "add_junction":
+                if not (isinstance(layer.params, (tuple, list)) and len(layer.params) == 2
+                        and all(isinstance(ref, str) for ref in layer.params)):
+                    raise GraphError(f"add_junction '{layer.name}' must name exactly two "
+                                     f"layers, got {layer.params!r}")
                 for ref in layer.params:
                     if ref not in seen:
                         raise GraphError(f"add_junction '{layer.name}' references '{ref}' "
@@ -141,13 +153,27 @@ def _check_params(layer, channels):
                              f"expected ({channels},)")
 
 
+def _check_pair(name, fieldname, value):
+    """A convolution's stride or padding is a pair of integers (bools are
+    not); their ranges are conv_output_extent's to check."""
+    if not (isinstance(value, (tuple, list)) and len(value) == 2
+            and all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                    for v in value)):
+        raise GraphError(f"layer '{name}': {fieldname} must be a pair of integers, "
+                         f"got {value!r}")
+
+
 def _check_bn(name, params):
     """BN divides by sqrt(running_var + epsilon): epsilon must be a finite
     number > 0, and the running variance finite and >= 0, or inference goes
-    non-finite layers later."""
+    non-finite layers later. rho, the share of the old running value an
+    update keeps, must be a real number in [0, 1] (not a bool)."""
     eps = params.epsilon
     if not (isinstance(eps, numbers.Real) and math.isfinite(eps) and eps > 0):
         raise GraphError(f"layer '{name}': bn epsilon must be finite and > 0, got {eps!r}")
+    rho = params.rho
+    if isinstance(rho, bool) or not (isinstance(rho, numbers.Real) and 0 <= rho <= 1):
+        raise GraphError(f"layer '{name}': bn rho must be a real number in [0, 1], got {rho!r}")
     var = params.running_var
     if not (np.isfinite(var).all() and (var >= 0).all()):
         raise GraphError(f"layer '{name}': bn running_var must be finite and >= 0, "
@@ -470,10 +496,13 @@ def load_model(manifest_path):
             raise ModelFormatError(f"{what} holds {len(data)} bytes, which do not fill float32 "
                                    f"shape {shape}") from None
 
+    unread = dict(arrays)
+
     def tensor(layer_name, fieldname):
         key = f"{layer_name}.{fieldname}"
         if key not in arrays:
             raise ModelFormatError(f"manifest lists no tensor '{key}'")
+        unread.pop(key, None)
         return arrays[key]
 
     layers = []
@@ -492,7 +521,7 @@ def load_model(manifest_path):
         if kind in CONV_LIKE:
             layer.params = _PARAMS_CLASS[kind](
                 weights=tensor(name, "weights"),
-                bias=tensor(name, "bias") if get("has_bias") else None,
+                bias=tensor(name, "bias") if get("has_bias", bool) else None,
             )
             if doc.get("weight_quant"):
                 layer.weight_quant = _quant_from_dict(doc["weight_quant"],
@@ -511,6 +540,9 @@ def load_model(manifest_path):
         elif kind == "quant_point":
             layer.params = _quant_from_dict(get("quant"), f"{what} quantizer")
         layers.append(layer)
+    if unread:
+        names = ", ".join(f"'{key}'" for key in sorted(unread, key=str))
+        raise ModelFormatError(f"manifest lists tensors that no layer reads: {names}")
 
     try:
         return ModelGraph(layers=layers, input_shape=input_shape)

@@ -29,10 +29,11 @@ relies on it: a conv that reads an activation point's output does not
 check it again.
 
 Two range policies exist. Weight tensors use their own min/max, derived
-again whenever the weights change (the engine memoizes the quantized tensor
-on the weight point while the weight array keeps its bytes). Activation
-ranges are tracked as an exponential moving average of observed batch
-min/max and frozen outside of training.
+again whenever the weights change: a training forward quantizes them on
+every call, and inference keeps the quantized tensor in the layer's memo
+(LayerSpec.memo) while the weight array keeps its bytes and the point its
+bits. Activation ranges are tracked as an exponential moving average of
+observed batch min/max and frozen outside of training.
 
 quantize and quantize_backward write into out= when handed one (it may be
 an input): quantize only when out has the dtype it would compute in, so the
@@ -45,7 +46,7 @@ m <= M_up (ModelGraph.validate).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -85,9 +86,6 @@ class QuantPoint:
     target: str
     cfg: QuantConfig
     enabled: bool = True
-    # A weight point's last (weights, bits, weight bytes, quantized weights),
-    # kept by the engine; never saved and never compared.
-    memo: tuple | None = field(default=None, compare=False, repr=False)
 
 
 def act_point_applies(point):
@@ -115,8 +113,9 @@ def quantize(x, cfg, out=None):
 
 def _snap(x, m, M, scale, out):
     """clip, shift by -m, scale, round half up, scale back and shift by m,
-    in out (a new array when None); a zero m skips both shifts."""
-    out = np.asarray(np.clip(x, m, M, out=out))  # a 0-d clip returns a scalar
+    in out (a new array when None); a zero m skips both shifts. The clamp
+    calls ndarray.clip, the ufunc np.clip reaches through its wrappers."""
+    out = np.asarray(x.clip(m, M, out=out))  # a 0-d clip returns a scalar
     if m:
         out -= m
     out /= scale

@@ -6,70 +6,61 @@ writes to its inputs unless that input is handed over as out=: relu and
 relu6, forward and backward, write their result into out (which may be an
 input), as quantize and the BN kernels (result_buffer) do when out has
 their result's dtype. The engine hands arrays over under its ownership rule.
-Full convolutions lay each image's patches out as a
-(C*kh*kw, Ho*Wo) im2col matrix in NCHW order and left-multiply it by the
-(O, C*kh*kw) weights in one batched matmul, whose product is already the
-NCHW output; for a 1x1, stride-1, unpadded convolution the matrix is a view
-of the input. Depthwise convolutions run one batched matmul per kernel row,
-forward and backward, at every stride and padding, and never pad: the
-input rows that row u reads inside the unpadded input, as (rows, W)
-matrices, times the W rows of a banded (Wp, Wo) matrix per channel that
-carries that row's taps on its diagonals. The input gradient is the
-adjoint: grad_out times the transposed band, onto the input rows row u
-read, so its cost follows grad_out and a stride-2 layer does a quarter of
-a stride-1 layer's work. The first kernel row to reach each residue of the
-input rows modulo the stride writes its product there directly (matmul
-out=), and only the rows of that residue it does not reach are zeroed;
-each later row writes into a temporary shaped like the residue's rows,
-zero outside its own, which is added whole onto them: at stride 1 the
-residue is all of grad_x and the add is contiguous. numpy runs an
-in-place add over a row range or strided slice of every plane through its
-8192-element ufunc buffers (adding rows 1-31 of every plane of a
-(64, 32, 32, 32) float32 batch took 1.7-1.9 ms against 0.7 ms for a
-contiguous add). The result is the same bytes as adding every row onto a
-zero-filled gradient, up to the sign of a zero, which adding onto +0
-would clear. The forward's transient is the output, one output-sized
-product temporary (allocated empty, since every row zeroes what it does
-not write) and the band; the backward's is one (N, C, W, Wo) per-row
-product for the weight gradient, then the input gradient and one
-residue-sized temporary for it.
-The band does about W/kw times the multiply-adds of a direct per-tap sum,
-which BLAS repays at the widths the library serves (builder defaults, demos,
-CIFAR and the benchmark nets are at most 32x32) but not far beyond: in
-float32 on one core of an Intel Xeon, the stride-1 backward on a
-(4, 32, 128, 128) input took 1.0-1.4x as long as per-tap loops (44-57 ms
-against 41-44 ms), most of it the banded weight gradient; at stride 2 the
-backward beat them (16 ms against 23 ms). At the library's widths the
-banded weight gradient is the ceiling of the per-tap forms: median ms on
-the same core, band against the best per-tap form (an einsum over each
-tap's strided view of the padded input; a multiply-and-sum and a per-channel
-matmul on contiguous copies were slower still):
-(64, 32, 32, 32) stride 1: 11.3-12.2 against 22.2-25.0 ms;
-(64, 32, 32, 32) stride 2: 3.9-4.1 against 10.1-10.6 ms;
-(64, 64, 16, 16): 3.4-3.6 against 10.7-11.5 ms;
-(64, 64, 8, 8): 2.5 against 4.5-4.9 ms.
 Every reduction order is fixed, so results repeat run to run on a fixed
 machine. All ops preserve the input dtype, so the same code runs in float32
 (the storage dtype of models) and float64 (used by gradient checks).
 
+Prepare. Each weighted forward (conv2d, depthwise_conv2d, affine) has a
+prepare companion that takes the weights, the bias, the geometry and the
+input's per-image shape and dtype, checks the weights and the bias for
+non-finite values (ValueError naming the argument) and the shapes
+(ShapeError), and returns a record of everything the forward derives from
+those alone: the weight matrix, the bias row, the output extents and, for
+depthwise, the kernel rows' bands. A forward handed that record as
+prepared= checks only x (unless check_x=False) and uses the record as it
+stands; without one it prepares its own, so a direct call checks and
+raises as it always has (x first, then weights, bias and shapes). The
+engine keeps one record per layer for its inference passes.
+
+Full convolutions lay each image's patches out as a (C*kh*kw, Ho*Wo)
+im2col matrix in NCHW order and left-multiply it by the (O, C*kh*kw)
+weights in one batched matmul, whose product is already the NCHW output;
+for a 1x1, stride-1, unpadded convolution the matrix is a view of the
+input. A full convolution's padded input is a new zero array with the
+input copied into its interior, and its patch view is built with the
+ndarray constructor.
+
+Depthwise convolutions run one batched matmul per kernel row, forward and
+backward, at every stride and padding, and never pad: the input rows that
+row u reads inside the unpadded input (_row_plan), as (rows, W) matrices,
+times the W rows of a banded (Wp, Wo) matrix per channel that carries that
+row's taps on its diagonals (_bands). The input gradient is the adjoint:
+grad_out times the transposed band, onto the input rows row u read, so its
+cost follows grad_out. The first kernel row to reach each residue of the
+input rows modulo the stride writes its product there directly (matmul
+out=), and only the rows of that residue it does not reach are zeroed;
+each later row writes into a temporary shaped like the residue's rows,
+zero outside its own, which is added whole onto them, since numpy runs an
+in-place add over a row range or strided slice of every plane through its
+small ufunc buffers. The result is the same bytes as adding every row onto
+a zero-filled gradient, up to the sign of a zero, which adding onto +0
+would clear. The forward's transient is the output and one output-sized
+product temporary (allocated empty, since every row zeroes what it does
+not write), plus the prepared record when it prepares its own; the
+backward's is one (N, C, W, Wo) per-row product for the weight gradient,
+then the input gradient and one residue-sized temporary for it. The band
+does about W/kw times the multiply-adds of a direct per-tap sum, which
+BLAS repays at the widths the library serves (at most 32x32) but not far
+beyond. The band diagonals are set and read through a strided view of the
+band, with no index arrays, and the row plans are cached per shape.
+
 A conv or depthwise bias is added as a row (_row): the bias repeated into
 one C-contiguous (O, Ho, Wo) image, broadcast over the batch, so numpy runs
-the add as one O*Ho*Wo inner loop per image, where a (1, O, 1, 1) operand
-gives one loop per plane (on (64, 32, 32, 32) float32, 0.52 against
-1.05 ms; same bytes). ensure_finite tests a C-contiguous float32 or float64
-array with one BLAS self-dot and falls back to the elementwise test only
-when the dot is not finite (_finite), so it raises on exactly the inputs
-the elementwise test rejects.
-
-On the small tensors of a toy net a call costs more in numpy's Python
-layer than in arithmetic, so the ops avoid its wrappers where a direct
-call gives the same bytes. A full convolution's padded input is a new
-zero array with the input copied into its interior (np.pad costs four to
-eight times as much per call at that size); its patch view is built with
-the ndarray constructor, not as_strided (1.1 against 3.9-4.1 µs a call).
-The band diagonals are set and read through a strided view of the band,
-with no index arrays, and the depthwise row plans are built once per shape
-and cached.
+the add as one O*Ho*Wo inner loop per image rather than one per plane, with
+the same bytes. ensure_finite tests a C-contiguous float32 or float64 array
+with one BLAS self-dot and falls back to the elementwise test only when the
+dot is not finite (_finite), so it raises on exactly the inputs the
+elementwise test rejects.
 """
 
 from __future__ import annotations
@@ -115,8 +106,7 @@ def _finite(a):
     non-finite. Only a non-finite dot, which a finite array whose squares
     overflow also gives, falls back to the elementwise test, so the answer
     is always the elementwise one. np.vdot, unlike np.dot, raises no
-    overflow warning for such an array. On (64, 32, 32, 32) float32 the
-    dot takes 0.46 ms against 0.63 ms for the elementwise test."""
+    overflow warning for such an array."""
     if (isinstance(a, np.ndarray) and a.dtype.char in "fd" and a.flags.c_contiguous
             and np.isfinite(np.vdot(a, a))):
         return True
@@ -185,37 +175,65 @@ def _im2col(x, kh, kw, sh, sw):
     return np.ndarray(shape, x.dtype, buffer=x, strides=strides)
 
 
-def conv2d_forward(x, weights, bias=None, stride=(1, 1), padding=(0, 0), *, check_x=True):
+def conv2d_prepare(weights, bias, stride, padding, image, dtype):
+    """What conv2d_forward derives from everything but the input's values,
+    for an input of per-image shape image (C, H, W) and the given dtype.
+
+    Checks weights and bias for non-finite values (ValueError naming the
+    argument), then the shapes (ShapeError), in the order the forward always
+    has. Returns (matrix, row, ho, wo, dtype): the weights viewed as the
+    (O, C*kh*kw) matrix, the bias as an (O, Ho, Wo) row (None without a
+    bias), the output extents and the output dtype.
+    """
+    ensure_finite("conv2d", weights=weights, bias=bias)
+    return _conv2d_record(weights, bias, stride, padding, image, dtype)
+
+
+def _conv2d_record(weights, bias, stride, padding, image, dtype):
+    """conv2d_prepare past its finite check."""
+    if len(image) != 3 or weights.ndim != 4:
+        raise ShapeError("conv2d expects 4-d input and weights")
+    c, h, w = image
+    o, ci, kh, kw = weights.shape
+    if ci != c:
+        raise ShapeError(f"conv2d channel mismatch: input {c}, weights expect {ci}")
+    ho = conv_output_extent(h, kh, stride[0], padding[0])
+    wo = conv_output_extent(w, kw, stride[1], padding[1])
+    row = None if bias is None else _row(bias, (o, ho, wo), ho * wo)
+    return weights.reshape(o, ci * kh * kw), row, ho, wo, np.result_type(dtype, weights)
+
+
+def conv2d_forward(x, weights, bias=None, stride=(1, 1), padding=(0, 0), *, check_x=True,
+                   prepared=None):
     """Cross-correlate x (N, C, H, W) with weights (O, C, kh, kw).
 
     Zero padding only. Returns (N, O, Ho, Wo), C-contiguous. The patches of
     each image form a (C*kh*kw, Ho*Wo) matrix, and the weights, viewed as
     (O, C*kh*kw), multiply it from the left, so each image's product is
     already its (O, Ho*Wo) output plane. check_x=False skips the non-finite
-    check of x only, for a caller that knows x is finite.
+    check of x only, for a caller that knows x is finite. prepared is
+    conv2d_prepare's record for these weights, bias, geometry and x's
+    per-image shape and dtype; without it the forward checks x, the weights
+    and the bias in one call and prepares its own.
     """
-    ensure_finite("conv2d", x=x if check_x else None, weights=weights, bias=bias)
-    if x.ndim != 4 or weights.ndim != 4:
-        raise ShapeError("conv2d expects 4-d input and weights")
-    n, c, h, w = x.shape
-    o, ci, kh, kw = weights.shape
-    if ci != c:
-        raise ShapeError(f"conv2d channel mismatch: input {c}, weights expect {ci}")
-    sh, sw = stride
-    ph, pw = padding
-    ho = conv_output_extent(h, kh, sh, ph)
-    wo = conv_output_extent(w, kw, sw, pw)
-    xp = _pad_input(x, ph, pw)
+    if prepared is None:
+        ensure_finite("conv2d", x=x if check_x else None, weights=weights, bias=bias)
+        prepared = _conv2d_record(weights, bias, stride, padding, x.shape[1:], x.dtype)
+    elif check_x:
+        ensure_finite("conv2d", x=x)
+    matrix, row, ho, wo, dtype = prepared
+    kh, kw = weights.shape[2:]
+    xp = _pad_input(x, *padding)
     # The output is allocated before the patch matrix, whose memory then goes
     # back to the top of the heap when it is freed, not into a hole under the
     # output that the next layer's arrays would not fit: with glibc's malloc,
-    # that hole made the heap of a wide_infer batch grow and be trimmed on
-    # every batch, with 2.7k page faults a batch.
-    out = np.empty((n, o, ho * wo), dtype=np.result_type(x, weights))
-    cols = _im2col(xp, kh, kw, sh, sw).reshape(n, c * kh * kw, ho * wo)
-    out = np.matmul(weights.reshape(o, c * kh * kw), cols, out=out).reshape(n, o, ho, wo)
-    if bias is not None:
-        out += _row(bias, (o, ho, wo), ho * wo)
+    # that hole made the heap grow and be trimmed on every batch.
+    n, o = x.shape[0], matrix.shape[0]
+    out = np.empty((n, o, ho * wo), dtype=dtype)
+    cols = _im2col(xp, kh, kw, *stride).reshape(n, matrix.shape[1], ho * wo)
+    out = np.matmul(matrix, cols, out=out).reshape(n, o, ho, wo)
+    if row is not None:
+        out += row
     return out
 
 
@@ -290,56 +308,69 @@ def _row_plan(kh, h, ho, sh, ph):
     return tuple(full + [row for row in plan if row not in full])
 
 
-def _depthwise_rows(x, taps, sh, sw, ph, pw, ho, wo):
-    """Per-channel cross-correlation of x (N, C, H, W), zero-padded by
-    (ph, pw), with taps (C, kh, kw) as one batched matmul per kernel row.
+def _bands(taps, w, sw, pw, wo, dtype):
+    """Per kernel row u, the banded (Wp, Wo) matrix per channel that holds
+    taps[c, u, v] at (k*sw + v, k), cut to the W rows of the unpadded
+    input's columns: a (kh, C, W, Wo) view of one zeroed (kh, C, Wp, Wo)
+    array, whose diagonals are set in one assignment."""
+    c, kh, kw = taps.shape
+    bands = np.zeros((kh * c, w + 2 * pw, wo), dtype=dtype)
+    _diagonals(bands, kw, sw)[...] = taps.transpose(1, 0, 2).reshape(kh * c, kw, 1)
+    return bands.reshape(kh, c, w + 2 * pw, wo)[:, :, pw:pw + w]
 
-    Kernel row u right-multiplies its input rows (_row_plan), as (j1-j0, W)
-    matrices, by a banded matrix per channel that holds taps[c, u, v] at
-    (k*sw + v, k) of the padded (Wp, Wo) band; only the band's W rows of the
-    unpadded input's columns take part, so no padded copy of x is built. The
-    product lands on output rows [j0, j1). A row that covers every output row
-    writes the output directly, and the output starts from zeros only when
-    no row covers it all. Each other row's product goes into the same rows
-    of one output-sized temporary, whose other rows it zeroes (so the
-    temporary starts empty), and the temporary is added whole: a numpy
+
+def _depthwise_rows(x, plan, bands, sh, ho, wo, dtype):
+    """Per-channel cross-correlation of x (N, C, H, W) as one batched matmul
+    per kernel row u of plan (_row_plan): the input rows that row reads, as
+    (j1-j0, W) matrices, times its band bands[u] (_bands), lands on output rows
+    [j0, j1), so no padded copy of x is built. A row that covers every
+    output row writes the output directly, and the output starts from zeros
+    only when no row covers it all. Each other row's product goes into the
+    same rows of one output-sized temporary, whose other rows it zeroes (so
+    the temporary starts empty), and the temporary is added whole: a numpy
     ufunc over a row range of every plane runs buffered (see the module
     docstring).
-    One band buffer serves every row, since only the values on its diagonals
-    change.
     """
-    n, c, h, w = x.shape
-    kh, kw = taps.shape[1:]
-    plan = _row_plan(kh, h, ho, sh, ph)
-    band = np.zeros((c, w + 2 * pw, wo), dtype=np.result_type(x, taps))
-    diag = _diagonals(band, kw, sw)
-    cols = band[:, pw:pw + w]  # the band rows of the unpadded input's columns
+    def product(i, out=None):
+        u, j0, j1, r0 = plan[i]
+        return np.matmul(x[:, :, r0:r0 + (j1 - j0) * sh:sh], bands[u], out=out)
 
-    def product(u, j0, j1, r0, out=None):
-        diag[...] = taps[:, u, :, None]
-        return np.matmul(x[:, :, r0:r0 + (j1 - j0) * sh:sh], cols, out=out)
-
+    first = 0
     if plan and plan[0][2] - plan[0][1] == ho:
-        out = product(*plan[0])
-        plan = plan[1:]
+        out = product(0)
+        first = 1
     else:
-        out = np.zeros((n, c, ho, wo), dtype=band.dtype)
-    tmp = np.empty(out.shape, dtype=out.dtype) if plan else None
-    for u, j0, j1, r0 in plan:
+        out = np.zeros(x.shape[:2] + (ho, wo), dtype=dtype)
+    tmp = np.empty(out.shape, dtype=out.dtype) if first < len(plan) else None
+    for i in range(first, len(plan)):
+        _, j0, j1, _ = plan[i]
         tmp[:, :, :j0] = 0
         tmp[:, :, j1:] = 0
-        product(u, j0, j1, r0, out=tmp[:, :, j0:j1])
+        product(i, out=tmp[:, :, j0:j1])
         out += tmp
     return out
 
 
-def depthwise_conv2d_forward(x, weights, bias=None, stride=(1, 1), padding=(0, 0), *,
-                             check_x=True):
-    """Per-channel convolution: weights (C, 1, kh, kw), channel i only sees
-    input channel i. Returns (N, C, Ho, Wo), C-contiguous. check_x=False
-    skips the non-finite check of x only, as in conv2d_forward."""
-    ensure_finite("depthwise_conv2d", x=x if check_x else None, weights=weights, bias=bias)
-    n, c, h, w = x.shape
+def depthwise_conv2d_prepare(weights, bias, stride, padding, image, dtype):
+    """What depthwise_conv2d_forward derives from everything but the input's
+    values, for an input of per-image shape image (C, H, W) and the given
+    dtype.
+
+    Checks weights and bias for non-finite values (ValueError naming the
+    argument), then the shapes (ShapeError). Returns (plan, bands, row, ho,
+    wo, dtype): the kernel rows over the unpadded input (_row_plan), one
+    band per kernel row (_bands), the bias as a (C, Ho, Wo) row (None
+    without a bias), the output extents and the output dtype.
+    """
+    ensure_finite("depthwise_conv2d", weights=weights, bias=bias)
+    return _depthwise_record(weights, bias, stride, padding, image, dtype)
+
+
+def _depthwise_record(weights, bias, stride, padding, image, dtype):
+    """depthwise_conv2d_prepare past its finite check."""
+    if len(image) != 3 or weights.ndim != 4:
+        raise ShapeError("depthwise_conv2d expects 4-d input and weights")
+    c, h, w = image
     cw, one, kh, kw = weights.shape
     if cw != c or one != 1:
         raise ShapeError(f"depthwise weights (C,1,kh,kw) expected, got {weights.shape} for {c} channels")
@@ -347,9 +378,26 @@ def depthwise_conv2d_forward(x, weights, bias=None, stride=(1, 1), padding=(0, 0
     ph, pw = padding
     ho = conv_output_extent(h, kh, sh, ph)
     wo = conv_output_extent(w, kw, sw, pw)
-    out = _depthwise_rows(x, weights[:, 0], sh, sw, ph, pw, ho, wo)
-    if bias is not None:
-        out += _row(bias, (c, ho, wo), ho * wo)
+    dtype = np.result_type(dtype, weights)
+    row = None if bias is None else _row(bias, (c, ho, wo), ho * wo)
+    return (_row_plan(kh, h, ho, sh, ph), _bands(weights[:, 0], w, sw, pw, wo, dtype), row,
+            ho, wo, dtype)
+
+
+def depthwise_conv2d_forward(x, weights, bias=None, stride=(1, 1), padding=(0, 0), *,
+                             check_x=True, prepared=None):
+    """Per-channel convolution: weights (C, 1, kh, kw), channel i only sees
+    input channel i. Returns (N, C, Ho, Wo), C-contiguous. check_x and
+    prepared (depthwise_conv2d_prepare's record) as in conv2d_forward."""
+    if prepared is None:
+        ensure_finite("depthwise_conv2d", x=x if check_x else None, weights=weights, bias=bias)
+        prepared = _depthwise_record(weights, bias, stride, padding, x.shape[1:], x.dtype)
+    elif check_x:
+        ensure_finite("depthwise_conv2d", x=x)
+    plan, bands, row, ho, wo, dtype = prepared
+    out = _depthwise_rows(x, plan, bands, stride[0], ho, wo, dtype)
+    if row is not None:
+        out += row
     return out
 
 
@@ -441,14 +489,33 @@ def depthwise_conv2d_backward(grad_out, x, weights, stride=(1, 1), padding=(0, 0
     return grad_x, grad_w, grad_b
 
 
-def affine_forward(x, weights, bias=None, *, check_x=True):
-    """x (N, D) @ weights (D, K) + bias (K,). check_x=False skips the
-    non-finite check of x only, as in conv2d_forward."""
-    ensure_finite("affine", x=x if check_x else None, weights=weights, bias=bias)
-    if x.ndim != 2 or weights.ndim != 2:
+def affine_prepare(weights, bias, image):
+    """What affine_forward derives from everything but the input's values,
+    for an input of per-image shape image (D,): checks weights and bias for
+    non-finite values (ValueError naming the argument), then the shapes
+    (ShapeError), and returns (weights, bias)."""
+    ensure_finite("affine", weights=weights, bias=bias)
+    return _affine_record(weights, bias, image)
+
+
+def _affine_record(weights, bias, image):
+    """affine_prepare past its finite check."""
+    if len(image) != 1 or weights.ndim != 2:
         raise ShapeError("affine expects 2-d input and weights")
-    if x.shape[1] != weights.shape[0]:
-        raise ShapeError(f"affine dim mismatch: input {x.shape[1]}, weights {weights.shape[0]}")
+    if image[0] != weights.shape[0]:
+        raise ShapeError(f"affine dim mismatch: input {image[0]}, weights {weights.shape[0]}")
+    return weights, bias
+
+
+def affine_forward(x, weights, bias=None, *, check_x=True, prepared=None):
+    """x (N, D) @ weights (D, K) + bias (K,). check_x and prepared
+    (affine_prepare's record) as in conv2d_forward."""
+    if prepared is None:
+        ensure_finite("affine", x=x if check_x else None, weights=weights, bias=bias)
+        prepared = _affine_record(weights, bias, x.shape[1:])
+    elif check_x:
+        ensure_finite("affine", x=x)
+    weights, bias = prepared
     out = x @ weights
     if bias is not None:
         out = out + bias

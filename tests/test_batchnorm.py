@@ -188,6 +188,49 @@ def test_per_image_rows_match_the_broadcast_form(case):
         assert got_centered is out_f and got[2] is out_b
 
 
+# bn_forward_train checks x for non-finite values only when a channel sum is
+# not finite; a nan or an infinity anywhere makes its channel's sum so.
+NON_FINITE_PLACES = [(shape, dtype, where, bad)
+                     for shape in [(6, 3), (4, 3, 5, 5)]
+                     for dtype in [np.float32, np.float64]
+                     for where in ["first", "middle", "last"]
+                     for bad in [np.nan, np.inf, -np.inf]]
+
+
+@pytest.mark.parametrize("shape, dtype, where, bad", NON_FINITE_PLACES,
+                         ids=[f"{len(s)}d-{np.dtype(d).name}-{w}-{b}"
+                              for s, d, w, b in NON_FINITE_PLACES])
+def test_train_forward_rejects_a_non_finite_input(shape, dtype, where, bad):
+    x = np.random.default_rng(7).standard_normal(shape).astype(dtype)
+    x.flat[{"first": 0, "middle": x.size // 2, "last": x.size - 1}[where]] = bad
+    params = init_bn(3, dtype=dtype)
+    with pytest.raises(ValueError, match="^bn: non-finite values in x$"):
+        bn_forward_train(x, params)
+
+
+def test_train_forward_runs_on_a_finite_input_whose_sums_overflow(monkeypatch):
+    """+-1e38 in float32: the channel sums overflow, so x is checked, passes,
+    and the forward runs on as it would with no check at all."""
+    import pfqkit.batchnorm as bn_module
+
+    x = np.where(np.random.default_rng(8).random((8, 3, 4, 4)) < 0.5,
+                 np.float32(-1e38), np.float32(1e38)).astype(np.float32)
+    x[:, 0] = np.float32(1e38)  # channel 0's sum is +inf
+    params = init_bn(3)
+    checked = []
+    original = bn_module.ensure_finite
+    monkeypatch.setattr(bn_module, "ensure_finite",
+                        lambda op, **a: checked.append(op) or original(op, **a))
+    with np.errstate(all="ignore"):
+        out, stats, updated, _ = bn_forward_train(x, params)
+        monkeypatch.setattr(bn_module, "ensure_finite", lambda op, **a: None)
+        want, want_stats, want_updated, _ = bn_forward_train(x, params)
+    assert checked == ["bn"]
+    assert out.tobytes() == want.tobytes()
+    assert stats.mu.tobytes() == want_stats.mu.tobytes()
+    assert updated.running_var.tobytes() == want_updated.running_var.tobytes()
+
+
 class TestTrainBackward:
     def test_grad_matches_finite_differences(self):
         rng = np.random.default_rng(29)

@@ -10,7 +10,10 @@ elementwise layers: there the set of live activations sets the peak, where on
 the builder nets a convolution's im2col transient would. A conv, depthwise
 conv or affine that reads what an activation point quantized in the same
 pass does not check it for non-finite values again, which changes no byte,
-and one behind a point that passed its input through still checks.
+and one behind a point that passed its input through still checks. An
+inference pass prepares each weighted layer once per parameter version and
+serves the record from the layer's memo, which follows every change of the
+weights, bias, bits, input shape and dtype and which training never touches.
 """
 
 import json
@@ -201,39 +204,11 @@ def test_unchecked_quantized_inputs_change_no_byte(name, monkeypatch):
     assert _passes(net, x) == skipping
 
 
-@pytest.mark.parametrize("name", sorted(QUANTIZED_NETS))
-@pytest.mark.parametrize("keep_outputs", [False, True])
-def test_only_unquantized_inputs_are_checked(name, keep_outputs, monkeypatch):
-    """Every conv-like layer checks its weights; only the stem checks its
-    input, since every other one reads an applying activation point (or, in
-    residual_net, a junction, whose sum is checked)."""
-    net = QUANTIZED_NETS[name]()
-    layers = net.layers
-    assert all(act_point_applies(l.params) for l in layers if l.kind == "quant_point")
-    checks = []
-    original = T.ensure_finite
-
-    def counting(op, **arrays):
-        checks.append((op, {arg for arg, a in arrays.items() if a is not None}))
-        return original(op, **arrays)
-
-    monkeypatch.setattr(T, "ensure_finite", counting)
-    forward_graph(net, _batch(net), keep_outputs=keep_outputs)
-    weighted = [i for i, l in enumerate(layers) if l.kind in ("conv", "depthwise_conv", "affine")]
-    assert len(checks) == len(weighted) and weighted[0] == 0
-    assert all("weights" in arrays for _, arrays in checks)
-    checked_x = [i for i, (_, arrays) in zip(weighted, checks) if "x" in arrays]
-    assert checked_x == [i for i in weighted if i == 0 or layers[i - 1].kind != "quant_point"]
-    assert checks[0][0] == "conv2d" and "x" in checks[0][1]
+OP_NAMES = {"conv": "conv2d", "depthwise_conv": "depthwise_conv2d", "affine": "affine"}
 
 
-@pytest.mark.parametrize("name", sorted(QUANTIZED_NETS))
-def test_run_inference_checks_what_a_streamed_trace_checks(name, monkeypatch):
-    """The affine runs after the slabs are gathered and still skips the
-    check of the input its activation point quantized."""
-    net = QUANTIZED_NETS[name]()
-    x = _batch(net)
-    assert _slab(net, x.dtype) >= len(x)
+def _counting_checks(monkeypatch):
+    """(op, sorted names of the checked arrays) of every ensure_finite call."""
     checks = []
     original = T.ensure_finite
 
@@ -242,10 +217,64 @@ def test_run_inference_checks_what_a_streamed_trace_checks(name, monkeypatch):
         return original(op, **arrays)
 
     monkeypatch.setattr(T, "ensure_finite", counting)
-    forward_graph(net, x, keep_outputs=False)
-    streamed, checks[:] = checks[:], []
-    run_inference(net, x)
-    assert checks == streamed and streamed[-1] == ("affine", ["bias", "weights"])
+    return checks
+
+
+@pytest.mark.parametrize("name", sorted(QUANTIZED_NETS))
+@pytest.mark.parametrize("keep_outputs", [False, True])
+def test_only_unquantized_inputs_are_checked(name, keep_outputs, monkeypatch):
+    """Every conv-like layer checks its weights (and bias) when it prepares,
+    which an inference pass does once per parameter version: the first
+    pass fills the memo and the second is served from it. Only the stem
+    checks its input, on every pass, since every other one reads an
+    applying activation point (or, in residual_net, a junction, whose sum
+    is checked)."""
+    net = QUANTIZED_NETS[name]()
+    layers = net.layers
+    assert all(act_point_applies(l.params) for l in layers if l.kind == "quant_point")
+    weighted = [i for i, l in enumerate(layers) if l.kind in OP_NAMES]
+    checked_x = [i for i in weighted if i == 0 or layers[i - 1].kind != "quant_point"]
+    assert checked_x[0] == 0 and layers[0].kind == "conv"
+    checks = _counting_checks(monkeypatch)
+    x = _batch(net)
+    for first_pass in (True, False):
+        checks.clear()
+        forward_graph(net, x, keep_outputs=keep_outputs)
+        weight_checks = [op for op, arrays in checks if "weights" in arrays]
+        x_checks = [op for op, arrays in checks if arrays == ["x"]]
+        assert len(checks) == len(weight_checks) + len(x_checks)
+        assert weight_checks == ([OP_NAMES[layers[i].kind] for i in weighted] if first_pass
+                                 else [])
+        assert x_checks == [OP_NAMES[layers[i].kind] for i in checked_x]
+
+
+@pytest.mark.parametrize("name", sorted(QUANTIZED_NETS))
+def test_run_inference_checks_what_a_streamed_trace_checks(name, monkeypatch):
+    """The affine runs after the slabs are gathered and still skips the
+    check of the input its activation point quantized, whether the pass
+    prepares its layers (a graph with no memo) or is served from the
+    memo."""
+    net = QUANTIZED_NETS[name]()
+    x = _batch(net)
+    assert _slab(net, x.dtype) >= len(x)
+    assert all(l.memo is None for l in net.layers)  # its ranges were set in training only
+    checks = _counting_checks(monkeypatch)
+
+    def passes(run):
+        """The checks of a first pass on a copy of net and of a second one."""
+        graph = copy_graph(net)
+        found = []
+        for _ in range(2):
+            checks.clear()
+            run(graph, x)
+            found.append(checks[:])
+        return found
+
+    streamed = passes(lambda graph, x: forward_graph(graph, x, keep_outputs=False))
+    assert passes(run_inference) == streamed
+    first, second = streamed
+    assert first[-1] == ("affine", ["bias", "weights"])
+    assert second and all(arrays == ["x"] for _, arrays in second)
 
 
 def test_a_point_whose_grid_overflows_fails_at_the_point():
@@ -416,7 +445,7 @@ def test_peak_memory_of_a_folded_4bit_inference():
     with it (the depthwise forward's input, output and product temporary)."""
     x = _batch(build_ds_convnet(input_shape=(3, 16, 16)), n=16)
     _, q = _folded_4bit_ds_convnet(x)
-    run_inference(q, x)  # builds the quantized-weight memos
+    run_inference(q, x)  # fills the layer memos
     assert _peak_bytes(run_inference, q, x) <= 3.5 * WIDE_ACTIVATION
 
 
@@ -431,7 +460,10 @@ def test_peak_memory_of_a_training_step():
     assert _peak_bytes(loss_and_grads, net, x, labels) <= 12.1 * WIDE_ACTIVATION
 
 
-# --- the quantized-weight memo -------------------------------------------------
+# --- the inference memo ---------------------------------------------------------
+
+PREPARES = ("conv2d_prepare", "depthwise_conv2d_prepare", "affine_prepare")
+
 
 def _weight_quantized_net():
     net = insert_quant_points(build_small_convnet(seed=3), 4, 4, weight_enabled=True)
@@ -440,17 +472,17 @@ def _weight_quantized_net():
 
 
 def _without_memos(graph, x):
-    """run_inference on a copy of graph whose weight memos are cleared."""
+    """run_inference on a copy of graph whose memos are cleared."""
     g = copy_graph(graph)
     for layer in g.layers:
-        if layer.weight_quant is not None:
-            layer.weight_quant.memo = None
+        layer.memo = None
     return run_inference(g, x)
 
 
 @pytest.fixture
 def range_calls(monkeypatch):
-    """The bits of every weight range derived (each memo miss derives one)."""
+    """The bits of every weight range derived (each memo miss of a layer
+    with an enabled weight point derives one)."""
     calls = []
     original = engine.weight_range_cfg
     monkeypatch.setattr(engine, "weight_range_cfg",
@@ -458,25 +490,51 @@ def range_calls(monkeypatch):
     return calls
 
 
-def test_memo_serves_unchanged_weights(range_calls):
+@pytest.fixture
+def prepares(monkeypatch):
+    """The name of every prepare call, each with the per-image shape and
+    dtype it was made for (each memo miss makes one)."""
+    calls = []
+
+    def counting(name, op):
+        def wrapped(*args):
+            image = args[-1] if name == "affine_prepare" else args[-2]
+            dtype = None if name == "affine_prepare" else np.dtype(args[-1]).name
+            calls.append((name, tuple(image), dtype))
+            return op(*args)
+        return wrapped
+
+    for name in PREPARES:
+        monkeypatch.setattr(T, name, counting(name, getattr(T, name)))
+    return calls
+
+
+def test_memo_serves_unchanged_parameters(range_calls, prepares):
     net = _weight_quantized_net()
     x = _batch(net)
-    first = run_inference(net, x)
     range_calls.clear()
+    prepares.clear()
+    first = run_inference(net, x)
+    assert len(prepares) == 3 and len(range_calls) == 3
+    range_calls.clear()
+    prepares.clear()
     again = run_inference(net, x)
-    assert range_calls == []
+    inference_trace = forward_graph(net, x, keep_outputs=False).outputs["fc"]
+    assert range_calls == [] and prepares == []
     assert again.tobytes() == first.tobytes() == _without_memos(net, x).tobytes()
+    assert inference_trace.tobytes() == first.tobytes()
 
 
-def test_memo_follows_an_sgd_step(range_calls):
+def test_memo_follows_an_sgd_step(range_calls, prepares):
     net = _weight_quantized_net()
     x = _batch(net)
     run_inference(net, x)
     _, _, grads, _ = loss_and_grads(net, x, np.arange(len(x)) % 4)
     sgd_step(net, grads, OptimizerState(momentum=0.9), 0.1)
     range_calls.clear()
+    prepares.clear()
     out = run_inference(net, x)
-    assert len(range_calls) == 3  # conv1, conv2 and fc got new weight arrays
+    assert len(range_calls) == len(prepares) == 3  # conv1, conv2 and fc got new weight arrays
     assert out.tobytes() == _without_memos(net, x).tobytes()
 
 
@@ -505,24 +563,148 @@ def test_memo_follows_an_in_place_write(where, range_calls):
     assert out.tobytes() == _without_memos(net, x).tobytes() != before.tobytes()
 
 
+def test_memo_follows_an_in_place_write_to_a_bias(range_calls, prepares):
+    net = _weight_quantized_net()
+    x = _batch(net)
+    before = run_inference(net, x)
+    net.layer("fc").params.bias[1] += np.float32(2.5)
+    range_calls.clear()
+    prepares.clear()
+    out = run_inference(net, x)
+    assert [name for name, *_ in prepares] == ["affine_prepare"] and range_calls == [4]
+    assert out.tobytes() == _without_memos(net, x).tobytes() != before.tobytes()
+
+
 def test_memo_of_a_copied_graph_follows_the_copy(range_calls):
     net = _weight_quantized_net()
     x = _batch(net)
     before = run_inference(net, x)
     copy = copy_graph(net)
-    assert copy.layer("conv1").weight_quant.memo[0] is copy.layer("conv1").params.weights
+    assert copy.layer("conv1").memo.weights is copy.layer("conv1").params.weights
     copy.layer("conv1").params.weights[0] *= 3
     assert run_inference(copy, x).tobytes() == _without_memos(copy, x).tobytes()
     assert run_inference(net, x).tobytes() == before.tobytes()
+
+
+def _unquantized_net():
+    """ds_convnet folded, without quant points: unquantized conv, depthwise
+    conv and affine layers, every one with a bias."""
+    net = build_ds_convnet(blocks=2, seed=4)
+    forward_graph(net, _batch(net), training=True)
+    return fold_bn_graph(net)
+
+
+@pytest.mark.parametrize("kind", ["conv", "depthwise_conv", "affine"])
+def test_memo_of_unquantized_layers(kind, prepares):
+    net = _unquantized_net()
+    x = _batch(net)
+    weighted = [l for l in net.layers if l.kind in ("conv", "depthwise_conv", "affine")]
+    prepares.clear()
+    before = run_inference(net, x)
+    assert len(prepares) == len(weighted)
+    prepares.clear()
+    assert run_inference(net, x).tobytes() == before.tobytes() and prepares == []
+    layer = next(l for l in weighted if l.kind == kind)
+    assert layer.weight_quant is None and layer.memo.used is layer.params.weights
+    layer.params.weights.flat[3] += np.float32(0.5)
+    out = run_inference(net, x)
+    assert [name for name, *_ in prepares] == [
+        PREPARES[("conv", "depthwise_conv", "affine").index(kind)]]
+    assert out.tobytes() == _without_memos(net, x).tobytes() != before.tobytes()
+
+
+def test_memo_follows_the_input_extent_and_dtype(prepares):
+    net = _unquantized_net()
+    stem = net.layers[0].name
+    x = _batch(net)
+    run_inference(net, x)
+    for shape, dtype in [((6, 3, 12, 12), np.float32), ((6, 3, 12, 12), np.float64),
+                         ((6, 3, 16, 16), np.float64)]:
+        xs = np.random.default_rng(5).standard_normal(shape).astype(dtype)
+        prepares.clear()
+        out = run_inference(net, xs)
+        assert prepares[0] == ("conv2d_prepare", shape[1:], np.dtype(dtype).name)
+        assert net.layer(stem).memo.key[1:3] == (shape[1:], np.dtype(dtype))
+        assert out.dtype == dtype
+        assert out.tobytes() == _without_memos(net, xs).tobytes()
+        prepares.clear()
+        assert run_inference(net, xs).tobytes() == out.tobytes() and prepares == []
+
+
+class _CountingMemo(LayerSpec):
+    """A LayerSpec whose memo reads and writes are recorded in ACCESSES."""
+
+    ACCESSES = []
+
+    @property
+    def memo(self):
+        self.ACCESSES.append(("read", self.name))
+        return vars(self)["memo"]
+
+    @memo.setter
+    def memo(self, value):
+        self.ACCESSES.append(("write", self.name))
+        vars(self)["memo"] = value
+
+
+def test_a_training_forward_neither_reads_nor_writes_the_memo(prepares, range_calls):
+    net = _weight_quantized_net()
+    x = _batch(net)
+    run_inference(net, x)
+    memos = {l.name: l.memo for l in net.layers}
+    for layer in net.layers:
+        layer.__class__ = _CountingMemo
+    _CountingMemo.ACCESSES.clear()
+    prepares.clear()
+    range_calls.clear()
+    forward_graph(net, x, training=True, update_ranges=True)
+    loss_and_grads(net, x, np.arange(len(x)) % 4)
+    assert _CountingMemo.ACCESSES == [] and prepares == []
+    assert len(range_calls) == 6  # conv1, conv2 and fc, quantized on each training call
+    run_inference(net, x)  # served from the memos the first inference filled
+    assert sorted(_CountingMemo.ACCESSES) == [("read", "conv1"), ("read", "conv2"),
+                                              ("read", "fc")]
+    for layer in net.layers:
+        layer.__class__ = LayerSpec
+        assert vars(layer)["memo"] is memos[layer.name]
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("quantized", [False, True], ids=["float", "4bit"])
+def test_memo_served_inference_equals_an_unprepared_pass(name, dtype, quantized):
+    """run_inference and forward_graph(keep_outputs=False), both served from
+    the memo on their second call, give the bytes of a pass in which every
+    op prepares its own record."""
+    net = BUILDERS[name](seed=6, dtype=dtype)
+    if quantized:
+        net = _calibrated_4bit(net, fold=name != "residual_net")
+    else:
+        forward_graph(net, _batch(net), training=True)
+    x = _batch(net, n=5, seed=9).astype(dtype)
+    last = net.layers[-1].name
+    with pytest.MonkeyPatch.context() as m:
+        for op in CHECKING_OPS:
+            m.setattr(T, op, lambda *a, _op=getattr(T, op), prepared=None, **k: _op(*a, **k))
+        unprepared = forward_graph(copy_graph(net), x, keep_outputs=False).outputs[last]
+    for _ in range(2):
+        streamed = run_inference(net, x)
+        traced = forward_graph(net, x, keep_outputs=False).outputs[last]
+        assert streamed.dtype == traced.dtype == unprepared.dtype == dtype
+        assert streamed.tobytes() == traced.tobytes() == unprepared.tobytes()
 
 
 def test_memo_is_read_only_unsaved_and_uncompared(tmp_path):
     net = _weight_quantized_net()
     trace = forward_graph(net, _batch(net), training=True)
     assert not trace.caches["conv1"][1].flags.writeable  # (input, quantized weights)
-    point = net.layer("conv1").weight_quant
-    assert point.memo is not None and point == replace(point, memo=None)
+    run_inference(net, _batch(net))
+    layer = net.layer("conv1")
+    assert not layer.memo.used.flags.writeable
+    assert layer == replace(layer, memo=None) and "memo" not in repr(layer)
+    assert not hasattr(layer.weight_quant, "memo")
     manifest, _ = save_model(net, tmp_path / "model.json")
     conv1 = json.loads(manifest.read_text())["layers"][0]
+    assert "memo" not in conv1
     assert sorted(conv1["weight_quant"]) == ["M_up", "bits", "ema_momentum", "enabled",
                                             "initialized", "m", "range_policy", "target"]

@@ -642,3 +642,112 @@ def test_widest_is_the_largest_activation_and_not_compared():
     assert ModelGraph(layers=g.layers, input_shape=(1, 8, 8)).widest == 3 * 6 * 6
     assert [f.name for f in dataclasses.fields(ModelGraph) if f.compare or f.repr or f.init] == [
         "layers", "input_shape"]
+
+
+BAD_PAIRS = [[], [1], [1, 1, 1], [1.5, 1], [True, 1], ["1", 1]]
+
+
+@pytest.mark.parametrize("kind", ["conv", "depthwise_conv"])
+@pytest.mark.parametrize("field", ["stride", "padding"])
+@pytest.mark.parametrize("value", BAD_PAIRS, ids=[repr(v) for v in BAD_PAIRS])
+class TestStrideOrPaddingNotAPair:
+    """A stride or padding that is not a pair of integers fails at
+    validation or load with the layer and field named: an empty or 1-entry
+    list used to raise a bare IndexError in load_model, and a 3-entry or
+    fractional one loaded and failed only at inference."""
+
+    def test_built_in_python(self, kind, field, value):
+        layers = _stem_and(kind, **{field: tuple(value)})
+        with pytest.raises(GraphError, match=f"^layer 'k2': {field} must be a pair of integers"):
+            ModelGraph(layers=layers, input_shape=(1, 6, 6))
+
+    def test_loaded_from_a_manifest(self, kind, field, value, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(ModelGraph(layers=_stem_and(kind), input_shape=(1, 6, 6)), path)
+        doc = json.loads(path.read_text())
+        doc["layers"][1][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=f"layer 'k2': {field} must be a pair of integers"):
+            load_model(path)
+
+
+BAD_JUNCTIONS = [[], ["stem_act"], ["stem_act", "bn_b", "stem_act"], ["stem_act", {"a": 1}]]
+
+
+@pytest.mark.parametrize("inputs", BAD_JUNCTIONS, ids=[repr(v) for v in BAD_JUNCTIONS])
+class TestJunctionNotTwoNames:
+    """An add_junction must name exactly two layers; otherwise it fails at
+    validation or load with the layer named, not with a bare unpacking
+    ValueError."""
+
+    def test_built_in_python(self, inputs):
+        g = build_residual_net(seed=1)
+        g.layer("join").params = tuple(inputs)
+        with pytest.raises(GraphError, match="^add_junction 'join' must name exactly two layers"):
+            g.validate()
+
+    def test_loaded_from_a_manifest(self, inputs, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(build_residual_net(seed=1), path)
+        doc = json.loads(path.read_text())
+        next(d for d in doc["layers"] if d["name"] == "join")["inputs"] = inputs
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="add_junction 'join' must name exactly two"):
+            load_model(path)
+
+
+@pytest.mark.parametrize("value", [0, 1, None, "yes", []])
+def test_has_bias_must_be_a_json_boolean(value, tmp_path):
+    path, doc = _saved_manifest(tmp_path)
+    doc["layers"][0]["has_bias"] = value
+    with pytest.raises(ModelFormatError,
+                       match=rf"^layer 'conv1' field 'has_bias' is not a bool: {re.escape(repr(value))}$"):
+        _load_edited(path, doc)
+
+
+def test_a_listed_tensor_that_no_layer_reads_is_named(tmp_path):
+    path, doc = _saved_manifest(tmp_path)
+    layer = next(d for d in doc["layers"] if d.get("has_bias"))
+    bias = next(t for t in doc["tensors"] if t["id"] == f"{layer['name']}.bias")
+    layer["has_bias"] = False  # drops a bias that is still listed
+    with pytest.raises(ModelFormatError,
+                       match=f"^manifest lists tensors that no layer reads: '{bias['id']}'$"):
+        _load_edited(path, doc)
+    layer["has_bias"] = True
+    doc["tensors"].append({**bias, "id": "ghost.bias"})
+    with pytest.raises(ModelFormatError,
+                       match="^manifest lists tensors that no layer reads: 'ghost.bias'$"):
+        _load_edited(path, doc)
+
+
+BAD_RHO = ["x", -1, -0.5, 2.0, float("nan"), float("inf"), True, None]
+
+
+@pytest.mark.parametrize("rho", BAD_RHO, ids=[repr(v) for v in BAD_RHO])
+class TestMalformedBNRho:
+    """BN rho, the share of the old running value an update keeps, must be
+    a real number in [0, 1]: a string used to load and fail at the first
+    training step, and rho = -1 trained to a negative running variance."""
+
+    def test_built_in_python(self, rho):
+        g = _tiny_graph()
+        g.layer("b1").params.rho = rho
+        with pytest.raises(GraphError, match=rf"^layer 'b1': bn rho must be a real number in "
+                                             rf"\[0, 1\], got {re.escape(repr(rho))}$"):
+            g.validate()
+
+    def test_loaded_from_a_manifest(self, rho, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(_tiny_graph(), path)
+        doc = json.loads(path.read_text())
+        doc["layers"][1]["rho"] = rho
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="layer 'b1': bn rho must be a real number"):
+            load_model(path)
+
+
+@pytest.mark.parametrize("rho", [0, 0.0, 0.5, 1, 1.0, np.float32(0.9)])
+def test_bn_rho_in_the_unit_interval_is_accepted(rho):
+    g = _tiny_graph()
+    g.layer("b1").params.rho = rho
+    g.validate()

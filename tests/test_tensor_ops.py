@@ -23,6 +23,7 @@ from pfqkit.tensor_ops import (
     conv_output_extent,
     depthwise_conv2d_backward,
     depthwise_conv2d_forward,
+    depthwise_conv2d_prepare,
     elementwise_add,
     ensure_finite,
     global_avg_pool_backward,
@@ -426,16 +427,20 @@ class TestDepthwise:
             depthwise_conv2d_forward(np.ones((1, 2, 4, 4)), np.ones((3, 1, 3, 3)))
 
     @staticmethod
-    def _forward_peak(stride):
+    def _forward_peak(stride, prepare=False):
         """tracemalloc peak of a warm float32 (8, 4, 32, 32) 3x3 forward at
-        padding 1, and its output."""
+        padding 1, and its output; with prepare, of a forward handed its
+        depthwise_conv2d_prepare record, made outside the measurement."""
         x = np.random.default_rng(83).standard_normal((8, 4, 32, 32)).astype(np.float32)
         w = np.ones((4, 1, 3, 3), np.float32)
         b = np.ones(4, np.float32)
-        depthwise_conv2d_forward(x, w, b, (stride, stride), (1, 1))
+        geometry = (stride, stride), (1, 1)
+        depthwise_conv2d_forward(x, w, b, *geometry)
+        prepared = (depthwise_conv2d_prepare(w, b, *geometry, x.shape[1:], x.dtype)
+                    if prepare else None)
         tracemalloc.start()
         try:
-            out = depthwise_conv2d_forward(x, w, b, (stride, stride), (1, 1))
+            out = depthwise_conv2d_forward(x, w, b, *geometry, prepared=prepared)
             return tracemalloc.get_traced_memory()[1], out
         finally:
             tracemalloc.stop()
@@ -451,13 +456,17 @@ class TestDepthwise:
     @pytest.mark.parametrize("stride", [1, 2])
     def test_forward_builds_no_padded_copy(self, stride):
         """The forward reads the unpadded input: its peak is the output, one
-        output-sized product temporary and the (C, Wp, Wo) band, plus at
-        most 8 KiB of index and iterator scratch that does not grow with the
-        batch. A forward that pads x first holds a further (8, 4, 34, 34)
-        float32 copy (148 kB) and fails here."""
+        output-sized product temporary and the prepared record: three
+        (C, Wp, Wo) bands, one per kernel row, and the (C, Ho, Wo) bias row;
+        plus at most 8 KiB of index and iterator scratch that does not grow
+        with the batch. Handed a prepared record, it holds neither. A forward
+        that pads x first holds a further (8, 4, 34, 34) float32 copy
+        (148 kB) and fails here."""
         peak, out = self._forward_peak(stride)
-        band = 4 * 34 * out.shape[3] * 4
-        assert peak <= 2 * out.nbytes + band + 8192
+        record = 3 * 4 * 34 * out.shape[3] * 4 + out.nbytes // 8
+        assert peak <= 2 * out.nbytes + record + 8192
+        peak, out = self._forward_peak(stride, prepare=True)
+        assert peak <= 2 * out.nbytes + 8192
 
     def test_backward_peak_memory(self):
         """The weight gradient holds one (N, C, W, Wo) product and a (C, Wp,
