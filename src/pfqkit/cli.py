@@ -21,81 +21,45 @@ class ConfigError(ValueError):
     pass
 
 
-_EARLY_STOP_SCHEMA = {
+_EARLY_STOP = {
     "mode": str,
     "drop_threshold": float,
     "reference_accuracy": (float, type(None)),
 }
 
-_SCHEMA = {
-    "seed": int,
-    "data": {
-        "kind": str,
-        "class_count": int,
-        "per_class": int,
-        "test_per_class": int,
-        "shape": list,
-        "noise": float,
-        "seed": int,
-        "variant": int,
-        "train_files": list,
-        "test_files": list,
-    },
-    "split": {"per_class": int, "seed": int},
-    "arch": {
-        "name": str,
-        "input_shape": list,
-        "class_count": int,
-        "width": int,
-        "blocks": int,
-        "seed": int,
-        "dead_stem_filters": int,
-        "bn_epsilon": float,
-        "bn_rho": float,
-    },
-    "train": {
-        "epochs": int,
-        "batch_size": int,
-        "base_lr": float,
-        "warmup_epochs": int,
-        "period": int,
-        "momentum": float,
-        "weight_decay": float,
-        "early_stop": _EARLY_STOP_SCHEMA,
-    },
-    "quant": {"act_bits": int, "weight_bits": int, "ema_momentum": float},
-    "pfq": {"epsilon": float},
-    "workflow": {
-        "epochs_act": int,
-        "epochs_weight": int,
-        "act_lr": float,
-        "weight_lr": float,
-        "act_warmup": int,
-        "weight_warmup": int,
-        "act_period": int,
-        "weight_period": int,
-        "act_momentum": float,
-        "weight_momentum": float,
-        "weight_decay": float,
-        "early_stop": _EARLY_STOP_SCHEMA,
-    },
-}
-
-_DEFAULTS = {
+# Every config key, once. A leaf holds the key's default, and the key's type is
+# the default's type. A leaf that is a type (or a tuple of types) has no
+# default here: the arch keys fall back to the data section, the seed or the
+# builder's defaults, an absent early_stop means none, and the workflow keys
+# fall back to WorkflowConfig's defaults.
+_CONFIG = {
     "seed": 0,
     "data": {"kind": "synthetic", "class_count": 4, "per_class": 40, "test_per_class": 10,
              "shape": [3, 8, 8], "noise": 0.05, "seed": 0, "variant": 10,
              "train_files": [], "test_files": []},
     "split": {"per_class": 5, "seed": 0},
-    "arch": {"name": "small_convnet"},
+    "arch": {"name": "small_convnet", "input_shape": list, "class_count": int, "width": int,
+             "blocks": int, "seed": int, "dead_stem_filters": int, "bn_epsilon": float,
+             "bn_rho": float},
     "train": {"epochs": 4, "batch_size": 16, "base_lr": 0.01, "warmup_epochs": 0,
-              "period": 4, "momentum": 0.9, "weight_decay": 0.0},
+              "period": 4, "momentum": 0.9, "weight_decay": 0.0, "early_stop": _EARLY_STOP},
     "quant": {"act_bits": 4, "weight_bits": 4, "ema_momentum": 0.99},
     "pfq": {"epsilon": 1e-5},
-    "workflow": {"epochs_act": 2, "epochs_weight": 2, "act_lr": 0.001, "weight_lr": 0.0005,
-                 "act_warmup": 0, "weight_warmup": 0, "act_period": 2, "weight_period": 2,
-                 "act_momentum": 0.9, "weight_momentum": 0.0, "weight_decay": 0.0},
+    "workflow": {"epochs_act": int, "epochs_weight": int, "act_lr": float, "weight_lr": float,
+                 "act_warmup": int, "weight_warmup": int, "act_period": int,
+                 "weight_period": int, "act_momentum": float, "weight_momentum": float,
+                 "weight_decay": float, "early_stop": _EARLY_STOP},
 }
+
+
+def _has_default(leaf):
+    return not isinstance(leaf, (type, tuple))
+
+
+def _defaults(spec):
+    """The sections of spec, holding every leaf that has a default."""
+    return {key: _defaults(leaf) if isinstance(leaf, dict) else leaf
+            for key, leaf in spec.items() if _has_default(leaf)}
 
 
 def _check_types(value, spec, path):
@@ -108,6 +72,8 @@ def _check_types(value, spec, path):
                                   f"config: unknown key '{key}'")
             _check_types(sub, spec[key], f"{path}.{key}" if path else key)
         return
+    if _has_default(spec):
+        spec = type(spec)
     types = spec if isinstance(spec, tuple) else (spec,)
     if float in types and isinstance(value, int) and not isinstance(value, bool):
         return
@@ -153,8 +119,8 @@ def load_config(path=None, overrides=()):
             if not isinstance(node, dict):
                 raise ConfigError(f"config: cannot override through non-mapping '{dotted}'")
         node[keys[-1]] = value
-    _check_types(raw, _SCHEMA, "")
-    return _merge(_DEFAULTS, raw)
+    _check_types(raw, _CONFIG, "")
+    return _merge(_defaults(_CONFIG), raw)
 
 
 def _build_data(cfg):
@@ -202,27 +168,24 @@ def _out_dir(args):
 
 
 def _train_and_save(args, cfg, graph, data, epochs):
-    """Train with the config's train section, then save model.json and
-    metrics.csv under --out. Returns the epoch metrics."""
-    from .graph import save_model
-    from .training import LRSchedule, OptimizerState, metrics_to_csv, train_epochs
+    """Train with the config's train section, then save the run directory
+    (model and metrics.csv) under --out. Returns the epoch metrics."""
+    from .training import LRSchedule, OptimizerState, train_epochs
+    from .workflow import save_run
 
     t = cfg["train"]
     schedule = LRSchedule(t["base_lr"], t["warmup_epochs"], t["period"])
     opt = OptimizerState(momentum=t["momentum"], weight_decay=t["weight_decay"])
     graph, metrics = train_epochs(graph, data, schedule, opt, epochs=epochs,
                                   batch_size=t["batch_size"], seed=cfg["seed"],
-                                  stop=_early_stop(t.get("early_stop")))
-    out = _out_dir(args)
-    save_model(graph, out / "model.json")
-    metrics_to_csv(metrics, out / "metrics.csv")
+                                  stop=_early_stop(t["early_stop"]))
+    save_run(args.out, graph, metrics=metrics)
     return metrics
 
 
-def cmd_train(args):
+def cmd_train(args, cfg, graph):
     from .models import build
 
-    cfg = load_config(args.config, args.set)
     data = _build_data(cfg)
     arch = dict(cfg["arch"])
     arch.setdefault("class_count", cfg["data"]["class_count"])
@@ -234,57 +197,46 @@ def cmd_train(args):
     return 0
 
 
-def cmd_pfq(args):
-    from .graph import load_model, save_model
+def cmd_pfq(args, cfg, graph):
     from .pruning import apply_pfq
+    from .workflow import save_run
 
-    cfg = load_config(args.config, args.set)
     epsilon = args.epsilon if args.epsilon is not None else cfg["pfq"]["epsilon"]
-    graph = load_model(args.model)
     graph, report = apply_pfq(graph, epsilon, quantize_act_of_beta=args.quantize_act_of_beta)
-    out = _out_dir(args)
-    save_model(graph, out / "model.json")
-    report.to_csv(out / "prune_report.csv")
+    save_run(args.out, graph, prune_report=report)
     print(report.summary())
     return 0
 
 
-def cmd_fold_bn(args):
-    from .graph import fold_bn_graph, load_model, save_model
+def cmd_fold_bn(args, cfg, graph):
+    from .graph import fold_bn_graph
+    from .workflow import save_run
 
-    graph = fold_bn_graph(load_model(args.model))
-    out = _out_dir(args)
-    save_model(graph, out / "model.json")
+    save_run(args.out, fold_bn_graph(graph))
     print("folded")
     return 0
 
 
-def cmd_quantize_annotate(args):
-    from .graph import load_model, save_model
+def cmd_quantize_annotate(args, cfg, graph):
     from .quantization import insert_quant_points
+    from .workflow import save_run
 
-    cfg = load_config(args.config, args.set)
     q = cfg["quant"]
     act_bits = args.act_bits if args.act_bits is not None else q["act_bits"]
     weight_bits = args.weight_bits if args.weight_bits is not None else q["weight_bits"]
-    graph = insert_quant_points(load_model(args.model), act_bits, weight_bits,
-                                ema_momentum=q["ema_momentum"],
+    graph = insert_quant_points(graph, act_bits, weight_bits, ema_momentum=q["ema_momentum"],
                                 weight_enabled=args.enable_weights)
-    out = _out_dir(args)
-    save_model(graph, out / "model.json")
+    save_run(args.out, graph)
     acts = sum(1 for l in graph.layers if l.kind == "quant_point")
     weights = sum(1 for l in graph.layers if l.weight_quant is not None)
     print(f"activation_points={acts} weight_points={weights}")
     return 0
 
 
-def cmd_finetune(args):
-    from .graph import load_model
+def cmd_finetune(args, cfg, graph):
     from .quantization import set_quant_enabled
 
-    cfg = load_config(args.config, args.set)
     data = _build_data(cfg)
-    graph = load_model(args.model)
     if args.enable_weight_quant:
         set_quant_enabled(graph, weights=True)
     epochs = args.epochs if args.epochs is not None else cfg["train"]["epochs"]
@@ -293,64 +245,52 @@ def cmd_finetune(args):
     return 0
 
 
-def _run_stages(args, run):
-    """Build the WorkflowConfig from the config file and run `run` (the
-    staged workflow or the single-stage baseline) on --model."""
-    from .graph import load_model
-    from .training import LRSchedule
-    from .workflow import WorkflowConfig
+_SCHEDULE_KEYS = (("lr", "base_lr"), ("warmup", "warmup_epochs"), ("period", "period"))
 
-    cfg = load_config(args.config, args.set)
+
+def cmd_stages(args, cfg, graph):
+    """`workflow` and `baseline-once`: run args.stages (run_workflow or
+    run_single_stage_baseline) on --model. The WorkflowConfig takes the
+    quant, pfq, batch size and seed keys, and the workflow keys the config
+    sets; every workflow key it leaves out keeps WorkflowConfig's default."""
+    from . import workflow
+
     data = _build_data(cfg)
-    w = cfg["workflow"]
-    wcfg = WorkflowConfig(
-        epochs_act=w["epochs_act"], epochs_weight=w["epochs_weight"],
-        act_bits=cfg["quant"]["act_bits"], weight_bits=cfg["quant"]["weight_bits"],
-        epsilon=cfg["pfq"]["epsilon"], ema_momentum=cfg["quant"]["ema_momentum"],
-        batch_size=cfg["train"]["batch_size"], seed=cfg["seed"],
-        act_schedule=LRSchedule(w["act_lr"], w["act_warmup"], w["act_period"]),
-        weight_schedule=LRSchedule(w["weight_lr"], w["weight_warmup"], w["weight_period"]),
-        act_momentum=w["act_momentum"], weight_momentum=w["weight_momentum"],
-        weight_decay=w["weight_decay"],
-        stop_act=_early_stop(w.get("early_stop")), stop_weight=_early_stop(w.get("early_stop")),
+    w, q = cfg["workflow"], cfg["quant"]
+    wcfg = workflow.WorkflowConfig(
+        act_bits=q["act_bits"], weight_bits=q["weight_bits"], ema_momentum=q["ema_momentum"],
+        epsilon=cfg["pfq"]["epsilon"], batch_size=cfg["train"]["batch_size"], seed=cfg["seed"],
+        stop_act=_early_stop(w["early_stop"]), stop_weight=_early_stop(w["early_stop"]),
+        **{key: w[key] for key in ("epochs_act", "epochs_weight", "act_momentum",
+                                   "weight_momentum", "weight_decay") if key in w},
     )
-    result = run(load_model(args.model), data, wcfg, out_dir=_out_dir(args))
+    for stage in ("act", "weight"):
+        schedule = getattr(wcfg, f"{stage}_schedule")  # this config's own instance
+        for key, field in _SCHEDULE_KEYS:
+            if f"{stage}_{key}" in w:
+                setattr(schedule, field, w[f"{stage}_{key}"])
+    result = getattr(workflow, args.stages)(graph, data, wcfg, out_dir=args.out)
     for line in result.trace:
         print(line)
     return 0
 
 
-def cmd_workflow(args):
-    from .workflow import run_workflow
-
-    return _run_stages(args, run_workflow)
-
-
-def cmd_baseline_once(args):
-    from .workflow import run_single_stage_baseline
-
-    return _run_stages(args, run_single_stage_baseline)
-
-
-def cmd_eval(args):
+def cmd_eval(args, cfg, graph):
     from .engine import evaluate
-    from .graph import load_model
 
-    cfg = load_config(args.config, args.set)
     data = _build_data(cfg)
-    graph = load_model(args.model)
-    images = data.test_images if data.test_images is not None else data.val_images
-    labels = data.test_labels if data.test_labels is not None else data.val_labels
-    if images is None:
-        raise ConfigError("no test or validation split to evaluate on")
-    print(f"accuracy={evaluate(graph, images, labels)!r}")
-    return 0
+    for images, labels in ((data.test_images, data.test_labels),
+                           (data.val_images, data.val_labels)):
+        if images is not None and len(images):
+            print(f"accuracy={evaluate(graph, images, labels)!r}")
+            return 0
+    raise ConfigError("no test or validation split to evaluate on")
 
 
-def cmd_report_range(args):
-    from .graph import dynamic_range_report, load_model, range_report_to_csv
+def cmd_report_range(args, cfg, graph):
+    from .graph import dynamic_range_report, range_report_to_csv
 
-    rows = dynamic_range_report(load_model(args.model))
+    rows = dynamic_range_report(graph)
     if args.out:
         range_report_to_csv(rows, _out_dir(args) / "range.csv")
     for r in rows:
@@ -358,14 +298,11 @@ def cmd_report_range(args):
     return 0
 
 
-def cmd_report_constancy(args):
-    from .graph import load_model
+def cmd_report_constancy(args, cfg, graph):
     from .pruning import channel_constancy_report, constancy_report_to_csv
 
-    cfg = load_config(args.config, args.set)
     data = _build_data(cfg)
-    batch = data.train_images[:args.batch]
-    rows = channel_constancy_report(load_model(args.model), batch)
+    rows = channel_constancy_report(graph, data.train_images[:args.batch])
     if args.out:
         constancy_report_to_csv(rows, _out_dir(args) / "constancy.csv")
     for r in rows:
@@ -373,10 +310,10 @@ def cmd_report_constancy(args):
     return 0
 
 
-def cmd_count_macs(args):
-    from .graph import count_macs, load_model, macs_to_csv
+def cmd_count_macs(args, cfg, graph):
+    from .graph import count_macs, macs_to_csv
 
-    macs = count_macs(load_model(args.model))
+    macs = count_macs(graph)
     if args.out:
         macs_to_csv(macs, _out_dir(args) / "macs.csv")
     print(sum(macs.values()))
@@ -431,11 +368,11 @@ def build_parser():
 
     p = sub.add_parser("workflow", help="run the staged compression workflow")
     _add_common(p, model=True, out=True)
-    p.set_defaults(func=cmd_workflow)
+    p.set_defaults(func=cmd_stages, stages="run_workflow")
 
     p = sub.add_parser("baseline-once", help="single-stage ablation baseline")
     _add_common(p, model=True, out=True)
-    p.set_defaults(func=cmd_baseline_once)
+    p.set_defaults(func=cmd_stages, stages="run_single_stage_baseline")
 
     p = sub.add_parser("eval", help="report accuracy on the test split")
     _add_common(p, model=True)
@@ -468,7 +405,12 @@ def main(argv=None):
                     "NUMEXPR_NUM_THREADS"):
             os.environ[var] = str(args.threads)
     try:
-        return args.func(args)
+        from .graph import load_model
+
+        # One way in: --config, then --model, for the subcommands that take them.
+        cfg = load_config(args.config, args.set) if "config" in args else None
+        graph = load_model(args.model) if "model" in args else None
+        return args.func(args, cfg, graph)
     except Exception as e:  # single-line, machine-parseable failure surface
         msg = str(e).replace("\n", " ")
         print(f"error: {type(e).__name__}: {msg}", file=sys.stderr)

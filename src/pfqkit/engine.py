@@ -51,7 +51,7 @@ enabled point), the input's per-image shape and dtype, and the stride and
 padding. It is served only while every part of the key holds, so a new
 array (an sgd_step), an in-place write to the weights or the bias, a change
 of bits, of input shape or of dtype each make the next pass prepare again;
-a copied graph copies the memo along with the arrays it names. Only the
+copy_graph and copy_layer start the copy without one. Only the
 inference-mode forwards read or write it: run_inference (every slab) and
 forward_graph(training=False). A training forward quantizes and prepares
 on every call and never touches the memo: its weights move every step.
@@ -470,6 +470,9 @@ def loss_and_grads(graph, x, labels, *, update_ranges=False):
 
 
 def evaluate(graph, images, labels):
-    """Inference-mode classification accuracy as a fraction in [0, 1]."""
+    """Inference-mode classification accuracy as a fraction in [0, 1]; raises
+    ValueError when given no images."""
+    if images.shape[0] == 0:
+        raise ValueError("evaluate: no images to evaluate")
     hits = int((np.argmax(run_inference(graph, images), axis=1) == labels).sum())
     return hits / images.shape[0]

@@ -55,7 +55,7 @@ class LayerSpec:
     padding: tuple = (0, 0)
     weight_quant: QuantPoint | None = None
     # The engine's inference memo of a conv, depthwise conv or affine layer
-    # (engine._Memo); never saved and never compared.
+    # (engine._Memo); never copied, saved or compared.
     memo: tuple | None = field(default=None, compare=False, repr=False)
 
 
@@ -73,18 +73,21 @@ class ModelGraph:
 
     def validate(self):
         """Raise GraphError, naming the layer, on a graph the ops cannot run:
-        bad structure (a junction that does not name two earlier layers),
-        inconsistent shapes, geometry (a stride or padding that is not a
-        pair of integers, or out of range), quantizer ranges, BN statistics
-        or rho, weights of the wrong rank, a parameter that is not a
-        floating-point array, or a parameter vector that is not one entry
-        per output channel. Sets widest from the inferred shapes."""
+        a layer name that is not a str, bad structure (a junction that does
+        not name two earlier layers), inconsistent shapes, geometry (a stride
+        or padding that is not a pair of integers, or out of range),
+        quantizer ranges, BN statistics or rho, weights of the wrong rank, a
+        parameter that is not a floating-point array, or a parameter vector
+        that is not one entry per output channel. Sets widest from the
+        inferred shapes."""
         if not self.layers:
             raise GraphError("graph has no layers")
         if len(self.input_shape) != 3:
             raise GraphError("input_shape must be (channels, height, width)")
         seen = set()
         for i, layer in enumerate(self.layers):
+            if not isinstance(layer.name, str):
+                raise GraphError(f"layer {i}: name must be a str, got {layer.name!r}")
             if layer.kind not in KINDS:
                 raise GraphError(f"unknown layer kind '{layer.kind}'")
             if layer.name in seen:
@@ -181,11 +184,15 @@ def _check_bn(name, params):
 
 
 def copy_layer(layer):
-    return copy.deepcopy(layer)
+    """A deep copy without the engine's inference memo: every copy in the
+    library replaces its parameters or its bits next, so a copied memo would
+    never be served."""
+    return copy.deepcopy(layer, {id(layer.memo): None})
 
 
 def copy_graph(graph):
-    return copy.deepcopy(graph)
+    """A deep copy whose layers, like copy_layer's, start without a memo."""
+    return copy.deepcopy(graph, {id(l.memo): None for l in graph.layers})
 
 
 def infer_shapes(graph):
@@ -507,7 +514,7 @@ def load_model(manifest_path):
 
     layers = []
     for i, doc in enumerate(layer_docs):
-        name = _field(doc, "name", f"layer {i}")
+        name = _field(doc, "name", f"layer {i}", str)
         what = f"layer '{name}'"
 
         def get(key, kind=object):

@@ -94,13 +94,6 @@ class PruneReport:
         return self.params_before - self.params_after
 
     @property
-    def removed(self):
-        by_layer = {}
-        for e in self.entries:
-            by_layer.setdefault(e.layer, []).append(e.channel)
-        return by_layer
-
-    @property
     def percent_removed(self):
         if self.params_before == 0:
             return 0.0

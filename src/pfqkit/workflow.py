@@ -33,16 +33,19 @@ class WorkflowError(ValueError):
 
 @dataclass
 class WorkflowConfig:
-    epochs_act: int
-    epochs_weight: int
+    """Every knob of both runs, with its one default; the CLI's workflow keys
+    fill only the fields a config sets."""
+
+    epochs_act: int = 2
+    epochs_weight: int = 2
     act_bits: int = 4
     weight_bits: int = 4
     epsilon: float = 1e-5
     ema_momentum: float = 0.99
     batch_size: int = 16
     seed: int = 0
-    act_schedule: LRSchedule = field(default_factory=lambda: LRSchedule(0.001, 0, 10))
-    weight_schedule: LRSchedule = field(default_factory=lambda: LRSchedule(0.001, 0, 10))
+    act_schedule: LRSchedule = field(default_factory=lambda: LRSchedule(0.001, 0, 2))
+    weight_schedule: LRSchedule = field(default_factory=lambda: LRSchedule(0.0005, 0, 2))
     act_momentum: float = 0.9
     weight_momentum: float = 0.0
     weight_decay: float = 0.0
@@ -60,9 +63,11 @@ class WorkflowResult:
     trace: list
 
 
-def _persist(out_dir, subdir, graph, *, prune_report=None, metrics=None):
-    """Save a stage's artifacts in out_dir/subdir ("" for out_dir itself);
-    nothing is written without an out_dir."""
+def save_run(out_dir, graph, subdir="", *, prune_report=None, metrics=None):
+    """Write a run directory, out_dir/subdir: model.json and model.bin, plus
+    prune_report.csv and metrics.csv when given. The CLI's subcommands and
+    every stage write their artifacts here; nothing is written without an
+    out_dir."""
     if out_dir is None:
         return
     stage_dir = Path(out_dir) / subdir
@@ -86,7 +91,7 @@ def run_workflow(graph, data, cfg, out_dir=None):
 
     g, prune_first = apply_pfq(graph, cfg.epsilon, quantize_act_of_beta=False)
     trace.append(f"stage0 pfq: {prune_first.summary()}")
-    _persist(out_dir, "stage0", g, prune_report=prune_first)
+    save_run(out_dir, g, "stage0", prune_report=prune_first)
 
     g = insert_quant_points(g, cfg.act_bits, cfg.weight_bits,
                             ema_momentum=cfg.ema_momentum,
@@ -98,18 +103,18 @@ def run_workflow(graph, data, cfg, out_dir=None):
         stop=cfg.stop_act, update_ranges=True,
     )
     trace.append(f"stage1 finetune-activations: epochs={len(metrics_act)}")
-    _persist(out_dir, "stage1", g, metrics=metrics_act)
+    save_run(out_dir, g, "stage1", metrics=metrics_act)
 
     g, prune_second = apply_pfq(g, cfg.epsilon, quantize_act_of_beta=True)
     trace.append(f"stage2 pfq: {prune_second.summary()}")
-    _persist(out_dir, "stage2", g, prune_report=prune_second)
+    save_run(out_dir, g, "stage2", prune_report=prune_second)
 
     g = fold_bn_graph(g)
     remaining = sum(1 for l in g.layers if l.kind == "bn")
     if remaining:
         raise WorkflowError(f"{remaining} BN layers survived folding")
     trace.append("stage3 fold-bn: remaining_bn=0")
-    _persist(out_dir, "stage3", g)
+    save_run(out_dir, g, "stage3")
 
     # A zero weight budget skips the whole stage, enabling included, so the
     # degenerate workflow stays functionally equal to prune + prune + fold.
@@ -123,7 +128,7 @@ def run_workflow(graph, data, cfg, out_dir=None):
         stop=cfg.stop_weight, update_ranges=True, range_update_epochs=1,
     )
     trace.append(f"stage4 finetune-weights: epochs={len(metrics_weight)}")
-    _persist(out_dir, "stage4", g, metrics=metrics_weight)
+    save_run(out_dir, g, "stage4", metrics=metrics_weight)
 
     if out_dir is not None:
         (Path(out_dir) / "workflow.log").write_text("\n".join(trace) + "\n")
@@ -155,7 +160,7 @@ def run_single_stage_baseline(graph, data, cfg, out_dir=None):
     )
     trace.append(f"baseline finetune: epochs={len(metrics)}")
 
-    _persist(out_dir, "", g, prune_report=prune_report, metrics=metrics)
+    save_run(out_dir, g, prune_report=prune_report, metrics=metrics)
     if out_dir is not None:
         (Path(out_dir) / "workflow.log").write_text("\n".join(trace) + "\n")
     return WorkflowResult(graph=g, prune_first=prune_report, prune_second=None,

@@ -14,8 +14,14 @@ from pathlib import Path
 import pytest
 
 import pfqkit
-from pfqkit.cli import ConfigError, load_config, main
+from pfqkit.cli import ConfigError, _build_data, load_config, main
+from pfqkit.engine import evaluate
 from pfqkit.graph import count_macs, load_model
+from pfqkit.workflow import WorkflowConfig, run_workflow
+
+
+# Stops at the first epoch: every validation accuracy is >= 0.0 - 1.0.
+_STOP_AT_ONCE = {"mode": "accuracy_drop", "drop_threshold": 1.0, "reference_accuracy": 0.0}
 
 
 def _write_cfg(directory, **extra):
@@ -30,7 +36,9 @@ def _write_cfg(directory, **extra):
                      "act_period": 1, "weight_period": 1},
     }
     for key, value in extra.items():
-        if isinstance(value, dict) and isinstance(cfg.get(key), dict):
+        if value is None:
+            del cfg[key]
+        elif isinstance(value, dict) and isinstance(cfg.get(key), dict):
             cfg[key] = {**cfg[key], **value}
         else:
             cfg[key] = value
@@ -150,6 +158,13 @@ class TestTrain:
         lines = (out / "metrics.csv").read_text().strip().splitlines()
         assert len(lines) == 2
 
+    def test_early_stop(self, tmp_path):
+        cfg = _write_cfg(tmp_path, train={"epochs": 3, "period": 3,
+                                          "early_stop": _STOP_AT_ONCE})
+        out = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+        assert len((out / "metrics.csv").read_text().splitlines()) == 2
+
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = _write_cfg(tmp_path, train={"epochs": 2, "batch_size": 8,
                                           "base_lr": 0.05, "period": 2})
@@ -208,6 +223,21 @@ class TestCompressionChain:
         assert text.strip() == "epochs=1"
         assert (out / "metrics.csv").exists()
 
+    def test_finetune_enables_weight_quant(self, trained, tmp_path):
+        cfg, model, root = trained
+        fold, annot, out = tmp_path / "fold", tmp_path / "annot", tmp_path / "tuned"
+        assert main(["fold-bn", "--model", model, "--out", str(fold)]) == 0
+        assert main(["quantize-annotate", "--config", cfg, "--model", str(fold / "model.json"),
+                     "--out", str(annot)]) == 0
+        points = [l.weight_quant for l in load_model(annot / "model.json").layers
+                  if l.weight_quant is not None]
+        assert len(points) == 3 and not any(p.enabled for p in points)
+        assert main(["finetune", "--config", cfg, "--model", str(annot / "model.json"),
+                     "--epochs", "1", "--enable-weight-quant", "--out", str(out)]) == 0
+        points = [l.weight_quant for l in load_model(out / "model.json").layers
+                  if l.weight_quant is not None]
+        assert len(points) == 3 and all(p.enabled for p in points)
+
     def test_eval_reports_accuracy(self, trained, capsys):
         cfg, model, root = trained
         capsys.readouterr()
@@ -216,6 +246,24 @@ class TestCompressionChain:
         assert rc == 0
         acc = float(out.strip().split("=", 1)[1])
         assert 0.0 <= acc <= 1.0
+
+    def test_eval_without_test_split_uses_validation(self, trained, tmp_path, capsys):
+        _, model, _ = trained
+        cfg = _write_cfg(tmp_path, data={"test_per_class": 0})
+        data = _build_data(load_config(cfg))
+        assert len(data.test_images) == 0 and len(data.val_images) == 6
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg, "--model", model]) == 0
+        expected = evaluate(load_model(model), data.val_images, data.val_labels)
+        assert capsys.readouterr().out == f"accuracy={expected!r}\n"
+
+    def test_eval_without_any_split_is_a_config_error(self, trained, tmp_path, capsys):
+        _, model, _ = trained
+        cfg = _write_cfg(tmp_path, data={"test_per_class": 0}, split={"per_class": 0})
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg, "--model", model]) == 1
+        assert capsys.readouterr().err == (
+            "error: ConfigError: no test or validation split to evaluate on\n")
 
 
 class TestWorkflowCommands:
@@ -232,6 +280,30 @@ class TestWorkflowCommands:
         for stage in range(5):
             assert (out / f"stage{stage}" / "model.json").exists()
         assert (out / "workflow.log").exists()
+
+    def test_workflow_defaults_are_workflow_configs(self, trained, tmp_path):
+        """A config without workflow keys runs WorkflowConfig's defaults."""
+        _, model, _ = trained
+        cfg = _write_cfg(tmp_path, workflow=None)
+        out = tmp_path / "wf"
+        assert main(["workflow", "--config", cfg, "--model", model, "--out", str(out)]) == 0
+        lib = tmp_path / "lib"
+        run_workflow(load_model(model), _build_data(load_config(cfg)),
+                     WorkflowConfig(batch_size=8), out_dir=lib)
+        for name in ("model.bin", "metrics.csv"):
+            assert (out / "stage4" / name).read_bytes() == (lib / "stage4" / name).read_bytes()
+
+    def test_workflow_early_stop_applies_to_both_training_stages(self, trained, tmp_path,
+                                                                 capsys):
+        _, model, _ = trained
+        cfg = _write_cfg(tmp_path, workflow={"epochs_act": 2, "epochs_weight": 2,
+                                             "early_stop": _STOP_AT_ONCE})
+        capsys.readouterr()
+        assert main(["workflow", "--config", cfg, "--model", model,
+                     "--out", str(tmp_path / "wf")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "stage1 finetune-activations: epochs=1"
+        assert lines[4] == "stage4 finetune-weights: epochs=1"
 
     def test_baseline_once_traces(self, trained, capsys):
         cfg, model, root = trained
@@ -269,6 +341,13 @@ class TestReports:
         for line in lines:
             assert len(line.split(",")) == 4
         assert (out / "constancy.csv").exists()
+
+    def test_count_macs_csv(self, trained, tmp_path):
+        _, model, _ = trained
+        assert main(["count-macs", "--model", model, "--out", str(tmp_path / "m")]) == 0
+        expected = ["layer,macs"] + [f"{name},{count}" for name, count
+                                     in count_macs(load_model(model)).items()]
+        assert (tmp_path / "m" / "macs.csv").read_text().splitlines() == expected
 
     def test_count_macs_matches_library(self, trained, capsys):
         cfg, model, root = trained

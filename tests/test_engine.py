@@ -170,6 +170,12 @@ def test_evaluate_matches_the_per_batch_loop(name):
     assert 0.5 <= acc < 1
 
 
+def test_evaluate_names_an_empty_split():
+    net = build_small_convnet(seed=2)
+    with pytest.raises(ValueError, match="^evaluate: no images to evaluate$"):
+        engine.evaluate(net, _batch(net, n=0), np.zeros(0, dtype=np.int64))
+
+
 # --- values a point quantized are not checked again ---------------------------
 
 CHECKING_OPS = ("conv2d_forward", "depthwise_conv2d_forward", "affine_forward")
@@ -580,7 +586,7 @@ def test_memo_of_a_copied_graph_follows_the_copy(range_calls):
     x = _batch(net)
     before = run_inference(net, x)
     copy = copy_graph(net)
-    assert copy.layer("conv1").memo.weights is copy.layer("conv1").params.weights
+    assert copy.layer("conv1").memo is None
     copy.layer("conv1").params.weights[0] *= 3
     assert run_inference(copy, x).tobytes() == _without_memos(copy, x).tobytes()
     assert run_inference(net, x).tobytes() == before.tobytes()

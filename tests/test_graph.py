@@ -67,6 +67,13 @@ class TestValidation:
         with pytest.raises(GraphError):
             ModelGraph(layers=layers, input_shape=(1, 6, 6))
 
+    @pytest.mark.parametrize("name", [{"a": 1}, 7, None])
+    def test_name_that_is_not_a_string_rejected(self, name):
+        layers = list(_tiny_graph().layers)
+        layers[2] = LayerSpec(name=name, kind="relu")
+        with pytest.raises(GraphError, match="^layer 2: name must be a str, got "):
+            ModelGraph(layers=layers, input_shape=(1, 6, 6))
+
     def test_bn_must_follow_conv_like(self):
         layers = [
             _conv_layer("c1", 2, 1, 3),
@@ -351,6 +358,13 @@ class TestMalformedManifestFields:
         path, doc = _saved_manifest(tmp_path)
         del doc["layers"][1]["name"]
         with pytest.raises(ModelFormatError, match="^layer 1 has no field 'name'$"):
+            _load_edited(path, doc)
+
+    @pytest.mark.parametrize("name", [{"a": 1}, 7])
+    def test_layer_name_that_is_not_a_string(self, name, tmp_path):
+        path, doc = _saved_manifest(tmp_path)
+        doc["layers"][1]["name"] = name
+        with pytest.raises(ModelFormatError, match="^layer 1 field 'name' is not a str: "):
             _load_edited(path, doc)
 
     @pytest.mark.parametrize("key", ["offset", "byte_length", "shape", "crc32"])

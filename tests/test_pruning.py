@@ -429,6 +429,17 @@ class TestBookkeeping:
         assert lines[0] == "layer,channel,kind,Vt,beta,U_norm"
         assert lines[1].startswith("b1,1,bias,")
 
+    def test_csv_skip_rows(self, tmp_path):
+        g = build_residual_net(seed=3)
+        g.layer("bn_b").params.running_var[0] = 1e-8
+        _, report = apply_pfq(g, EPS)
+        out = tmp_path / "prune.csv"
+        report.to_csv(out)
+        assert not report.entries and report.skips[0].beta == 0.0
+        # A skip row leaves U_norm empty.
+        assert out.read_text().splitlines()[1:] == [
+            f"bn_b,0,residual,{report.skips[0].running_var!r},0.0,"]
+
     def test_summary_mentions_counts(self):
         rng = np.random.default_rng(79)
         g = _kill_channel(_graph_bias_consumer(rng), "b1", 1)

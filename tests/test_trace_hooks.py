@@ -7,7 +7,9 @@ was imported would bypass the patches, and the per-layer metrics would read 0
 with no error. This test installs the tracer, runs training and inference
 passes that reach every layer kind, and checks that every tensor_ops,
 batchnorm and quantization span is recorded and that each such figure of
-`layer_metrics` is non-zero.
+`layer_metrics` is non-zero. The per-stage workflow figures come from the
+order of the workflow's calls, so a traced `run_workflow` must give all
+five stages time.
 """
 
 import importlib.util
@@ -16,9 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from pfqkit import workflow
+from pfqkit.data import bundle_from_datasets, make_synthetic, split_validation
 from pfqkit.engine import backward_graph, forward_graph, loss_and_grads, run_inference
 from pfqkit.graph import fold_bn_graph
 from pfqkit.models import build_ds_convnet, build_small_convnet
+from pfqkit.training import LRSchedule, OptimizerState, train_epochs
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 PREFIXES = ("tensor_ops.", "batchnorm.", "quantization.")
@@ -69,3 +73,24 @@ def test_every_per_layer_span_is_recorded():
     zero = sorted(name for name, value in metrics.items()
                   if name.startswith(PREFIXES) and not value > 0)
     assert not zero, f"per-layer metrics that read 0: {zero}"
+
+
+def test_every_workflow_stage_gets_time():
+    spans = _load_spans()
+    train, test = split_validation(make_synthetic(3, 8, (3, 8, 8), seed=1), 2, seed=2)
+    data = bundle_from_datasets(train, None, test)
+    net, _ = train_epochs(build_small_convnet(input_shape=(3, 8, 8), class_count=3, width=4,
+                                              seed=3, dead_stem_filters=1),
+                          data, LRSchedule(0.05, 0, 4), OptimizerState(momentum=0.9),
+                          epochs=4, batch_size=8)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        workflow.run_workflow(net, data, workflow.WorkflowConfig(epochs_act=1, epochs_weight=1,
+                                                                 batch_size=8))
+    finally:
+        tracer.restore()
+
+    metrics = spans.layer_metrics(tracer.spans, 1)
+    stages = [metrics[f"workflow.stage{k}_s"] for k in range(5)]
+    assert all(seconds > 0 for seconds in stages), stages
