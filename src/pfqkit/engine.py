@@ -1,17 +1,17 @@
 """Forward and backward execution over a ModelGraph.
 
-A forward pass asked to keep only the final output (run_inference, per
-slab, and loss_and_grads) drops each layer output right after its last
-reader: the next layer, or the last add_junction that names it, from a
-schedule computed once per call. By default a trace keeps every output,
-for callers that inspect them. Training mode also records the caches a
-layer's backward reads (its inputs and statistics); inference mode records
-none. relu and relu6 cache their output, which selects the same elements as
-their input and is held by the next layer anyway, so the BN output that
-feeds an activation dies there instead of living until backward.
-backward_graph consumes its trace: once a layer's backward has run, its
-cache, output and incoming gradient are gone, so each tensor is freed at
-its last use and a trace can be backpropagated once.
+A forward pass asked to keep only the final output (run_inference and
+loss_and_grads) drops each layer output right after its last reader: the
+next layer, or the last add_junction that names it (_schedule). By default
+a trace keeps every output, for callers that inspect them. Training mode
+also records the caches a layer's backward reads (its inputs and
+statistics); inference mode records none. relu and relu6 cache their
+output, which selects the same elements as their input and is held by the
+next layer anyway, so the BN output that feeds an activation dies there
+instead of living until backward. backward_graph consumes its trace: once a
+layer's backward has run, its cache, output and incoming gradient are gone,
+so each tensor is freed at its last use and a trace can be backpropagated
+once.
 
 Ownership: an array that nothing can read after the current op is handed to
 that op as out=, and the elementwise ops (relu and relu6 forward and
@@ -23,11 +23,11 @@ gradient that no junction shares. The graph input, every output of a trace
 that keeps them, an output a later add_junction reads, an activation's
 output in training (its cache), the caller's grad_final and a gradient a
 junction sent to two layers are never handed over. The decisions are made
-once per forward call (_schedule) and per gradient in backward_graph; ops
-called directly, without out=, never write to their inputs. Outputs and
-gradients are byte for byte those of a pass that hands nothing over; a
-streamed conv, activation and activation point then fill one array, not
-three.
+once per plan in inference, once per call in training (_schedule) and per
+gradient in backward_graph; ops called directly, without out=, never write
+to their inputs. Outputs and gradients are byte for byte those of a pass
+that hands nothing over; a streamed conv, activation and activation point
+then fill one array, not three.
 
 Training mode runs BN on batch statistics and advances the running statistics
 in place on the graph; inference mode uses the stored running statistics and
@@ -41,33 +41,36 @@ An activation point snaps the tensor with its EMA range; when the range is
 not yet initialized, or has collapsed to a single value, the point passes
 through unchanged.
 
-The inference memo: a conv, depthwise conv or affine layer prepares its
-op (tensor_ops' *_prepare: quantize the weights when its weight point is
-enabled, check the weights and bias, derive the weight matrix, bias row,
-row plan and bands) once per parameter version, not once per call and
-slab. The record lives on LayerSpec.memo with its key: the weight and bias
-objects and their bytes, the weight point's bits (None when it has no
-enabled point), the input's per-image shape and dtype, and the stride and
-padding. It is served only while every part of the key holds, so a new
-array (an sgd_step), an in-place write to the weights or the bias, a change
-of bits, of input shape or of dtype each make the next pass prepare again;
-copy_graph and copy_layer start the copy without one. Only the
-inference-mode forwards read or write it: run_inference (every slab) and
-forward_graph(training=False). A training forward quantizes and prepares
-on every call and never touches the memo: its weights move every step.
+The plan: an inference pass (run_inference, forward_graph(training=False))
+runs a plan compiled once per graph version and kept on ModelGraph.plan
+(never copied, saved or compared): one step per layer that does work, with
+its forward's arguments bound (a weighted layer's weights, quantized and
+read-only when its point is on, and its *_prepare record; an applying
+point's quantize_prepare record), its out= handover and its releases. A BN
+step reads its parameters at call time. An absorbed activation and a point
+that does not apply get no step; their names alias their input. Each call
+checks the plan once against its key (the identity and name of every
+layer, the identity of every parameter object, weight and bias array and
+point config; a point's enabled, bits, m, M_up and initialized; stride and
+padding; the input's per-image shape and dtype) and a bytes compare of
+every weight and bias, and compiles a new plan on any mismatch. Training
+never reads or writes it.
 
-Finite checks: a conv, depthwise conv or affine checks its weights and bias
-for non-finite values when it prepares, and its input on every call unless
-that input is what an activation point quantized in the same pass. Such a
-value is finite by construction: the point checked its own input, and
-quantize bounds its output to [m, M] on a grid it has verified to be finite
-in the dtype, so a second check could not fail. The forward loop decides
-from what the point did (it quantized, so it returned a cache), never from
-its config: a disabled, uninitialized or collapsed point passes its input
-through, and the layer that reads it checks it. An inference pass that
-prepares checks a layer's weights and bias before its input, so when both
-are non-finite it names the weights or bias. Direct op calls check every
-argument.
+Finite checks: a weighted layer checks its weights and bias when it
+prepares. The compile tracks a float64 bound on the magnitude of every
+value: the graph input, BN and add_junction are unbounded; an applying
+point bounds its output by max(|m|, |M_up|), on a grid quantize verified
+finite; relu and a pass-through keep their input's bound, relu6 caps a
+finite one at 6 (a nan passes its clamp), global_avg_pool keeps it while
+its sums stay in range, and a conv, depthwise conv or affine maps B to
+sqrt(fan_in) * ||w|| * B + ||b||, which by Cauchy-Schwarz is at least the
+largest sum over an output channel of |w| * B + |b|. A step whose input
+bound lies below half the dtype's largest value skips that input's check
+(check_x=False): the conv after a point, and every point behind bounded
+layers, but not the point after the stem, which reads the graph input. In
+training a conv, depthwise conv or affine skips only the check of an input
+the point before it quantized in the same pass, and every point checks.
+Direct op calls check every argument.
 
 Slabs: run_inference runs the batch in slabs of as many images as keep the
 graph's widest per-image activation (ModelGraph.widest, from the shapes
@@ -77,10 +80,9 @@ computes each image on its own (per-image and per-channel matmuls,
 elementwise passes, per-plane means), so its bytes do not depend on how
 many images share a call. An affine is one matmul over the batch, and BLAS
 rounds a product of one or a few rows differently (numpy runs a 1-row
-product as a gemv), so the first affine and every layer after it run once
+product as a gemv), so the first affine and every step after it run once
 on the gathered slabs. run_inference thus gives the bytes of one unslabbed
-pass at every batch size, through one loop and one plan (_schedule) per
-call.
+pass at every batch size.
 
 Absorption: in a pass that drops outputs in inference mode, a relu or relu6
 whose only reader is an applying activation point with range [m, M] inside
@@ -94,6 +96,7 @@ clipped, reaches the quantizer, which raises its non-finite ValueError.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -101,8 +104,8 @@ import numpy as np
 
 from . import tensor_ops as T
 from .batchnorm import bn_backward_train, bn_forward_infer, bn_forward_train
-from .quantization import (act_point_applies, quantize, quantize_backward, update_activation_range,
-                           weight_range_cfg)
+from .quantization import (act_point_applies, quantize, quantize_backward, quantize_prepare,
+                           update_activation_range, weight_range_cfg)
 
 
 # run_inference's slab budget: the bytes of the graph's widest activation
@@ -130,52 +133,14 @@ def _weights(layer):
     return wq
 
 
-class _Memo(NamedTuple):
-    """An inference-mode layer's prepared op and the key it was made for."""
+def _weighted(forward_op, backward_op):
+    """(forward, backward) of a conv, depthwise conv or affine layer in
+    training, which differ only in the tensor ops: forward_op(layer, x, w,
+    check_x) and backward_op(layer, grad, x, w, has_bias, input_grad)."""
 
-    weights: np.ndarray
-    bias: np.ndarray | None
-    key: tuple  # (bits or None, per-image input shape, dtype, stride, padding)
-    weight_bytes: bytes
-    bias_bytes: bytes | None
-    used: np.ndarray  # the weights the op computes with (quantized when the point is on)
-    prepared: tuple  # the *_prepare record
-
-
-def _prepared(layer, x, prepare_op):
-    """(weights, prepared record) of an inference-mode conv, depthwise conv
-    or affine layer reading x, served from layer.memo while its key holds
-    (see the module docstring), else derived and memoized."""
-    w, b = layer.params.weights, layer.params.bias
-    point = layer.weight_quant
-    key = (point.cfg.bits if point is not None and point.enabled else None,
-           x.shape[1:], x.dtype, layer.stride, layer.padding)
-    memo = layer.memo
-    if (memo is not None and memo.weights is w and memo.bias is b and memo.key == key
-            and memo.weight_bytes == w.tobytes()
-            and (b is None or memo.bias_bytes == b.tobytes())):
-        return memo.used, memo.prepared
-    used = _weights(layer)
-    prepared = prepare_op(layer, used, x.shape[1:], x.dtype)
-    layer.memo = _Memo(w, b, key, w.tobytes(), None if b is None else b.tobytes(), used,
-                       prepared)
-    return used, prepared
-
-
-def _weighted(forward_op, backward_op, prepare_op):
-    """(forward, backward) of a conv, depthwise conv or affine layer, which
-    differ only in the tensor ops: forward_op(layer, x, w, check_x,
-    prepared), backward_op(layer, grad, x, w, has_bias, input_grad) and
-    prepare_op(layer, w, image, dtype). A training forward quantizes and
-    prepares on every call; an inference forward takes both from the
-    layer's memo (_prepared)."""
-
-    def forward(layer, x, trace, training, update_ranges, out, check_x):
-        if training:
-            w = _weights(layer)
-            return forward_op(layer, x, w, check_x, None), (x, w)
-        w, prepared = _prepared(layer, x, prepare_op)
-        return forward_op(layer, x, w, check_x, prepared), None
+    def forward(layer, x, trace, update_ranges, out, check_x):
+        w = _weights(layer)
+        return forward_op(layer, x, w, check_x), (x, w)
 
     def backward(layer, g, cache, send, input_grad, out):
         upstream, gw, gb = backward_op(layer, g, *cache, layer.params.bias is not None, input_grad)
@@ -188,20 +153,14 @@ def _activation(forward_op, backward_op):
     """(forward, backward) of an activation whose backward reads its output
     y, which the next layer holds anyway, so the input dies here."""
 
-    def forward(layer, x, trace, training, update_ranges, out, *_):
+    def forward(layer, x, trace, update_ranges, out, check_x):
         y = forward_op(x, out)
         return y, y
 
     return forward, lambda layer, g, y, send, input_grad, out: (backward_op(g, y, out), None)
 
 
-def _pass_through(layer, x, *_):
-    return x, None
-
-
-def _bn_forward(layer, x, trace, training, update_ranges, out, *_):
-    if not training:
-        return bn_forward_infer(x, layer.params, out=out), None
+def _bn_forward(layer, x, trace, update_ranges, out, check_x):
     out, stats, layer.params, cache = bn_forward_train(x, layer.params, out=out)
     trace.bn_stats[layer.name] = stats
     return out, cache
@@ -224,9 +183,9 @@ def _junction_backward(layer, g, cache, send, *_):
     return None, None
 
 
-def _act_quant_forward(layer, x, trace, training, update_ranges, out, *_):
+def _act_quant_forward(layer, x, trace, update_ranges, out, check_x):
     point = layer.params
-    if point.enabled and training and update_ranges:
+    if point.enabled and update_ranges:
         point.cfg = update_activation_range(x, point.cfg)
     if not act_point_applies(point):
         return x, None
@@ -237,40 +196,36 @@ def _act_quant_backward(layer, g, cache, send, input_grad, out):
     return (g if cache is None else quantize_backward(g, *cache, out=out)), None
 
 
-# One (forward, backward) pair per layer kind. A forward maps
-# (layer, x, trace, training, update_ranges, out, check_x) to (output,
-# cache); a backward maps (layer, grad, cache, send, input_grad, out) to
-# (upstream gradient, parameter gradients). out is x, or grad, when the
-# engine hands that array over (the ownership rule in the module docstring),
-# else None; kinds that cannot write there ignore it. check_x is False when
-# x is the output of an activation point that quantized it in this pass, and
-# a conv, depthwise conv or affine then does not check x for non-finite
-# values again; other kinds ignore it. A conv or depthwise conv skips its
-# upstream gradient when input_grad is False (the first layer, whose input
-# gradient has no reader), and any other kind may still return one, which is
-# then dropped. An affine layer needs a flat input, so it is never first.
-# Ops are looked up through `T` and this module's globals at call time, never
-# bound at import, so that a patched module attribute reaches every call (the
-# traced benchmark run, perfbench/spans.py, times ops that way).
+# One training (forward, backward) pair per layer kind. A forward maps
+# (layer, x, trace, update_ranges, out, check_x) to (output, cache); a
+# backward maps (layer, grad, cache, send, input_grad, out) to (upstream
+# gradient, parameter gradients). out is x, or grad, when the engine hands
+# that array over (the ownership rule in the module docstring), else None;
+# kinds that cannot write there ignore it. check_x is False when x is the
+# output of an activation point that quantized it in this pass, and a conv,
+# depthwise conv or affine then does not check x for non-finite values
+# again; other kinds ignore it. A conv or depthwise conv skips its upstream
+# gradient when input_grad is False (the first layer, whose input gradient
+# has no reader), and any other kind may still return one, which is then
+# dropped. An affine layer needs a flat input, so it is never first. Ops are
+# looked up through `T` and this module's globals at call time, never bound
+# at import, so that a patched module attribute reaches every call (the
+# traced benchmark run, perfbench/spans.py, times ops that way); the plan's
+# steps (_STEPS) do the same.
 _LAYER_OPS = {
     "conv": _weighted(
-        lambda l, x, w, cx, p: T.conv2d_forward(x, w, l.params.bias, l.stride, l.padding,
-                                                check_x=cx, prepared=p),
+        lambda l, x, w, cx: T.conv2d_forward(x, w, l.params.bias, l.stride, l.padding,
+                                             check_x=cx),
         lambda l, g, x, w, b, gx: T.conv2d_backward(g, x, w, l.stride, l.padding, has_bias=b,
-                                                    input_grad=gx),
-        lambda l, w, image, dtype: T.conv2d_prepare(w, l.params.bias, l.stride, l.padding,
-                                                    image, dtype)),
+                                                    input_grad=gx)),
     "depthwise_conv": _weighted(
-        lambda l, x, w, cx, p: T.depthwise_conv2d_forward(x, w, l.params.bias, l.stride,
-                                                          l.padding, check_x=cx, prepared=p),
+        lambda l, x, w, cx: T.depthwise_conv2d_forward(x, w, l.params.bias, l.stride, l.padding,
+                                                       check_x=cx),
         lambda l, g, x, w, b, gx: T.depthwise_conv2d_backward(g, x, w, l.stride, l.padding,
-                                                              has_bias=b, input_grad=gx),
-        lambda l, w, image, dtype: T.depthwise_conv2d_prepare(w, l.params.bias, l.stride,
-                                                              l.padding, image, dtype)),
+                                                              has_bias=b, input_grad=gx)),
     "affine": _weighted(
-        lambda l, x, w, cx, p: T.affine_forward(x, w, l.params.bias, check_x=cx, prepared=p),
-        lambda l, g, x, w, b, _: T.affine_backward(g, x, w, has_bias=b),
-        lambda l, w, image, dtype: T.affine_prepare(w, l.params.bias, image)),
+        lambda l, x, w, cx: T.affine_forward(x, w, l.params.bias, check_x=cx),
+        lambda l, g, x, w, b, _: T.affine_backward(g, x, w, has_bias=b)),
     "bn": (_bn_forward, _bn_backward),
     "relu": _activation(lambda x, out: T.relu_forward(x, out=out),
                         lambda g, y, out: T.relu_backward(g, y, out=out)),
@@ -300,9 +255,8 @@ def _absorbed(layer, reader):
     return cfg.m >= 0 and (layer.kind == "relu" or cfg.M_up <= 6)
 
 
-def _schedule(graph, training, keep_outputs):
-    """The plan of one forward_graph call: per layer, (layer, forward, own,
-    release).
+def _schedule(layers, training, keep_outputs):
+    """Per layer, (own, release, absorbed) for one forward pass.
 
     release names the outputs whose last reader is this layer: the next
     layer, or the last add_junction that names the output (the final output
@@ -313,14 +267,13 @@ def _schedule(graph, training, keep_outputs):
     buffer is read by the next layer alone and no cache holds it (an
     activation's training cache is its output; a conv, depthwise conv,
     affine or quant point caches its input); the graph input is never free.
-    In inference, forward is a pass-through for an activation whose only
-    reader absorbs it (_absorbed). A trace that keeps every output releases,
-    hands over and absorbs nothing.
+    In inference, absorbed tells that an activation's only reader absorbs it
+    (_absorbed). A pass that keeps every output releases, hands over and
+    absorbs nothing.
     """
-    layers = graph.layers
-    if keep_outputs:
-        return [(layer, _LAYER_OPS[layer.kind][0], False, ()) for layer in layers]
     n = len(layers)
+    if keep_outputs:
+        return [(False, (), False)] * n
     last = {}
     for i, layer in enumerate(layers, 1):
         last[layer.name] = i
@@ -330,23 +283,20 @@ def _schedule(graph, training, keep_outputs):
     release = [[] for _ in range(n + 1)]
     for name, i in last.items():
         release[i].append(name)
-    plan = []
+    schedule = []
     free = False
     for i, layer in enumerate(layers):
-        kind = layer.kind
-        writes_input, caches_input, activation = _OWNERSHIP[kind]
-        forward = _LAYER_OPS[kind][0]
+        writes_input, caches_input, activation = _OWNERSHIP[layer.kind]
         if training and caches_input:
             free = False
         own = free and writes_input
         sole = last[layer.name] == i + 1
-        if (activation and sole and not training and i + 1 < n
-                and _absorbed(layer, layers[i + 1])):
-            forward = _pass_through
-        shares = own or forward is _pass_through or kind == "quant_point"
+        absorbed = (activation and sole and not training and i + 1 < n
+                    and _absorbed(layer, layers[i + 1]))
+        shares = own or absorbed or layer.kind == "quant_point"
         free = (free or not shares) and sole and not (training and activation)
-        plan.append((layer, forward, own, release[i]))
-    return plan
+        schedule.append((own, release[i], absorbed))
+    return schedule
 
 
 def forward_graph(graph, x, *, training=False, update_ranges=False, keep_outputs=True):
@@ -356,35 +306,200 @@ def forward_graph(graph, x, *, training=False, update_ranges=False, keep_outputs
     and their running statistics are updated on the graph; enabled activation
     quant points fold the observed range into their EMA when update_ranges is
     set; the trace records the caches backward_graph reads. Inference mode
-    touches nothing and records no caches. The trace keeps every layer output
-    unless keep_outputs is False, in which case each output is dropped after
-    its last reader and only the final one is kept.
+    runs the graph's plan, touches nothing and records no caches. The trace
+    keeps every layer output unless keep_outputs is False, in which case each
+    output is dropped after its last reader and only the final one is kept.
     """
-    trace = ForwardTrace(outputs={}, caches={} if training else None, bn_stats={})
-    _forward(_schedule(graph, training, keep_outputs), x, trace, training, update_ranges)
-    return trace
-
-
-def _forward(plan, x, trace, training, update_ranges, quantized=False):
-    """Run the steps of plan (from _schedule) on x, which feeds the first of
-    them, recording into trace. quantized tells whether x is the output of
-    a point that snapped it (always False for the graph input). Returns the
-    last step's output and whether a point snapped it."""
+    if not training:
+        outputs = {}
+        _run(_plan(graph, x, keep_outputs).steps, x, outputs)
+        return ForwardTrace(outputs=outputs, caches=None, bn_stats={})
+    trace = ForwardTrace(outputs={}, caches={}, bn_stats={})
     outputs = trace.outputs
-    prev = x
-    for layer, forward, own, release in plan:
-        prev, cache = forward(layer, prev, trace, training, update_ranges, prev if own else None,
-                              not quantized)
+    prev, quantized = x, False
+    for layer, (own, release, _) in zip(graph.layers,
+                                        _schedule(graph.layers, True, keep_outputs)):
+        prev, cache = _LAYER_OPS[layer.kind][0](layer, prev, trace, update_ranges,
+                                                prev if own else None, not quantized)
         # A point caches its input exactly when it quantized it (else it passed it through).
         quantized = cache is not None and layer.kind == "quant_point"
-        if training:
-            trace.caches[layer.name] = cache
+        trace.caches[layer.name] = cache
         # An unrecorded cache would keep this layer's input alive through the next layer.
         del cache
         outputs[layer.name] = prev
         for name in release:
             del outputs[name]
-    return prev, quantized
+    return trace
+
+
+class _Plan(NamedTuple):
+    """A graph's compiled inference pass (the module docstring's plan)."""
+
+    key: list  # _key at compile time
+    arrays: tuple  # every weight and bias array the steps were built from
+    blobs: list  # their bytes at compile time
+    # per step, (forward(x, out, outputs), own, names its output goes by, release);
+    # the last name of a step is the one the next step reads
+    steps: list
+    split: int  # the steps before the first affine, which run per slab
+    slab: int  # images per slab
+
+
+def _key(graph, x, keep_outputs):
+    """What a plan is compiled from, past the weight and bias bytes."""
+    key = [keep_outputs, x.shape[1:], x.dtype]
+    for layer in graph.layers:
+        p, kind = layer.params, layer.kind
+        key += (id(layer), layer.name, kind, id(p))
+        if kind == "quant_point":
+            cfg = p.cfg
+            key += (p.enabled, id(cfg), cfg.bits, cfg.m, cfg.M_up, cfg.initialized)
+        elif kind in _WEIGHTED:
+            point = layer.weight_quant
+            key += (id(p.weights), id(p.bias), tuple(layer.stride), tuple(layer.padding),
+                    point and (point.enabled, id(point.cfg), point.cfg.bits))
+        elif kind == "bn":
+            key += (id(p.gamma), id(p.beta), id(p.running_mean), id(p.running_var))
+        elif kind == "add_junction":
+            key += tuple(p)
+    return key
+
+
+def _plan(graph, x, keep_outputs):
+    """graph.plan while its key holds for x, else a new one."""
+    plan, key = graph.plan, _key(graph, x, keep_outputs)
+    if plan is None or plan.key != key or [a.tobytes() for a in plan.arrays] != plan.blobs:
+        plan = graph.plan = _compile(graph, x, key)
+    return plan
+
+
+def _compile(graph, x, key):
+    """The plan of graph's inference pass on inputs shaped and typed like x,
+    for its key (_key), which tells whether it keeps every output."""
+    layers = graph.layers
+    arrays, steps, split = [], [], None
+    seen = {}  # per output name, (per-image shape, dtype, bound)
+    image, dtype, bound = x.shape[1:], x.dtype, np.inf
+    for layer, (own, release, absorbed) in zip(layers, _schedule(layers, False, key[0])):
+        kind = layer.kind
+        if kind == "affine" and split is None:
+            split = len(steps)
+        if absorbed or kind == "quant_point" and not act_point_applies(layer.params):
+            # No step: the output is the input, under one more name.
+            if not steps:
+                steps.append((lambda x, out, outputs: x, False, [], []))
+            names, dropped = steps[-1][2], steps[-1][3]
+            names.append(layer.name)
+            for name in release:  # the name of the input, which this layer alone read
+                if name in names:
+                    names.remove(name)
+                else:
+                    dropped.append(name)
+        else:
+            if kind in _WEIGHTED:
+                arrays += [a for a in (layer.params.weights, layer.params.bias) if a is not None]
+            forward, image, dtype, bound = _STEPS[kind](layer, image, dtype, bound, seen)
+            steps.append((forward, own, [layer.name], list(release)))
+        seen[layer.name] = image, dtype, bound
+    return _Plan(key, tuple(arrays), [a.tobytes() for a in arrays], steps,
+                 len(steps) if split is None else split,
+                 max(1, SLAB_BYTES // (graph.widest * x.itemsize)))
+
+
+def _run(steps, x, outputs):
+    """Run steps of a plan on x, which the first of them reads, recording
+    the outputs they keep in outputs. Returns the last step's output."""
+    prev = x
+    for forward, own, names, release in steps:
+        prev = forward(prev, prev if own else None, outputs)
+        for name in names:
+            outputs[name] = prev
+        for name in release:
+            del outputs[name]
+    return prev
+
+
+def _bounded(bound, dtype):
+    """Whether values of this bound stay finite in dtype, with room for the
+    rounding of the bound and of the ops: below half the largest finite
+    value."""
+    return bound < np.inf and bound < np.finfo(dtype).max / 2
+
+
+def _weighted_step(layer, image, dtype, bound, seen):
+    w, b = _weights(layer), layer.params.bias
+    check = not _bounded(bound, dtype)
+    if layer.kind == "affine":
+        prepared = T.affine_prepare(w, b, image)
+        forward = lambda x, out, outputs: T.affine_forward(x, w, b, check_x=check,  # noqa: E731
+                                                           prepared=prepared)
+        image = (w.shape[1],)
+        dtype = np.result_type(dtype, *(a for a in prepared if a is not None))
+    else:
+        stride, padding = tuple(layer.stride), tuple(layer.padding)
+        if layer.kind == "conv":
+            prepared = T.conv2d_prepare(w, b, stride, padding, image, dtype)
+            forward = lambda x, out, outputs: T.conv2d_forward(  # noqa: E731
+                x, w, b, stride, padding, check_x=check, prepared=prepared)
+        else:
+            prepared = T.depthwise_conv2d_prepare(w, b, stride, padding, image, dtype)
+            forward = lambda x, out, outputs: T.depthwise_conv2d_forward(  # noqa: E731
+                x, w, b, stride, padding, check_x=check, prepared=prepared)
+        image, dtype = (w.shape[0],) + prepared[-3:-1], prepared[-1]
+    if bound < np.inf:
+        # An output channel sums fan_in products, and by Cauchy-Schwarz the
+        # sum of its |w| is at most sqrt(fan_in) times the norm of all of w
+        # (and |b| at most the norm of b): two BLAS dots, no temporaries.
+        fan_in = w.size // image[0]
+        bound = math.sqrt(fan_in * float(np.vdot(w, w))) * bound
+        if b is not None:
+            bound += math.sqrt(float(np.vdot(b, b)))
+    return forward, image, dtype, bound
+
+
+def _quant_step(layer, image, dtype, bound, seen):
+    cfg = layer.params.cfg
+    prepared = quantize_prepare(cfg, dtype)
+    check = not _bounded(bound, dtype)
+    return (lambda x, out, outputs: quantize(x, cfg, out=out, prepared=prepared, check_x=check),
+            image, dtype, max(abs(cfg.m), abs(cfg.M_up)))
+
+
+def _bn_step(layer, image, dtype, bound, seen):
+    p = layer.params
+    return (lambda x, out, outputs: bn_forward_infer(x, layer.params, out=out), image,
+            np.result_type(dtype, p.gamma, p.beta, p.running_mean, p.running_var, p.epsilon),
+            np.inf)
+
+
+def _pool_step(layer, image, dtype, bound, seen):
+    # The mean's H*W-term sums must stay in range too.
+    kept = _bounded(bound * math.prod(image[1:]), dtype)
+    return (lambda x, out, outputs: T.global_avg_pool_forward(x), image[:1], dtype,
+            bound if kept else np.inf)
+
+
+def _junction_step(layer, image, dtype, bound, seen):
+    a, b = layer.params
+    return (lambda x, out, outputs: T.elementwise_add(outputs[a], outputs[b]), seen[a][0],
+            np.result_type(seen[a][1], seen[b][1]), np.inf)
+
+
+_WEIGHTED = ("conv", "depthwise_conv", "affine")
+# Per kind: (layer, per-image input shape, dtype, bound, seen) -> (forward(x,
+# out, outputs), per-image output shape, dtype, bound) of its inference step.
+_STEPS = {
+    **dict.fromkeys(_WEIGHTED, _weighted_step),
+    "bn": _bn_step,
+    "relu": lambda l, image, dtype, bound, seen: (
+        lambda x, out, outputs: T.relu_forward(x, out=out), image, dtype, bound),
+    "relu6": lambda l, image, dtype, bound, seen: (
+        lambda x, out, outputs: T.relu6_forward(x, out=out), image, dtype,
+        min(bound, 6.0) if bound < np.inf else bound),
+    "global_avg_pool": _pool_step,
+    "add_junction": _junction_step,
+    "quant_point": _quant_step,
+}
 
 
 def backward_graph(graph, trace, grad_final):
@@ -432,29 +547,27 @@ def run_inference(graph, x):
     """Inference-mode output of the whole graph, byte for byte the final
     output of forward_graph(graph, x, keep_outputs=False).
 
-    The layers before the first affine run on slabs of the batch, as many
-    images as keep the graph's widest activation (ModelGraph.widest) within
+    Runs the graph's plan. When the batch is wider than one slab, the steps
+    before the first affine run on slabs of the batch, as many images as
+    keep the graph's widest activation (ModelGraph.widest) within
     SLAB_BYTES, and each output still live after them is gathered into a
-    whole-batch array; the first affine and the layers after it then run
-    once on those. One plan (_schedule) serves every slab.
+    whole-batch array; the first affine and the steps after it then run
+    once on those.
     """
-    plan = _schedule(graph, False, False)
-    split = next((i for i, step in enumerate(plan) if step[0].kind == "affine"), len(plan))
-    n = x.shape[0]
-    size = max(1, SLAB_BYTES // (graph.widest * x.itemsize))
+    plan = _plan(graph, x, False)
+    n, size, steps, split = x.shape[0], plan.slab, plan.steps, plan.split
+    if n <= size:
+        return _run(steps, x, {})
     gathered = {}
-    # An empty batch still runs once, so the output has the layers' shape.
-    for lo in range(0, max(n, 1), size):
-        trace = ForwardTrace(outputs={}, caches=None, bn_stats={})
-        _, quantized = _forward(plan[:split], x[lo:lo + size], trace, False, False)
-        for name, y in trace.outputs.items():
+    for lo in range(0, n, size):
+        outputs = {}
+        _run(steps[:split], x[lo:lo + size], outputs)
+        for name, y in outputs.items():
             if name not in gathered:
                 gathered[name] = np.empty((n,) + y.shape[1:], dtype=y.dtype)
             gathered[name][lo:lo + size] = y
-    # The first layer is never an affine (it needs a flat input), so split > 0.
-    trace = ForwardTrace(outputs=gathered, caches=None, bn_stats={})
-    return _forward(plan[split:], gathered[plan[split - 1][0].name], trace, False, False,
-                    quantized)[0]
+    # The first step is never an affine (it needs a flat input), so split > 0.
+    return _run(steps[split:], gathered[steps[split - 1][2][-1]], gathered)
 
 
 def loss_and_grads(graph, x, labels, *, update_ranges=False):
@@ -471,8 +584,13 @@ def loss_and_grads(graph, x, labels, *, update_ranges=False):
 
 def evaluate(graph, images, labels):
     """Inference-mode classification accuracy as a fraction in [0, 1]; raises
-    ValueError when given no images."""
-    if images.shape[0] == 0:
+    ValueError when given no images, or labels that are not one class id
+    per image (shape (N,))."""
+    n = images.shape[0]
+    if n == 0:
         raise ValueError("evaluate: no images to evaluate")
+    if np.shape(labels) != (n,):
+        raise ValueError(f"evaluate: labels of shape {np.shape(labels)} for images of shape "
+                         f"{images.shape}; expected one class id per image, shape ({n},)")
     hits = int((np.argmax(run_inference(graph, images), axis=1) == labels).sum())
-    return hits / images.shape[0]
+    return hits / n

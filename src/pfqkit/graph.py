@@ -54,9 +54,6 @@ class LayerSpec:
     stride: tuple = (1, 1)
     padding: tuple = (0, 0)
     weight_quant: QuantPoint | None = None
-    # The engine's inference memo of a conv, depthwise conv or affine layer
-    # (engine._Memo); never copied, saved or compared.
-    memo: tuple | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -67,6 +64,9 @@ class ModelGraph:
     # it sizes the engine's inference slabs, and a stale value changes only
     # their size, never an output byte. Never compared.
     widest: int = field(default=1, init=False, compare=False, repr=False)
+    # The engine's compiled inference pass (engine._Plan), which checks its
+    # own key on every call; never copied, saved or compared.
+    plan: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.validate()
@@ -184,15 +184,15 @@ def _check_bn(name, params):
 
 
 def copy_layer(layer):
-    """A deep copy without the engine's inference memo: every copy in the
-    library replaces its parameters or its bits next, so a copied memo would
-    never be served."""
-    return copy.deepcopy(layer, {id(layer.memo): None})
+    """A deep copy of a layer."""
+    return copy.deepcopy(layer)
 
 
 def copy_graph(graph):
-    """A deep copy whose layers, like copy_layer's, start without a memo."""
-    return copy.deepcopy(graph, {id(l.memo): None for l in graph.layers})
+    """A deep copy that starts without the engine's plan: every copy in the
+    library replaces its parameters or its bits next, so a copied plan
+    would never be run."""
+    return copy.deepcopy(graph, {id(graph.plan): None})
 
 
 def infer_shapes(graph):

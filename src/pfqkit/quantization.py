@@ -24,16 +24,18 @@ The output is finite: a range whose grid cannot be computed in the working
 dtype (an end that overflows it, a step that rounds to zero, more grid
 points than it can count) raises QuantRangeError before any pass runs.
 Each step of the snap is monotone in x, so the two ends of the range bound
-every output; that check is memoized per range, bits and dtype. The engine
-relies on it: a conv that reads an activation point's output does not
-check it again.
+every output. quantize_prepare makes those range checks once, for the
+engine's inference plan, which passes the record as prepared= (and
+check_x=False for a bounded input); training and direct calls check on
+every call. The engine relies on the bound: a conv that reads an
+activation point's output does not check it again.
 
 Two range policies exist. Weight tensors use their own min/max, derived
 again whenever the weights change: a training forward quantizes them on
-every call, and inference keeps the quantized tensor in the layer's memo
-(LayerSpec.memo) while the weight array keeps its bytes and the point its
-bits. Activation ranges are tracked as an exponential moving average of
-observed batch min/max and frozen outside of training.
+every call, and inference keeps the quantized tensor in the graph's plan
+while the weight array keeps its bytes and the point its bits. Activation
+ranges are tracked as an exponential moving average of observed batch
+min/max and frozen outside of training.
 
 quantize and quantize_backward write into out= when handed one (it may be
 an input): quantize only when out has the dtype it would compute in, so the
@@ -47,7 +49,6 @@ m <= M_up (ModelGraph.validate).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -94,21 +95,33 @@ def act_point_applies(point):
     return point.enabled and point.cfg.initialized and point.cfg.M_up > point.cfg.m
 
 
-def quantize(x, cfg, out=None):
-    """Snap x onto the quantizer grid of cfg. Errors on a degenerate range
-    and on one whose grid overflows the working dtype, so the result is
-    finite. Writes into out (which may be x) when out has the result's dtype."""
-    ensure_finite("quantize", x=x)
+def quantize(x, cfg, out=None, *, prepared=None, check_x=True):
+    """Snap x onto the quantizer grid of cfg. Errors on a non-finite x, on a
+    degenerate range and on one whose grid overflows the working dtype, so
+    the result is finite. Writes into out (which may be x) when out has the
+    result's dtype. prepared is quantize_prepare(cfg, x.dtype)'s record,
+    which stands for the range checks; check_x=False skips the check of x,
+    for a caller that knows x is finite."""
+    if check_x:
+        ensure_finite("quantize", x=x)
+    m, M, scale, dtype = quantize_prepare(cfg, x.dtype) if prepared is None else prepared
+    out = out if out is not None and out.dtype == dtype else None
+    return _snap(x, m, M, scale, out).astype(x.dtype, copy=False)
+
+
+def quantize_prepare(cfg, dtype):
+    """The range checks of quantize for an input of the given dtype: raises
+    QuantRangeError on bits < 1, a degenerate range or a grid that is not
+    finite in the working dtype. Returns (m, M, scale, working dtype)."""
     bits, m, M = cfg.bits, cfg.m, cfg.M_up
     if bits < 1:
         raise QuantRangeError(f"bits must be >= 1, got {bits}")
     if not M > m:
         raise QuantRangeError(f"degenerate quantizer range [{m}, {M}]")
-    dtype = np.result_type(x, m, M)
-    if not _finite_grid(float(m), float(M), bits, dtype, x.dtype):
-        raise QuantRangeError(f"quantizer range [{m}, {M}] at {bits} bits overflows {dtype}")
-    out = out if out is not None and out.dtype == dtype else None
-    return _snap(x, m, M, cfg.scale, out).astype(x.dtype, copy=False)
+    work = np.result_type(dtype, m, M)
+    if not _finite_grid(float(m), float(M), bits, work, dtype):
+        raise QuantRangeError(f"quantizer range [{m}, {M}] at {bits} bits overflows {work}")
+    return m, M, cfg.scale, work
 
 
 def _snap(x, m, M, scale, out):
@@ -127,15 +140,21 @@ def _snap(x, m, M, scale, out):
     return out
 
 
-@lru_cache(maxsize=128)
 def _finite_grid(m, M, bits, dtype, out_dtype):
     """Whether every value of [m, M] snaps to a finite value in dtype, cast to
     out_dtype. Each step of _snap is monotone in x, so the snapped ends of
-    the range bound every snapped value and every intermediate. Memoized for
-    the frozen ranges of inference (one entry per activation point); a range
-    that moves in training misses."""
+    the range bound every snapped value and every intermediate. A range far
+    inside both dtypes passes without snapping its ends: with L an eighth of
+    the largest value both hold, A = max(|m|, |M|) < L, a normal step s and
+    4 A < L s, the grid index stays below L / 2 + 2 and every other
+    intermediate below 5 A."""
+    info = np.finfo(dtype)
+    limit = float(min(info.max, np.finfo(out_dtype).max)) / 8
+    reach, step = max(-m, M), (M - m) / 2 ** bits
+    if reach < limit and step >= info.tiny and 4 * reach < limit * step:
+        return True
     with np.errstate(all="ignore"):
-        ends = _snap(np.array([m, M], dtype), m, M, (M - m) / 2 ** bits, None)
+        ends = _snap(np.array([m, M], dtype), m, M, step, None)
         return bool(np.isfinite(ends.astype(out_dtype)).all())
 
 

@@ -20,7 +20,7 @@ depthwise, the kernel rows' bands. A forward handed that record as
 prepared= checks only x (unless check_x=False) and uses the record as it
 stands; without one it prepares its own, so a direct call checks and
 raises as it always has (x first, then weights, bias and shapes). The
-engine keeps one record per layer for its inference passes.
+engine's inference plan binds one record per layer.
 
 Full convolutions lay each image's patches out as a (C*kh*kw, Ho*Wo)
 im2col matrix in NCHW order and left-multiply it by the (O, C*kh*kw)

@@ -247,3 +247,48 @@ def _expand(v, ndim):
     if ndim == 2:
         return v.reshape(1, -1)
     return v.reshape(1, -1, 1, 1)
+
+
+def reference_forward(graph, x):
+    """The inference-mode output of an unquantized graph, in float64: a walk
+    of the layer list through the oracles above, brute_force_conv2d and
+    reference_depthwise_forward, with every other kind written out the
+    obvious way (BN from its running statistics). It imports nothing from
+    the package. A quantization point that would change a value (an
+    enabled weight point, an enabled activation point with an initialized
+    range) raises ValueError: quantized graphs are out of its scope."""
+
+    def f64(a):
+        return None if a is None else np.asarray(a, np.float64)
+
+    outputs = {}
+    prev = f64(x)
+    for layer in graph.layers:
+        kind, p = layer.kind, layer.params
+        point = p if kind == "quant_point" else layer.weight_quant
+        if point is not None and point.enabled and (kind != "quant_point"
+                                                    or point.cfg.initialized):
+            raise ValueError(f"reference_forward: layer '{layer.name}' is quantized")
+        if kind == "conv":
+            prev = brute_force_conv2d(prev, f64(p.weights), f64(p.bias), layer.stride, layer.padding)
+        elif kind == "depthwise_conv":
+            prev = reference_depthwise_forward(prev, f64(p.weights), f64(p.bias), layer.stride,
+                                               layer.padding)
+        elif kind == "affine":
+            prev = prev @ f64(p.weights) + (0.0 if p.bias is None else f64(p.bias))
+        elif kind == "bn":
+            mean, var, gamma, beta = (_expand(f64(a), prev.ndim) for a in (
+                p.running_mean, p.running_var, p.gamma, p.beta))
+            prev = (prev - mean) / np.sqrt(var + float(p.epsilon)) * gamma + beta
+        elif kind == "relu":
+            prev = np.maximum(prev, 0.0)
+        elif kind == "relu6":
+            prev = np.minimum(np.maximum(prev, 0.0), 6.0)
+        elif kind == "global_avg_pool":
+            prev = prev.mean(axis=(2, 3))
+        elif kind == "add_junction":
+            prev = outputs[p[0]] + outputs[p[1]]
+        elif kind != "quant_point":
+            raise ValueError(f"reference_forward: unknown kind '{kind}'")
+        outputs[layer.name] = prev
+    return prev

@@ -10,25 +10,27 @@ elementwise layers: there the set of live activations sets the peak, where on
 the builder nets a convolution's im2col transient would. A conv, depthwise
 conv or affine that reads what an activation point quantized in the same
 pass does not check it for non-finite values again, which changes no byte,
-and one behind a point that passed its input through still checks. An
-inference pass prepares each weighted layer once per parameter version and
-serves the record from the layer's memo, which follows every change of the
-weights, bias, bits, input shape and dtype and which training never touches.
+and one behind a point that passed its input through still checks; in
+inference a point whose input is bounded does not check it either. An
+inference pass runs the graph's plan, compiled once per graph version,
+which follows every change of the layers, weights, bias, points, geometry,
+input shape and dtype and which training never touches.
 """
 
 import json
+import re
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pfqkit import engine
+from pfqkit import engine, quantization
 from pfqkit import tensor_ops as T
 from pfqkit.batchnorm import init_bn
 from pfqkit.engine import backward_graph, forward_graph, loss_and_grads, run_inference
-from pfqkit.graph import (AffineParams, LayerSpec, ModelGraph, copy_graph, fold_bn_graph,
-                          infer_shapes, save_model)
+from pfqkit.graph import (AffineParams, LayerSpec, ModelGraph, copy_graph, copy_layer,
+                          fold_bn_graph, infer_shapes, load_model, save_model)
 from pfqkit.models import BUILDERS, build_ds_convnet, build_small_convnet
 from pfqkit.quantization import (QuantConfig, QuantPoint, QuantRangeError, act_point_applies,
                                  insert_quant_points)
@@ -176,6 +178,21 @@ def test_evaluate_names_an_empty_split():
         engine.evaluate(net, _batch(net, n=0), np.zeros(0, dtype=np.int64))
 
 
+@pytest.mark.parametrize("labels", [np.array([1]), np.ones((5, 1), np.int64), np.ones(6, np.int64),
+                                    np.int64(1)], ids=["one", "column", "too_many", "scalar"])
+def test_evaluate_names_labels_that_are_not_one_per_image(labels):
+    """Labels of shape (1,) or (5, 1) broadcast against 5 predictions: the
+    first compared every prediction with one label, and the second compared
+    25 pairs, so the accuracy it divided by 5 could exceed 1."""
+    net = build_small_convnet(seed=2)
+    x = _batch(net, n=5)
+    shape = re.escape(str(np.shape(labels)))
+    with pytest.raises(ValueError, match=rf"^evaluate: labels of shape {shape} for images of "
+                                         r"shape \(5, 3, 8, 8\); expected one class id per "
+                                         r"image, shape \(5,\)$"):
+        engine.evaluate(net, x, labels)
+
+
 # --- values a point quantized are not checked again ---------------------------
 
 CHECKING_OPS = ("conv2d_forward", "depthwise_conv2d_forward", "affine_forward")
@@ -207,6 +224,7 @@ def test_unchecked_quantized_inputs_change_no_byte(name, monkeypatch):
 
     for op in CHECKING_OPS:
         monkeypatch.setattr(T, op, checking(getattr(T, op)))
+    monkeypatch.setattr(engine, "quantize", checking(engine.quantize))
     assert _passes(net, x) == skipping
 
 
@@ -230,11 +248,10 @@ def _counting_checks(monkeypatch):
 @pytest.mark.parametrize("keep_outputs", [False, True])
 def test_only_unquantized_inputs_are_checked(name, keep_outputs, monkeypatch):
     """Every conv-like layer checks its weights (and bias) when it prepares,
-    which an inference pass does once per parameter version: the first
-    pass fills the memo and the second is served from it. Only the stem
-    checks its input, on every pass, since every other one reads an
-    applying activation point (or, in residual_net, a junction, whose sum
-    is checked)."""
+    which an inference pass does once per plan: the first pass compiles it
+    and the second runs it as it stands. Only the stem checks its input, on
+    every pass, since every other one reads an applying activation point
+    (or, in residual_net, a junction, whose sum is checked)."""
     net = QUANTIZED_NETS[name]()
     layers = net.layers
     assert all(act_point_applies(l.params) for l in layers if l.kind == "quant_point")
@@ -258,12 +275,12 @@ def test_only_unquantized_inputs_are_checked(name, keep_outputs, monkeypatch):
 def test_run_inference_checks_what_a_streamed_trace_checks(name, monkeypatch):
     """The affine runs after the slabs are gathered and still skips the
     check of the input its activation point quantized, whether the pass
-    prepares its layers (a graph with no memo) or is served from the
-    memo."""
+    compiles its plan (a graph with none) or runs the one it has. A compile
+    checks every weight and bias before the pass checks any input."""
     net = QUANTIZED_NETS[name]()
     x = _batch(net)
     assert _slab(net, x.dtype) >= len(x)
-    assert all(l.memo is None for l in net.layers)  # its ranges were set in training only
+    assert net.plan is None  # its ranges were set in training only
     checks = _counting_checks(monkeypatch)
 
     def passes(run):
@@ -279,8 +296,47 @@ def test_run_inference_checks_what_a_streamed_trace_checks(name, monkeypatch):
     streamed = passes(lambda graph, x: forward_graph(graph, x, keep_outputs=False))
     assert passes(run_inference) == streamed
     first, second = streamed
-    assert first[-1] == ("affine", ["bias", "weights"])
+    weighted = sum(l.kind in OP_NAMES for l in net.layers)
+    assert all("weights" in arrays for _, arrays in first[:weighted])
+    assert first[weighted - 1] == ("affine", ["bias", "weights"])
+    assert first[weighted:] == second
     assert second and all(arrays == ["x"] for _, arrays in second)
+
+
+def _counting_quantize_checks(monkeypatch):
+    """The shape of every array quantize checks for non-finite values."""
+    shapes = []
+    original = quantization.ensure_finite
+
+    def counting(op, **arrays):
+        shapes.append(arrays["x"].shape)
+        return original(op, **arrays)
+
+    monkeypatch.setattr(quantization, "ensure_finite", counting)
+    return shapes
+
+
+def test_points_with_a_bounded_input_are_not_checked(monkeypatch):
+    """In the folded net every point but the first reads a conv that reads
+    a point, so its input is bounded and goes unchecked in inference; the
+    first reads the graph input through the stem and checks it. Training
+    checks every point's input, and every weight tensor it quantizes."""
+    net = QUANTIZED_NETS["ds_convnet_folded_4bit"]()
+    points = [l.name for l in net.layers if l.kind == "quant_point"]
+    assert net.layers[2].name == points[0] and len(points) > 3
+    x = _batch(net, n=5)
+    shapes = infer_shapes(net)
+    run_inference(net, x)  # compiles, quantizing the weights
+    checked = _counting_quantize_checks(monkeypatch)
+    for run in (run_inference, lambda g, x: forward_graph(g, x, keep_outputs=False)):
+        checked.clear()
+        run(net, x)
+        assert checked == [(5,) + shapes[points[0]]]
+    checked.clear()
+    forward_graph(net, x, training=True)
+    activations = [s for s in checked if s[0] == 5]
+    assert activations == [(5,) + shapes[name] for name in points]
+    assert len(checked) - len(activations) == sum(l.weight_quant is not None for l in net.layers)
 
 
 def test_a_point_whose_grid_overflows_fails_at_the_point():
@@ -293,6 +349,25 @@ def test_a_point_whose_grid_overflows_fails_at_the_point():
     net.validate()
     with pytest.raises(QuantRangeError, match=r"\[-3e\+38, 3e\+38\] at 4 bits overflows float32"):
         run_inference(net, _batch(net))
+
+
+def test_a_conv_with_huge_weights_behind_a_point_is_checked_after():
+    """A bounded input does not bound a conv's output: with weights of
+    +-3e38 the products overflow, +inf meets -inf and relu6 passes the nan,
+    so the point after the conv must check its input and raise rather than
+    send the nan to the logits."""
+    net = QUANTIZED_NETS["ds_convnet_folded_4bit"]()
+    x = _batch(net)
+    run_inference(net, x)
+    layer = next(l for l in net.layers[1:] if l.kind == "conv")
+    assert net.layers[net.index(layer.name) - 1].kind == "quant_point"
+    layer.weight_quant.enabled = False
+    w = np.full_like(layer.params.weights, 3e38)
+    w[:, 1::2] = -3e38
+    layer.params.weights = w
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="quantize: non-finite values in x"):
+        run_inference(net, x)
 
 
 @pytest.mark.parametrize("how", ["disabled", "uninitialized", "collapsed"])
@@ -451,7 +526,7 @@ def test_peak_memory_of_a_folded_4bit_inference():
     with it (the depthwise forward's input, output and product temporary)."""
     x = _batch(build_ds_convnet(input_shape=(3, 16, 16)), n=16)
     _, q = _folded_4bit_ds_convnet(x)
-    run_inference(q, x)  # fills the layer memos
+    run_inference(q, x)  # compiles the plan
     assert _peak_bytes(run_inference, q, x) <= 3.5 * WIDE_ACTIVATION
 
 
@@ -466,7 +541,7 @@ def test_peak_memory_of_a_training_step():
     assert _peak_bytes(loss_and_grads, net, x, labels) <= 12.1 * WIDE_ACTIVATION
 
 
-# --- the inference memo ---------------------------------------------------------
+# --- the plan -------------------------------------------------------------------
 
 PREPARES = ("conv2d_prepare", "depthwise_conv2d_prepare", "affine_prepare")
 
@@ -477,18 +552,17 @@ def _weight_quantized_net():
     return net
 
 
-def _without_memos(graph, x):
-    """run_inference on a copy of graph whose memos are cleared."""
+def _fresh(graph, x):
+    """run_inference on a copy of graph, which compiles its own plan."""
     g = copy_graph(graph)
-    for layer in g.layers:
-        layer.memo = None
+    assert g.plan is None
     return run_inference(g, x)
 
 
 @pytest.fixture
 def range_calls(monkeypatch):
-    """The bits of every weight range derived (each memo miss of a layer
-    with an enabled weight point derives one)."""
+    """The bits of every weight range derived (a compile derives one per
+    layer with an enabled weight point)."""
     calls = []
     original = engine.weight_range_cfg
     monkeypatch.setattr(engine, "weight_range_cfg",
@@ -499,7 +573,7 @@ def range_calls(monkeypatch):
 @pytest.fixture
 def prepares(monkeypatch):
     """The name of every prepare call, each with the per-image shape and
-    dtype it was made for (each memo miss makes one)."""
+    dtype it was made for (a compile makes one per weighted layer)."""
     calls = []
 
     def counting(name, op):
@@ -515,23 +589,27 @@ def prepares(monkeypatch):
     return calls
 
 
-def test_memo_serves_unchanged_parameters(range_calls, prepares):
+SMALL_PREPARES = ["conv2d_prepare", "conv2d_prepare", "affine_prepare"]
+
+
+def test_plan_serves_unchanged_parameters(range_calls, prepares):
     net = _weight_quantized_net()
     x = _batch(net)
     range_calls.clear()
     prepares.clear()
     first = run_inference(net, x)
     assert len(prepares) == 3 and len(range_calls) == 3
+    plan = net.plan
     range_calls.clear()
     prepares.clear()
     again = run_inference(net, x)
     inference_trace = forward_graph(net, x, keep_outputs=False).outputs["fc"]
-    assert range_calls == [] and prepares == []
-    assert again.tobytes() == first.tobytes() == _without_memos(net, x).tobytes()
+    assert range_calls == [] and prepares == [] and net.plan is plan
+    assert again.tobytes() == first.tobytes() == _fresh(net, x).tobytes()
     assert inference_trace.tobytes() == first.tobytes()
 
 
-def test_memo_follows_an_sgd_step(range_calls, prepares):
+def test_plan_follows_an_sgd_step(range_calls, prepares):
     net = _weight_quantized_net()
     x = _batch(net)
     run_inference(net, x)
@@ -541,10 +619,10 @@ def test_memo_follows_an_sgd_step(range_calls, prepares):
     prepares.clear()
     out = run_inference(net, x)
     assert len(range_calls) == len(prepares) == 3  # conv1, conv2 and fc got new weight arrays
-    assert out.tobytes() == _without_memos(net, x).tobytes()
+    assert out.tobytes() == _fresh(net, x).tobytes()
 
 
-def test_memo_follows_a_change_of_bits(range_calls):
+def test_plan_follows_a_change_of_bits(range_calls):
     net = _weight_quantized_net()
     x = _batch(net)
     before = run_inference(net, x)
@@ -552,12 +630,12 @@ def test_memo_follows_a_change_of_bits(range_calls):
     point.cfg = replace(point.cfg, bits=2)
     range_calls.clear()
     out = run_inference(net, x)
-    assert range_calls == [2]
-    assert out.tobytes() == _without_memos(net, x).tobytes() != before.tobytes()
+    assert range_calls == [2, 4, 4]
+    assert out.tobytes() == _fresh(net, x).tobytes() != before.tobytes()
 
 
 @pytest.mark.parametrize("where", [(0, 0, 0, 0), (3, 1, 1, 2)])
-def test_memo_follows_an_in_place_write(where, range_calls):
+def test_plan_follows_an_in_place_write(where, range_calls):
     net = _weight_quantized_net()
     x = _batch(net)
     before = run_inference(net, x)
@@ -565,11 +643,11 @@ def test_memo_follows_an_in_place_write(where, range_calls):
     w[where] += np.float32(0.75) * (w.max() - w.min())
     range_calls.clear()
     out = run_inference(net, x)
-    assert range_calls == [4]
-    assert out.tobytes() == _without_memos(net, x).tobytes() != before.tobytes()
+    assert range_calls == [4, 4, 4]
+    assert out.tobytes() == _fresh(net, x).tobytes() != before.tobytes()
 
 
-def test_memo_follows_an_in_place_write_to_a_bias(range_calls, prepares):
+def test_plan_follows_an_in_place_write_to_a_bias(range_calls, prepares):
     net = _weight_quantized_net()
     x = _batch(net)
     before = run_inference(net, x)
@@ -577,19 +655,21 @@ def test_memo_follows_an_in_place_write_to_a_bias(range_calls, prepares):
     range_calls.clear()
     prepares.clear()
     out = run_inference(net, x)
-    assert [name for name, *_ in prepares] == ["affine_prepare"] and range_calls == [4]
-    assert out.tobytes() == _without_memos(net, x).tobytes() != before.tobytes()
+    assert [name for name, *_ in prepares] == SMALL_PREPARES and range_calls == [4, 4, 4]
+    assert out.tobytes() == _fresh(net, x).tobytes() != before.tobytes()
 
 
-def test_memo_of_a_copied_graph_follows_the_copy(range_calls):
+def test_plan_of_a_copied_graph_follows_the_copy(range_calls):
     net = _weight_quantized_net()
     x = _batch(net)
     before = run_inference(net, x)
     copy = copy_graph(net)
-    assert copy.layer("conv1").memo is None
+    assert copy.plan is None
     copy.layer("conv1").params.weights[0] *= 3
-    assert run_inference(copy, x).tobytes() == _without_memos(copy, x).tobytes()
+    assert run_inference(copy, x).tobytes() == _fresh(copy, x).tobytes() != before.tobytes()
+    range_calls.clear()
     assert run_inference(net, x).tobytes() == before.tobytes()
+    assert range_calls == []  # the original's plan still holds
 
 
 def _unquantized_net():
@@ -601,7 +681,7 @@ def _unquantized_net():
 
 
 @pytest.mark.parametrize("kind", ["conv", "depthwise_conv", "affine"])
-def test_memo_of_unquantized_layers(kind, prepares):
+def test_plan_of_unquantized_layers(kind, prepares):
     net = _unquantized_net()
     x = _batch(net)
     weighted = [l for l in net.layers if l.kind in ("conv", "depthwise_conv", "affine")]
@@ -611,15 +691,14 @@ def test_memo_of_unquantized_layers(kind, prepares):
     prepares.clear()
     assert run_inference(net, x).tobytes() == before.tobytes() and prepares == []
     layer = next(l for l in weighted if l.kind == kind)
-    assert layer.weight_quant is None and layer.memo.used is layer.params.weights
+    assert layer.weight_quant is None
     layer.params.weights.flat[3] += np.float32(0.5)
     out = run_inference(net, x)
-    assert [name for name, *_ in prepares] == [
-        PREPARES[("conv", "depthwise_conv", "affine").index(kind)]]
-    assert out.tobytes() == _without_memos(net, x).tobytes() != before.tobytes()
+    assert len(prepares) == len(weighted)
+    assert out.tobytes() == _fresh(net, x).tobytes() != before.tobytes()
 
 
-def test_memo_follows_the_input_extent_and_dtype(prepares):
+def test_plan_follows_the_input_extent_and_dtype(prepares):
     net = _unquantized_net()
     stem = net.layers[0].name
     x = _batch(net)
@@ -630,57 +709,142 @@ def test_memo_follows_the_input_extent_and_dtype(prepares):
         prepares.clear()
         out = run_inference(net, xs)
         assert prepares[0] == ("conv2d_prepare", shape[1:], np.dtype(dtype).name)
-        assert net.layer(stem).memo.key[1:3] == (shape[1:], np.dtype(dtype))
-        assert out.dtype == dtype
-        assert out.tobytes() == _without_memos(net, xs).tobytes()
+        assert net.layer(stem).params.weights.dtype == np.float32 and out.dtype == dtype
+        assert out.tobytes() == _fresh(net, xs).tobytes()
         prepares.clear()
         assert run_inference(net, xs).tobytes() == out.tobytes() and prepares == []
 
 
-class _CountingMemo(LayerSpec):
-    """A LayerSpec whose memo reads and writes are recorded in ACCESSES."""
+def _calibrated_folded():
+    return _calibrated_4bit(build_ds_convnet(blocks=2, seed=3))
+
+
+def _replace_cfg(net):
+    point = net.layer("dw1_act_q").params
+    point.cfg = replace(point.cfg, M_up=point.cfg.M_up / 3)
+
+
+def _set_cfg(field, value):
+    def edit(net):
+        cfg = net.layer("dw1_act_q").params.cfg
+        setattr(cfg, field, value(cfg))
+    return edit
+
+
+def _disable(target):
+    def edit(net):
+        layer = net.layer(target)
+        (layer.params if layer.kind == "quant_point" else layer.weight_quant).enabled = False
+    return edit
+
+
+def _edit_geometry(field, value, as_list):
+    def edit(net):
+        layer = net.layer("dw1")
+        if as_list:  # a pair held as a list and written in place after the compile
+            current = getattr(layer, field)
+            current[:] = value
+        else:
+            setattr(layer, field, value)
+    return edit
+
+
+def _insert_relu(net):
+    """A relu on the logits, the one place in the net where it acts."""
+    net.layers.insert(len(net.layers), LayerSpec("fc_relu", "relu"))
+
+
+def _remove_point(net):
+    del net.layers[net.index("dw1_act_q")]
+
+
+PLAN_EDITS = {
+    "act_cfg_replaced": _replace_cfg,
+    "act_m_in_place": _set_cfg("m", lambda cfg: cfg.m + 0.25 * (cfg.M_up - cfg.m)),
+    "act_M_up_in_place": _set_cfg("M_up", lambda cfg: cfg.M_up / 2),
+    "act_bits_in_place": _set_cfg("bits", lambda cfg: 2),
+    "act_point_disabled": _disable("dw1_act_q"),
+    "weight_point_disabled": _disable("pw1"),
+    "stride_replaced": _edit_geometry("stride", (2, 2), False),
+    "padding_replaced": _edit_geometry("padding", (0, 0), False),
+    "stride_list_written": _edit_geometry("stride", [2, 1], True),
+    "padding_list_written": _edit_geometry("padding", [0, 1], True),
+    "layer_inserted": _insert_relu,
+    "layer_removed": _remove_point,
+}
+
+
+@pytest.mark.parametrize("edit", sorted(PLAN_EDITS))
+def test_plan_follows_an_edited_graph(edit):
+    """Each edit after a compile gives the bytes of a fresh copy, which
+    compiles its own plan, and different bytes from before the edit."""
+    net = _calibrated_folded()
+    x = _batch(net)
+    if edit.endswith("list_written"):
+        dw = net.layer("dw1")
+        dw.stride, dw.padding = list(dw.stride), list(dw.padding)
+    before = run_inference(net, x)
+    plan = net.plan
+    PLAN_EDITS[edit](net)
+    out = run_inference(net, x)
+    assert net.plan is not plan
+    assert out.tobytes() == _fresh(net, x).tobytes() != before.tobytes()
+    trace = forward_graph(net, x, keep_outputs=False).outputs[net.layers[-1].name]
+    assert trace.tobytes() == out.tobytes()
+
+
+def test_plan_follows_a_new_input_dtype():
+    net = _calibrated_folded()
+    x = _batch(net)
+    run_inference(net, x)
+    plan = net.plan
+    x64 = x.astype(np.float64)
+    out = run_inference(net, x64)
+    assert net.plan is not plan and out.dtype == np.float64
+    assert out.tobytes() == _fresh(net, x64).tobytes()
+
+
+class _CountingGraph(ModelGraph):
+    """A ModelGraph whose plan reads and writes are recorded in ACCESSES."""
 
     ACCESSES = []
 
     @property
-    def memo(self):
-        self.ACCESSES.append(("read", self.name))
-        return vars(self)["memo"]
+    def plan(self):
+        self.ACCESSES.append("read")
+        return vars(self)["plan"]
 
-    @memo.setter
-    def memo(self, value):
-        self.ACCESSES.append(("write", self.name))
-        vars(self)["memo"] = value
+    @plan.setter
+    def plan(self, value):
+        self.ACCESSES.append("write")
+        vars(self)["plan"] = value
 
 
-def test_a_training_forward_neither_reads_nor_writes_the_memo(prepares, range_calls):
+def test_a_training_forward_neither_reads_nor_writes_the_plan(prepares, range_calls):
     net = _weight_quantized_net()
     x = _batch(net)
     run_inference(net, x)
-    memos = {l.name: l.memo for l in net.layers}
-    for layer in net.layers:
-        layer.__class__ = _CountingMemo
-    _CountingMemo.ACCESSES.clear()
+    plan = net.plan
+    net.__class__ = _CountingGraph
+    _CountingGraph.ACCESSES.clear()
     prepares.clear()
     range_calls.clear()
     forward_graph(net, x, training=True, update_ranges=True)
     loss_and_grads(net, x, np.arange(len(x)) % 4)
-    assert _CountingMemo.ACCESSES == [] and prepares == []
+    assert _CountingGraph.ACCESSES == [] and prepares == []
     assert len(range_calls) == 6  # conv1, conv2 and fc, quantized on each training call
-    run_inference(net, x)  # served from the memos the first inference filled
-    assert sorted(_CountingMemo.ACCESSES) == [("read", "conv1"), ("read", "conv2"),
-                                              ("read", "fc")]
-    for layer in net.layers:
-        layer.__class__ = LayerSpec
-        assert vars(layer)["memo"] is memos[layer.name]
+    run_inference(net, x)  # BN statistics and point ranges moved: a new plan
+    assert _CountingGraph.ACCESSES == ["read", "write"] and len(prepares) == 3
+    net.__class__ = ModelGraph
+    assert vars(net)["plan"] is not plan
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("quantized", [False, True], ids=["float", "4bit"])
-def test_memo_served_inference_equals_an_unprepared_pass(name, dtype, quantized):
-    """run_inference and forward_graph(keep_outputs=False), both served from
-    the memo on their second call, give the bytes of a pass in which every
+def test_planned_inference_equals_an_unprepared_pass(name, dtype, quantized):
+    """run_inference and forward_graph(keep_outputs=False), both running
+    the plan on their second call, give the bytes of a pass in which every
     op prepares its own record."""
     net = BUILDERS[name](seed=6, dtype=dtype)
     if quantized:
@@ -692,6 +856,8 @@ def test_memo_served_inference_equals_an_unprepared_pass(name, dtype, quantized)
     with pytest.MonkeyPatch.context() as m:
         for op in CHECKING_OPS:
             m.setattr(T, op, lambda *a, _op=getattr(T, op), prepared=None, **k: _op(*a, **k))
+        m.setattr(engine, "quantize",
+                  lambda *a, _op=engine.quantize, prepared=None, **k: _op(*a, **k))
         unprepared = forward_graph(copy_graph(net), x, keep_outputs=False).outputs[last]
     for _ in range(2):
         streamed = run_inference(net, x)
@@ -700,17 +866,26 @@ def test_memo_served_inference_equals_an_unprepared_pass(name, dtype, quantized)
         assert streamed.tobytes() == traced.tobytes() == unprepared.tobytes()
 
 
-def test_memo_is_read_only_unsaved_and_uncompared(tmp_path):
+def test_copies_and_loads_start_without_a_plan(tmp_path):
+    net = _weight_quantized_net()
+    run_inference(net, _batch(net))
+    assert net.plan is not None
+    assert copy_graph(net).plan is None and not hasattr(copy_layer(net.layers[0]), "plan")
+    manifest, _ = save_model(net, tmp_path / "model.json")
+    assert load_model(manifest).plan is None
+    twin = ModelGraph(layers=net.layers, input_shape=net.input_shape)
+    assert twin.plan is None and twin == net and "plan" not in repr(net)
+
+
+def test_plan_weights_are_read_only_and_unsaved(tmp_path):
     net = _weight_quantized_net()
     trace = forward_graph(net, _batch(net), training=True)
     assert not trace.caches["conv1"][1].flags.writeable  # (input, quantized weights)
+    assert not engine._weights(net.layer("conv1")).flags.writeable  # what a compile binds
     run_inference(net, _batch(net))
-    layer = net.layer("conv1")
-    assert not layer.memo.used.flags.writeable
-    assert layer == replace(layer, memo=None) and "memo" not in repr(layer)
-    assert not hasattr(layer.weight_quant, "memo")
     manifest, _ = save_model(net, tmp_path / "model.json")
-    conv1 = json.loads(manifest.read_text())["layers"][0]
-    assert "memo" not in conv1
+    saved = json.loads(manifest.read_text())
+    assert "plan" not in saved
+    conv1 = saved["layers"][0]
     assert sorted(conv1["weight_quant"]) == ["M_up", "bits", "ema_momentum", "enabled",
                                             "initialized", "m", "range_policy", "target"]

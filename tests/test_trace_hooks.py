@@ -9,7 +9,9 @@ passes that reach every layer kind, and checks that every tensor_ops,
 batchnorm and quantization span is recorded and that each such figure of
 `layer_metrics` is non-zero. The per-stage workflow figures come from the
 order of the workflow's calls, so a traced `run_workflow` must give all
-five stages time.
+five stages time. The engine's inference plan binds each step's arguments
+when it compiles but looks the op up when the step runs, so a traced pass
+of a plan compiled untraced still records every op it runs.
 """
 
 import importlib.util
@@ -20,8 +22,9 @@ import numpy as np
 from pfqkit import workflow
 from pfqkit.data import bundle_from_datasets, make_synthetic, split_validation
 from pfqkit.engine import backward_graph, forward_graph, loss_and_grads, run_inference
-from pfqkit.graph import fold_bn_graph
+from pfqkit.graph import copy_graph, fold_bn_graph
 from pfqkit.models import build_ds_convnet, build_small_convnet
+from pfqkit.quantization import insert_quant_points
 from pfqkit.training import LRSchedule, OptimizerState, train_epochs
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -73,6 +76,41 @@ def test_every_per_layer_span_is_recorded():
     zero = sorted(name for name, value in metrics.items()
                   if name.startswith(PREFIXES) and not value > 0)
     assert not zero, f"per-layer metrics that read 0: {zero}"
+
+
+def _traced_spans(spans, fn, *args):
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        fn(*args)
+    finally:
+        tracer.restore()
+    return tracer.spans
+
+
+def test_a_compiled_plan_still_reports_every_op():
+    spans = _load_spans()
+    net = build_ds_convnet(blocks=2, seed=3)
+    x, _ = _batch(np.random.default_rng(1), net)
+    forward_graph(net, x, training=True)
+    q = insert_quant_points(fold_bn_graph(net), 4, 4, act_enabled=True, weight_enabled=True)
+    forward_graph(q, x, training=True, update_ranges=True)
+    run_inference(q, x)  # compiles the plan, untraced
+    plan = q.plan
+    recorded = _traced_spans(spans, run_inference, q, x)
+    assert q.plan is plan
+    names = {span[0] for span in recorded}
+    forwards = {name for name in names if name.endswith("_forward")}
+    # A traced pass that compiles its own plan runs the same forward ops.
+    compiled = {span[0] for span in _traced_spans(spans, run_inference, copy_graph(q), x)}
+    assert forwards == {name for name in compiled if name.endswith("_forward")}
+    assert forwards >= {f"tensor_ops.{op}_forward"
+                        for op in ("conv2d", "depthwise_conv2d", "affine", "global_avg_pool")}
+    assert "quantization.quantize" in names
+    metrics = spans.layer_metrics(recorded, 1)
+    for name in ("tensor_ops.conv2d_forward.ms", "tensor_ops.depthwise_conv2d_forward.ms",
+                 "tensor_ops.affine.ms", "quantization.quantize.ms"):
+        assert metrics[name] > 0, name
 
 
 def test_every_workflow_stage_gets_time():
