@@ -48,17 +48,19 @@ its forward's arguments bound (a weighted layer's weights, quantized and
 read-only when its point is on, and its *_prepare record; an applying
 point's quantize_prepare record), its out= handover and its releases. A BN
 step reads its parameters at call time. An absorbed activation and a point
-that does not apply get no step; their names alias their input. Each call
-checks the plan once against its key (the identity and name of every
-layer, the identity of every parameter object, weight and bias array and
-point config; a point's enabled, bits, m, M_up and initialized; stride and
-padding; the input's per-image shape and dtype) and a bytes compare of
-every weight and bias, and compiles a new plan on any mismatch. Training
-never reads or writes it.
+that does not apply get no step; their names alias their input. A step is
+built at its first call from the input it gets, so its shapes and dtypes
+are the ops' own. Each call checks the plan once against its key (the
+identity and name of every layer, the identity of every parameter object,
+weight and bias array and point config; a point's enabled, bits, m, M_up
+and initialized; stride and padding; the input's per-image shape and
+dtype) and a bytes compare of every weight and bias, and compiles a new
+plan on any mismatch. Training never reads or writes it.
 
 Finite checks: a weighted layer checks its weights and bias when it
-prepares. The compile tracks a float64 bound on the magnitude of every
-value: the graph input, BN and add_junction are unbounded; an applying
+prepares. Each step, as it is built, takes a float64 bound on the
+magnitude of its input from the step before it and leaves one on its
+output: the graph input, BN and add_junction are unbounded; an applying
 point bounds its output by max(|m|, |M_up|), on a grid quantize verified
 finite; relu and a pass-through keep their input's bound, relu6 caps a
 finite one at 6 (a nan passes its clamp), global_avg_pool keeps it while
@@ -336,10 +338,11 @@ class _Plan(NamedTuple):
     """A graph's compiled inference pass (the module docstring's plan)."""
 
     key: list  # _key at compile time
-    arrays: tuple  # every weight and bias array the steps were built from
+    arrays: tuple  # every weight and bias array the steps are built from
     blobs: list  # their bytes at compile time
-    # per step, (forward(x, out, outputs), own, names its output goes by, release);
-    # the last name of a step is the one the next step reads
+    # per step, [forward(x, out, outputs), own, names its output goes by,
+    # release, bound on its output's magnitude]; the last name of a step is
+    # the one the next step reads
     steps: list
     split: int  # the steps before the first affine, which run per slab
     slab: int  # images per slab
@@ -375,11 +378,10 @@ def _plan(graph, x, keep_outputs):
 
 def _compile(graph, x, key):
     """The plan of graph's inference pass on inputs shaped and typed like x,
-    for its key (_key), which tells whether it keeps every output."""
+    for its key (_key), which tells whether it keeps every output. Each
+    step is built at its first call (_first_call)."""
     layers = graph.layers
     arrays, steps, split = [], [], None
-    seen = {}  # per output name, (per-image shape, dtype, bound)
-    image, dtype, bound = x.shape[1:], x.dtype, np.inf
     for layer, (own, release, absorbed) in zip(layers, _schedule(layers, False, key[0])):
         kind = layer.kind
         if kind == "affine" and split is None:
@@ -387,7 +389,7 @@ def _compile(graph, x, key):
         if absorbed or kind == "quant_point" and not act_point_applies(layer.params):
             # No step: the output is the input, under one more name.
             if not steps:
-                steps.append((lambda x, out, outputs: x, False, [], []))
+                steps.append([lambda x, out, outputs: x, False, [], [], np.inf])
             names, dropped = steps[-1][2], steps[-1][3]
             names.append(layer.name)
             for name in release:  # the name of the input, which this layer alone read
@@ -398,19 +400,32 @@ def _compile(graph, x, key):
         else:
             if kind in _WEIGHTED:
                 arrays += [a for a in (layer.params.weights, layer.params.bias) if a is not None]
-            forward, image, dtype, bound = _STEPS[kind](layer, image, dtype, bound, seen)
-            steps.append((forward, own, [layer.name], list(release)))
-        seen[layer.name] = image, dtype, bound
+            steps.append([_first_call(layer, steps, len(steps)), own, [layer.name],
+                          list(release), None])
     return _Plan(key, tuple(arrays), [a.tobytes() for a in arrays], steps,
                  len(steps) if split is None else split,
                  max(1, SLAB_BYTES // (graph.widest * x.itemsize)))
+
+
+def _first_call(layer, steps, i):
+    """The forward of step i until its first call, which builds the step for
+    the input it gets (its per-image shape and dtype, and the bound step
+    i - 1 left on its magnitude), keeps it in the plan and runs it. Steps
+    run in order, so step i - 1 is built first."""
+
+    def forward(x, out, outputs):
+        step = steps[i]
+        step[0], step[4] = _STEPS[layer.kind](layer, x, steps[i - 1][4] if i else np.inf)
+        return step[0](x, out, outputs)
+
+    return forward
 
 
 def _run(steps, x, outputs):
     """Run steps of a plan on x, which the first of them reads, recording
     the outputs they keep in outputs. Returns the last step's output."""
     prev = x
-    for forward, own, names, release in steps:
+    for forward, own, names, release, _ in steps:
         prev = forward(prev, prev if own else None, outputs)
         for name in names:
             outputs[name] = prev
@@ -426,75 +441,65 @@ def _bounded(bound, dtype):
     return bound < np.inf and bound < np.finfo(dtype).max / 2
 
 
-def _weighted_step(layer, image, dtype, bound, seen):
+def _weighted_step(layer, x, bound):
     w, b = _weights(layer), layer.params.bias
-    check = not _bounded(bound, dtype)
+    check = not _bounded(bound, x.dtype)
     if layer.kind == "affine":
-        prepared = T.affine_prepare(w, b, image)
+        prepared = T.affine_prepare(w, b, x.shape[1:])
         forward = lambda x, out, outputs: T.affine_forward(x, w, b, check_x=check,  # noqa: E731
                                                            prepared=prepared)
-        image = (w.shape[1],)
-        dtype = np.result_type(dtype, *(a for a in prepared if a is not None))
     else:
         stride, padding = tuple(layer.stride), tuple(layer.padding)
         if layer.kind == "conv":
-            prepared = T.conv2d_prepare(w, b, stride, padding, image, dtype)
+            prepared = T.conv2d_prepare(w, b, stride, padding, x.shape[1:], x.dtype)
             forward = lambda x, out, outputs: T.conv2d_forward(  # noqa: E731
                 x, w, b, stride, padding, check_x=check, prepared=prepared)
         else:
-            prepared = T.depthwise_conv2d_prepare(w, b, stride, padding, image, dtype)
+            prepared = T.depthwise_conv2d_prepare(w, b, stride, padding, x.shape[1:], x.dtype)
             forward = lambda x, out, outputs: T.depthwise_conv2d_forward(  # noqa: E731
                 x, w, b, stride, padding, check_x=check, prepared=prepared)
-        image, dtype = (w.shape[0],) + prepared[-3:-1], prepared[-1]
     if bound < np.inf:
         # An output channel sums fan_in products, and by Cauchy-Schwarz the
         # sum of its |w| is at most sqrt(fan_in) times the norm of all of w
         # (and |b| at most the norm of b): two BLAS dots, no temporaries.
-        fan_in = w.size // image[0]
+        fan_in = w.shape[0] if layer.kind == "affine" else w.size // w.shape[0]
         bound = math.sqrt(fan_in * float(np.vdot(w, w))) * bound
         if b is not None:
             bound += math.sqrt(float(np.vdot(b, b)))
-    return forward, image, dtype, bound
+    return forward, bound
 
 
-def _quant_step(layer, image, dtype, bound, seen):
+def _quant_step(layer, x, bound):
     cfg = layer.params.cfg
-    prepared = quantize_prepare(cfg, dtype)
-    check = not _bounded(bound, dtype)
+    prepared = quantize_prepare(cfg, x.dtype)
+    check = not _bounded(bound, x.dtype)
     return (lambda x, out, outputs: quantize(x, cfg, out=out, prepared=prepared, check_x=check),
-            image, dtype, max(abs(cfg.m), abs(cfg.M_up)))
+            max(abs(cfg.m), abs(cfg.M_up)))
 
 
-def _bn_step(layer, image, dtype, bound, seen):
-    p = layer.params
-    return (lambda x, out, outputs: bn_forward_infer(x, layer.params, out=out), image,
-            np.result_type(dtype, p.gamma, p.beta, p.running_mean, p.running_var, p.epsilon),
-            np.inf)
-
-
-def _pool_step(layer, image, dtype, bound, seen):
+def _pool_step(layer, x, bound):
     # The mean's H*W-term sums must stay in range too.
-    kept = _bounded(bound * math.prod(image[1:]), dtype)
-    return (lambda x, out, outputs: T.global_avg_pool_forward(x), image[:1], dtype,
-            bound if kept else np.inf)
+    kept = _bounded(bound * math.prod(x.shape[2:]), x.dtype)
+    return lambda x, out, outputs: T.global_avg_pool_forward(x), bound if kept else np.inf
 
 
-def _junction_step(layer, image, dtype, bound, seen):
+def _junction_step(layer, x, bound):
     a, b = layer.params
-    return (lambda x, out, outputs: T.elementwise_add(outputs[a], outputs[b]), seen[a][0],
-            np.result_type(seen[a][1], seen[b][1]), np.inf)
+    return lambda x, out, outputs: T.elementwise_add(outputs[a], outputs[b]), np.inf
 
 
 _WEIGHTED = ("conv", "depthwise_conv", "affine")
-# Per kind: (layer, per-image input shape, dtype, bound, seen) -> (forward(x,
-# out, outputs), per-image output shape, dtype, bound) of its inference step.
+# Per kind: (layer, x, bound on the magnitude of x) -> (forward(x, out,
+# outputs), bound on the magnitude of its output) of its inference step,
+# built for inputs shaped and typed like x.
 _STEPS = {
     **dict.fromkeys(_WEIGHTED, _weighted_step),
-    "bn": _bn_step,
-    "relu": lambda l, image, dtype, bound, seen: (
-        lambda x, out, outputs: T.relu_forward(x, out=out), image, dtype, bound),
-    "relu6": lambda l, image, dtype, bound, seen: (
-        lambda x, out, outputs: T.relu6_forward(x, out=out), image, dtype,
+    "bn": lambda l, x, bound: (
+        lambda x, out, outputs: bn_forward_infer(x, l.params, out=out), np.inf),
+    "relu": lambda l, x, bound: (
+        lambda x, out, outputs: T.relu_forward(x, out=out), bound),
+    "relu6": lambda l, x, bound: (
+        lambda x, out, outputs: T.relu6_forward(x, out=out),
         min(bound, 6.0) if bound < np.inf else bound),
     "global_avg_pool": _pool_step,
     "add_junction": _junction_step,
