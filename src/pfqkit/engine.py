@@ -55,24 +55,25 @@ identity and name of every layer, the identity of every parameter object,
 weight and bias array and point config; a point's enabled, bits, m, M_up
 and initialized; stride and padding; the input's per-image shape and
 dtype) and a bytes compare of every weight and bias, and compiles a new
-plan on any mismatch. Training never reads or writes it.
+plan on any mismatch. Training never reads or writes it: a training
+forward builds each layer's step from the same builders (_STEPS), for the
+layer's weights as they are, and runs it at once. It adds only BN on batch
+statistics, a point's range update and the caches backward reads.
 
-Finite checks: a weighted layer checks its weights and bias when it
-prepares. Each step, as it is built, takes a float64 bound on the
-magnitude of its input from the step before it and leaves one on its
-output: the graph input, BN and add_junction are unbounded; an applying
-point bounds its output by max(|m|, |M_up|), on a grid quantize verified
-finite; relu and a pass-through keep their input's bound, relu6 caps a
-finite one at 6 (a nan passes its clamp), global_avg_pool keeps it while
-its sums stay in range, and a conv, depthwise conv or affine maps B to
-sqrt(fan_in) * ||w|| * B + ||b||, which by Cauchy-Schwarz is at least the
-largest sum over an output channel of |w| * B + |b|. A step whose input
-bound lies below half the dtype's largest value skips that input's check
-(check_x=False): the conv after a point, and every point behind bounded
-layers, but not the point after the stem, which reads the graph input. In
-training a conv, depthwise conv or affine skips only the check of an input
-the point before it quantized in the same pass, and every point checks.
-Direct op calls check every argument.
+Finite checks follow one rule in both modes. A weighted layer checks its
+weights and bias when it prepares. Each step, as it is built, takes a
+float64 bound on the magnitude of its input from the step before it and
+leaves one on its output: the graph input, BN and add_junction are
+unbounded; an applying point bounds its output by max(|m|, |M_up|), on a
+grid quantize verified finite; relu and a pass-through keep their input's
+bound, relu6 caps a finite one at 6 (a nan passes its clamp),
+global_avg_pool keeps it while its sums stay in range, and a conv,
+depthwise conv or affine maps B to sqrt(fan_in) * ||w|| * B + ||b||, which
+by Cauchy-Schwarz is at least the largest sum over an output channel of
+|w| * B + |b|. A step whose input bound lies below half the dtype's
+largest value skips that input's check (check_x=False): the conv after a
+point, and every point behind bounded layers, but not the point after the
+stem, which reads the graph input. Direct op calls check every argument.
 
 Slabs: run_inference runs the batch in slabs of as many images as keep the
 graph's widest per-image activation (ModelGraph.widest, from the shapes
@@ -135,14 +136,15 @@ def _weights(layer):
     return wq
 
 
-def _weighted(forward_op, backward_op):
+def _weighted(backward_op):
     """(forward, backward) of a conv, depthwise conv or affine layer in
-    training, which differ only in the tensor ops: forward_op(layer, x, w,
-    check_x) and backward_op(layer, grad, x, w, has_bias, input_grad)."""
+    training: its plan step (_weighted_step) with the weights _weights gives
+    on this call, and backward_op(layer, grad, x, w, has_bias, input_grad)."""
 
-    def forward(layer, x, trace, update_ranges, out, check_x):
+    def forward(layer, x, bound, trace, update_ranges, out):
         w = _weights(layer)
-        return forward_op(layer, x, w, check_x), (x, w)
+        step, bound = _weighted_step(layer, x, bound, w)
+        return step(x, out, None), bound, (x, w)
 
     def backward(layer, g, cache, send, input_grad, out):
         upstream, gw, gb = backward_op(layer, g, *cache, layer.params.bias is not None, input_grad)
@@ -151,21 +153,30 @@ def _weighted(forward_op, backward_op):
     return forward, backward
 
 
-def _activation(forward_op, backward_op):
+def _stepped(cache, backward):
+    """(forward, backward) of a kind whose training forward is its plan step
+    (_STEPS), built for x and run at once; cache(x, y) is what backward
+    reads."""
+
+    def forward(layer, x, bound, trace, update_ranges, out):
+        step, bound = _STEPS[layer.kind](layer, x, bound)
+        y = step(x, out, trace.outputs)
+        return y, bound, cache(x, y)
+
+    return forward, backward
+
+
+def _activation(backward_op):
     """(forward, backward) of an activation whose backward reads its output
     y, which the next layer holds anyway, so the input dies here."""
-
-    def forward(layer, x, trace, update_ranges, out, check_x):
-        y = forward_op(x, out)
-        return y, y
-
-    return forward, lambda layer, g, y, send, input_grad, out: (backward_op(g, y, out), None)
+    return _stepped(lambda x, y: y, lambda layer, g, y, send, input_grad, out: (
+        backward_op(g, y, out), None))
 
 
-def _bn_forward(layer, x, trace, update_ranges, out, check_x):
+def _bn_forward(layer, x, bound, trace, update_ranges, out):
     out, stats, layer.params, cache = bn_forward_train(x, layer.params, out=out)
     trace.bn_stats[layer.name] = stats
-    return out, cache
+    return out, np.inf, cache
 
 
 def _bn_backward(layer, g, cache, *_):
@@ -174,24 +185,20 @@ def _bn_backward(layer, g, cache, *_):
     return upstream, {"gamma": ggamma, "beta": gbeta}
 
 
-def _junction_forward(layer, x, trace, *_):
-    a, b = layer.params
-    return T.elementwise_add(trace.outputs[a], trace.outputs[b]), None
-
-
 def _junction_backward(layer, g, cache, send, *_):
     for ref in layer.params:
         send(ref, g)
     return None, None
 
 
-def _act_quant_forward(layer, x, trace, update_ranges, out, check_x):
+def _act_quant_forward(layer, x, bound, trace, update_ranges, out):
     point = layer.params
     if point.enabled and update_ranges:
         point.cfg = update_activation_range(x, point.cfg)
     if not act_point_applies(point):
-        return x, None
-    return quantize(x, point.cfg, out=out), (x, point.cfg)
+        return x, bound, None
+    step, bound = _quant_step(layer, x, bound)
+    return step(x, out, None), bound, (x, point.cfg)
 
 
 def _act_quant_backward(layer, g, cache, send, input_grad, out):
@@ -199,43 +206,25 @@ def _act_quant_backward(layer, g, cache, send, input_grad, out):
 
 
 # One training (forward, backward) pair per layer kind. A forward maps
-# (layer, x, trace, update_ranges, out, check_x) to (output, cache); a
-# backward maps (layer, grad, cache, send, input_grad, out) to (upstream
-# gradient, parameter gradients). out is x, or grad, when the engine hands
-# that array over (the ownership rule in the module docstring), else None;
-# kinds that cannot write there ignore it. check_x is False when x is the
-# output of an activation point that quantized it in this pass, and a conv,
-# depthwise conv or affine then does not check x for non-finite values
-# again; other kinds ignore it. A conv or depthwise conv skips its upstream
-# gradient when input_grad is False (the first layer, whose input gradient
-# has no reader), and any other kind may still return one, which is then
-# dropped. An affine layer needs a flat input, so it is never first. Ops are
-# looked up through `T` and this module's globals at call time, never bound
-# at import, so that a patched module attribute reaches every call (the
-# traced benchmark run, perfbench/spans.py, times ops that way); the plan's
-# steps (_STEPS) do the same.
+# (layer, x, bound, trace, update_ranges, out) to (output, bound on its
+# magnitude, cache): it builds its kind's plan step (_STEPS) for x and
+# runs it, except BN, which runs on batch statistics, unbounded. A backward
+# maps (layer, grad, cache, send, input_grad, out) to (upstream gradient,
+# parameter gradients); input_grad is False for the first layer, whose
+# input gradient has no reader. out is x, or grad, when the engine hands
+# that array over (the ownership rule in the module docstring), else None.
 _LAYER_OPS = {
-    "conv": _weighted(
-        lambda l, x, w, cx: T.conv2d_forward(x, w, l.params.bias, l.stride, l.padding,
-                                             check_x=cx),
-        lambda l, g, x, w, b, gx: T.conv2d_backward(g, x, w, l.stride, l.padding, has_bias=b,
-                                                    input_grad=gx)),
-    "depthwise_conv": _weighted(
-        lambda l, x, w, cx: T.depthwise_conv2d_forward(x, w, l.params.bias, l.stride, l.padding,
-                                                       check_x=cx),
-        lambda l, g, x, w, b, gx: T.depthwise_conv2d_backward(g, x, w, l.stride, l.padding,
-                                                              has_bias=b, input_grad=gx)),
-    "affine": _weighted(
-        lambda l, x, w, cx: T.affine_forward(x, w, l.params.bias, check_x=cx),
-        lambda l, g, x, w, b, _: T.affine_backward(g, x, w, has_bias=b)),
+    "conv": _weighted(lambda l, g, x, w, b, gx: T.conv2d_backward(
+        g, x, w, l.stride, l.padding, has_bias=b, input_grad=gx)),
+    "depthwise_conv": _weighted(lambda l, g, x, w, b, gx: T.depthwise_conv2d_backward(
+        g, x, w, l.stride, l.padding, has_bias=b, input_grad=gx)),
+    "affine": _weighted(lambda l, g, x, w, b, _: T.affine_backward(g, x, w, has_bias=b)),
     "bn": (_bn_forward, _bn_backward),
-    "relu": _activation(lambda x, out: T.relu_forward(x, out=out),
-                        lambda g, y, out: T.relu_backward(g, y, out=out)),
-    "relu6": _activation(lambda x, out: T.relu6_forward(x, out=out),
-                         lambda g, y, out: T.relu6_backward(g, y, out=out)),
-    "global_avg_pool": (lambda l, x, *_: (T.global_avg_pool_forward(x), x.shape[2:]),
-                        lambda l, g, cache, *_: (T.global_avg_pool_backward(g, cache), None)),
-    "add_junction": (_junction_forward, _junction_backward),
+    "relu": _activation(lambda g, y, out: T.relu_backward(g, y, out=out)),
+    "relu6": _activation(lambda g, y, out: T.relu6_backward(g, y, out=out)),
+    "global_avg_pool": _stepped(lambda x, y: x.shape[2:], lambda l, g, cache, *_: (
+        T.global_avg_pool_backward(g, cache), None)),
+    "add_junction": _stepped(lambda x, y: None, _junction_backward),
     "quant_point": (_act_quant_forward, _act_quant_backward),
 }
 # Per kind: whether its forward can write its output into its input, whether
@@ -318,13 +307,11 @@ def forward_graph(graph, x, *, training=False, update_ranges=False, keep_outputs
         return ForwardTrace(outputs=outputs, caches=None, bn_stats={})
     trace = ForwardTrace(outputs={}, caches={}, bn_stats={})
     outputs = trace.outputs
-    prev, quantized = x, False
+    prev, bound = x, np.inf
     for layer, (own, release, _) in zip(graph.layers,
                                         _schedule(graph.layers, True, keep_outputs)):
-        prev, cache = _LAYER_OPS[layer.kind][0](layer, prev, trace, update_ranges,
-                                                prev if own else None, not quantized)
-        # A point caches its input exactly when it quantized it (else it passed it through).
-        quantized = cache is not None and layer.kind == "quant_point"
+        prev, bound, cache = _LAYER_OPS[layer.kind][0](layer, prev, bound, trace, update_ranges,
+                                                       prev if own else None)
         trace.caches[layer.name] = cache
         # An unrecorded cache would keep this layer's input alive through the next layer.
         del cache
@@ -441,8 +428,9 @@ def _bounded(bound, dtype):
     return bound < np.inf and bound < np.finfo(dtype).max / 2
 
 
-def _weighted_step(layer, x, bound):
-    w, b = _weights(layer), layer.params.bias
+def _weighted_step(layer, x, bound, w=None):
+    # w: the weights to compute with, by default those _weights gives.
+    w, b = _weights(layer) if w is None else w, layer.params.bias
     check = not _bounded(bound, x.dtype)
     if layer.kind == "affine":
         prepared = T.affine_prepare(w, b, x.shape[1:])
@@ -490,8 +478,11 @@ def _junction_step(layer, x, bound):
 
 _WEIGHTED = ("conv", "depthwise_conv", "affine")
 # Per kind: (layer, x, bound on the magnitude of x) -> (forward(x, out,
-# outputs), bound on the magnitude of its output) of its inference step,
-# built for inputs shaped and typed like x.
+# outputs), bound on the magnitude of its output) of its step, built for
+# inputs shaped and typed like x. Ops are looked up through `T` and this
+# module's globals at call time, never bound at import, so that a patched
+# module attribute reaches every call (the traced benchmark run,
+# perfbench/spans.py, times ops that way).
 _STEPS = {
     **dict.fromkeys(_WEIGHTED, _weighted_step),
     "bn": lambda l, x, bound: (

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .batchnorm import BNParams, fold_bn
-from .quantization import QuantConfig, QuantPoint
+from .quantization import QuantConfig, QuantPoint, _bits_error
 from .tensor_ops import ConvParams, DepthwiseConvParams, conv_output_extent
 
 CONV_LIKE = ("conv", "depthwise_conv", "affine")
@@ -128,10 +128,12 @@ class ModelGraph:
 
 
 def _check_quant_cfg(name, cfg):
-    """A quantizer needs bits >= 1 and, once initialized, a finite range with
+    """A quantizer needs bits that are an integer from 1 to 1023
+    (quantization._bits_error) and, once initialized, a finite range with
     m <= M_up; a collapsed range (m == M_up) is the documented pass-through."""
-    if not cfg.bits >= 1:
-        raise GraphError(f"layer '{name}': quantizer bits must be >= 1, got {cfg.bits}")
+    error = _bits_error(cfg.bits)
+    if error:
+        raise GraphError(f"layer '{name}': quantizer {error}")
     if cfg.initialized and not (math.isfinite(cfg.m) and math.isfinite(cfg.M_up)
                                 and cfg.m <= cfg.M_up):
         raise GraphError(f"layer '{name}': quantizer range [{cfg.m}, {cfg.M_up}] "

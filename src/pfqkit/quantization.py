@@ -24,11 +24,11 @@ The output is finite: a range whose grid cannot be computed in the working
 dtype (an end that overflows it, a step that rounds to zero, more grid
 points than it can count) raises QuantRangeError before any pass runs.
 Each step of the snap is monotone in x, so the two ends of the range bound
-every output. quantize_prepare makes those range checks once, for the
-engine's inference plan, which passes the record as prepared= (and
-check_x=False for a bounded input); training and direct calls check on
-every call. The engine relies on the bound: a conv that reads an
-activation point's output does not check it again.
+every output. quantize_prepare makes those range checks once per engine
+step, which passes the record as prepared= (and check_x=False for a
+bounded input): once per plan in inference, once per call in training.
+Direct calls check on every call. The engine relies on the bound: a conv
+that reads an activation point's output does not check it again.
 
 Two range policies exist. Weight tensors use their own min/max, derived
 again whenever the weights change: a training forward quantizes them on
@@ -42,8 +42,8 @@ an input): quantize only when out has the dtype it would compute in, so the
 bytes match a new array. The engine hands over a dead activation, and in
 inference an activation point whose range lies inside [0, 6] also does the
 clamp of the relu6 before it (see the engine's absorption). A graph rejects
-a point with bits < 1 or an initialized range that is not finite with
-m <= M_up (ModelGraph.validate).
+a point with bits that are not an integer from 1 to 1023 or an initialized
+range that is not finite with m <= M_up (ModelGraph.validate).
 """
 
 from __future__ import annotations
@@ -111,17 +111,31 @@ def quantize(x, cfg, out=None, *, prepared=None, check_x=True):
 
 def quantize_prepare(cfg, dtype):
     """The range checks of quantize for an input of the given dtype: raises
-    QuantRangeError on bits < 1, a degenerate range or a grid that is not
-    finite in the working dtype. Returns (m, M, scale, working dtype)."""
+    QuantRangeError on bits that cannot count a grid (_bits_error), a
+    degenerate range or a grid that is not finite in the working dtype.
+    Returns (m, M, scale, working dtype)."""
     bits, m, M = cfg.bits, cfg.m, cfg.M_up
-    if bits < 1:
-        raise QuantRangeError(f"bits must be >= 1, got {bits}")
+    error = _bits_error(bits)
+    if error:
+        raise QuantRangeError(error)
     if not M > m:
         raise QuantRangeError(f"degenerate quantizer range [{m}, {M}]")
     work = np.result_type(dtype, m, M)
     if not _finite_grid(float(m), float(M), bits, work, dtype):
         raise QuantRangeError(f"quantizer range [{m}, {M}] at {bits} bits overflows {work}")
     return m, M, cfg.scale, work
+
+
+def _bits_error(bits):
+    """Why bits cannot count a quantizer's grid, or None: it must be an
+    integer, not a bool, from 1 to 1023, where 2.0 ** bits is finite."""
+    if isinstance(bits, bool) or not isinstance(bits, (int, np.integer)):
+        return f"bits must be an integer, got {bits!r}"
+    if bits < 1:
+        return f"bits must be >= 1, got {bits}"
+    if bits > 1023:
+        return f"bits must be <= 1023, where 2**bits is a finite float, got {bits}"
+    return None
 
 
 def _snap(x, m, M, scale, out):

@@ -16,11 +16,10 @@ input's per-image shape and dtype, checks the weights and the bias for
 non-finite values (ValueError naming the argument) and the shapes
 (ShapeError), and returns a record of everything the forward derives from
 those alone: the weight matrix, the bias row, the output extents and, for
-depthwise, the kernel rows' bands. A forward handed that record as
-prepared= checks only x (unless check_x=False) and uses the record as it
-stands; without one it prepares its own, so a direct call checks and
-raises as it always has (x first, then weights, bias and shapes). The
-engine's inference plan binds one record per layer.
+depthwise, the kernel rows' bands. A forward checks x (unless
+check_x=False), then uses the record handed to it as prepared= or calls
+its prepare for one, so a direct call checks and raises in that order: x,
+weights, bias, shapes. Each engine step binds one record.
 
 Full convolutions lay each image's patches out as a (C*kh*kw, Ho*Wo)
 im2col matrix in NCHW order and left-multiply it by the (O, C*kh*kw)
@@ -65,6 +64,7 @@ elementwise test rejects.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -106,9 +106,10 @@ def _finite(a):
     non-finite. Only a non-finite dot, which a finite array whose squares
     overflow also gives, falls back to the elementwise test, so the answer
     is always the elementwise one. np.vdot, unlike np.dot, raises no
-    overflow warning for such an array."""
+    overflow warning for such an array. The dot is a scalar, which
+    math.isfinite tests without the dispatch of a ufunc call."""
     if (isinstance(a, np.ndarray) and a.dtype.char in "fd" and a.flags.c_contiguous
-            and np.isfinite(np.vdot(a, a))):
+            and math.isfinite(np.vdot(a, a))):
         return True
     return bool(np.isfinite(a).all())
 
@@ -186,11 +187,6 @@ def conv2d_prepare(weights, bias, stride, padding, image, dtype):
     bias), the output extents and the output dtype.
     """
     ensure_finite("conv2d", weights=weights, bias=bias)
-    return _conv2d_record(weights, bias, stride, padding, image, dtype)
-
-
-def _conv2d_record(weights, bias, stride, padding, image, dtype):
-    """conv2d_prepare past its finite check."""
     if len(image) != 3 or weights.ndim != 4:
         raise ShapeError("conv2d expects 4-d input and weights")
     c, h, w = image
@@ -213,14 +209,13 @@ def conv2d_forward(x, weights, bias=None, stride=(1, 1), padding=(0, 0), *, chec
     already its (O, Ho*Wo) output plane. check_x=False skips the non-finite
     check of x only, for a caller that knows x is finite. prepared is
     conv2d_prepare's record for these weights, bias, geometry and x's
-    per-image shape and dtype; without it the forward checks x, the weights
-    and the bias in one call and prepares its own.
+    per-image shape and dtype; without it the forward calls
+    conv2d_prepare after checking x.
     """
-    if prepared is None:
-        ensure_finite("conv2d", x=x if check_x else None, weights=weights, bias=bias)
-        prepared = _conv2d_record(weights, bias, stride, padding, x.shape[1:], x.dtype)
-    elif check_x:
+    if check_x:
         ensure_finite("conv2d", x=x)
+    if prepared is None:
+        prepared = conv2d_prepare(weights, bias, stride, padding, x.shape[1:], x.dtype)
     matrix, row, ho, wo, dtype = prepared
     kh, kw = weights.shape[2:]
     xp = _pad_input(x, *padding)
@@ -363,11 +358,6 @@ def depthwise_conv2d_prepare(weights, bias, stride, padding, image, dtype):
     without a bias), the output extents and the output dtype.
     """
     ensure_finite("depthwise_conv2d", weights=weights, bias=bias)
-    return _depthwise_record(weights, bias, stride, padding, image, dtype)
-
-
-def _depthwise_record(weights, bias, stride, padding, image, dtype):
-    """depthwise_conv2d_prepare past its finite check."""
     if len(image) != 3 or weights.ndim != 4:
         raise ShapeError("depthwise_conv2d expects 4-d input and weights")
     c, h, w = image
@@ -389,11 +379,10 @@ def depthwise_conv2d_forward(x, weights, bias=None, stride=(1, 1), padding=(0, 0
     """Per-channel convolution: weights (C, 1, kh, kw), channel i only sees
     input channel i. Returns (N, C, Ho, Wo), C-contiguous. check_x and
     prepared (depthwise_conv2d_prepare's record) as in conv2d_forward."""
-    if prepared is None:
-        ensure_finite("depthwise_conv2d", x=x if check_x else None, weights=weights, bias=bias)
-        prepared = _depthwise_record(weights, bias, stride, padding, x.shape[1:], x.dtype)
-    elif check_x:
+    if check_x:
         ensure_finite("depthwise_conv2d", x=x)
+    if prepared is None:
+        prepared = depthwise_conv2d_prepare(weights, bias, stride, padding, x.shape[1:], x.dtype)
     plan, bands, row, ho, wo, dtype = prepared
     out = _depthwise_rows(x, plan, bands, stride[0], ho, wo, dtype)
     if row is not None:
@@ -495,11 +484,6 @@ def affine_prepare(weights, bias, image):
     non-finite values (ValueError naming the argument), then the shapes
     (ShapeError), and returns (weights, bias)."""
     ensure_finite("affine", weights=weights, bias=bias)
-    return _affine_record(weights, bias, image)
-
-
-def _affine_record(weights, bias, image):
-    """affine_prepare past its finite check."""
     if len(image) != 1 or weights.ndim != 2:
         raise ShapeError("affine expects 2-d input and weights")
     if image[0] != weights.shape[0]:
@@ -510,11 +494,10 @@ def _affine_record(weights, bias, image):
 def affine_forward(x, weights, bias=None, *, check_x=True, prepared=None):
     """x (N, D) @ weights (D, K) + bias (K,). check_x and prepared
     (affine_prepare's record) as in conv2d_forward."""
-    if prepared is None:
-        ensure_finite("affine", x=x if check_x else None, weights=weights, bias=bias)
-        prepared = _affine_record(weights, bias, x.shape[1:])
-    elif check_x:
+    if check_x:
         ensure_finite("affine", x=x)
+    if prepared is None:
+        prepared = affine_prepare(weights, bias, x.shape[1:])
     weights, bias = prepared
     out = x @ weights
     if bias is not None:
@@ -551,10 +534,13 @@ def relu6_backward(grad_out, y, out=None):
 
 
 def global_avg_pool_forward(x):
-    """(N, C, H, W) -> (N, C) spatial mean."""
+    """(N, C, H, W) -> (N, C) spatial mean: one sum over both axes, divided
+    in place by H*W, the bytes of x.mean(axis=(2, 3)) without its
+    dispatch."""
     if x.ndim != 4:
         raise ShapeError("global_avg_pool expects 4-d input")
-    return x.mean(axis=(2, 3))
+    out = np.add.reduce(x, axis=(2, 3))
+    return np.true_divide(out, x.shape[2] * x.shape[3], out=out)
 
 
 def global_avg_pool_backward(grad_out, spatial_shape):

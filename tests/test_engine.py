@@ -10,11 +10,12 @@ elementwise layers: there the set of live activations sets the peak, where on
 the builder nets a convolution's im2col transient would. A conv, depthwise
 conv or affine that reads what an activation point quantized in the same
 pass does not check it for non-finite values again, which changes no byte,
-and one behind a point that passed its input through still checks; in
-inference a point whose input is bounded does not check it either. An
-inference pass runs the graph's plan, compiled once per graph version,
-which follows every change of the layers, weights, bias, points, geometry,
-input shape and dtype and which training never touches.
+and one behind a point that passed its input through still checks; a point
+whose input is bounded does not check it either, in training as in
+inference, and a conv, a bias or a BN that can overflow leaves the next
+input checked. An inference pass runs the graph's plan, compiled once per
+graph version, which follows every change of the layers, weights, bias,
+points, geometry, input shape and dtype and which training never touches.
 """
 
 import json
@@ -318,7 +319,8 @@ def test_points_with_a_bounded_input_are_not_checked(monkeypatch):
     """In the folded net every point but the first reads a conv that reads
     a point, so its input is bounded and goes unchecked in inference; the
     first reads the graph input through the stem and checks it. Training
-    checks every point's input, and every weight tensor it quantizes."""
+    follows the same rule, so it checks the first point's input only, and
+    every weight tensor it quantizes, once per forward."""
     net = QUANTIZED_NETS["ds_convnet_folded_4bit"]()
     points = [l.name for l in net.layers if l.kind == "quant_point"]
     assert net.layers[2].name == points[0] and len(points) > 3
@@ -333,7 +335,7 @@ def test_points_with_a_bounded_input_are_not_checked(monkeypatch):
     checked.clear()
     forward_graph(net, x, training=True)
     activations = [s for s in checked if s[0] == 5]
-    assert activations == [(5,) + shapes[name] for name in points]
+    assert activations == [(5,) + shapes[points[0]]]
     assert len(checked) - len(activations) == sum(l.weight_quant is not None for l in net.layers)
 
 
@@ -366,6 +368,97 @@ def test_a_conv_with_huge_weights_behind_a_point_is_checked_after():
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(ValueError, match="quantize: non-finite values in x"):
         run_inference(net, x)
+
+
+# An inference pass and a training forward, each given (graph, x).
+BOTH_MODES = pytest.mark.parametrize(
+    "run", [run_inference, lambda g, x: forward_graph(g, x, training=True)],
+    ids=["inference", "training"])
+
+
+@BOTH_MODES
+def test_a_conv_that_overflows_behind_a_point_is_checked_after_its_relu(run):
+    """Training skips the checks inference skips, so the conv after relu1_q
+    does not check its input; with weights of 3e38 its output is not
+    bounded, and the +inf that relu passes (or, in inference, that reaches
+    the point absorbing relu) must make relu2_q check its input and raise
+    rather than clamp the +inf to its range."""
+    net = _calibrated_4bit(build_small_convnet(seed=3))
+    conv2 = net.layer("conv2")
+    assert [l.name for l in net.layers[2:6]] == ["relu1_q", "conv2", "relu2", "relu2_q"]
+    conv2.weight_quant.enabled = False
+    conv2.params.weights = np.full_like(conv2.params.weights, 3e38)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="^quantize: non-finite values in x$"):
+        run(net, _batch(net))
+
+
+def _bias_overflow_net():
+    """A point whose output lies in [0, 1e19], a 1x1 conv whose product
+    stays below half of float32's largest value but whose bias takes the
+    sum past it, and a point after the conv. (A weight above about 1.8e19
+    would overflow the float32 norm the bound is computed from, and leave
+    the conv unbounded whatever its bias.)"""
+    def point(M):
+        return QuantPoint(target="activations",
+                          cfg=QuantConfig(bits=4, m=0.0, M_up=M, initialized=True))
+
+    conv = ConvParams(np.full((1, 1, 1, 1), 1.6e19, np.float32), np.full(1, 2e38, np.float32))
+    return ModelGraph(layers=[LayerSpec("in_q", "quant_point", point(1e19)),
+                              LayerSpec("k", "conv", conv),
+                              LayerSpec("out_q", "quant_point", point(1.0))],
+                      input_shape=(1, 2, 2))
+
+
+@BOTH_MODES
+def test_a_bias_that_overflows_a_conv_behind_a_point_is_checked_after(run):
+    """The conv's bound counts its bias: 1.6e19 * 1e19 + 2e38 overflows
+    float32, so the point after it must check its input, where the clamp
+    would turn the +inf into 1.0 without a word."""
+    net = _bias_overflow_net()
+    net.validate()
+    x = np.full((1, 1, 2, 2), 1e19, np.float32)
+    with np.errstate(over="ignore"), \
+            pytest.raises(ValueError, match="^quantize: non-finite values in x$"):
+        run(net, x)
+
+
+@pytest.mark.parametrize("training", [False, True])
+def test_bn_leaves_its_output_unbounded(training):
+    """BN divides by a deviation (the batch's, or the running one), so its
+    output is unbounded whatever bounds its input: with a gamma of 3e38 the
+    BN after conv2, which reads relu1_q, overflows, and relu2_q must check
+    its input and raise rather than clamp what relu passes."""
+    net = _calibrated_4bit(build_small_convnet(seed=3), fold=False)
+    assert [l.name for l in net.layers[3:8]] == ["relu1_q", "conv2", "bn2", "relu2", "relu2_q"]
+    bn = net.layer("bn2")
+    bn.params = replace(bn.params, gamma=np.full_like(bn.params.gamma, 3e38))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="^quantize: non-finite values in x$"):
+        forward_graph(net, _batch(net), training=training)
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+@pytest.mark.parametrize("fold", [True, False], ids=["folded", "bn_live"])
+def test_skipped_checks_change_no_byte_of_a_training_step(name, fold, monkeypatch):
+    """A QAT forward and backward with range updates gives the bytes of one
+    in which no bound holds, so every step checks its input."""
+    net = _calibrated_4bit(BUILDERS[name](seed=6), fold=fold)
+    x = _batch(net, n=5, seed=3)
+    labels = np.arange(len(x)) % net.layers[-1].params.weights.shape[1]
+
+    def step():
+        graph = copy_graph(net)
+        loss, logits, grads, stats = loss_and_grads(graph, x, labels, update_ranges=True)
+        ranges = [(l.params.cfg.m, l.params.cfg.M_up) for l in graph.layers
+                  if l.kind == "quant_point"]
+        return (np.float64(loss).tobytes(), logits.tobytes(),
+                {k: {f: g.tobytes() for f, g in v.items()} for k, v in grads.items()},
+                {k: (v.mu.tobytes(), v.sigma2.tobytes()) for k, v in stats.items()}, ranges)
+
+    skipping = step()
+    monkeypatch.setattr(engine, "_bounded", lambda bound, dtype: False)
+    assert step() == skipping
 
 
 @pytest.mark.parametrize("how", ["disabled", "uninitialized", "collapsed"])
@@ -845,8 +938,9 @@ def test_a_training_forward_neither_reads_nor_writes_the_plan(prepares, range_ca
     range_calls.clear()
     forward_graph(net, x, training=True, update_ranges=True)
     loss_and_grads(net, x, np.arange(len(x)) % 4)
-    assert _CountingGraph.ACCESSES == [] and prepares == []
+    assert _CountingGraph.ACCESSES == []
     assert len(range_calls) == 6  # conv1, conv2 and fc, quantized on each training call
+    prepares.clear()
     run_inference(net, x)  # BN statistics and point ranges moved: a new plan
     assert _CountingGraph.ACCESSES == ["read", "write"] and len(prepares) == 3
     net.__class__ = ModelGraph

@@ -439,6 +439,10 @@ class TestBuilders:
 
 
 BAD_QUANT = [("bits", 0, "quantizer bits must be >= 1, got 0"),
+             ("bits", 1100, r"quantizer bits must be <= 1023, where 2\*\*bits is a finite "
+                            "float, got 1100"),
+             ("bits", True, "quantizer bits must be an integer, got True"),
+             ("bits", 2.5, "quantizer bits must be an integer, got 2.5"),
              ("m", float("nan"), r"quantizer range \[nan, 1.0\] must be finite"),
              ("M_up", float("inf"), r"quantizer range \[0.0, inf\] must be finite"),
              ("m", 2.0, r"quantizer range \[2.0, 1.0\] must be finite with m <= M_up")]
@@ -454,10 +458,12 @@ def _initialized_point_graph():
 
 @pytest.mark.parametrize("field, value, message", BAD_QUANT)
 class TestMalformedQuantizer:
-    """A quantizer with bits < 1, or an initialized range that is not finite
-    or has m > M_up, fails when the graph is built or loaded, with the layer
-    named: an activation point with m = NaN would otherwise pass its input
-    through without a word, and bits = 0 would fail only at inference."""
+    """A quantizer with bits that are not an integer from 1 to 1023, or an
+    initialized range that is not finite or has m > M_up, fails when the
+    graph is built or loaded, with the layer named: an activation point with
+    m = NaN would otherwise pass its input through without a word, bits = 0
+    would fail only at inference, and bits = 1100 with a bare OverflowError
+    there."""
 
     def test_loaded_from_a_manifest(self, field, value, message, tmp_path):
         path = tmp_path / "model.json"

@@ -53,6 +53,16 @@ class TestQuantizeValues:
         with pytest.raises(QuantRangeError):
             quantize(np.ones(3), _cfg(0, 0.0, 1.0))
 
+    # bits = 1100 made QuantConfig.scale raise a bare OverflowError from
+    # 2 ** bits; a bool or a fraction counts no grid.
+    @pytest.mark.parametrize("bits, message", [
+        (1100, r"bits must be <= 1023, where 2\*\*bits is a finite float, got 1100"),
+        (True, "bits must be an integer, got True"),
+        (2.5, "bits must be an integer, got 2.5")])
+    def test_bits_that_count_no_grid_error(self, bits, message):
+        with pytest.raises(QuantRangeError, match=f"^{message}$"):
+            quantize(np.ones(3), _cfg(bits, 0.0, 1.0))
+
     # Ranges whose grid is finite in float64 but not in float32: an end past
     # float32's range, a span that overflows it, a step that rounds to zero,
     # more grid points than float32 can count.

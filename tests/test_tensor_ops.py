@@ -557,6 +557,18 @@ class TestActivationsAndPool:
         assert out.shape == (2, 3)
         assert np.all(out == 0.25)
 
+    @pytest.mark.parametrize("dt", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1, 1, 1, 1), (64, 64, 8, 8), (3, 5, 7, 9), (2, 3, 1, 13),
+                                       (0, 4, 3, 3)])
+    def test_global_avg_pool_gives_the_bytes_of_the_mean(self, dt, shape):
+        """One sum over both spatial axes divided in place rounds as
+        x.mean(axis=(2, 3)) does, on contiguous and strided inputs."""
+        x = (np.random.default_rng(54).standard_normal(shape) * 1e3).astype(dt)
+        for v in (x, x[:, ::-1], np.asfortranarray(x)):
+            out, mean = global_avg_pool_forward(v), v.mean(axis=(2, 3))
+            assert out.dtype == mean.dtype == dt and out.shape == mean.shape
+            assert out.tobytes() == mean.tobytes()
+
     def test_global_avg_pool_grad(self):
         rng = np.random.default_rng(53)
         x = rng.standard_normal((2, 3, 4, 4))
