@@ -23,16 +23,11 @@ then runs each pass as one C*H*W inner loop per image, where a (1, C, 1, 1)
 operand gives one loop per (image, channel) plane, 1,024 elements long at
 32x32 and 64 at 8x8. The ufuncs and their order are unchanged, and so are
 the bytes. No operand is reshaped, so a non-contiguous x or out is read
-and written in place. In float32 on one core of an Intel Xeon, over the 13
-BN layers of the width-32 benchmark net at batch 64 (32x32 down to 8x8),
-the rows took the forward from a median of 53.2 to 44.9 ms a step and the
-backward from 49.4 to 40.8 ms. A row costs one ndarray.repeat and a reshape,
-about 1.5 us (np.repeat's wrapper would double that), which at a toy net's
-(8, 8, 8, 8) to (8, 16, 4, 4) is about what the longer loops save, so there
-it is neutral. The inference forward stays on broadcasts: a folded net has
-no BN layer, so it runs only where an unfolded net is evaluated, such as
-the toy pre-train's per-epoch evaluation, whose tensors are too small for a
-row to pay.
+and written in place. A row costs one ndarray.repeat and a reshape, so it
+pays on wide activations and is about neutral on a toy net's. The
+inference forward stays on broadcasts: a folded net has no BN layer, so it
+runs only where an unfolded net is evaluated, such as the toy pre-train's
+per-epoch evaluation, whose tensors are too small for a row to pay.
 
 Each kernel takes out=, an array it may write into when out has its
 result's dtype: the training forward writes the centered input there (the

@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 
@@ -288,25 +289,24 @@ def cmd_eval(args, cfg, graph):
 
 
 def cmd_report_range(args, cfg, graph):
-    from .graph import dynamic_range_report, range_report_to_csv
+    from .graph import dynamic_range_report, range_report_to_csv, write_csv
 
     rows = dynamic_range_report(graph)
     if args.out:
         range_report_to_csv(rows, _out_dir(args) / "range.csv")
-    for r in rows:
-        print(f"{r.layer},{r.min!r},{r.max!r},{r.range!r}")
+    write_csv(map(astuple, rows))
     return 0
 
 
 def cmd_report_constancy(args, cfg, graph):
+    from .graph import write_csv
     from .pruning import channel_constancy_report, constancy_report_to_csv
 
     data = _build_data(cfg)
     rows = channel_constancy_report(graph, data.train_images[:args.batch])
     if args.out:
         constancy_report_to_csv(rows, _out_dir(args) / "constancy.csv")
-    for r in rows:
-        print(f"{r.layer},{r.channel},{r.running_var!r},{r.spread!r}")
+    write_csv(map(astuple, rows))
     return 0
 
 

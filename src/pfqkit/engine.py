@@ -61,9 +61,11 @@ layer's weights as they are, and runs it at once. It adds only BN on batch
 statistics, a point's range update and the caches backward reads.
 
 Finite checks follow one rule in both modes. A weighted layer checks its
-weights and bias when it prepares. Each step, as it is built, takes a
-float64 bound on the magnitude of its input from the step before it and
-leaves one on its output: the graph input, BN and add_junction are
+weights and bias when it prepares; with its weight point on, it checks the
+master weights first, before their range is derived. An activation point's
+range update raises on a non-finite input before it changes the range.
+Each step, as it is built, takes a float64 bound on the magnitude of its
+input from the step before it and leaves one on its output: the graph input, BN and add_junction are
 unbounded; an applying point bounds its output by max(|m|, |M_up|), on a
 grid quantize verified finite; relu and a pass-through keep their input's
 bound, relu6 caps a finite one at 6 (a nan passes its clamp),
@@ -76,9 +78,9 @@ point, and every point behind bounded layers, but not the point after the
 stem, which reads the graph input. Direct op calls check every argument.
 
 Slabs: run_inference runs the batch in slabs of as many images as keep the
-graph's widest per-image activation (ModelGraph.widest, from the shapes
-validate infers) within SLAB_BYTES, so a slab's activations stay in cache
-across a block's elementwise passes. Every layer before the first affine
+graph's widest per-image layer output (from infer_shapes, once per plan)
+within SLAB_BYTES, so a slab's activations stay in cache across a block's
+elementwise passes. Every layer before the first affine
 computes each image on its own (per-image and per-channel matmuls,
 elementwise passes, per-plane means), so its bytes do not depend on how
 many images share a call. An affine is one matmul over the batch, and BLAS
@@ -107,6 +109,7 @@ import numpy as np
 
 from . import tensor_ops as T
 from .batchnorm import bn_backward_train, bn_forward_infer, bn_forward_train
+from .graph import CONV_LIKE, infer_shapes
 from .quantization import (act_point_applies, quantize, quantize_backward, quantize_prepare,
                            update_activation_range, weight_range_cfg)
 
@@ -123,14 +126,19 @@ class ForwardTrace:
     bn_stats: dict
 
 
+_OP_NAME = {"conv": "conv2d", "depthwise_conv": "depthwise_conv2d", "affine": "affine"}
+
+
 def _weights(layer):
     """The weights a conv, depthwise conv or affine layer computes with: an
     enabled weight point's quantized tensor, read-only, else the master
-    weights."""
+    weights. An enabled point derives its range from the master weights, so
+    it first checks them with the op's own non-finite ValueError."""
     w = layer.params.weights
     point = layer.weight_quant
     if point is None or not point.enabled:
         return w
+    T.ensure_finite(_OP_NAME[layer.kind], weights=w)
     wq = quantize(w, weight_range_cfg(w, point.cfg.bits))
     wq.flags.writeable = False
     return wq
@@ -344,7 +352,7 @@ def _key(graph, x, keep_outputs):
         if kind == "quant_point":
             cfg = p.cfg
             key += (p.enabled, id(cfg), cfg.bits, cfg.m, cfg.M_up, cfg.initialized)
-        elif kind in _WEIGHTED:
+        elif kind in CONV_LIKE:
             point = layer.weight_quant
             key += (id(p.weights), id(p.bias), tuple(layer.stride), tuple(layer.padding),
                     point and (point.enabled, id(point.cfg), point.cfg.bits))
@@ -377,21 +385,19 @@ def _compile(graph, x, key):
             # No step: the output is the input, under one more name.
             if not steps:
                 steps.append([lambda x, out, outputs: x, False, [], [], np.inf])
-            names, dropped = steps[-1][2], steps[-1][3]
+            names = steps[-1][2]
             names.append(layer.name)
             for name in release:  # the name of the input, which this layer alone read
-                if name in names:
-                    names.remove(name)
-                else:
-                    dropped.append(name)
+                names.remove(name)
         else:
-            if kind in _WEIGHTED:
+            if kind in CONV_LIKE:
                 arrays += [a for a in (layer.params.weights, layer.params.bias) if a is not None]
             steps.append([_first_call(layer, steps, len(steps)), own, [layer.name],
                           list(release), None])
+    widest = max(1, *map(math.prod, infer_shapes(graph).values()))
     return _Plan(key, tuple(arrays), [a.tobytes() for a in arrays], steps,
                  len(steps) if split is None else split,
-                 max(1, SLAB_BYTES // (graph.widest * x.itemsize)))
+                 max(1, SLAB_BYTES // (widest * x.itemsize)))
 
 
 def _first_call(layer, steps, i):
@@ -476,7 +482,6 @@ def _junction_step(layer, x, bound):
     return lambda x, out, outputs: T.elementwise_add(outputs[a], outputs[b]), np.inf
 
 
-_WEIGHTED = ("conv", "depthwise_conv", "affine")
 # Per kind: (layer, x, bound on the magnitude of x) -> (forward(x, out,
 # outputs), bound on the magnitude of its output) of its step, built for
 # inputs shaped and typed like x. Ops are looked up through `T` and this
@@ -484,7 +489,7 @@ _WEIGHTED = ("conv", "depthwise_conv", "affine")
 # module attribute reaches every call (the traced benchmark run,
 # perfbench/spans.py, times ops that way).
 _STEPS = {
-    **dict.fromkeys(_WEIGHTED, _weighted_step),
+    **dict.fromkeys(CONV_LIKE, _weighted_step),
     "bn": lambda l, x, bound: (
         lambda x, out, outputs: bn_forward_infer(x, l.params, out=out), np.inf),
     "relu": lambda l, x, bound: (
@@ -545,10 +550,9 @@ def run_inference(graph, x):
 
     Runs the graph's plan. When the batch is wider than one slab, the steps
     before the first affine run on slabs of the batch, as many images as
-    keep the graph's widest activation (ModelGraph.widest) within
-    SLAB_BYTES, and each output still live after them is gathered into a
-    whole-batch array; the first affine and the steps after it then run
-    once on those.
+    keep the graph's widest layer output (infer_shapes) within SLAB_BYTES,
+    and each output still live after them is gathered into a whole-batch
+    array; the first affine and the steps after it then run once on those.
     """
     plan = _plan(graph, x, False)
     n, size, steps, split = x.shape[0], plan.slab, plan.steps, plan.split

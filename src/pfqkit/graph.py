@@ -12,22 +12,27 @@ little-endian float32 values in manifest order.
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import csv
 import json
 import math
 import numbers
+import sys
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .batchnorm import BNParams, fold_bn
-from .quantization import QuantConfig, QuantPoint, _bits_error
+from .quantization import (ACTIVATION_POLICY, WEIGHT_POLICY, QuantConfig, QuantPoint,
+                           _bits_error)
 from .tensor_ops import ConvParams, DepthwiseConvParams, conv_output_extent
 
 CONV_LIKE = ("conv", "depthwise_conv", "affine")
 KINDS = CONV_LIKE + ("bn", "relu", "relu6", "global_avg_pool", "add_junction", "quant_point")
+_POLICY = {"weights": WEIGHT_POLICY, "activations": ACTIVATION_POLICY}
 
 
 class GraphError(ValueError):
@@ -60,10 +65,6 @@ class LayerSpec:
 class ModelGraph:
     layers: list = field(default_factory=list)
     input_shape: tuple = ()
-    # Element count of the largest per-image layer output, set by validate();
-    # it sizes the engine's inference slabs, and a stale value changes only
-    # their size, never an output byte. Never compared.
-    widest: int = field(default=1, init=False, compare=False, repr=False)
     # The engine's compiled inference pass (engine._Plan), which checks its
     # own key on every call; never copied, saved or compared.
     plan: tuple | None = field(default=None, init=False, compare=False, repr=False)
@@ -73,25 +74,26 @@ class ModelGraph:
 
     def validate(self):
         """Raise GraphError, naming the layer, on a graph the ops cannot run:
-        a layer name that is not a str, bad structure (a junction that does
-        not name two earlier layers), inconsistent shapes, geometry (a stride
-        or padding that is not a pair of integers, or out of range),
-        quantizer ranges, BN statistics or rho, weights of the wrong rank, a
-        parameter that is not a floating-point array, or a parameter vector
-        that is not one entry per output channel. Sets widest from the
-        inferred shapes."""
+        an input_shape that is not three positive integers, a layer name
+        that is not a str, bad structure (a junction that does not name two
+        earlier layers), inconsistent shapes, geometry (a stride or padding
+        that is not a pair of integers, or out of range), a malformed
+        quantizer (_check_point), BN statistics or rho, weights of the wrong
+        rank, a parameter that is not a floating-point array, or a parameter
+        vector that is not one entry per output channel."""
         if not self.layers:
             raise GraphError("graph has no layers")
-        if len(self.input_shape) != 3:
-            raise GraphError("input_shape must be (channels, height, width)")
+        if not (_integers(self.input_shape, 3) and min(self.input_shape) > 0):
+            raise GraphError("input_shape must be (channels, height, width), positive integers, "
+                             f"got {self.input_shape!r}")
         seen = set()
         for i, layer in enumerate(self.layers):
             if not isinstance(layer.name, str):
                 raise GraphError(f"layer {i}: name must be a str, got {layer.name!r}")
             if layer.kind not in KINDS:
-                raise GraphError(f"unknown layer kind '{layer.kind}'")
+                raise GraphError(f"layer '{layer.name}': unknown layer kind {layer.kind!r}")
             if layer.name in seen:
-                raise GraphError(f"duplicate layer name '{layer.name}'")
+                raise GraphError(f"layer {i}: duplicate layer name '{layer.name}'")
             if layer.kind == "bn":
                 if i == 0 or self.layers[i - 1].kind not in CONV_LIKE:
                     raise GraphError(f"bn layer '{layer.name}' must directly follow a conv, depthwise conv, or affine")
@@ -108,14 +110,14 @@ class ModelGraph:
                     if ref not in seen:
                         raise GraphError(f"add_junction '{layer.name}' references '{ref}' "
                                          "which is not an earlier layer")
-            point = layer.params if layer.kind == "quant_point" else layer.weight_quant
-            if point is not None:
-                _check_quant_cfg(layer.name, point.cfg)
+            if layer.kind == "quant_point":
+                _check_point(layer.name, layer.params, "activations")
+            elif layer.weight_quant is not None:
+                _check_point(layer.name, layer.weight_quant, "weights")
             seen.add(layer.name)
         shapes = infer_shapes(self)
         for layer in self.layers:
             _check_params(layer, shapes[layer.name][0])
-        self.widest = max(1, *(math.prod(shape) for shape in shapes.values()))
 
     def layer(self, name):
         return self.layers[self.index(name)]
@@ -127,17 +129,46 @@ class ModelGraph:
         raise KeyError(name)
 
 
-def _check_quant_cfg(name, cfg):
-    """A quantizer needs bits that are an integer from 1 to 1023
-    (quantization._bits_error) and, once initialized, a finite range with
-    m <= M_up; a collapsed range (m == M_up) is the documented pass-through."""
+def _check_point(name, point, target):
+    """A quantizer on a layer's weights or activations (target) names that
+    target and its range policy, has bool enabled and initialized flags,
+    bits that are an integer from 1 to 1023 (quantization._bits_error), a
+    range of real numbers, finite with m <= M_up once initialized (a
+    collapsed range, m == M_up, is the documented pass-through), and an EMA
+    momentum in [0, 1]."""
+    cfg, policy = point.cfg, _POLICY[target]
+    if point.target != target or cfg.range_policy != policy:
+        raise GraphError(f"layer '{name}': quantizer of {target} must have target '{target}' "
+                         f"and range_policy '{policy}', got {point.target!r} and "
+                         f"{cfg.range_policy!r}")
+    if not (isinstance(point.enabled, bool) and isinstance(cfg.initialized, bool)):
+        raise GraphError(f"layer '{name}': quantizer enabled and initialized must be bools, "
+                         f"got {point.enabled!r} and {cfg.initialized!r}")
     error = _bits_error(cfg.bits)
     if error:
         raise GraphError(f"layer '{name}': quantizer {error}")
-    if cfg.initialized and not (math.isfinite(cfg.m) and math.isfinite(cfg.M_up)
-                                and cfg.m <= cfg.M_up):
-        raise GraphError(f"layer '{name}': quantizer range [{cfg.m}, {cfg.M_up}] "
+    m, M = cfg.m, cfg.M_up
+    if not (_real(m) and _real(M)) or cfg.initialized and not (
+            math.isfinite(m) and math.isfinite(M) and m <= M):
+        raise GraphError(f"layer '{name}': quantizer range [{m}, {M}] "
                          "must be finite with m <= M_up")
+    if not _fraction(cfg.ema_momentum):
+        raise GraphError(f"layer '{name}': quantizer ema_momentum must be a real number in "
+                         f"[0, 1], got {cfg.ema_momentum!r}")
+
+
+def _real(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _fraction(value):
+    return _real(value) and 0 <= value <= 1
+
+
+def _integers(value, count):
+    """Whether value is a tuple or list of count integers (bools are not)."""
+    return (isinstance(value, (tuple, list)) and len(value) == count
+            and all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in value))
 
 
 def _check_params(layer, channels):
@@ -161,9 +192,7 @@ def _check_params(layer, channels):
 def _check_pair(name, fieldname, value):
     """A convolution's stride or padding is a pair of integers (bools are
     not); their ranges are conv_output_extent's to check."""
-    if not (isinstance(value, (tuple, list)) and len(value) == 2
-            and all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
-                    for v in value)):
+    if not _integers(value, 2):
         raise GraphError(f"layer '{name}': {fieldname} must be a pair of integers, "
                          f"got {value!r}")
 
@@ -177,17 +206,12 @@ def _check_bn(name, params):
     if not (isinstance(eps, numbers.Real) and math.isfinite(eps) and eps > 0):
         raise GraphError(f"layer '{name}': bn epsilon must be finite and > 0, got {eps!r}")
     rho = params.rho
-    if isinstance(rho, bool) or not (isinstance(rho, numbers.Real) and 0 <= rho <= 1):
+    if not _fraction(rho):
         raise GraphError(f"layer '{name}': bn rho must be a real number in [0, 1], got {rho!r}")
     var = params.running_var
     if not (np.isfinite(var).all() and (var >= 0).all()):
         raise GraphError(f"layer '{name}': bn running_var must be finite and >= 0, "
                          f"got min {np.min(var)}")
-
-
-def copy_layer(layer):
-    """A deep copy of a layer."""
-    return copy.deepcopy(layer)
 
 
 def copy_graph(graph):
@@ -305,18 +329,22 @@ def dynamic_range_report(graph):
     return rows
 
 
+def write_csv(rows, path=None):
+    """Write rows, each a sequence of cells, as CSV to the file at path, or
+    to stdout without one. Every table pfqkit writes goes through here: a
+    cell is written as its str (a float as its repr), None as an empty
+    cell, a cell holding a comma, a quote or a line break quoted, and each
+    line ends in a bare newline."""
+    with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as f:
+        csv.writer(f, lineterminator="\n").writerows(rows)
+
+
 def range_report_to_csv(rows, path):
-    lines = ["layer,min,max,range"]
-    for r in rows:
-        lines.append(f"{r.layer},{r.min!r},{r.max!r},{r.range!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv([("layer", "min", "max", "range"), *map(astuple, rows)], path)
 
 
 def macs_to_csv(macs, path):
-    lines = ["layer,macs"]
-    for name, count in macs.items():
-        lines.append(f"{name},{count}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv([("layer", "macs"), *macs.items()], path)
 
 
 def fold_bn_graph(graph):
@@ -480,7 +508,11 @@ def load_model(manifest_path):
     blob_doc, layer_docs, tensor_docs = top("blob"), top("layers", list), top("tensors", list)
 
     blob_path = manifest_path.parent / _field(blob_doc, "file", "blob", str)
-    blob = blob_path.read_bytes()
+    try:
+        blob = blob_path.read_bytes()
+    except OSError as e:
+        raise ModelFormatError(f"blob file '{blob_path.name}' cannot be read: "
+                               f"{e.strerror}") from e
     blob_length = _field(blob_doc, "byte_length", "blob", int)
     if len(blob) != blob_length:
         raise ModelFormatError(f"blob length {len(blob)} does not match manifest {blob_length}")
@@ -489,8 +521,10 @@ def load_model(manifest_path):
 
     arrays = {}
     for i, t in enumerate(tensor_docs):
-        tensor_id = _field(t, "id", f"tensor {i}")
+        tensor_id = _field(t, "id", f"tensor {i}", str)
         what = f"tensor '{tensor_id}'"
+        if tensor_id in arrays:
+            raise ModelFormatError(f"{what} is listed twice")
         lo = _field(t, "offset", what, int)
         hi = lo + _field(t, "byte_length", what, int)
         shape = _field(t, "shape", what, list)
@@ -532,9 +566,9 @@ def load_model(manifest_path):
                 weights=tensor(name, "weights"),
                 bias=tensor(name, "bias") if get("has_bias", bool) else None,
             )
-            if doc.get("weight_quant"):
-                layer.weight_quant = _quant_from_dict(doc["weight_quant"],
-                                                      f"{what} weight quantizer")
+            point = get("weight_quant")
+            if point is not None:
+                layer.weight_quant = _quant_from_dict(point, f"{what} weight quantizer")
         elif kind == "bn":
             layer.params = BNParams(
                 gamma=tensor(name, "gamma"),
@@ -549,11 +583,11 @@ def load_model(manifest_path):
         elif kind == "quant_point":
             layer.params = _quant_from_dict(get("quant"), f"{what} quantizer")
         layers.append(layer)
-    if unread:
-        names = ", ".join(f"'{key}'" for key in sorted(unread, key=str))
-        raise ModelFormatError(f"manifest lists tensors that no layer reads: {names}")
-
     try:
-        return ModelGraph(layers=layers, input_shape=input_shape)
+        graph = ModelGraph(layers=layers, input_shape=input_shape)
     except GraphError as e:
         raise ModelFormatError(f"manifest describes an invalid graph: {e}") from e
+    if unread:
+        names = ", ".join(f"'{key}'" for key in sorted(unread))
+        raise ModelFormatError(f"manifest lists tensors that no layer reads: {names}")
+    return graph

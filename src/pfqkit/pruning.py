@@ -38,14 +38,13 @@ that a ReLU clipped to zero is reported as kind none-ReLU-zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from itertools import takewhile
-from pathlib import Path
 
 import numpy as np
 
 from .engine import forward_graph
-from .graph import copy_graph, count_macs, param_count
+from .graph import copy_graph, count_macs, param_count, write_csv
 from .quantization import act_point_applies, quantize
 
 _PASS_THROUGH = ("relu", "relu6", "global_avg_pool", "quant_point")
@@ -100,12 +99,10 @@ class PruneReport:
         return 100.0 * self.weights_removed / self.params_before
 
     def to_csv(self, path):
-        lines = ["layer,channel,kind,Vt,beta,U_norm"]
-        for e in self.entries:
-            lines.append(f"{e.layer},{e.channel},{e.kind},{e.running_var!r},{e.beta!r},{e.u_norm!r}")
-        for s in self.skips:
-            lines.append(f"{s.layer},{s.channel},{s.reason},{s.running_var!r},{s.beta!r},")
-        Path(path).write_text("\n".join(lines) + "\n")
+        write_csv([("layer", "channel", "kind", "Vt", "beta", "U_norm"),
+                   *((e.layer, e.channel, e.kind, e.running_var, e.beta, e.u_norm)
+                     for e in self.entries),
+                   *((*astuple(s), None) for s in self.skips)], path)
 
     def summary(self):
         mac_delta = self.macs_before - self.macs_after
@@ -173,34 +170,27 @@ def _push_const(graph, path, value, channel, quantize_act_of_beta, dtype):
     return value, clipped, padded
 
 
-def _candidates(graph, bn_index, channels, quantize_act_of_beta):
-    """PruneCandidates for the given channels of the BN layer at bn_index;
-    act_of_beta is beta pushed through the pass-through layers after it."""
-    layers = graph.layers
-    params = layers[bn_index].params
-    chain = list(takewhile(lambda j: layers[j].kind in _PASS_THROUGH,
-                           range(bn_index + 1, len(layers))))
-    out = []
-    for c in channels:
-        beta = float(params.beta[c])
-        a, _, _ = _push_const(graph, chain, beta, c, quantize_act_of_beta, params.beta.dtype)
-        out.append(PruneCandidate(layer=layers[bn_index].name, channel=c,
-                                  running_var=float(params.running_var[c]),
-                                  beta=beta, act_of_beta=a))
-    return out
-
-
 def _below(layer, epsilon):
     return [int(c) for c in np.flatnonzero(layer.params.running_var < epsilon)]
 
 
-def scan_candidates(graph, epsilon, *, quantize_act_of_beta=False):
+def scan_candidates(graph, epsilon):
     """All BN channels with running variance strictly below epsilon, in layer
-    then channel order, with their post-activation constants."""
-    out = []
-    for i, layer in enumerate(graph.layers):
-        if layer.kind == "bn":
-            out.extend(_candidates(graph, i, _below(layer, epsilon), quantize_act_of_beta))
+    then channel order. act_of_beta is beta pushed through the pass-through
+    layers after the BN, unsnapped by any activation point."""
+    layers, out = graph.layers, []
+    for i, layer in enumerate(layers):
+        if layer.kind != "bn":
+            continue
+        p = layer.params
+        chain = list(takewhile(lambda j: layers[j].kind in _PASS_THROUGH,
+                               range(i + 1, len(layers))))
+        for c in _below(layer, epsilon):
+            beta = float(p.beta[c])
+            a, _, _ = _push_const(graph, chain, beta, c, False, p.beta.dtype)
+            out.append(PruneCandidate(layer=layer.name, channel=c,
+                                      running_var=float(p.running_var[c]), beta=beta,
+                                      act_of_beta=a))
     return out
 
 
@@ -398,7 +388,4 @@ def channel_constancy_report(graph, images):
 
 
 def constancy_report_to_csv(rows, path):
-    lines = ["layer,channel,Vt,spread"]
-    for r in rows:
-        lines.append(f"{r.layer},{r.channel},{r.running_var!r},{r.spread!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv([("layer", "channel", "Vt", "spread"), *map(astuple, rows)], path)

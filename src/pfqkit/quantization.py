@@ -48,6 +48,8 @@ range that is not finite with m <= M_up (ModelGraph.validate).
 
 from __future__ import annotations
 
+import copy
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -179,9 +181,12 @@ def quantize_backward(grad_out, x, cfg, out=None):
 
 
 def weight_range_cfg(weights, bits):
-    """Per-tensor live range for weight quantization."""
+    """Per-tensor live range for weight quantization; raises QuantRangeError
+    on weights that hold a nan or an infinity, or have zero spread."""
     lo = float(weights.min())
     hi = float(weights.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise QuantRangeError("weight tensor holds non-finite values, cannot derive a range")
     if not hi > lo:
         raise QuantRangeError("weight tensor has zero spread, cannot derive a range")
     return QuantConfig(bits=bits, m=lo, M_up=hi, range_policy=WEIGHT_POLICY, initialized=True)
@@ -189,7 +194,8 @@ def weight_range_cfg(weights, bits):
 
 def check_weight_ranges(graph):
     """Derive the range of every enabled weight point once, so that a weight
-    tensor with zero spread fails before training with the layer named."""
+    tensor with zero spread or a non-finite value fails before training with
+    the layer named."""
     for layer in graph.layers:
         point = layer.weight_quant
         if point is not None and point.enabled:
@@ -202,10 +208,14 @@ def check_weight_ranges(graph):
 def update_activation_range(observed, cfg):
     """Fold one observation into the EMA range. Returns a new QuantConfig.
 
-    The first observation initializes the range directly.
+    The first observation initializes the range directly. An observation
+    holding a nan or an infinity raises quantize's non-finite ValueError
+    instead, so no range is derived from it.
     """
     lo = float(observed.min())
     hi = float(observed.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("quantize: non-finite values in x")
     if not cfg.initialized:
         return replace(cfg, m=lo, M_up=hi, initialized=True)
     mu = cfg.ema_momentum
@@ -237,7 +247,7 @@ def insert_quant_points(graph, act_bits, weight_bits, *, ema_momentum=0.99,
     new_layers = []
     last_name = graph.layers[-1].name
     for layer in graph.layers:
-        layer = graph_mod.copy_layer(layer)
+        layer = copy.deepcopy(layer)
         if layer.kind == "add_junction":
             a, b = layer.params
             layer.params = (renames.get(a, a), renames.get(b, b))

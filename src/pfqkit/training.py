@@ -11,14 +11,13 @@ decayed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from .data import iter_batches
 from .engine import evaluate, loss_and_grads
-from .graph import CONV_LIKE, copy_graph
+from .graph import CONV_LIKE, copy_graph, write_csv
 
 
 class TrainingDiverged(RuntimeError):
@@ -92,23 +91,18 @@ class EpochMetrics:
 
 
 def metrics_to_csv(metrics, path):
-    lines = ["epoch,lr,train_loss,val_acc,test_acc"]
-    for m in metrics:
-        val = "" if m.val_acc is None else repr(m.val_acc)
-        test = "" if m.test_acc is None else repr(m.test_acc)
-        lines.append(f"{m.epoch},{m.lr!r},{m.train_loss!r},{val},{test}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv([("epoch", "lr", "train_loss", "val_acc", "test_acc"), *map(astuple, metrics)],
+              path)
 
 
 def train_epochs(graph, data, schedule, optimizer, *, epochs, batch_size=16, seed=0,
-                 stop=None, update_ranges=True, range_update_epochs=None,
-                 bn_stats_log=None):
+                 stop=None, range_update_epochs=None, bn_stats_log=None):
     """Train a copy of the graph for up to `epochs` epochs.
 
     data is a DataBundle; batches are drawn from its train split in a
-    seed-derived order that changes each epoch. update_ranges controls
-    whether enabled activation quant points fold observations into their EMA;
-    range_update_epochs limits that to the first k epochs. bn_stats_log, if
+    seed-derived order that changes each epoch. Enabled activation quant
+    points fold each batch's observed range into their EMA, in the first
+    range_update_epochs epochs only when that is given. bn_stats_log, if
     given, collects (layer, BatchStats) tuples for every BN update so the
     running-statistic recurrences can be replayed externally.
 
@@ -131,7 +125,7 @@ def train_epochs(graph, data, schedule, optimizer, *, epochs, batch_size=16, see
     metrics = []
     for epoch in range(epochs):
         lr = lr_at(schedule, epoch)
-        ranges_on = update_ranges and (range_update_epochs is None or epoch < range_update_epochs)
+        ranges_on = range_update_epochs is None or epoch < range_update_epochs
         losses = []
         order_rng = np.random.default_rng((seed, epoch))
         for bx, by in iter_batches(data.train_images, data.train_labels, batch_size, order_rng):

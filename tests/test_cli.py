@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pfqkit
@@ -129,6 +130,52 @@ class TestConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(path)
+
+
+def _cifar10_file(path, labels):
+    """A CIFAR-10 binary batch: per record a label byte, then 3072 pixel
+    bytes, all 10 * label + index (the record's index in labels)."""
+    path.write_bytes(b"".join(bytes([label]) + bytes([10 * label + i]) * 3072
+                              for i, label in enumerate(labels)))
+    return str(path)
+
+
+class TestCifarData:
+    def _cfg(self, train_files, test_files=(), kind="cifar"):
+        return load_config(overrides=[
+            f"data.kind={kind}", f"data.train_files={json.dumps(train_files)}",
+            f"data.test_files={json.dumps(list(test_files))}", "split.per_class=1"])
+
+    def test_train_files_concatenate_and_split(self, tmp_path):
+        """Two train files are read in order and concatenated, then one image
+        per class is moved to the validation split; the test file is the
+        test split."""
+        a = _cifar10_file(tmp_path / "a.bin", range(10))
+        b = _cifar10_file(tmp_path / "b.bin", [3, 1, 4, 1, 5])
+        test = _cifar10_file(tmp_path / "test.bin", [9, 2])
+        data = _build_data(self._cfg([a, b], [test]))
+        assert data.train_images.shape == (5, 3, 32, 32) and data.val_images.shape[0] == 10
+        assert sorted(data.val_labels) == list(range(10))
+        pixels = np.concatenate([data.train_images, data.val_images])[:, 0, 0, 0] * 255
+        labels = np.concatenate([data.train_labels, data.val_labels])
+        assert sorted(zip(np.rint(pixels).astype(int).tolist(), labels.tolist())) == sorted(
+            [(10 * label + i, label) for i, label in enumerate(range(10))]
+            + [(10 * label + i, label) for i, label in enumerate([3, 1, 4, 1, 5])])
+        assert data.test_labels.tolist() == [9, 2]
+        assert np.rint(data.test_images[:, :, 0, 0] * 255).tolist() == [[90] * 3, [21] * 3]
+
+    def test_without_test_files_there_is_no_test_split(self, tmp_path):
+        a = _cifar10_file(tmp_path / "a.bin", range(10))
+        data = _build_data(self._cfg([a]))
+        assert data.test_images is None and len(data.val_images) == 10
+
+    def test_empty_train_files_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="^config: data.train_files is empty$"):
+            _build_data(self._cfg([]))
+
+    def test_unknown_data_kind_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="^config: unknown data.kind 'imagenet'$"):
+            _build_data(self._cfg([], kind="imagenet"))
 
 
 class TestTrain:

@@ -88,6 +88,17 @@ class TestDatasetChecks:
                     labels=np.zeros(3, dtype=np.int64), class_count=2)
 
 
+    def test_rejects_images_without_a_channel_axis(self):
+        with pytest.raises(DataFormatError, match=r"^images must be \(N, C, H, W\)$"):
+            Dataset(images=np.zeros((2, 2, 2), dtype=np.float32),
+                    labels=np.zeros(2, dtype=np.int64), class_count=2)
+
+    def test_rejects_a_label_at_class_count(self):
+        with pytest.raises(DataFormatError, match=r"^labels must lie in \[0, class_count\)$"):
+            Dataset(images=np.zeros((2, 1, 2, 2), dtype=np.float32),
+                    labels=np.array([0, 2], dtype=np.int64), class_count=2)
+
+
 class TestSplit:
     def test_counts_per_class(self):
         ds = make_synthetic(4, 10, seed=1)

@@ -18,6 +18,7 @@ graph version, which follows every change of the layers, weights, bias,
 points, geometry, input shape and dtype and which training never touches.
 """
 
+import copy
 import json
 import re
 import tracemalloc
@@ -30,8 +31,8 @@ from pfqkit import engine, quantization
 from pfqkit import tensor_ops as T
 from pfqkit.batchnorm import init_bn
 from pfqkit.engine import backward_graph, forward_graph, loss_and_grads, run_inference
-from pfqkit.graph import (AffineParams, LayerSpec, ModelGraph, copy_graph, copy_layer,
-                          fold_bn_graph, infer_shapes, load_model, save_model)
+from pfqkit.graph import (AffineParams, LayerSpec, ModelGraph, copy_graph, fold_bn_graph,
+                          infer_shapes, load_model, save_model)
 from pfqkit.models import BUILDERS, build_ds_convnet, build_small_convnet
 from pfqkit.quantization import (QuantConfig, QuantPoint, QuantRangeError, act_point_applies,
                                  insert_quant_points)
@@ -84,7 +85,8 @@ def test_run_inference_equals_full_trace_folded_4bit():
 # --- slabs ---------------------------------------------------------------------
 
 def _slab(graph, dtype):
-    return engine.SLAB_BYTES // (graph.widest * np.dtype(dtype).itemsize)
+    widest = max(int(np.prod(s)) for s in infer_shapes(graph).values())
+    return engine.SLAB_BYTES // (widest * np.dtype(dtype).itemsize)
 
 
 def _batch_sizes(monkeypatch):
@@ -111,8 +113,6 @@ def test_slabs_change_no_byte(name, dtype, monkeypatch):
     net = BUILDERS[name](seed=6, dtype=dtype)
     q = _calibrated_4bit(net, fold=name != "residual_net")
     assert all(act_point_applies(l.params) for l in q.layers if l.kind == "quant_point")
-    shapes = infer_shapes(q)
-    assert q.widest == max(int(np.prod(s)) for s in shapes.values())
     slab = _slab(q, dtype)
     assert slab > 1
     x = _batch(q, n=3 * slab + 5, seed=8).astype(dtype)
@@ -248,9 +248,10 @@ def _counting_checks(monkeypatch):
 @pytest.mark.parametrize("name", sorted(QUANTIZED_NETS))
 @pytest.mark.parametrize("keep_outputs", [False, True])
 def test_only_unquantized_inputs_are_checked(name, keep_outputs, monkeypatch):
-    """Every conv-like layer checks its weights (and bias) when it prepares,
-    which an inference pass does once per plan: the first pass compiles it
-    and the second runs it as it stands. Only the stem checks its input, on
+    """Every conv-like layer checks its master weights before its weight
+    point derives their range, then the quantized weights (and bias) when
+    it prepares, which an inference pass does once per plan: the first pass
+    compiles it and the second runs it as it stands. Only the stem checks its input, on
     every pass, since every other one reads an applying activation point
     (or, in residual_net, a junction, whose sum is checked)."""
     net = QUANTIZED_NETS[name]()
@@ -267,8 +268,8 @@ def test_only_unquantized_inputs_are_checked(name, keep_outputs, monkeypatch):
         weight_checks = [op for op, arrays in checks if "weights" in arrays]
         x_checks = [op for op, arrays in checks if arrays == ["x"]]
         assert len(checks) == len(weight_checks) + len(x_checks)
-        assert weight_checks == ([OP_NAMES[layers[i].kind] for i in weighted] if first_pass
-                                 else [])
+        assert weight_checks == ([OP_NAMES[layers[i].kind] for i in weighted for _ in range(2)]
+                                 if first_pass else [])
         assert x_checks == [OP_NAMES[layers[i].kind] for i in checked_x]
 
 
@@ -421,6 +422,63 @@ def test_a_bias_that_overflows_a_conv_behind_a_point_is_checked_after(run):
     with np.errstate(over="ignore"), \
             pytest.raises(ValueError, match="^quantize: non-finite values in x$"):
         run(net, x)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("name", ["stem", "dw2", "pw2", "fc"])
+def test_non_finite_master_weights_behind_a_weight_point_are_named(name, value):
+    """An enabled weight point derives its range from the master weights, so
+    a nan or an infinity there raises the op's own non-finite ValueError in
+    training and in inference, as the layer does unquantized, and
+    check_weight_ranges names the layer and the non-finite tensor."""
+    net = QUANTIZED_NETS["ds_convnet_folded_4bit"]()
+    layer = net.layer(name)
+    assert layer.weight_quant.enabled
+    w = layer.params.weights.copy()
+    w.flat[3] = value
+    layer.params.weights = w
+    x = _batch(net)
+    labels = np.arange(len(x)) % net.layers[-1].params.weights.shape[1]
+    for run in (run_inference, lambda g, x: loss_and_grads(g, x, labels)):
+        with pytest.raises(ValueError, match=f"^{OP_NAMES[layer.kind]}: non-finite values in "
+                                             "weights$"):
+            run(copy_graph(net), x)
+    with pytest.raises(QuantRangeError, match=f"^layer '{name}': weight tensor holds "
+                                              "non-finite values"):
+        quantization.check_weight_ranges(net)
+
+
+def test_a_non_finite_range_update_names_the_input_and_keeps_the_range():
+    """With conv1's weights at 3e38 its output is +inf, which relu passes;
+    relu1_q's range update raises quantize's non-finite ValueError, and the
+    point keeps its range rather than taking [0, inf]."""
+    net = insert_quant_points(fold_bn_graph(build_small_convnet(seed=3)), 4, 4)
+    conv1 = net.layer("conv1")
+    conv1.params.weights = np.full_like(conv1.params.weights, 3e38)
+    point = net.layer("relu1_q").params
+    cfg = point.cfg
+    with np.errstate(over="ignore"), \
+            pytest.raises(ValueError, match="^quantize: non-finite values in x$"):
+        forward_graph(net, np.ones((2,) + net.input_shape, np.float32), training=True,
+                      update_ranges=True)
+    assert point.cfg is cfg and not cfg.initialized
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "+inf"])
+@pytest.mark.parametrize("initialized", [False, True])
+def test_a_range_update_on_a_non_finite_input_changes_no_range(value, initialized):
+    """A point on the graph input updates its range before anything checks
+    the input: a nan or +inf raises there, and the range stays as it was
+    (a nan range used to pass the input through unquantized)."""
+    cfg = QuantConfig(bits=4, m=0.0, M_up=1.0 if initialized else 0.0, initialized=initialized)
+    net = ModelGraph(layers=[LayerSpec("in_q", "quant_point", QuantPoint("activations", cfg)),
+                             LayerSpec("k", "conv", ConvParams(np.ones((1, 1, 1, 1), np.float32)))],
+                     input_shape=(1, 2, 2))
+    x = np.zeros((1, 1, 2, 2), np.float32)
+    x[0, 0, 1, 1] = value
+    with pytest.raises(ValueError, match="^quantize: non-finite values in x$"):
+        forward_graph(net, x, training=True, update_ranges=True)
+    assert net.layer("in_q").params.cfg is cfg
 
 
 @pytest.mark.parametrize("training", [False, True])
@@ -978,7 +1036,7 @@ def test_copies_and_loads_start_without_a_plan(tmp_path):
     net = _weight_quantized_net()
     run_inference(net, _batch(net))
     assert net.plan is not None
-    assert copy_graph(net).plan is None and not hasattr(copy_layer(net.layers[0]), "plan")
+    assert copy_graph(net).plan is None and not hasattr(copy.deepcopy(net.layers[0]), "plan")
     manifest, _ = save_model(net, tmp_path / "model.json")
     assert load_model(manifest).plan is None
     twin = ModelGraph(layers=net.layers, input_shape=net.input_shape)

@@ -1,6 +1,5 @@
 """Graph validation, shape inference, MAC counting, folding, serialization."""
 
-import dataclasses
 import json
 import re
 
@@ -22,6 +21,7 @@ from pfqkit.graph import (
     param_count,
     range_report_to_csv,
     save_model,
+    write_csv,
 )
 from pfqkit.engine import run_inference
 from pfqkit.models import build, build_residual_net, build_small_convnet
@@ -229,6 +229,14 @@ class TestRangeReport:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "layer,min,max,range"
         assert len(lines) == 3
+
+
+def test_csv_quotes_a_name_that_holds_a_separator(tmp_path):
+    """Every table goes through write_csv: a cell holding a comma, a quote
+    or a newline is quoted, floats are their repr and None is empty."""
+    out = tmp_path / "t.csv"
+    write_csv([("layer", "value"), ("a,b", 0.1), ('say "hi"', None), ("two\nlines", 2)], out)
+    assert out.read_text() == 'layer,value\n"a,b",0.1\n"say ""hi""",\n"two\nlines",2\n'
 
 
 class TestSerialization:
@@ -576,6 +584,37 @@ def _vector_graph():
     ], input_shape=(1, 6, 6))
 
 
+def _shape_error_layers(case):
+    """Layers whose shapes do not chain on a (1, 6, 6) input, per case."""
+    rng = np.random.default_rng(4)
+
+    def f32(*shape):
+        return rng.standard_normal(shape).astype(np.float32)
+
+    conv = LayerSpec("c1", "conv", ConvParams(f32(3, 1, 3, 3)))
+    pool = LayerSpec("p1", "global_avg_pool")
+    return {
+        "conv on a flat input": [pool, conv],
+        "affine on an image": [LayerSpec("fc", "affine", AffineParams(f32(3, 2)))],
+        "affine dimension": [conv, pool, LayerSpec("fc", "affine", AffineParams(f32(4, 2)))],
+        "pool on a flat input": [pool, LayerSpec("p2", "global_avg_pool")],
+        "junction of unequal shapes": [conv, LayerSpec("c2", "conv", ConvParams(f32(3, 3, 3, 3))),
+                                       LayerSpec("j", "add_junction", ("c1", "c2"))],
+    }[case]
+
+
+@pytest.mark.parametrize("case, message", [
+    ("conv on a flat input", "conv 'c1' needs a (C, H, W) input, got (1,)"),
+    ("affine on an image", "affine 'fc' needs a flat input, got (1, 6, 6)"),
+    ("affine dimension", "affine 'fc' expects 4 inputs, gets 3"),
+    ("pool on a flat input", "global_avg_pool 'p2' needs a (C, H, W) input"),
+    ("junction of unequal shapes", "add_junction 'j' joins unequal shapes (3, 4, 4) and (3, 2, 2)"),
+])
+def test_shapes_that_do_not_chain_are_named(case, message):
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        ModelGraph(layers=_shape_error_layers(case), input_shape=(1, 6, 6))
+
+
 f32 = np.float32
 BAD_VECTORS = [("c1", "bias", np.zeros(2, f32), "(2,)", "(3,)"),
                ("d1", "bias", np.zeros(4, f32), "(4,)", "(3,)"),
@@ -654,14 +693,6 @@ def test_float16_and_float64_parameters_are_accepted():
     g.layer("c1").params.weights = g.layer("c1").params.weights.astype(np.float16)
     g.layer("b1").params.gamma = g.layer("b1").params.gamma.astype(np.float64)
     g.validate()
-
-
-def test_widest_is_the_largest_activation_and_not_compared():
-    g = _vector_graph()
-    assert g.widest == max(int(np.prod(shape)) for shape in infer_shapes(g).values()) == 3 * 4 * 4
-    assert ModelGraph(layers=g.layers, input_shape=(1, 8, 8)).widest == 3 * 6 * 6
-    assert [f.name for f in dataclasses.fields(ModelGraph) if f.compare or f.repr or f.init] == [
-        "layers", "input_shape"]
 
 
 BAD_PAIRS = [[], [1], [1, 1, 1], [1.5, 1], [True, 1], ["1", 1]]

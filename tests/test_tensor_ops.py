@@ -377,6 +377,21 @@ class TestDepthwise:
             want = brute_force_conv2d(x, depthwise_as_grouped(w), b, st, pad)
             assert max_rel_err(got, want) < 1e-12, (ks, st, pad, hw)
 
+    @pytest.mark.parametrize("ks, st, pad", [((3, 3), (1, 1), (1, 1)), ((3, 3), (2, 2), (1, 1)),
+                                             ((2, 3), (1, 2), (0, 1))])
+    def test_without_input_grad_only_grad_x_is_skipped(self, ks, st, pad):
+        """input_grad=False returns no input gradient and the weight and bias
+        gradients of the full call, byte for byte."""
+        rng = np.random.default_rng(41)
+        x = rng.standard_normal((2, 3, 7, 6)).astype(np.float32)
+        w = rng.standard_normal((3, 1) + ks).astype(np.float32)
+        g = rng.standard_normal(depthwise_conv2d_forward(x, w, None, st, pad).shape)
+        g = g.astype(np.float32)
+        gx, gw, gb = depthwise_conv2d_backward(g, x, w, st, pad)
+        skipped, gw2, gb2 = depthwise_conv2d_backward(g, x, w, st, pad, input_grad=False)
+        assert gx is not None and skipped is None
+        assert gw2.tobytes() == gw.tobytes() and gb2.tobytes() == gb.tobytes()
+
     def test_grad_matches_finite_differences(self):
         rng = np.random.default_rng(39)
         cases = []

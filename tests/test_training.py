@@ -231,6 +231,16 @@ class TestEarlyStop:
                          epochs=1, seed=0,
                          stop=EarlyStopPolicy(mode="accuracy_drop"))
 
+    @pytest.mark.parametrize("val", ["none", "empty"])
+    def test_accuracy_drop_without_a_validation_split_rejected(self, val):
+        data = _bundle(seed=17)
+        data.val_images = None if val == "none" else data.val_images[:0]
+        g = build_small_convnet(class_count=3, width=4, seed=5)
+        with pytest.raises(ValueError, match="^accuracy_drop early stop needs a validation split$"):
+            train_epochs(g, data, LRSchedule(0.02, 0, 1), OptimizerState(),
+                         epochs=1, seed=0,
+                         stop=EarlyStopPolicy(mode="accuracy_drop", reference_accuracy=0.5))
+
     def test_unknown_mode_rejected(self):
         data = _bundle(seed=17)
         g = build_small_convnet(class_count=3, width=4, seed=5)
