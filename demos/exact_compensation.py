@@ -15,16 +15,15 @@ import numpy as np
 
 from pfqkit.batchnorm import BNParams
 from pfqkit.engine import run_inference
-from pfqkit.graph import LayerSpec, ModelGraph
+from pfqkit.graph import LayerSpec, ModelGraph, WeightParams
 from pfqkit.pruning import apply_pfq, compute_bias_correction, prune_channels
-from pfqkit.tensor_ops import ConvParams
 
 BETA = 0.42
 
 
 def build_net(rng):
     def conv(name, o, c, k, bias):
-        return LayerSpec(name=name, kind="conv", params=ConvParams(
+        return LayerSpec(name=name, kind="conv", params=WeightParams(
             weights=rng.standard_normal((o, c, k, k)) * 0.4,
             bias=rng.standard_normal(o) * 0.1 if bias else None))
 

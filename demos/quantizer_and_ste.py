@@ -15,10 +15,9 @@ clamp.
 import numpy as np
 
 from pfqkit.engine import backward_graph, forward_graph
-from pfqkit.graph import AffineParams, LayerSpec, ModelGraph
+from pfqkit.graph import LayerSpec, ModelGraph, WeightParams
 from pfqkit.quantization import QuantConfig, insert_quant_points, quantize
 from pfqkit.tensor_ops import (
-    ConvParams,
     affine_backward,
     conv2d_backward,
     conv2d_forward,
@@ -48,12 +47,12 @@ def show_grid():
 def show_gradients():
     rng = np.random.default_rng(77)
     layers = [
-        LayerSpec(name="c1", kind="conv", params=ConvParams(
+        LayerSpec(name="c1", kind="conv", params=WeightParams(
             weights=rng.standard_normal((3, 2, 3, 3)) * 0.4,
             bias=rng.standard_normal(3) * 0.1)),
         LayerSpec(name="r1", kind="relu"),
         LayerSpec(name="p1", kind="global_avg_pool"),
-        LayerSpec(name="fc", kind="affine", params=AffineParams(
+        LayerSpec(name="fc", kind="affine", params=WeightParams(
             weights=rng.standard_normal((3, 4)) * 0.4,
             bias=rng.standard_normal(4) * 0.1)),
     ]

@@ -15,7 +15,7 @@ _EXPORTS = {
     "data": ("DataBundle", "Dataset", "bundle_from_datasets", "iter_batches",
              "load_cifar_binary", "make_synthetic", "split_validation"),
     "engine": ("backward_graph", "evaluate", "forward_graph", "loss_and_grads", "run_inference"),
-    "graph": ("AffineParams", "GraphError", "LayerSpec", "ModelGraph", "ModelFormatError",
+    "graph": ("GraphError", "LayerSpec", "ModelGraph", "ModelFormatError", "WeightParams",
               "copy_graph", "count_macs", "dynamic_range_report", "fold_bn_graph",
               "infer_shapes", "load_model", "param_count", "save_model"),
     "models": ("build", "build_ds_convnet", "build_residual_net", "build_small_convnet"),
@@ -23,9 +23,9 @@ _EXPORTS = {
                 "compute_bias_correction", "prune_channels", "scan_candidates"),
     "quantization": ("QuantConfig", "QuantPoint", "insert_quant_points", "quantize",
                      "quantize_backward", "set_quant_enabled", "update_activation_range"),
-    "tensor_ops": ("ConvParams", "DepthwiseConvParams", "affine_forward", "conv2d_forward",
-                   "depthwise_conv2d_forward", "global_avg_pool_forward", "relu_forward",
-                   "relu6_forward", "softmax_cross_entropy"),
+    "tensor_ops": ("affine_forward", "conv2d_forward", "depthwise_conv2d_forward",
+                   "global_avg_pool_forward", "relu_forward", "relu6_forward",
+                   "softmax_cross_entropy"),
     "training": ("EarlyStopPolicy", "EpochMetrics", "LRSchedule", "OptimizerState",
                  "TrainingDiverged", "lr_at", "metrics_to_csv", "sgd_step", "train_epochs"),
     "workflow": ("WorkflowConfig", "WorkflowResult", "run_single_stage_baseline", "run_workflow"),

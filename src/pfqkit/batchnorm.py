@@ -180,9 +180,9 @@ def bn_backward_train(grad_out, cache, out=None):
 def fold_bn(conv, bn):
     """Fold a BN layer into the convolution that feeds it.
 
-    conv is a ConvParams or DepthwiseConvParams; a new params object of the
-    same type is returned, always carrying a bias. Uses the running statistics,
-    so the folded conv reproduces inference-mode conv+BN.
+    conv is the WeightParams of a conv or depthwise conv; a new one is
+    returned, always carrying a bias. Uses the running statistics, so the
+    folded conv reproduces inference-mode conv+BN.
     """
     factor = bn.gamma / np.sqrt(bn.running_var + bn.epsilon)
     out_ch = conv.weights.shape[0]

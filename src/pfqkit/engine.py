@@ -78,16 +78,16 @@ point, and every point behind bounded layers, but not the point after the
 stem, which reads the graph input. Direct op calls check every argument.
 
 Slabs: run_inference runs the batch in slabs of as many images as keep the
-graph's widest per-image layer output (from infer_shapes, once per plan)
-within SLAB_BYTES, so a slab's activations stay in cache across a block's
-elementwise passes. Every layer before the first affine
-computes each image on its own (per-image and per-channel matmuls,
-elementwise passes, per-plane means), so its bytes do not depend on how
-many images share a call. An affine is one matmul over the batch, and BLAS
-rounds a product of one or a few rows differently (numpy runs a 1-row
-product as a gemv), so the first affine and every step after it run once
-on the gathered slabs. run_inference thus gives the bytes of one unslabbed
-pass at every batch size.
+graph's widest per-image layer output, for the per-image input shape the
+plan is compiled for (once per plan), within SLAB_BYTES, so a slab's
+activations stay in cache across a block's elementwise passes. Every layer
+before the first affine computes each image on its own (per-image and
+per-channel matmuls, elementwise passes, per-plane means), so its bytes do
+not depend on how many images share a call. An affine is one matmul over
+the batch, and BLAS rounds a product of one or a few rows differently
+(numpy runs a 1-row product as a gemv), so the first affine and every step
+after it run once on the gathered slabs. run_inference thus gives the bytes
+of one unslabbed pass at every batch size.
 
 Absorption: in a pass that drops outputs in inference mode, a relu or relu6
 whose only reader is an applying activation point with range [m, M] inside
@@ -109,7 +109,7 @@ import numpy as np
 
 from . import tensor_ops as T
 from .batchnorm import bn_backward_train, bn_forward_infer, bn_forward_train
-from .graph import CONV_LIKE, infer_shapes
+from .graph import CONV_LIKE, _shapes
 from .quantization import (act_point_applies, quantize, quantize_backward, quantize_prepare,
                            update_activation_range, weight_range_cfg)
 
@@ -394,7 +394,7 @@ def _compile(graph, x, key):
                 arrays += [a for a in (layer.params.weights, layer.params.bias) if a is not None]
             steps.append([_first_call(layer, steps, len(steps)), own, [layer.name],
                           list(release), None])
-    widest = max(1, *map(math.prod, infer_shapes(graph).values()))
+    widest = max(1, *map(math.prod, _shapes(layers, x.shape[1:]).values()))
     return _Plan(key, tuple(arrays), [a.tobytes() for a in arrays], steps,
                  len(steps) if split is None else split,
                  max(1, SLAB_BYTES // (widest * x.itemsize)))
@@ -550,7 +550,7 @@ def run_inference(graph, x):
 
     Runs the graph's plan. When the batch is wider than one slab, the steps
     before the first affine run on slabs of the batch, as many images as
-    keep the graph's widest layer output (infer_shapes) within SLAB_BYTES,
+    keep the graph's widest layer output on x within SLAB_BYTES,
     and each output still live after them is gathered into a whole-batch
     array; the first affine and the steps after it then run once on those.
     """

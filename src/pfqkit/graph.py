@@ -5,9 +5,19 @@ output of the layer before it, except add_junction, which consumes exactly
 the two earlier layers it names. Shapes are per sample, channel first; the
 batch extent is dynamic.
 
+A layer's kind alone says what its fields mean. Its params are a
+WeightParams for a conv, depthwise conv or affine, a BNParams for a bn, the
+two layer names an add_junction adds and the QuantPoint of a quant_point;
+the other kinds hold none. Only a conv or depthwise conv carries a stride
+and padding, and only a conv, depthwise conv or affine a weight point
+(weight_quant). A quantizer's role follows from its slot: a weight point
+quantizes its layer's weights on their own min/max, a quant_point's point
+the activations that pass it on an EMA range.
+
 Serialization splits a model into a human-readable JSON manifest (structure,
 scalar fields, tensor table with offsets and checksums) and one raw blob of
-little-endian float32 values in manifest order.
+little-endian float32 values in manifest order. Each quantizer record names
+its target and range policy, which the loader checks against its slot.
 """
 
 from __future__ import annotations
@@ -26,13 +36,11 @@ from pathlib import Path
 import numpy as np
 
 from .batchnorm import BNParams, fold_bn
-from .quantization import (ACTIVATION_POLICY, WEIGHT_POLICY, QuantConfig, QuantPoint,
-                           _bits_error)
-from .tensor_ops import ConvParams, DepthwiseConvParams, conv_output_extent
+from .quantization import QuantConfig, QuantPoint, _bits_error
+from .tensor_ops import conv_output_extent
 
 CONV_LIKE = ("conv", "depthwise_conv", "affine")
 KINDS = CONV_LIKE + ("bn", "relu", "relu6", "global_avg_pool", "add_junction", "quant_point")
-_POLICY = {"weights": WEIGHT_POLICY, "activations": ACTIVATION_POLICY}
 
 
 class GraphError(ValueError):
@@ -44,8 +52,11 @@ class ModelFormatError(ValueError):
 
 
 @dataclass
-class AffineParams:
-    """Fully connected weights (in_dim, out_dim) and optional bias."""
+class WeightParams:
+    """Weights and optional bias (out_ch,) of a weighted layer, whose kind
+    gives the weights' layout: (out_ch, in_ch, kh, kw) for a conv,
+    (channels, 1, kh, kw) for a depthwise conv, (in_dim, out_dim) for an
+    affine."""
 
     weights: np.ndarray
     bias: np.ndarray | None = None
@@ -77,10 +88,13 @@ class ModelGraph:
         an input_shape that is not three positive integers, a layer name
         that is not a str, bad structure (a junction that does not name two
         earlier layers), inconsistent shapes, geometry (a stride or padding
-        that is not a pair of integers, or out of range), a malformed
-        quantizer (_check_point), BN statistics or rho, weights of the wrong
-        rank, a parameter that is not a floating-point array, or a parameter
-        vector that is not one entry per output channel."""
+        that is not a pair of integers, or out of range), a field the
+        layer's kind does not carry (a weight point off a conv, depthwise
+        conv or affine; a stride or padding other than (1, 1) and (0, 0) off
+        a conv or depthwise conv), a malformed quantizer (_check_point), BN
+        statistics or rho, weights of the wrong rank, a parameter that is
+        not a floating-point array, or a parameter vector that is not one
+        entry per output channel."""
         if not self.layers:
             raise GraphError("graph has no layers")
         if not (_integers(self.input_shape, 3) and min(self.input_shape) > 0):
@@ -98,9 +112,13 @@ class ModelGraph:
                 if i == 0 or self.layers[i - 1].kind not in CONV_LIKE:
                     raise GraphError(f"bn layer '{layer.name}' must directly follow a conv, depthwise conv, or affine")
                 _check_bn(layer.name, layer.params)
-            if layer.kind in ("conv", "depthwise_conv"):
-                for fieldname in ("stride", "padding"):
-                    _check_pair(layer.name, fieldname, getattr(layer, fieldname))
+            for fieldname, default in (("stride", (1, 1)), ("padding", (0, 0))):
+                value = getattr(layer, fieldname)
+                if layer.kind in ("conv", "depthwise_conv"):
+                    _check_pair(layer.name, fieldname, value)
+                elif not (_integers(value, 2) and tuple(value) == default):
+                    raise GraphError(f"layer '{layer.name}': a {layer.kind} layer takes no "
+                                     f"{fieldname}, got {value!r}")
             if layer.kind == "add_junction":
                 if not (isinstance(layer.params, (tuple, list)) and len(layer.params) == 2
                         and all(isinstance(ref, str) for ref in layer.params)):
@@ -110,10 +128,13 @@ class ModelGraph:
                     if ref not in seen:
                         raise GraphError(f"add_junction '{layer.name}' references '{ref}' "
                                          "which is not an earlier layer")
+            if layer.weight_quant is not None:
+                if layer.kind not in CONV_LIKE:
+                    raise GraphError(f"layer '{layer.name}': a {layer.kind} layer has no "
+                                     "weights to quantize")
+                _check_point(layer.name, layer.weight_quant)
             if layer.kind == "quant_point":
-                _check_point(layer.name, layer.params, "activations")
-            elif layer.weight_quant is not None:
-                _check_point(layer.name, layer.weight_quant, "weights")
+                _check_point(layer.name, layer.params)
             seen.add(layer.name)
         shapes = infer_shapes(self)
         for layer in self.layers:
@@ -129,18 +150,13 @@ class ModelGraph:
         raise KeyError(name)
 
 
-def _check_point(name, point, target):
-    """A quantizer on a layer's weights or activations (target) names that
-    target and its range policy, has bool enabled and initialized flags,
-    bits that are an integer from 1 to 1023 (quantization._bits_error), a
-    range of real numbers, finite with m <= M_up once initialized (a
-    collapsed range, m == M_up, is the documented pass-through), and an EMA
-    momentum in [0, 1]."""
-    cfg, policy = point.cfg, _POLICY[target]
-    if point.target != target or cfg.range_policy != policy:
-        raise GraphError(f"layer '{name}': quantizer of {target} must have target '{target}' "
-                         f"and range_policy '{policy}', got {point.target!r} and "
-                         f"{cfg.range_policy!r}")
+def _check_point(name, point):
+    """A quantizer has bool enabled and initialized flags, bits that are an
+    integer from 1 to 1023 (quantization._bits_error), a range of real
+    numbers, finite with m <= M_up once initialized (a collapsed range,
+    m == M_up, is the documented pass-through), and an EMA momentum in
+    [0, 1]."""
+    cfg = point.cfg
     if not (isinstance(point.enabled, bool) and isinstance(cfg.initialized, bool)):
         raise GraphError(f"layer '{name}': quantizer enabled and initialized must be bools, "
                          f"got {point.enabled!r} and {cfg.initialized!r}")
@@ -225,9 +241,14 @@ def infer_shapes(graph):
     """Per-sample output shape of every layer, in order. Raises GraphError on
     any inconsistency of the layer geometry (parameter vectors are
     ModelGraph.validate's to check)."""
+    return _shapes(graph.layers, graph.input_shape)
+
+
+def _shapes(layers, input_shape):
+    """infer_shapes for layers on inputs of per-sample shape input_shape."""
     shapes = {}
-    prev_shape = tuple(graph.input_shape)
-    for layer in graph.layers:
+    prev_shape = tuple(input_shape)
+    for layer in layers:
         k = layer.kind
         if k in ("conv", "depthwise_conv"):
             if len(prev_shape) != 3:
@@ -384,32 +405,39 @@ _TENSOR_FIELDS = {
     **{kind: ("weights", "bias") for kind in CONV_LIKE},
     "bn": ("gamma", "beta", "running_mean", "running_var"),
 }
-_PARAMS_CLASS = {"conv": ConvParams, "depthwise_conv": DepthwiseConvParams, "affine": AffineParams}
+# A manifest spells each quantizer's role out as its target and range
+# policy; both follow from the slot the point sits in.
+_RANGE_POLICY = {"weights": "weight_minmax_per_tensor", "activations": "activation_ema_minmax"}
 
 
-def _quant_dict(point):
+def _quant_dict(point, target):
     return {
-        "target": point.target,
+        "target": target,
         "enabled": point.enabled,
         "bits": point.cfg.bits,
         "m": float(point.cfg.m),
         "M_up": float(point.cfg.M_up),
-        "range_policy": point.cfg.range_policy,
+        "range_policy": _RANGE_POLICY[target],
         "ema_momentum": float(point.cfg.ema_momentum),
         "initialized": point.cfg.initialized,
     }
 
 
-def _quant_from_dict(d, what):
+def _quant_from_dict(d, what, target):
+    """The quantizer of record d in the slot of a target ("weights" or
+    "activations"); raises ModelFormatError naming what when the record's
+    target and range policy are not that slot's."""
     def get(key):
         return _field(d, key, what)
 
+    role = (get("target"), get("range_policy"))
+    if role != (target, _RANGE_POLICY[target]):
+        raise ModelFormatError(f"{what} has target {role[0]!r} and range_policy {role[1]!r}; "
+                               f"its slot needs '{target}' and '{_RANGE_POLICY[target]}'")
     return QuantPoint(
-        target=get("target"),
         enabled=get("enabled"),
         cfg=QuantConfig(bits=get("bits"), m=get("m"), M_up=get("M_up"),
-                        range_policy=get("range_policy"), ema_momentum=get("ema_momentum"),
-                        initialized=get("initialized")),
+                        ema_momentum=get("ema_momentum"), initialized=get("initialized")),
     )
 
 
@@ -461,14 +489,15 @@ def save_model(graph, manifest_path):
             doc["padding"] = list(layer.padding)
         if layer.kind in CONV_LIKE:
             doc["has_bias"] = layer.params.bias is not None
-            doc["weight_quant"] = _quant_dict(layer.weight_quant) if layer.weight_quant else None
+            point = layer.weight_quant
+            doc["weight_quant"] = _quant_dict(point, "weights") if point else None
         if layer.kind == "bn":
             doc["epsilon"] = float(layer.params.epsilon)
             doc["rho"] = float(layer.params.rho)
         if layer.kind == "add_junction":
             doc["inputs"] = list(layer.params)
         if layer.kind == "quant_point":
-            doc["quant"] = _quant_dict(layer.params)
+            doc["quant"] = _quant_dict(layer.params, "activations")
         for fieldname in _TENSOR_FIELDS.get(layer.kind, ()):
             arr = getattr(layer.params, fieldname)
             if arr is not None:
@@ -562,13 +591,14 @@ def load_model(manifest_path):
             layer.stride = tuple(get("stride", list))
             layer.padding = tuple(get("padding", list))
         if kind in CONV_LIKE:
-            layer.params = _PARAMS_CLASS[kind](
+            layer.params = WeightParams(
                 weights=tensor(name, "weights"),
                 bias=tensor(name, "bias") if get("has_bias", bool) else None,
             )
             point = get("weight_quant")
             if point is not None:
-                layer.weight_quant = _quant_from_dict(point, f"{what} weight quantizer")
+                layer.weight_quant = _quant_from_dict(point, f"{what} weight quantizer",
+                                                      "weights")
         elif kind == "bn":
             layer.params = BNParams(
                 gamma=tensor(name, "gamma"),
@@ -581,7 +611,7 @@ def load_model(manifest_path):
         elif kind == "add_junction":
             layer.params = tuple(get("inputs", list))
         elif kind == "quant_point":
-            layer.params = _quant_from_dict(get("quant"), f"{what} quantizer")
+            layer.params = _quant_from_dict(get("quant"), f"{what} quantizer", "activations")
         layers.append(layer)
     try:
         graph = ModelGraph(layers=layers, input_shape=input_shape)

@@ -13,8 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .batchnorm import init_bn
-from .graph import AffineParams, LayerSpec, ModelGraph
-from .tensor_ops import ConvParams, DepthwiseConvParams
+from .graph import LayerSpec, ModelGraph, WeightParams
 
 
 def _he(rng, shape, fan_in, dtype):
@@ -31,14 +30,14 @@ def build_small_convnet(input_shape=(3, 8, 8), class_count=4, width=8, seed=0,
     w2 = _he(rng, (width, width, 3, 3), width * 9, dtype)
     wf = _he(rng, (width, class_count), width, dtype)
     layers = [
-        LayerSpec("conv1", "conv", ConvParams(w1), stride=(1, 1), padding=(1, 1)),
+        LayerSpec("conv1", "conv", WeightParams(w1), stride=(1, 1), padding=(1, 1)),
         LayerSpec("bn1", "bn", init_bn(width, bn_epsilon, bn_rho, dtype)),
         LayerSpec("relu1", "relu"),
-        LayerSpec("conv2", "conv", ConvParams(w2), stride=(1, 1), padding=(1, 1)),
+        LayerSpec("conv2", "conv", WeightParams(w2), stride=(1, 1), padding=(1, 1)),
         LayerSpec("bn2", "bn", init_bn(width, bn_epsilon, bn_rho, dtype)),
         LayerSpec("relu2", "relu"),
         LayerSpec("pool", "global_avg_pool"),
-        LayerSpec("fc", "affine", AffineParams(wf, np.zeros(class_count, dtype=dtype))),
+        LayerSpec("fc", "affine", WeightParams(wf, np.zeros(class_count, dtype=dtype))),
     ]
     return ModelGraph(layers=layers, input_shape=tuple(input_shape))
 
@@ -54,7 +53,7 @@ def build_ds_convnet(input_shape=(3, 16, 16), class_count=4, width=8, blocks=6, 
     stem = _he(rng, (width, c0, 3, 3), c0 * 9, dtype)
     stem[:dead_stem_filters] = 0.0
     layers = [
-        LayerSpec("stem", "conv", ConvParams(stem), stride=(1, 1), padding=(1, 1)),
+        LayerSpec("stem", "conv", WeightParams(stem), stride=(1, 1), padding=(1, 1)),
         LayerSpec("stem_bn", "bn", init_bn(width, bn_epsilon, bn_rho, dtype)),
         LayerSpec("stem_act", "relu6"),
     ]
@@ -63,7 +62,7 @@ def build_ds_convnet(input_shape=(3, 16, 16), class_count=4, width=8, blocks=6, 
         stride = (2, 2) if b in (2, 4) else (1, 1)
         dw = _he(rng, (ch, 1, 3, 3), 9, dtype)
         layers += [
-            LayerSpec(f"dw{b}", "depthwise_conv", DepthwiseConvParams(dw),
+            LayerSpec(f"dw{b}", "depthwise_conv", WeightParams(dw),
                       stride=stride, padding=(1, 1)),
             LayerSpec(f"dw{b}_bn", "bn", init_bn(ch, bn_epsilon, bn_rho, dtype)),
             LayerSpec(f"dw{b}_act", "relu6"),
@@ -71,14 +70,14 @@ def build_ds_convnet(input_shape=(3, 16, 16), class_count=4, width=8, blocks=6, 
         out_ch = width * 2 if b >= blocks // 2 else width
         pw = _he(rng, (out_ch, ch, 1, 1), ch, dtype)
         layers += [
-            LayerSpec(f"pw{b}", "conv", ConvParams(pw), stride=(1, 1), padding=(0, 0)),
+            LayerSpec(f"pw{b}", "conv", WeightParams(pw), stride=(1, 1), padding=(0, 0)),
             LayerSpec(f"pw{b}_bn", "bn", init_bn(out_ch, bn_epsilon, bn_rho, dtype)),
             LayerSpec(f"pw{b}_act", "relu6"),
         ]
         ch = out_ch
     layers += [
         LayerSpec("pool", "global_avg_pool"),
-        LayerSpec("fc", "affine", AffineParams(
+        LayerSpec("fc", "affine", WeightParams(
             _he(rng, (ch, class_count), ch, dtype), np.zeros(class_count, dtype=dtype))),
     ]
     return ModelGraph(layers=layers, input_shape=tuple(input_shape))
@@ -90,21 +89,21 @@ def build_residual_net(input_shape=(3, 8, 8), class_count=4, width=8, seed=0,
     rng = np.random.default_rng(seed)
     c0 = input_shape[0]
     layers = [
-        LayerSpec("stem", "conv", ConvParams(_he(rng, (width, c0, 3, 3), c0 * 9, dtype)),
+        LayerSpec("stem", "conv", WeightParams(_he(rng, (width, c0, 3, 3), c0 * 9, dtype)),
                   stride=(1, 1), padding=(1, 1)),
         LayerSpec("stem_bn", "bn", init_bn(width, bn_epsilon, bn_rho, dtype)),
         LayerSpec("stem_act", "relu"),
-        LayerSpec("conv_a", "conv", ConvParams(_he(rng, (width, width, 3, 3), width * 9, dtype)),
+        LayerSpec("conv_a", "conv", WeightParams(_he(rng, (width, width, 3, 3), width * 9, dtype)),
                   stride=(1, 1), padding=(1, 1)),
         LayerSpec("bn_a", "bn", init_bn(width, bn_epsilon, bn_rho, dtype)),
         LayerSpec("act_a", "relu"),
-        LayerSpec("conv_b", "conv", ConvParams(_he(rng, (width, width, 3, 3), width * 9, dtype)),
+        LayerSpec("conv_b", "conv", WeightParams(_he(rng, (width, width, 3, 3), width * 9, dtype)),
                   stride=(1, 1), padding=(1, 1)),
         LayerSpec("bn_b", "bn", init_bn(width, bn_epsilon, bn_rho, dtype)),
         LayerSpec("join", "add_junction", ("stem_act", "bn_b")),
         LayerSpec("act_out", "relu"),
         LayerSpec("pool", "global_avg_pool"),
-        LayerSpec("fc", "affine", AffineParams(
+        LayerSpec("fc", "affine", WeightParams(
             _he(rng, (width, class_count), width, dtype), np.zeros(class_count, dtype=dtype))),
     ]
     return ModelGraph(layers=layers, input_shape=tuple(input_shape))

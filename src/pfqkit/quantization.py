@@ -30,12 +30,14 @@ bounded input): once per plan in inference, once per call in training.
 Direct calls check on every call. The engine relies on the bound: a conv
 that reads an activation point's output does not check it again.
 
-Two range policies exist. Weight tensors use their own min/max, derived
-again whenever the weights change: a training forward quantizes them on
-every call, and inference keeps the quantized tensor in the graph's plan
-while the weight array keeps its bytes and the point its bits. Activation
-ranges are tracked as an exponential moving average of observed batch
-min/max and frozen outside of training.
+A point's role follows from its slot, and so does its range policy. The
+point on a layer's weights (LayerSpec.weight_quant) uses the tensor's own
+min/max, derived again whenever the weights change: a training forward
+quantizes them on every call, and inference keeps the quantized tensor in
+the graph's plan while the weight array keeps its bytes and the point its
+bits. The point of a quant_point layer tracks its activation range as an
+exponential moving average of observed batch min/max, frozen outside of
+training.
 
 quantize and quantize_backward write into out= when handed one (it may be
 an input): quantize only when out has the dtype it would compute in, so the
@@ -56,9 +58,6 @@ import numpy as np
 
 from .tensor_ops import ensure_finite
 
-WEIGHT_POLICY = "weight_minmax_per_tensor"
-ACTIVATION_POLICY = "activation_ema_minmax"
-
 
 class QuantRangeError(ValueError):
     pass
@@ -69,7 +68,6 @@ class QuantConfig:
     bits: int
     m: float = 0.0
     M_up: float = 0.0
-    range_policy: str = ACTIVATION_POLICY
     ema_momentum: float = 0.99
     initialized: bool = False
 
@@ -80,13 +78,10 @@ class QuantConfig:
 
 @dataclass
 class QuantPoint:
-    """Attachment of a quantizer to a graph location.
+    """A quantizer as a graph holds it: on a conv, depthwise conv or affine
+    layer's weights (LayerSpec.weight_quant), or on the activations that
+    pass a quant_point layer (its params)."""
 
-    target is "weights" (annotates a conv/depthwise/affine layer) or
-    "activations" (a standalone pass-through layer).
-    """
-
-    target: str
     cfg: QuantConfig
     enabled: bool = True
 
@@ -189,7 +184,7 @@ def weight_range_cfg(weights, bits):
         raise QuantRangeError("weight tensor holds non-finite values, cannot derive a range")
     if not hi > lo:
         raise QuantRangeError("weight tensor has zero spread, cannot derive a range")
-    return QuantConfig(bits=bits, m=lo, M_up=hi, range_policy=WEIGHT_POLICY, initialized=True)
+    return QuantConfig(bits=bits, m=lo, M_up=hi, initialized=True)
 
 
 def check_weight_ranges(graph):
@@ -252,20 +247,12 @@ def insert_quant_points(graph, act_bits, weight_bits, *, ema_momentum=0.99,
             a, b = layer.params
             layer.params = (renames.get(a, a), renames.get(b, b))
         if layer.kind in graph_mod.CONV_LIKE:
-            layer.weight_quant = QuantPoint(
-                target="weights",
-                cfg=QuantConfig(bits=weight_bits, range_policy=WEIGHT_POLICY),
-                enabled=weight_enabled,
-            )
+            layer.weight_quant = QuantPoint(QuantConfig(bits=weight_bits), enabled=weight_enabled)
         new_layers.append(layer)
         if layer.kind in ("relu", "relu6", "global_avg_pool") and layer.name != last_name:
             qp_name = f"{layer.name}_q"
-            point = QuantPoint(
-                target="activations",
-                cfg=QuantConfig(bits=act_bits, range_policy=ACTIVATION_POLICY,
-                                ema_momentum=ema_momentum),
-                enabled=act_enabled,
-            )
+            point = QuantPoint(QuantConfig(bits=act_bits, ema_momentum=ema_momentum),
+                               enabled=act_enabled)
             new_layers.append(graph_mod.LayerSpec(name=qp_name, kind="quant_point", params=point))
             renames[layer.name] = qp_name
     return graph_mod.ModelGraph(layers=new_layers, input_shape=graph.input_shape)

@@ -62,10 +62,7 @@ dot is not finite (_finite), so it raises on exactly the inputs the
 elementwise test rejects.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -73,22 +70,6 @@ import numpy as np
 
 class ShapeError(ValueError):
     pass
-
-
-@dataclass
-class ConvParams:
-    """Full convolution weights (out_ch, in_ch, kh, kw) and optional bias."""
-
-    weights: np.ndarray
-    bias: np.ndarray | None = None
-
-
-@dataclass
-class DepthwiseConvParams:
-    """Per-channel convolution weights (channels, 1, kh, kw) and optional bias."""
-
-    weights: np.ndarray
-    bias: np.ndarray | None = None
 
 
 def ensure_finite(op, **arrays):

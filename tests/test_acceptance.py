@@ -24,9 +24,9 @@ from pfqkit.batchnorm import BNParams, bn_forward_infer, fold_bn
 from pfqkit.data import bundle_from_datasets, make_synthetic, split_validation
 from pfqkit.engine import backward_graph, evaluate, forward_graph, run_inference
 from pfqkit.graph import (
-    AffineParams,
     LayerSpec,
     ModelGraph,
+    WeightParams,
     count_macs,
     dynamic_range_report,
     fold_bn_graph,
@@ -41,8 +41,6 @@ from pfqkit.pruning import (
 )
 from pfqkit.quantization import QuantConfig, insert_quant_points, quantize
 from pfqkit.tensor_ops import (
-    ConvParams,
-    DepthwiseConvParams,
     affine_backward,
     conv2d_backward,
     conv2d_forward,
@@ -75,7 +73,7 @@ def _bn(rng, channels):
 
 
 def _conv(rng, name, o, c, k, bias=False, **kw):
-    return LayerSpec(name=name, kind="conv", params=ConvParams(
+    return LayerSpec(name=name, kind="conv", params=WeightParams(
         weights=rng.standard_normal((o, c, k, k)) * 0.4,
         bias=rng.standard_normal(o) * 0.1 if bias else None), **kw)
 
@@ -122,7 +120,7 @@ def test_fold_equivalence():
         pad = int(rng.choice([0, 1]))
         h = int(rng.integers(5, 10))
         w = int(rng.integers(5, 10))
-        conv = ConvParams(
+        conv = WeightParams(
             weights=rng.standard_normal((cout, cin, k, k)).astype(np.float32),
             bias=(rng.standard_normal(cout).astype(np.float32)
                   if rng.random() < 0.5 else None))
@@ -175,7 +173,7 @@ def test_constant_channel_prune_exactness():
             LayerSpec(name="b1", kind="bn", params=_bn(rng, 3)),
             LayerSpec(name="r1", kind="relu"),
             LayerSpec(name="p1", kind="global_avg_pool"),
-            LayerSpec(name="fc", kind="affine", params=AffineParams(
+            LayerSpec(name="fc", kind="affine", params=WeightParams(
                 weights=rng.standard_normal((3, 5)) * 0.4,
                 bias=rng.standard_normal(5) * 0.1)),
         ], input_shape=(2, 8, 8))
@@ -185,7 +183,7 @@ def test_constant_channel_prune_exactness():
             _conv(rng, "c1", 3, 2, 3),
             LayerSpec(name="b1", kind="bn", params=_bn(rng, 3)),
             LayerSpec(name="r1", kind="relu6"),
-            LayerSpec(name="d1", kind="depthwise_conv", params=DepthwiseConvParams(
+            LayerSpec(name="d1", kind="depthwise_conv", params=WeightParams(
                 weights=rng.standard_normal((3, 1, 3, 3)) * 0.4, bias=None)),
             LayerSpec(name="bd", kind="bn", params=_bn(rng, 3)),
             LayerSpec(name="rd", kind="relu6"),
@@ -290,7 +288,7 @@ def test_straight_through_gradient_contract():
         _conv(rng, "c1", 3, 2, 3, bias=True),
         LayerSpec(name="r1", kind="relu"),
         LayerSpec(name="p1", kind="global_avg_pool"),
-        LayerSpec(name="fc", kind="affine", params=AffineParams(
+        LayerSpec(name="fc", kind="affine", params=WeightParams(
             weights=rng.standard_normal((3, 4)) * 0.4,
             bias=rng.standard_normal(4) * 0.1)),
     ]

@@ -11,7 +11,8 @@ from pfqkit.batchnorm import (
     fold_bn,
     init_bn,
 )
-from pfqkit.tensor_ops import ConvParams, ShapeError, conv2d_forward
+from pfqkit.graph import WeightParams
+from pfqkit.tensor_ops import ShapeError, conv2d_forward
 
 from oracles import max_rel_err, numeric_grad, reference_bn_train, replay_running_stats
 
@@ -269,7 +270,7 @@ class TestFold:
     def test_hand_value(self):
         # factor = 0.5 / sqrt(0.04) = 2.5; w_hat = 2.5*2 = 5,
         # b_hat = 2.5*1 + 0.25 - 2.5*3 = -4.75
-        conv = ConvParams(weights=np.full((1, 1, 1, 1), 2.0), bias=np.array([1.0]))
+        conv = WeightParams(weights=np.full((1, 1, 1, 1), 2.0), bias=np.array([1.0]))
         bn = _params([0.5], [0.25], [3.0], [0.04 - 1e-5])
         folded = fold_bn(conv, bn)
         assert abs(folded.weights[0, 0, 0, 0] - 5.0) < 1e-12
@@ -286,19 +287,19 @@ class TestFold:
             bn = _params(rng.uniform(0.2, 2.0, co), rng.standard_normal(co),
                          rng.standard_normal(co), rng.uniform(0.05, 3.0, co))
             two_step = bn_forward_infer(conv2d_forward(x, w, b), bn)
-            folded = fold_bn(ConvParams(w, b), bn)
+            folded = fold_bn(WeightParams(w, b), bn)
             one_step = conv2d_forward(x, folded.weights, folded.bias)
             assert max_rel_err(one_step, two_step) < 1e-12
 
     def test_biasless_conv_gets_bias(self):
-        conv = ConvParams(weights=np.ones((2, 1, 1, 1)), bias=None)
+        conv = WeightParams(weights=np.ones((2, 1, 1, 1)), bias=None)
         bn = _params([1.0, 1.0], [0.5, -0.5], [0.0, 0.0], [1.0 - 1e-5, 1.0 - 1e-5])
         folded = fold_bn(conv, bn)
         assert folded.bias is not None
         assert np.allclose(folded.bias, [0.5, -0.5])
 
     def test_channel_mismatch_rejected(self):
-        conv = ConvParams(weights=np.ones((2, 1, 1, 1)), bias=None)
+        conv = WeightParams(weights=np.ones((2, 1, 1, 1)), bias=None)
         bn = _params([1.0], [0.0], [0.0], [1.0])
         with pytest.raises(ShapeError):
             fold_bn(conv, bn)

@@ -31,12 +31,11 @@ from pfqkit import engine, quantization
 from pfqkit import tensor_ops as T
 from pfqkit.batchnorm import init_bn
 from pfqkit.engine import backward_graph, forward_graph, loss_and_grads, run_inference
-from pfqkit.graph import (AffineParams, LayerSpec, ModelGraph, copy_graph, fold_bn_graph,
+from pfqkit.graph import (LayerSpec, ModelGraph, WeightParams, copy_graph, fold_bn_graph,
                           infer_shapes, load_model, save_model)
 from pfqkit.models import BUILDERS, build_ds_convnet, build_small_convnet
 from pfqkit.quantization import (QuantConfig, QuantPoint, QuantRangeError, act_point_applies,
                                  insert_quant_points)
-from pfqkit.tensor_ops import ConvParams, DepthwiseConvParams
 from pfqkit.training import OptimizerState, sgd_step
 
 CONSUMED = "needs a training-mode trace that has not been consumed"
@@ -134,12 +133,12 @@ def _flat_junction_net():
     features: two outputs outlive the slabs and are gathered."""
     rng = np.random.default_rng(3)
     return ModelGraph(layers=[
-        LayerSpec("conv", "conv", ConvParams(rng.standard_normal((6, 2, 3, 3))), padding=(1, 1)),
+        LayerSpec("conv", "conv", WeightParams(rng.standard_normal((6, 2, 3, 3))), padding=(1, 1)),
         LayerSpec("pool", "global_avg_pool"),
         LayerSpec("fc1", "affine",
-                  AffineParams(rng.standard_normal((6, 6)), rng.standard_normal(6))),
+                  WeightParams(rng.standard_normal((6, 6)), rng.standard_normal(6))),
         LayerSpec("join", "add_junction", ("pool", "fc1")),
-        LayerSpec("fc2", "affine", AffineParams(rng.standard_normal((6, 3)), None)),
+        LayerSpec("fc2", "affine", WeightParams(rng.standard_normal((6, 3)), None)),
     ], input_shape=(2, 64, 64))
 
 
@@ -150,6 +149,21 @@ def test_outputs_read_after_the_slabs_are_gathered(n):
     x = np.random.default_rng(4).standard_normal((n, 2, 64, 64))
     _assert_streams_exactly(net, x)
     assert run_inference(net, x).shape == (n, 3)
+
+
+def test_slabs_are_sized_for_the_input_the_plan_runs_on():
+    """A small_convnet declared (3, 8, 8) and run on 64x64 images sizes its
+    slabs for 64x64 images, so a slab's widest layer output stays within
+    SLAB_BYTES, and the slabbed logits are those of one unslabbed pass."""
+    net = build_small_convnet(seed=2)
+    x = np.random.default_rng(5).standard_normal((300, 3, 64, 64)).astype(np.float32)
+    run_inference(net, x)
+    wide = build_small_convnet(input_shape=(3, 64, 64), seed=2)
+    widest = max(int(np.prod(s)) for s in infer_shapes(wide).values())
+    assert net.plan.slab == 8 and net.plan.slab * widest * x.itemsize <= engine.SLAB_BYTES
+    part = x[:20]  # three slabs
+    whole = forward_graph(net, part, keep_outputs=False).outputs["fc"]
+    assert run_inference(net, part).tobytes() == whole.tobytes()
 
 
 def _evaluate_per_batch(graph, images, labels, batch_size=64):
@@ -401,10 +415,9 @@ def _bias_overflow_net():
     would overflow the float32 norm the bound is computed from, and leave
     the conv unbounded whatever its bias.)"""
     def point(M):
-        return QuantPoint(target="activations",
-                          cfg=QuantConfig(bits=4, m=0.0, M_up=M, initialized=True))
+        return QuantPoint(cfg=QuantConfig(bits=4, m=0.0, M_up=M, initialized=True))
 
-    conv = ConvParams(np.full((1, 1, 1, 1), 1.6e19, np.float32), np.full(1, 2e38, np.float32))
+    conv = WeightParams(np.full((1, 1, 1, 1), 1.6e19, np.float32), np.full(1, 2e38, np.float32))
     return ModelGraph(layers=[LayerSpec("in_q", "quant_point", point(1e19)),
                               LayerSpec("k", "conv", conv),
                               LayerSpec("out_q", "quant_point", point(1.0))],
@@ -471,8 +484,8 @@ def test_a_range_update_on_a_non_finite_input_changes_no_range(value, initialize
     the input: a nan or +inf raises there, and the range stays as it was
     (a nan range used to pass the input through unquantized)."""
     cfg = QuantConfig(bits=4, m=0.0, M_up=1.0 if initialized else 0.0, initialized=initialized)
-    net = ModelGraph(layers=[LayerSpec("in_q", "quant_point", QuantPoint("activations", cfg)),
-                             LayerSpec("k", "conv", ConvParams(np.ones((1, 1, 1, 1), np.float32)))],
+    net = ModelGraph(layers=[LayerSpec("in_q", "quant_point", QuantPoint(cfg)),
+                             LayerSpec("k", "conv", WeightParams(np.ones((1, 1, 1, 1), np.float32)))],
                      input_shape=(1, 2, 2))
     x = np.zeros((1, 1, 2, 2), np.float32)
     x[0, 0, 1, 1] = value
@@ -522,12 +535,12 @@ def test_skipped_checks_change_no_byte_of_a_training_step(name, fold, monkeypatc
 @pytest.mark.parametrize("how", ["disabled", "uninitialized", "collapsed"])
 @pytest.mark.parametrize("kind, op", [("conv", "conv2d"), ("depthwise_conv", "depthwise_conv2d")])
 def test_a_conv_behind_a_pass_through_point_checks_its_input(how, kind, op):
-    point = QuantPoint(target="activations", enabled=how != "disabled",
+    point = QuantPoint(enabled=how != "disabled",
                        cfg=QuantConfig(bits=4, m=0.0, M_up=0.0 if how == "collapsed" else 6.0,
                                        initialized=how != "uninitialized"))
     assert not act_point_applies(point)
-    params = (ConvParams(np.ones((2, 2, 3, 3), np.float32)) if kind == "conv"
-              else DepthwiseConvParams(np.ones((2, 1, 3, 3), np.float32)))
+    params = (WeightParams(np.ones((2, 2, 3, 3), np.float32)) if kind == "conv"
+              else WeightParams(np.ones((2, 1, 3, 3), np.float32)))
     net = ModelGraph(layers=[LayerSpec("in_q", "quant_point", point),
                              LayerSpec("k", kind, params, padding=(1, 1))], input_shape=(2, 4, 4))
     x = np.ones((1, 2, 4, 4), np.float32)
@@ -595,10 +608,10 @@ def _relu_chain():
     """A 1x1 conv (its im2col matrix is a view of the input), DEPTH
     alternating relu/relu6 layers, pooling and an affine, in float64."""
     rng = np.random.default_rng(0)
-    layers = [LayerSpec("conv", "conv", ConvParams(rng.standard_normal((16, 2, 1, 1))))]
+    layers = [LayerSpec("conv", "conv", WeightParams(rng.standard_normal((16, 2, 1, 1))))]
     layers += [LayerSpec(f"act{i}", ("relu", "relu6")[i % 2]) for i in range(DEPTH)]
     layers += [LayerSpec("pool", "global_avg_pool"),
-               LayerSpec("fc", "affine", AffineParams(rng.standard_normal((16, 4)), None))]
+               LayerSpec("fc", "affine", WeightParams(rng.standard_normal((16, 4)), None))]
     return ModelGraph(layers=layers, input_shape=(2, 16, 16))
 
 
@@ -642,7 +655,7 @@ def test_bn_output_dies_at_its_activation():
     cache keeps the BN output alive until backward."""
     rng = np.random.default_rng(2)
     graph = ModelGraph(layers=[
-        LayerSpec("conv", "conv", ConvParams(rng.standard_normal((4, 2, 3, 3)).astype(np.float32)),
+        LayerSpec("conv", "conv", WeightParams(rng.standard_normal((4, 2, 3, 3)).astype(np.float32)),
                   padding=(1, 1)),
         LayerSpec("bn", "bn", init_bn(4)),
         LayerSpec("act", "relu6"),

@@ -8,11 +8,11 @@ import pytest
 
 from pfqkit.batchnorm import init_bn
 from pfqkit.graph import (
-    AffineParams,
     GraphError,
     LayerSpec,
     ModelFormatError,
     ModelGraph,
+    WeightParams,
     count_macs,
     dynamic_range_report,
     fold_bn_graph,
@@ -26,7 +26,6 @@ from pfqkit.graph import (
 from pfqkit.engine import run_inference
 from pfqkit.models import build, build_residual_net, build_small_convnet
 from pfqkit.quantization import insert_quant_points
-from pfqkit.tensor_ops import ConvParams, DepthwiseConvParams
 
 from oracles import max_rel_err
 
@@ -35,7 +34,7 @@ def _conv_layer(name, o, c, k, stride=(1, 1), padding=(0, 0), rng=None, bias=Tru
     rng = rng or np.random.default_rng(0)
     return LayerSpec(
         name=name, kind="conv",
-        params=ConvParams(
+        params=WeightParams(
             weights=rng.standard_normal((o, c, k, k)).astype(np.float32),
             bias=rng.standard_normal(o).astype(np.float32) if bias else None,
         ),
@@ -49,7 +48,7 @@ def _tiny_graph():
     bn = LayerSpec(name="b1", kind="bn", params=init_bn(2))
     act = LayerSpec(name="a1", kind="relu")
     pool = LayerSpec(name="p1", kind="global_avg_pool")
-    fc = LayerSpec(name="fc", kind="affine", params=AffineParams(
+    fc = LayerSpec(name="fc", kind="affine", params=WeightParams(
         weights=rng.standard_normal((2, 3)).astype(np.float32),
         bias=np.zeros(3, dtype=np.float32)))
     return ModelGraph(layers=[conv, bn, act, pool, fc], input_shape=(1, 6, 6))
@@ -111,7 +110,7 @@ def _stem_and(kind, stride=(1, 1), padding=(1, 1)):
         k2 = _conv_layer("k2", 2, 2, 3, stride=stride, padding=padding, rng=rng)
     else:
         k2 = LayerSpec(name="k2", kind="depthwise_conv", stride=stride, padding=padding,
-                       params=DepthwiseConvParams(
+                       params=WeightParams(
                            weights=rng.standard_normal((2, 1, 3, 3)).astype(np.float32)))
     return [_conv_layer("c1", 2, 1, 3, padding=(1, 1), rng=rng), k2]
 
@@ -163,7 +162,7 @@ class TestShapesAndCounts:
     def test_depthwise_macs(self):
         rng = np.random.default_rng(3)
         dw = LayerSpec(name="d1", kind="depthwise_conv",
-                       params=DepthwiseConvParams(
+                       params=WeightParams(
                            weights=rng.standard_normal((4, 1, 3, 3)).astype(np.float32),
                            bias=None))
         g = ModelGraph(layers=[dw], input_shape=(4, 6, 6))
@@ -204,7 +203,7 @@ class TestFoldGraph:
         layers = [
             _conv_layer("c1", 3, 1, 3, rng=rng),
             LayerSpec(name="p", kind="global_avg_pool"),
-            LayerSpec(name="fc", kind="affine", params=AffineParams(
+            LayerSpec(name="fc", kind="affine", params=WeightParams(
                 weights=rng.standard_normal((3, 2)).astype(np.float32), bias=None)),
             LayerSpec(name="b", kind="bn", params=init_bn(2)),
         ]
@@ -500,6 +499,74 @@ def test_weight_point_bits_checked_at_load(tmp_path):
         load_model(path)
 
 
+class TestQuantizerRoleFromSlot:
+    """A quantizer's role is read from the slot it sits in. A saved manifest
+    still spells it out as the record's target and range_policy, and the
+    loader rejects, naming the layer, a record whose role is not its
+    slot's."""
+
+    def test_every_saved_quantizer_names_its_role(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(_initialized_point_graph(), path)
+        layers = json.loads(path.read_text())["layers"]
+        weights = [d["weight_quant"] for d in layers if d["kind"] in ("conv", "affine")]
+        acts = [d["quant"] for d in layers if d["kind"] == "quant_point"]
+        assert len(weights) == len(acts) == 3
+        assert {(q["target"], q["range_policy"]) for q in weights} == {
+            ("weights", "weight_minmax_per_tensor")}
+        assert {(q["target"], q["range_policy"]) for q in acts} == {
+            ("activations", "activation_ema_minmax")}
+
+    @pytest.mark.parametrize("slot, field, value, what", [
+        ("weight_quant", "target", "activations", "layer 'conv1' weight quantizer"),
+        ("weight_quant", "range_policy", "activation_ema_minmax", "layer 'conv1' weight quantizer"),
+        ("quant", "target", "weights", "layer 'relu1_q' quantizer"),
+        ("quant", "range_policy", "weight_minmax_per_tensor", "layer 'relu1_q' quantizer"),
+    ])
+    def test_a_role_that_is_not_the_slots_is_named(self, slot, field, value, what, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(_initialized_point_graph(), path)
+        doc = json.loads(path.read_text())
+        next(d for d in doc["layers"] if d.get(slot))[slot][field] = value
+        with pytest.raises(ModelFormatError, match=f"^{what} has target '.*'; its slot needs "):
+            _load_edited(path, doc)
+
+
+class TestFieldsTheKindDoesNotCarry:
+    """A weight point off a conv, depthwise conv or affine, and a stride or
+    padding other than (1, 1) and (0, 0) off a conv or depthwise conv, fail
+    validation with the layer named. save_model writes neither field for
+    such a layer, so a save and load would drop it, and pruning reads the
+    padding of every layer a constant passes."""
+
+    def test_weight_point_on_an_activation(self):
+        g = insert_quant_points(build_small_convnet(seed=0), 4, 4)
+        g.layer("relu1").weight_quant = g.layer("conv1").weight_quant
+        with pytest.raises(GraphError,
+                           match="^layer 'relu1': a relu layer has no weights to quantize$"):
+            g.validate()
+
+    @pytest.mark.parametrize("field, value", [("stride", (2, 2)), ("padding", (1, 1)),
+                                              ("padding", 0)])
+    def test_stride_or_padding_on_an_activation(self, field, value):
+        g = build_small_convnet(seed=0)
+        setattr(g.layer("relu1"), field, value)
+        with pytest.raises(GraphError,
+                           match=rf"^layer 'relu1': a relu layer takes no {field}, got "):
+            g.validate()
+
+    def test_a_graph_that_validates_keeps_every_field_through_a_save(self, tmp_path):
+        g = insert_quant_points(build_residual_net(seed=0), 4, 8, weight_enabled=True)
+        path = tmp_path / "model.json"
+        save_model(g, path)
+
+        def fields(layer):
+            return (layer.name, layer.kind, tuple(layer.stride), tuple(layer.padding),
+                    layer.weight_quant)
+
+        assert list(map(fields, load_model(path).layers)) == list(map(fields, g.layers))
+
+
 def test_collapsed_and_uninitialized_ranges_still_load(tmp_path):
     g = _initialized_point_graph()
     g.layer("relu1_q").params.cfg.M_up = 0.0  # collapsed: the documented pass-through
@@ -574,13 +641,13 @@ def _vector_graph():
         return rng.standard_normal(shape).astype(np.float32)
 
     return ModelGraph(layers=[
-        LayerSpec("c1", "conv", ConvParams(f32(3, 1, 3, 3), f32(3))),
-        LayerSpec("d1", "depthwise_conv", DepthwiseConvParams(f32(3, 1, 3, 3), f32(3)),
+        LayerSpec("c1", "conv", WeightParams(f32(3, 1, 3, 3), f32(3))),
+        LayerSpec("d1", "depthwise_conv", WeightParams(f32(3, 1, 3, 3), f32(3)),
                   padding=(1, 1)),
         LayerSpec("b1", "bn", init_bn(3)),
         LayerSpec("a1", "relu"),
         LayerSpec("p1", "global_avg_pool"),
-        LayerSpec("fc", "affine", AffineParams(f32(3, 2), f32(2))),
+        LayerSpec("fc", "affine", WeightParams(f32(3, 2), f32(2))),
     ], input_shape=(1, 6, 6))
 
 
@@ -591,14 +658,14 @@ def _shape_error_layers(case):
     def f32(*shape):
         return rng.standard_normal(shape).astype(np.float32)
 
-    conv = LayerSpec("c1", "conv", ConvParams(f32(3, 1, 3, 3)))
+    conv = LayerSpec("c1", "conv", WeightParams(f32(3, 1, 3, 3)))
     pool = LayerSpec("p1", "global_avg_pool")
     return {
         "conv on a flat input": [pool, conv],
-        "affine on an image": [LayerSpec("fc", "affine", AffineParams(f32(3, 2)))],
-        "affine dimension": [conv, pool, LayerSpec("fc", "affine", AffineParams(f32(4, 2)))],
+        "affine on an image": [LayerSpec("fc", "affine", WeightParams(f32(3, 2)))],
+        "affine dimension": [conv, pool, LayerSpec("fc", "affine", WeightParams(f32(4, 2)))],
         "pool on a flat input": [pool, LayerSpec("p2", "global_avg_pool")],
-        "junction of unequal shapes": [conv, LayerSpec("c2", "conv", ConvParams(f32(3, 3, 3, 3))),
+        "junction of unequal shapes": [conv, LayerSpec("c2", "conv", WeightParams(f32(3, 3, 3, 3))),
                                        LayerSpec("j", "add_junction", ("c1", "c2"))],
     }[case]
 

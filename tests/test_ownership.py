@@ -20,12 +20,11 @@ from pfqkit import engine
 from pfqkit import tensor_ops as T
 from pfqkit.batchnorm import bn_backward_train, bn_forward_infer, bn_forward_train, init_bn
 from pfqkit.engine import backward_graph, forward_graph, loss_and_grads, run_inference
-from pfqkit.graph import (AffineParams, LayerSpec, ModelGraph, copy_graph, fold_bn_graph,
+from pfqkit.graph import (LayerSpec, ModelGraph, WeightParams, copy_graph, fold_bn_graph,
                           infer_shapes)
 from pfqkit.models import BUILDERS, build_ds_convnet
 from pfqkit.quantization import (QuantConfig, QuantPoint, insert_quant_points, quantize,
                                  quantize_backward)
-from pfqkit.tensor_ops import ConvParams
 
 # Every op the engine may hand an array to, on the module the engine looks it up in.
 DONATING_OPS = ([(T, op) for op in ("relu_forward", "relu6_forward", "relu_backward",
@@ -70,7 +69,7 @@ def _calibrated(net, x):
 
 
 def _disabled_point():
-    return QuantPoint(target="activations", enabled=False,
+    return QuantPoint(enabled=False,
                       cfg=QuantConfig(bits=4, m=0.0, M_up=6.0, initialized=True))
 
 
@@ -82,7 +81,7 @@ def _shared_relu6_junction():
     rng = np.random.default_rng(3)
 
     def conv(name, o, c):
-        return LayerSpec(name, "conv", ConvParams(
+        return LayerSpec(name, "conv", WeightParams(
             (0.4 * rng.standard_normal((o, c, 3, 3))).astype(np.float32)), padding=(1, 1))
 
     return ModelGraph(layers=[
@@ -92,7 +91,7 @@ def _shared_relu6_junction():
         LayerSpec("join", "add_junction", ("act_a_q", "act")),
         LayerSpec("act_out", "relu6"),
         LayerSpec("pool", "global_avg_pool"),
-        LayerSpec("fc", "affine", AffineParams(rng.standard_normal((4, 3)).astype(np.float32),
+        LayerSpec("fc", "affine", WeightParams(rng.standard_normal((4, 3)).astype(np.float32),
                                                np.zeros(3, np.float32))),
     ], input_shape=(2, 6, 6))
 
@@ -110,8 +109,7 @@ def _nets():
     nets["behind_activations"] = _behind_activations(nets["ds_convnet"])
     # The graph input passes a disabled point and an absorbed relu6 on its way
     # to an applying point, which must not quantize it in place.
-    inside = QuantPoint(target="activations",
-                        cfg=QuantConfig(bits=4, m=0.0, M_up=6.0, initialized=True))
+    inside = QuantPoint(cfg=QuantConfig(bits=4, m=0.0, M_up=6.0, initialized=True))
     lead = [LayerSpec("in_q", "quant_point", _disabled_point()), LayerSpec("lead", "relu6"),
             LayerSpec("lead_q", "quant_point", inside)]
     nets["behind_pass_throughs"] = ModelGraph(
@@ -205,10 +203,10 @@ EDGES = [-7.0, -1.0, -0.0, 0.0, 0.1, 0.25, 0.5, 0.75, 1.0, 2.5, 3.0, 5.99, 6.0, 
 def _act_then_point(kind, m, M, dtype):
     """An identity 1x1 conv, the activation, and an activation point with
     range [m, M], whose output is the graph's."""
-    point = QuantPoint(target="activations", cfg=QuantConfig(bits=3, m=m, M_up=M,
+    point = QuantPoint(cfg=QuantConfig(bits=3, m=m, M_up=M,
                                                              initialized=True))
     return ModelGraph(layers=[
-        LayerSpec("id", "conv", ConvParams(np.ones((1, 1, 1, 1), dtype))),
+        LayerSpec("id", "conv", WeightParams(np.ones((1, 1, 1, 1), dtype))),
         LayerSpec("act", kind),
         LayerSpec("act_q", "quant_point", point),
     ], input_shape=(1, 4, 4))

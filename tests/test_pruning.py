@@ -13,7 +13,7 @@ import pytest
 
 from pfqkit.batchnorm import BNParams
 from pfqkit.engine import run_inference
-from pfqkit.graph import AffineParams, LayerSpec, ModelGraph, param_count
+from pfqkit.graph import LayerSpec, ModelGraph, WeightParams, param_count
 from pfqkit.models import build_residual_net
 from pfqkit.pruning import (
     apply_pfq,
@@ -24,7 +24,6 @@ from pfqkit.pruning import (
     scan_candidates,
 )
 from pfqkit.quantization import QuantConfig, QuantPoint
-from pfqkit.tensor_ops import ConvParams, DepthwiseConvParams
 
 EPS = 1e-5
 
@@ -40,7 +39,7 @@ def _bn(rng, channels):
 
 
 def _conv(rng, name, o, c, k, bias=False, **kw):
-    return LayerSpec(name=name, kind="conv", params=ConvParams(
+    return LayerSpec(name=name, kind="conv", params=WeightParams(
         weights=rng.standard_normal((o, c, k, k)) * 0.4,
         bias=rng.standard_normal(o) * 0.1 if bias else None), **kw)
 
@@ -88,7 +87,7 @@ def _graph_affine_consumer(rng):
         LayerSpec(name="b1", kind="bn", params=_bn(rng, 3)),
         LayerSpec(name="r1", kind="relu"),
         LayerSpec(name="p1", kind="global_avg_pool"),
-        LayerSpec(name="fc", kind="affine", params=AffineParams(
+        LayerSpec(name="fc", kind="affine", params=WeightParams(
             weights=rng.standard_normal((3, 5)) * 0.4,
             bias=rng.standard_normal(5) * 0.1)),
     ]
@@ -100,7 +99,7 @@ def _graph_cascade_consumer(rng):
         _conv(rng, "c1", 3, 2, 3),
         LayerSpec(name="b1", kind="bn", params=_bn(rng, 3)),
         LayerSpec(name="r1", kind="relu6"),
-        LayerSpec(name="d1", kind="depthwise_conv", params=DepthwiseConvParams(
+        LayerSpec(name="d1", kind="depthwise_conv", params=WeightParams(
             weights=rng.standard_normal((3, 1, 3, 3)) * 0.4, bias=None)),
         LayerSpec(name="bd", kind="bn", params=_bn(rng, 3)),
         LayerSpec(name="rd", kind="relu6"),
@@ -223,7 +222,7 @@ class TestExactPreservation:
         correction uses the snapped constant and stays exact."""
         rng = np.random.default_rng(31)
         g = _kill_channel(_graph_bias_consumer(rng), "b1", 1, beta=0.43)
-        point = QuantPoint(target="activations", enabled=True,
+        point = QuantPoint(enabled=True,
                            cfg=QuantConfig(bits=3, m=0.0, M_up=1.0, initialized=True))
         layers = list(g.layers)
         layers.insert(3, LayerSpec(name="r1_q", kind="quant_point", params=point))
@@ -300,11 +299,11 @@ class TestSkips:
         layers = [
             _conv(rng, "c1", 3, 2, 3),
             LayerSpec(name="p1", kind="global_avg_pool"),
-            LayerSpec(name="fc", kind="affine", params=AffineParams(
+            LayerSpec(name="fc", kind="affine", params=WeightParams(
                 weights=rng.standard_normal((3, 4)) * 0.4, bias=None)),
             LayerSpec(name="bfc", kind="bn", params=_bn(rng, 4)),
             LayerSpec(name="r", kind="relu"),
-            LayerSpec(name="fc2", kind="affine", params=AffineParams(
+            LayerSpec(name="fc2", kind="affine", params=WeightParams(
                 weights=rng.standard_normal((4, 2)) * 0.4,
                 bias=rng.standard_normal(2))),
         ]

@@ -17,9 +17,8 @@ from hypothesis import strategies as st
 
 from pfqkit.batchnorm import BNParams
 from pfqkit.engine import forward_graph, run_inference
-from pfqkit.graph import AffineParams, LayerSpec, ModelGraph
+from pfqkit.graph import LayerSpec, ModelGraph, WeightParams
 from pfqkit.pruning import apply_pfq
-from pfqkit.tensor_ops import ConvParams, DepthwiseConvParams
 
 EPS = 1e-5
 
@@ -58,7 +57,7 @@ def _build(blocks, junction_at, rng):
         channels = _conv_block(layers, dead, rng, f"b{b}", dict(spec, padding=pad), channels)
         size -= 2 * (1 - pad) if spec["kind"] != "pointwise" else 0
     layers.append(LayerSpec("pool", "global_avg_pool"))
-    layers.append(LayerSpec("fc", "affine", AffineParams(
+    layers.append(LayerSpec("fc", "affine", WeightParams(
         rng.standard_normal((channels, 3)) * 0.5, rng.standard_normal(3) * 0.1)))
     graph = ModelGraph(layers=layers, input_shape=(in_channels, 9, 9))
     for bn_name, channel, beta in dead:
@@ -76,7 +75,7 @@ def _conv_block(layers, dead, rng, name, spec, channels):
         k = 3 if kind == "conv" else 1
         weights = rng.standard_normal((out, channels, k, k)) * 0.4
     bias = rng.standard_normal(out) * 0.1 if spec["bias"] else None
-    params = (DepthwiseConvParams if kind == "depthwise" else ConvParams)(weights, bias)
+    params = WeightParams(weights, bias)
     layers.append(LayerSpec(name, "depthwise_conv" if kind == "depthwise" else "conv", params,
                             padding=(pad, pad) if k == 3 else (0, 0)))
     if spec["bn"]:

@@ -5,8 +5,6 @@ import pytest
 
 from pfqkit.models import build_small_convnet
 from pfqkit.quantization import (
-    ACTIVATION_POLICY,
-    WEIGHT_POLICY,
     QuantConfig,
     QuantRangeError,
     insert_quant_points,
@@ -216,18 +214,18 @@ class TestRangeTracking:
         w = np.array([-0.5, 0.25, 2.0])
         c = weight_range_cfg(w, 4)
         assert c.m == -0.5 and c.M_up == 2.0
-        assert c.range_policy == WEIGHT_POLICY
+        assert c.bits == 4 and c.initialized
         with pytest.raises(QuantRangeError):
             weight_range_cfg(np.zeros(4), 4)
 
     def test_first_observation_initializes(self):
-        c = QuantConfig(bits=4, range_policy=ACTIVATION_POLICY, ema_momentum=0.9)
+        c = QuantConfig(bits=4, ema_momentum=0.9)
         c2 = update_activation_range(np.array([0.2, 0.8]), c)
         assert c2.initialized
         assert c2.m == 0.2 and c2.M_up == 0.8
 
     def test_ema_hand_value(self):
-        c = QuantConfig(bits=4, m=0.0, M_up=1.0, range_policy=ACTIVATION_POLICY,
+        c = QuantConfig(bits=4, m=0.0, M_up=1.0,
                         ema_momentum=0.9, initialized=True)
         c2 = update_activation_range(np.array([0.5, 2.0]), c)
         # 0*0.9 + 0.5*0.1 = 0.05 ; 1*0.9 + 2*0.1 = 1.1
@@ -235,7 +233,7 @@ class TestRangeTracking:
         assert abs(c2.M_up - 1.1) < 1e-12
 
     def test_ema_momentum_preserved(self):
-        c = QuantConfig(bits=4, range_policy=ACTIVATION_POLICY, ema_momentum=0.7)
+        c = QuantConfig(bits=4, ema_momentum=0.7)
         c2 = update_activation_range(np.array([0.0, 1.0]), c)
         assert c2.ema_momentum == 0.7
 

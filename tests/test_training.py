@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pfqkit.data import bundle_from_datasets, make_synthetic, split_validation
-from pfqkit.graph import AffineParams, LayerSpec, ModelGraph
+from pfqkit.graph import LayerSpec, ModelGraph, WeightParams
 from pfqkit.models import build_small_convnet
 from pfqkit.quantization import insert_quant_points, set_quant_enabled
 from pfqkit.training import (
@@ -73,7 +73,7 @@ class TestSchedule:
 def _one_param_graph(value=1.0):
     layers = [
         LayerSpec(name="p", kind="global_avg_pool"),
-        LayerSpec(name="fc", kind="affine", params=AffineParams(
+        LayerSpec(name="fc", kind="affine", params=WeightParams(
             weights=np.array([[value]]), bias=np.array([0.0]))),
     ]
     return ModelGraph(layers=layers, input_shape=(1, 2, 2))

@@ -1,17 +1,22 @@
 """Count the lines of each module under src/ by kind: code, docstring,
 comment and blank.
 
-    python3 tools/src_lines.py [ROOT]
+    python3 tools/src_lines.py [ROOT] [--against REF]
 
 ROOT defaults to the repository's src/. A line is code when it
 holds any token of a statement; a docstring line when it holds only a
 string that stands alone as a statement; a comment line when it holds only
 a comment; blank otherwise. The table lists every module and a total row.
+With --against, it lists instead the change of each count from the same
+directory at git revision REF to the files on disk, signed; a module on
+one side only counts as zero on the other.
 """
 
 from __future__ import annotations
 
+import argparse
 import io
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
@@ -19,6 +24,7 @@ from pathlib import Path
 _LAYOUT = (tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER,
            tokenize.ENCODING)
 _STATEMENT_START = (tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING)
+_ZERO = (0, 0, 0, 0)
 
 
 def count(text):
@@ -53,15 +59,65 @@ def _next(tokens, i):
     return tokens[i].type
 
 
+def on_disk(root):
+    """{module path relative to root: source} of every .py file under root."""
+    return {path.relative_to(root).as_posix(): path.read_text()
+            for path in sorted(root.rglob("*.py"))}
+
+
+def at_revision(root, ref):
+    """on_disk(root) as it stands at git revision ref of root's repository."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(root), *args], check=True,
+                              capture_output=True, text=True).stdout
+
+    prefix = git("rev-parse", "--show-prefix").strip()
+    names = git("ls-tree", "-r", "--name-only", "--full-name", ref, "--", ".").splitlines()
+    return {name[len(prefix):]: git("show", f"{ref}:{name}")
+            for name in names if name.endswith(".py")}
+
+
+def rows(sources):
+    """(module, counts) per module of sources, then ("total", sums)."""
+    table = [(name, count(text)) for name, text in sorted(sources.items())]
+    return table + [("total", tuple(map(sum, zip(_ZERO, *(c for _, c in table)))))]
+
+
+def change(before, after):
+    """rows of the change from sources before to sources after, per module
+    in either and in total."""
+    old, new = dict(rows(before)), dict(rows(after))
+    return [(name, tuple(b - a for a, b in zip(old.get(name, _ZERO), new.get(name, _ZERO))))
+            for name in sorted((set(old) | set(new)) - {"total"}) + ["total"]]
+
+
+def render(table, signed=False):
+    """The table as lines of text, one per row under a header."""
+    width = max(len(name) for name, _ in table)
+    sign = "+" if signed else ""
+    lines = [f"{'module':<{width}}  {'code':>6} {'doc':>6} {'comment':>7} {'blank':>6}"]
+    for name, (code, doc, comment, blank) in table:
+        lines.append(f"{name:<{width}}  {code:>{sign}6} {doc:>{sign}6} {comment:>{sign}7} "
+                     f"{blank:>{sign}6}")
+    return lines
+
+
 def main(argv):
-    root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent / "src"
-    rows = [(str(path.relative_to(root)), count(path.read_text()))
-            for path in sorted(root.rglob("*.py"))]
-    rows.append(("total", tuple(map(sum, zip(*(counts for _, counts in rows))))))
-    width = max(len(name) for name, _ in rows)
-    print(f"{'module':<{width}}  {'code':>6} {'doc':>6} {'comment':>7} {'blank':>6}")
-    for name, (code, doc, comment, blank) in rows:
-        print(f"{name:<{width}}  {code:>6} {doc:>6} {comment:>7} {blank:>6}")
+    parser = argparse.ArgumentParser(description="Count src/ lines by kind.")
+    parser.add_argument("root", nargs="?", type=Path,
+                        default=Path(__file__).resolve().parent.parent / "src")
+    parser.add_argument("--against", metavar="REF",
+                        help="print the change of each count since git revision REF")
+    args = parser.parse_args(argv[1:])
+    if args.against is None:
+        table = render(rows(on_disk(args.root)))
+    else:
+        try:
+            before = at_revision(args.root, args.against)
+        except subprocess.CalledProcessError as e:
+            sys.exit(f"src_lines: git {e.cmd[3]} failed: {e.stderr.strip()}")
+        table = render(change(before, on_disk(args.root)), signed=True)
+    print("\n".join(table))
     return 0
 
 
