@@ -322,7 +322,8 @@ def cmd_count_macs(args, cfg, graph):
 
 def _add_common(p, *, config=True, model=False, out=False):
     p.add_argument("--threads", type=int, default=None,
-                   help="cap BLAS thread pools (set before numpy loads)")
+                   help="cap BLAS thread pools (set before numpy loads); run_inference's "
+                        "slab threads follow the CPUs the process may use (taskset)")
     if config:
         p.add_argument("--config", default=None, help="JSON run configuration")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",

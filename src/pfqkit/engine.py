@@ -89,6 +89,18 @@ the batch, and BLAS rounds a product of one or a few rows differently
 after it run once on the gathered slabs. run_inference thus gives the bytes
 of one unslabbed pass at every batch size.
 
+The slabs run on every CPU the process may run on (its affinity mask, so
+taskset restricts them): cut into contiguous shares, at most one per slab,
+the calling thread runs the first and a helper thread each other one, and
+the helpers are joined before run_inference returns or raises. A plan with
+a step still unbuilt runs its first slab alone first, so each step is built
+once and the shares only read the plan. A slab's bytes are its own images'
+whatever runs it, and the slabs are gathered in order, so neither the CPU
+count nor the thread a slab ran on can move a byte; numpy releases the GIL
+inside matmul and ufunc loops, which is where the threads overlap. Training
+stays on one thread: BN on batch statistics couples every image of a
+training batch, so it has no independent slabs to share.
+
 Absorption: in a pass that drops outputs in inference mode, a relu or relu6
 whose only reader is an applying activation point with range [m, M] inside
 its own (0 <= m, and M <= 6 for relu6) passes its input through, since
@@ -102,6 +114,8 @@ clipped, reaches the quantizer, which raises its non-finite ValueError.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -544,28 +558,54 @@ def backward_graph(graph, trace, grad_final):
     return param_grads
 
 
+def _cpus():
+    """The number of CPUs this process may run on: its affinity mask where
+    the platform has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_inference(graph, x):
     """Inference-mode output of the whole graph, byte for byte the final
     output of forward_graph(graph, x, keep_outputs=False).
 
     Runs the graph's plan. When the batch is wider than one slab, the steps
     before the first affine run on slabs of the batch, as many images as
-    keep the graph's widest layer output on x within SLAB_BYTES,
-    and each output still live after them is gathered into a whole-batch
-    array; the first affine and the steps after it then run once on those.
+    keep the graph's widest layer output on x within SLAB_BYTES. The slabs
+    are cut into contiguous shares, one per CPU the process may run on
+    (_cpus) and at most one per slab: the calling thread runs the first
+    share and a helper thread each other one, and every helper has ended
+    when the call returns or raises. A plan with a step still unbuilt first
+    runs its first slab alone, on the calling thread, so that each step is
+    built once. A slab that raises fails the call with the error one thread
+    running the slabs in order would raise. Each output still live after
+    the slabs is gathered, in slab order, into a whole-batch array; the
+    first affine and the steps after it then run once on those.
     """
     plan = _plan(graph, x, False)
     n, size, steps, split = x.shape[0], plan.slab, plan.steps, plan.split
     if n <= size:
         return _run(steps, x, {})
-    gathered = {}
-    for lo in range(0, n, size):
-        outputs = {}
-        _run(steps[:split], x[lo:lo + size], outputs)
-        for name, y in outputs.items():
-            if name not in gathered:
-                gathered[name] = np.empty((n,) + y.shape[1:], dtype=y.dtype)
-            gathered[name][lo:lo + size] = y
+    head, slabs, pieces = steps[:split], range(0, n, size), []
+
+    def share(los):
+        for lo in los:
+            outputs = {}
+            _run(head, x[lo:lo + size], outputs)
+            yield outputs
+
+    if any(step[4] is None for step in head):
+        pieces, slabs = list(share(slabs[:1])), slabs[1:]
+    k = min(_cpus(), len(slabs))
+    shares = [slabs[i * len(slabs) // k:(i + 1) * len(slabs) // k] for i in range(k)]
+    # The pool starts a thread per submitted share only, and joins them on exit.
+    with ThreadPoolExecutor(max(k - 1, 1)) as pool:
+        helpers = [pool.submit(list, share(los)) for los in shares[1:]]
+        pieces += share(shares[0])
+        for helper in helpers:
+            pieces += helper.result()
+    gathered = {name: np.concatenate([p[name] for p in pieces]) for name in pieces[0]}
     # The first step is never an affine (it needs a flat input), so split > 0.
     return _run(steps[split:], gathered[steps[split - 1][2][-1]], gathered)
 

@@ -2,8 +2,10 @@
 
 run_inference keeps each layer output only until its last reader, so it must
 give exactly the final output of a full trace; it runs the layers before the
-first affine in slabs and the rest on the whole batch, which must change no
-byte at any batch size around the slab size. backward_graph consumes its
+first affine in slabs, shared among threads as the CPUs the process may use
+allow, and the rest on the whole batch, which must change no byte at any
+batch size around the slab size, at any thread count, and when a slab
+fails on a helper thread. backward_graph consumes its
 trace and names the error when it is given one it cannot backpropagate.
 Peak memory is measured with tracemalloc on a deep chain of cheap
 elementwise layers: there the set of live activations sets the peak, where on
@@ -18,9 +20,14 @@ graph version, which follows every change of the layers, weights, bias,
 points, geometry, input shape and dtype and which training never touches.
 """
 
+import collections
 import copy
 import json
+import os
 import re
+import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -103,12 +110,46 @@ def _batch_sizes(monkeypatch):
     return seen
 
 
+def _unslabbed(graph, x):
+    """The final output of one unslabbed pass of a copy of graph."""
+    return forward_graph(copy_graph(graph), x, keep_outputs=False).outputs[graph.layers[-1].name]
+
+
+def _conv_threads(monkeypatch):
+    """The threads that run a conv2d_forward, as they run."""
+    threads, conv = set(), T.conv2d_forward
+    monkeypatch.setattr(T, "conv2d_forward", lambda *args, **kwargs: (
+        threads.add(threading.get_ident()) or conv(*args, **kwargs)))
+    return threads
+
+
+def _slabbed_exactly(graph, x):
+    """run_inference on a fresh copy of graph, which compiles its own plan,
+    then again on the plan that call built: both give the bytes of one
+    unslabbed pass (forward_graph(..., keep_outputs=False))."""
+    whole = _unslabbed(graph, x)
+    fresh = copy_graph(graph)
+    for _ in range(2):
+        out = run_inference(fresh, x)
+        assert out.dtype == whole.dtype and out.shape == whole.shape
+        assert out.tobytes() == whole.tobytes()
+    return out
+
+
+# The CPU counts run_inference shares its slabs among: one thread, two, and
+# more than some batches have slabs.
+WORKERS = [1, 2, 3]
+
+
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_slabs_change_no_byte(name, dtype, monkeypatch):
+@pytest.mark.parametrize("workers", WORKERS)
+def test_slabs_change_no_byte(name, dtype, workers, monkeypatch):
     """run_inference runs the layers before the affine on slabs of the batch,
-    the affine on the whole batch, and gives the bytes of one unslabbed
-    inference at every batch size around the slab size."""
+    shared among `workers` threads, the affine on the whole batch, and gives
+    the bytes of one unslabbed inference at every batch size around the slab
+    size, on a fresh plan and on a built one."""
+    monkeypatch.setattr(engine, "_cpus", lambda: workers)
     net = BUILDERS[name](seed=6, dtype=dtype)
     q = _calibrated_4bit(net, fold=name != "residual_net")
     assert all(act_point_applies(l.params) for l in q.layers if l.kind == "quant_point")
@@ -119,13 +160,14 @@ def test_slabs_change_no_byte(name, dtype, monkeypatch):
     per_slab = sum(l.kind in ("conv", "depthwise_conv") for l in q.layers)
     for n in (1, slab - 1, slab, slab + 1, 3 * slab + 5):
         whole = forward_graph(q, x[:n], keep_outputs=False).outputs[q.layers[-1].name]
-        seen.clear()
-        streamed = run_inference(q, x[:n])
-        assert streamed.dtype == whole.dtype == dtype and streamed.shape == whole.shape
-        assert streamed.tobytes() == whole.tobytes()
-        assert [k for op, k in seen if op == "affine_forward"] == [n]
-        convs = [k for op, k in seen if op != "affine_forward"]
-        assert len(convs) == per_slab * -(-n // slab) and max(convs) == min(n, slab)
+        for g in (copy_graph(q), q):  # a fresh plan, then the one forward_graph built
+            seen.clear()
+            streamed = run_inference(g, x[:n])
+            assert streamed.dtype == whole.dtype == dtype and streamed.shape == whole.shape
+            assert streamed.tobytes() == whole.tobytes()
+            assert [k for op, k in seen if op == "affine_forward"] == [n]
+            convs = [k for op, k in seen if op != "affine_forward"]
+            assert len(convs) == per_slab * -(-n // slab) and max(convs) == min(n, slab)
 
 
 def _flat_junction_net():
@@ -143,27 +185,127 @@ def _flat_junction_net():
 
 
 @pytest.mark.parametrize("n", [0, 1, 5, 12])
-def test_outputs_read_after_the_slabs_are_gathered(n):
+@pytest.mark.parametrize("workers", WORKERS)
+def test_outputs_read_after_the_slabs_are_gathered(n, workers, monkeypatch):
+    monkeypatch.setattr(engine, "_cpus", lambda: workers)
     net = _flat_junction_net()
     assert _slab(net, np.float64) == 5
     x = np.random.default_rng(4).standard_normal((n, 2, 64, 64))
-    _assert_streams_exactly(net, x)
-    assert run_inference(net, x).shape == (n, 3)
+    assert _slabbed_exactly(net, x).shape == (n, 3)
 
 
-def test_slabs_are_sized_for_the_input_the_plan_runs_on():
+@pytest.mark.parametrize("workers", WORKERS)
+def test_slabs_are_sized_for_the_input_the_plan_runs_on(workers, monkeypatch):
     """A small_convnet declared (3, 8, 8) and run on 64x64 images sizes its
     slabs for 64x64 images, so a slab's widest layer output stays within
     SLAB_BYTES, and the slabbed logits are those of one unslabbed pass."""
+    monkeypatch.setattr(engine, "_cpus", lambda: workers)
     net = build_small_convnet(seed=2)
     x = np.random.default_rng(5).standard_normal((300, 3, 64, 64)).astype(np.float32)
     run_inference(net, x)
     wide = build_small_convnet(input_shape=(3, 64, 64), seed=2)
     widest = max(int(np.prod(s)) for s in infer_shapes(wide).values())
     assert net.plan.slab == 8 and net.plan.slab * widest * x.itemsize <= engine.SLAB_BYTES
-    part = x[:20]  # three slabs
-    whole = forward_graph(net, part, keep_outputs=False).outputs["fc"]
-    assert run_inference(net, part).tobytes() == whole.tobytes()
+    _slabbed_exactly(net, x[:20])  # three slabs
+
+
+def test_slab_threads_follow_the_cpus_the_process_may_use(monkeypatch):
+    """Unpatched, the slabs of a batch run on as many threads as the process
+    has CPUs in its affinity mask, at most one per slab (one under
+    `taskset -c 0`), and give the unslabbed bytes."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert engine._cpus() == cpus
+    net = _calibrated_folded()
+    x = _batch(net, n=4 * _slab(net, np.float32), seed=10)
+    run_inference(net, x)
+    threads = _conv_threads(monkeypatch)
+    run_inference(net, x)
+    assert len(threads) == min(cpus, 4)
+    _slabbed_exactly(net, x)
+
+
+def test_without_an_affinity_mask_the_slabs_follow_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert engine._cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert engine._cpus() == 1
+
+
+def _counted_builds(monkeypatch):
+    """The plan steps built, counted per layer name. Each build sleeps 2 ms,
+    long enough for a thread that did not wait for it to build the step
+    too."""
+    builds = collections.Counter()
+
+    def counted(build):
+        def slow_build(layer, *args):
+            builds.update([layer.name])
+            time.sleep(0.002)
+            return build(layer, *args)
+        return slow_build
+
+    for kind, build in list(engine._STEPS.items()):
+        monkeypatch.setitem(engine._STEPS, kind, counted(build))
+    return builds
+
+
+def test_slab_threads_under_a_short_switch_interval(monkeypatch):
+    """More slab threads than CPUs, switching every microsecond, on fresh
+    plans and built ones: each step is built once and the bytes are the
+    unslabbed ones."""
+    monkeypatch.setattr(engine, "_cpus", lambda: 4)
+    net = _calibrated_folded()
+    x = _batch(net, n=6 * _slab(net, np.float32), seed=11)
+    whole = _unslabbed(net, x)
+    builds = _counted_builds(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            builds.clear()
+            g = copy_graph(net)
+            for _ in range(2):
+                assert run_inference(g, x).tobytes() == whole.tobytes()
+            assert len(builds) == len(g.plan.steps) and set(builds.values()) == {1}
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("fresh", [True, False])
+def test_a_slab_that_fails_on_a_helper_thread_fails_as_on_one(fresh, monkeypatch):
+    """A nan in the last image of a four-slab batch fails the call with the
+    error and message of one thread, whether the plan is fresh or built;
+    every helper thread has ended when the call raises, the next clean call
+    gives the unslabbed bytes, and a fresh plan builds each step once."""
+    net = _calibrated_folded()
+    slab = _slab(net, np.float32)
+    x = _batch(net, n=3 * slab + 1, seed=9)
+    bad = x.copy()
+    bad[-1, 0, 0, 0] = np.nan
+    whole = _unslabbed(net, x)
+    builds, conv_threads = _counted_builds(monkeypatch), _conv_threads(monkeypatch)
+    errors = []
+    for workers in (1, 2):
+        monkeypatch.setattr(engine, "_cpus", lambda: workers)
+        g = copy_graph(net)
+        if not fresh:
+            run_inference(g, x)
+        builds.clear()
+        conv_threads.clear()
+        threads = threading.active_count()
+        with pytest.raises(ValueError) as raised:
+            run_inference(g, bad)
+        assert threading.active_count() == threads
+        errors.append((type(raised.value), str(raised.value)))
+        assert len(conv_threads) == workers
+        assert run_inference(g, x).tobytes() == whole.tobytes()
+        assert threading.active_count() == threads
+        if fresh:
+            assert len(builds) == len(g.plan.steps) and set(builds.values()) == {1}
+        else:
+            assert not builds
+    assert errors[0] == errors[1] == (ValueError, "conv2d: non-finite values in x")
 
 
 def _evaluate_per_batch(graph, images, labels, batch_size=64):
