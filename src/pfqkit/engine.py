@@ -43,14 +43,16 @@ through unchanged.
 
 The plan: an inference pass (run_inference, forward_graph(training=False))
 runs a plan compiled once per graph version and kept on ModelGraph.plan
-(never copied, saved or compared): one step per layer that does work, with
-its forward's arguments bound (a weighted layer's weights, quantized and
-read-only when its point is on, and its *_prepare record; an applying
-point's quantize_prepare record), its out= handover and its releases. A BN
-step reads its parameters at call time. An absorbed activation and a point
-that does not apply get no step; their names alias their input. A step is
-built at its first call from the input it gets, so its shapes and dtypes
-are the ops' own. Each call checks the plan once against its key (the
+(never copied, saved or compared): one step per layer, with its forward's
+arguments bound (a weighted layer's weights, quantized and read-only when
+its point is on, and its *_prepare record; an applying point's
+quantize_prepare record), its out= handover and its releases. A BN step
+reads its parameters at call time. An absorbed activation and a point that
+does not apply share one pass-through step. The compile builds every step
+before it returns, walking the layers once on a zero-image batch, so each
+step is built for what the step before it returns and its shapes and dtypes
+are the ops' own; a plan is never written after, and every thread that runs
+it only reads it. Each call checks the plan once against its key (the
 identity and name of every layer, the identity of every parameter object,
 weight and bias array and point config; a point's enabled, bits, m, M_up
 and initialized; stride and padding; the input's per-image shape and
@@ -65,17 +67,28 @@ weights and bias when it prepares; with its weight point on, it checks the
 master weights first, before their range is derived. An activation point's
 range update raises on a non-finite input before it changes the range.
 Each step, as it is built, takes a float64 bound on the magnitude of its
-input from the step before it and leaves one on its output: the graph input, BN and add_junction are
-unbounded; an applying point bounds its output by max(|m|, |M_up|), on a
-grid quantize verified finite; relu and a pass-through keep their input's
-bound, relu6 caps a finite one at 6 (a nan passes its clamp),
-global_avg_pool keeps it while its sums stay in range, and a conv,
-depthwise conv or affine maps B to sqrt(fan_in) * ||w|| * B + ||b||, which
-by Cauchy-Schwarz is at least the largest sum over an output channel of
-|w| * B + |b|. A step whose input bound lies below half the dtype's
-largest value skips that input's check (check_x=False): the conv after a
-point, and every point behind bounded layers, but not the point after the
-stem, which reads the graph input. Direct op calls check every argument.
+input from the step before it and leaves one on its output: the graph
+input, BN and add_junction are unbounded; an applying point bounds its
+output by max(|m|, |M_up|), on a grid quantize verified finite; relu and a
+pass-through keep their input's bound, relu6 caps a finite one at 6 (a nan
+passes its clamp), global_avg_pool keeps it while its sums stay in range,
+and a conv, depthwise conv or affine maps B to
+sqrt(fan_in) * ||w|| * B + ||b||, which by Cauchy-Schwarz is at least the
+largest sum over an output channel of |w| * B + |b|. A step whose input
+bound lies below half the dtype's largest value skips that input's check
+(check_x=False): the conv after a point, and every point behind bounded
+layers, but not the point after the stem, which reads the graph input.
+Direct op calls check every argument.
+A plan checks its weights, bias and point ranges as it compiles, so their
+errors come before any check of the input. An overflow is refused only
+where it reaches a check as nan or +-inf, and relu and relu6 clamp +-inf
+(a nan passes), so inference does not refuse an overflow they clamp, while
+a training forward on the same graph may raise at the next checked op. On
+ds_convnet with a BN gamma of 3e38 and a 1e30-scaled batch, that BN
+overflows to +-inf on its running statistics, relu6 clamps it and the
+logits are finite; on batch statistics a channel of zero variance makes
+its scale gamma * inv_std overflow, 0 * inf gives nan, relu6 passes it and
+the depthwise conv after raises. No check is added for the clamped case.
 
 Slabs: run_inference runs the batch in slabs of as many images as keep the
 graph's widest per-image layer output, for the per-image input shape the
@@ -92,14 +105,13 @@ of one unslabbed pass at every batch size.
 The slabs run on every CPU the process may run on (its affinity mask, so
 taskset restricts them): cut into contiguous shares, at most one per slab,
 the calling thread runs the first and a helper thread each other one, and
-the helpers are joined before run_inference returns or raises. A plan with
-a step still unbuilt runs its first slab alone first, so each step is built
-once and the shares only read the plan. A slab's bytes are its own images'
-whatever runs it, and the slabs are gathered in order, so neither the CPU
-count nor the thread a slab ran on can move a byte; numpy releases the GIL
-inside matmul and ufunc loops, which is where the threads overlap. Training
-stays on one thread: BN on batch statistics couples every image of a
-training batch, so it has no independent slabs to share.
+the helpers are joined before run_inference returns or raises. The shares
+only read the plan, which the compile built whole. A slab's bytes are its
+own images' whatever runs it, and the slabs are gathered in order, so
+neither the CPU count nor the thread a slab ran on can move a byte; numpy
+releases the GIL inside matmul and ufunc loops, which is where the threads
+overlap. Training stays on one thread: BN on batch statistics couples
+every image of a training batch, so it has no independent slabs to share.
 
 Absorption: in a pass that drops outputs in inference mode, a relu or relu6
 whose only reader is an applying activation point with range [m, M] inside
@@ -344,15 +356,13 @@ def forward_graph(graph, x, *, training=False, update_ranges=False, keep_outputs
 
 
 class _Plan(NamedTuple):
-    """A graph's compiled inference pass (the module docstring's plan)."""
+    """A graph's compiled inference pass (the module docstring's plan),
+    built whole by _compile and only read after."""
 
     key: list  # _key at compile time
     arrays: tuple  # every weight and bias array the steps are built from
     blobs: list  # their bytes at compile time
-    # per step, [forward(x, out, outputs), own, names its output goes by,
-    # release, bound on its output's magnitude]; the last name of a step is
-    # the one the next step reads
-    steps: list
+    steps: tuple  # per layer, (forward(x, out, outputs), own, name, release)
     split: int  # the steps before the first affine, which run per slab
     slab: int  # images per slab
 
@@ -387,57 +397,41 @@ def _plan(graph, x, keep_outputs):
 
 def _compile(graph, x, key):
     """The plan of graph's inference pass on inputs shaped and typed like x,
-    for its key (_key), which tells whether it keeps every output. Each
-    step is built at its first call (_first_call)."""
+    for its key (_key), which tells whether it keeps every output. Every
+    step is built here, for what the step before it returns (and the bound
+    it leaves) on a zero-image batch, so a weight, bias, range or shape
+    error raises before any input is run; the plan is read-only after."""
     layers = graph.layers
-    arrays, steps, split = [], [], None
-    for layer, (own, release, absorbed) in zip(layers, _schedule(layers, False, key[0])):
-        kind = layer.kind
-        if kind == "affine" and split is None:
-            split = len(steps)
-        if absorbed or kind == "quant_point" and not act_point_applies(layer.params):
-            # No step: the output is the input, under one more name.
-            if not steps:
-                steps.append([lambda x, out, outputs: x, False, [], [], np.inf])
-            names = steps[-1][2]
-            names.append(layer.name)
-            for name in release:  # the name of the input, which this layer alone read
-                names.remove(name)
-        else:
-            if kind in CONV_LIKE:
-                arrays += [a for a in (layer.params.weights, layer.params.bias) if a is not None]
-            steps.append([_first_call(layer, steps, len(steps)), own, [layer.name],
-                          list(release), None])
     widest = max(1, *map(math.prod, _shapes(layers, x.shape[1:]).values()))
-    return _Plan(key, tuple(arrays), [a.tobytes() for a in arrays], steps,
-                 len(steps) if split is None else split,
+    arrays, steps, outputs, prev, bound = [], [], {}, x[:0], np.inf
+    for layer, (own, release, absorbed) in zip(layers, _schedule(layers, False, key[0])):
+        if absorbed or layer.kind == "quant_point" and not act_point_applies(layer.params):
+            forward = _pass_through
+        else:
+            if layer.kind in CONV_LIKE:
+                arrays += [a for a in (layer.params.weights, layer.params.bias) if a is not None]
+            forward, bound = _STEPS[layer.kind](layer, prev, bound)
+            prev = forward(prev, None, outputs)
+        outputs[layer.name] = prev
+        steps.append((forward, own, layer.name, tuple(release)))
+    split = next((i for i, layer in enumerate(layers) if layer.kind == "affine"), len(layers))
+    return _Plan(key, tuple(arrays), [a.tobytes() for a in arrays], tuple(steps), split,
                  max(1, SLAB_BYTES // (widest * x.itemsize)))
 
 
-def _first_call(layer, steps, i):
-    """The forward of step i until its first call, which builds the step for
-    the input it gets (its per-image shape and dtype, and the bound step
-    i - 1 left on its magnitude), keeps it in the plan and runs it. Steps
-    run in order, so step i - 1 is built first."""
-
-    def forward(x, out, outputs):
-        step = steps[i]
-        step[0], step[4] = _STEPS[layer.kind](layer, x, steps[i - 1][4] if i else np.inf)
-        return step[0](x, out, outputs)
-
-    return forward
+def _pass_through(x, out, outputs):
+    """The step of an absorbed activation and of a point that does not apply."""
+    return x
 
 
 def _run(steps, x, outputs):
     """Run steps of a plan on x, which the first of them reads, recording
     the outputs they keep in outputs. Returns the last step's output."""
     prev = x
-    for forward, own, names, release, _ in steps:
-        prev = forward(prev, prev if own else None, outputs)
-        for name in names:
-            outputs[name] = prev
-        for name in release:
-            del outputs[name]
+    for forward, own, name, release in steps:
+        prev = outputs[name] = forward(prev, prev if own else None, outputs)
+        for done in release:
+            del outputs[done]
     return prev
 
 
@@ -576,18 +570,17 @@ def run_inference(graph, x):
     are cut into contiguous shares, one per CPU the process may run on
     (_cpus) and at most one per slab: the calling thread runs the first
     share and a helper thread each other one, and every helper has ended
-    when the call returns or raises. A plan with a step still unbuilt first
-    runs its first slab alone, on the calling thread, so that each step is
-    built once. A slab that raises fails the call with the error one thread
-    running the slabs in order would raise. Each output still live after
-    the slabs is gathered, in slab order, into a whole-batch array; the
-    first affine and the steps after it then run once on those.
+    when the call returns or raises; the shares only read the plan. A slab
+    that raises fails the call with the error one thread running the slabs
+    in order would raise. Each output still live after the slabs is
+    gathered, in slab order, into a whole-batch array; the first affine and
+    the steps after it then run once on those.
     """
     plan = _plan(graph, x, False)
     n, size, steps, split = x.shape[0], plan.slab, plan.steps, plan.split
     if n <= size:
         return _run(steps, x, {})
-    head, slabs, pieces = steps[:split], range(0, n, size), []
+    head, slabs = steps[:split], range(0, n, size)
 
     def share(los):
         for lo in los:
@@ -595,19 +588,17 @@ def run_inference(graph, x):
             _run(head, x[lo:lo + size], outputs)
             yield outputs
 
-    if any(step[4] is None for step in head):
-        pieces, slabs = list(share(slabs[:1])), slabs[1:]
     k = min(_cpus(), len(slabs))
     shares = [slabs[i * len(slabs) // k:(i + 1) * len(slabs) // k] for i in range(k)]
     # The pool starts a thread per submitted share only, and joins them on exit.
     with ThreadPoolExecutor(max(k - 1, 1)) as pool:
         helpers = [pool.submit(list, share(los)) for los in shares[1:]]
-        pieces += share(shares[0])
+        pieces = list(share(shares[0]))
         for helper in helpers:
             pieces += helper.result()
     gathered = {name: np.concatenate([p[name] for p in pieces]) for name in pieces[0]}
     # The first step is never an affine (it needs a flat input), so split > 0.
-    return _run(steps[split:], gathered[steps[split - 1][2][-1]], gathered)
+    return _run(steps[split:], gathered[steps[split - 1][2]], gathered)
 
 
 def loss_and_grads(graph, x, labels, *, update_ranges=False):

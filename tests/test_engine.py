@@ -16,8 +16,11 @@ and one behind a point that passed its input through still checks; a point
 whose input is bounded does not check it either, in training as in
 inference, and a conv, a bias or a BN that can overflow leaves the next
 input checked. An inference pass runs the graph's plan, compiled once per
-graph version, which follows every change of the layers, weights, bias,
-points, geometry, input shape and dtype and which training never touches.
+graph version and built whole at compile (no run builds a step, and
+concurrent callers only read it), which follows every change of the
+layers, weights, bias, points, geometry, input shape and dtype and which
+training never touches. Inference does not refuse an overflow that a relu6
+clamps, where training on the same graph raises.
 """
 
 import collections
@@ -27,7 +30,6 @@ import os
 import re
 import sys
 import threading
-import time
 import tracemalloc
 from dataclasses import replace
 
@@ -37,6 +39,7 @@ import pytest
 from pfqkit import engine, quantization
 from pfqkit import tensor_ops as T
 from pfqkit.batchnorm import init_bn
+from pfqkit.data import make_synthetic
 from pfqkit.engine import backward_graph, forward_graph, loss_and_grads, run_inference
 from pfqkit.graph import (LayerSpec, ModelGraph, WeightParams, copy_graph, fold_bn_graph,
                           infer_shapes, load_model, save_model)
@@ -161,6 +164,7 @@ def test_slabs_change_no_byte(name, dtype, workers, monkeypatch):
     for n in (1, slab - 1, slab, slab + 1, 3 * slab + 5):
         whole = forward_graph(q, x[:n], keep_outputs=False).outputs[q.layers[-1].name]
         for g in (copy_graph(q), q):  # a fresh plan, then the one forward_graph built
+            engine._plan(g, x[:n], False)  # the compile's zero-image pass is not counted
             seen.clear()
             streamed = run_inference(g, x[:n])
             assert streamed.dtype == whole.dtype == dtype and streamed.shape == whole.shape
@@ -233,43 +237,132 @@ def test_without_an_affinity_mask_the_slabs_follow_the_cpu_count(monkeypatch):
 
 
 def _counted_builds(monkeypatch):
-    """The plan steps built, counted per layer name. Each build sleeps 2 ms,
-    long enough for a thread that did not wait for it to build the step
-    too."""
-    builds = collections.Counter()
+    """Every plan step built, counted per layer name, and the names of those
+    built outside a _compile on the building thread (which a run of a plan
+    should never do)."""
+    builds, outside, compiling = collections.Counter(), [], threading.local()
+    compile_ = engine._compile
+
+    def compile_counted(*args):
+        compiling.on = True
+        try:
+            return compile_(*args)
+        finally:
+            compiling.on = False
 
     def counted(build):
-        def slow_build(layer, *args):
+        def counting(layer, *args):
             builds.update([layer.name])
-            time.sleep(0.002)
+            if not getattr(compiling, "on", False):
+                outside.append(layer.name)
             return build(layer, *args)
-        return slow_build
+        return counting
 
+    monkeypatch.setattr(engine, "_compile", compile_counted)
     for kind, build in list(engine._STEPS.items()):
         monkeypatch.setitem(engine._STEPS, kind, counted(build))
-    return builds
+    return builds, outside
+
+
+def _built(plan):
+    """The layer names of a plan's steps that do work, each counted once."""
+    return collections.Counter(name for forward, _, name, _ in plan.steps
+                               if forward is not engine._pass_through)
 
 
 def test_slab_threads_under_a_short_switch_interval(monkeypatch):
-    """More slab threads than CPUs, switching every microsecond, on fresh
-    plans and built ones: each step is built once and the bytes are the
-    unslabbed ones."""
-    monkeypatch.setattr(engine, "_cpus", lambda: 4)
+    """One to more slab threads than CPUs, switching every microsecond, on
+    fresh plans and built ones: each step is built once, inside _compile, no
+    run builds one, and the bytes are the unslabbed ones."""
     net = _calibrated_folded()
     x = _batch(net, n=6 * _slab(net, np.float32), seed=11)
     whole = _unslabbed(net, x)
-    builds = _counted_builds(monkeypatch)
+    builds, outside = _counted_builds(monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(3):
+        for workers in (1, 2, 3, 4):
+            monkeypatch.setattr(engine, "_cpus", lambda: workers)
             builds.clear()
             g = copy_graph(net)
             for _ in range(2):
                 assert run_inference(g, x).tobytes() == whole.tobytes()
-            assert len(builds) == len(g.plan.steps) and set(builds.values()) == {1}
+            assert builds == _built(g.plan) and set(builds.values()) == {1}
     finally:
         sys.setswitchinterval(interval)
+    assert not outside
+
+
+def test_concurrent_callers_share_one_whole_plan(monkeypatch):
+    """Four threads call run_inference at once on one graph with no plan,
+    switching every microsecond: every call gives the bytes of one
+    unslabbed pass, and the graph ends with a plan _compile returned, its
+    steps as they were returned."""
+    monkeypatch.setattr(engine, "_cpus", lambda: 2)
+    net = _calibrated_folded()
+    x = _batch(net, n=3 * _slab(net, np.float32), seed=13)
+    whole = _unslabbed(net, x)
+    assert net.plan is None
+    compiled, compile_ = [], engine._compile
+
+    def compile_recorded(*args):
+        plan = compile_(*args)
+        compiled.append((plan, plan.steps))
+        return plan
+
+    monkeypatch.setattr(engine, "_compile", compile_recorded)
+    results, errors = [None] * 4, []
+
+    def call(i):
+        try:
+            results[i] = run_inference(net, x)
+        except Exception as error:  # reported below, on the test's thread
+            errors.append(error)
+
+    callers = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert errors == []
+    assert all(out.tobytes() == whole.tobytes() for out in results)
+    assert any(net.plan is plan and plan.steps is steps for plan, steps in compiled)
+
+
+def test_a_non_finite_last_weight_fails_the_compile_on_the_calling_thread(monkeypatch):
+    """A nan in the weights of the last weighted layer raises while the call
+    compiles its plan, on the calling thread: no slab runs (the compile's
+    zero-image pass is all that reaches a conv), no thread starts and the
+    graph keeps no plan."""
+    monkeypatch.setattr(engine, "_cpus", lambda: 2)
+    net = _calibrated_folded()
+    fc = net.layers[-1]
+    assert fc.kind == "affine" and fc.weight_quant.enabled and net.plan is None
+    w = fc.params.weights.copy()
+    w.flat[0] = np.nan
+    fc.params.weights = w
+    x = _batch(net, n=3 * _slab(net, np.float32), seed=12)
+    compiling, compile_ = [], engine._compile
+
+    def compile_recorded(*args):
+        compiling.append(threading.get_ident())
+        return compile_(*args)
+
+    monkeypatch.setattr(engine, "_compile", compile_recorded)
+    seen = _batch_sizes(monkeypatch)
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="^affine: non-finite values in weights$") as raised:
+        run_inference(net, x)
+    assert threading.active_count() == threads
+    assert compiling == [threading.get_ident()]
+    assert any(entry.name == "_compile" for entry in raised.traceback)
+    assert seen and {k for _, k in seen} == {0} and net.plan is None
 
 
 @pytest.mark.parametrize("fresh", [True, False])
@@ -284,7 +377,7 @@ def test_a_slab_that_fails_on_a_helper_thread_fails_as_on_one(fresh, monkeypatch
     bad = x.copy()
     bad[-1, 0, 0, 0] = np.nan
     whole = _unslabbed(net, x)
-    builds, conv_threads = _counted_builds(monkeypatch), _conv_threads(monkeypatch)
+    (builds, outside), conv_threads = _counted_builds(monkeypatch), _conv_threads(monkeypatch)
     errors = []
     for workers in (1, 2):
         monkeypatch.setattr(engine, "_cpus", lambda: workers)
@@ -302,9 +395,10 @@ def test_a_slab_that_fails_on_a_helper_thread_fails_as_on_one(fresh, monkeypatch
         assert run_inference(g, x).tobytes() == whole.tobytes()
         assert threading.active_count() == threads
         if fresh:
-            assert len(builds) == len(g.plan.steps) and set(builds.values()) == {1}
+            assert builds == _built(g.plan) and set(builds.values()) == {1}
         else:
             assert not builds
+    assert not outside
     assert errors[0] == errors[1] == (ValueError, "conv2d: non-finite values in x")
 
 
@@ -406,10 +500,11 @@ def _counting_checks(monkeypatch):
 def test_only_unquantized_inputs_are_checked(name, keep_outputs, monkeypatch):
     """Every conv-like layer checks its master weights before its weight
     point derives their range, then the quantized weights (and bias) when
-    it prepares, which an inference pass does once per plan: the first pass
-    compiles it and the second runs it as it stands. Only the stem checks its input, on
-    every pass, since every other one reads an applying activation point
-    (or, in residual_net, a junction, whose sum is checked)."""
+    it prepares, which an inference pass does once per plan: the compile
+    checks them, and no pass that runs the plan checks them again. Only the
+    stem checks its input, on every pass, since every other one reads an
+    applying activation point (or, in residual_net, a junction, whose sum is
+    checked)."""
     net = QUANTIZED_NETS[name]()
     layers = net.layers
     assert all(act_point_applies(l.params) for l in layers if l.kind == "quant_point")
@@ -418,14 +513,16 @@ def test_only_unquantized_inputs_are_checked(name, keep_outputs, monkeypatch):
     assert checked_x[0] == 0 and layers[0].kind == "conv"
     checks = _counting_checks(monkeypatch)
     x = _batch(net)
-    for first_pass in (True, False):
+    engine._plan(net, x, keep_outputs)  # the compile, with its zero-image pass
+    weight_checks = [op for op, arrays in checks if "weights" in arrays]
+    assert weight_checks == [OP_NAMES[layers[i].kind] for i in weighted for _ in range(2)]
+    for _ in range(2):
         checks.clear()
         forward_graph(net, x, keep_outputs=keep_outputs)
         weight_checks = [op for op, arrays in checks if "weights" in arrays]
         x_checks = [op for op, arrays in checks if arrays == ["x"]]
         assert len(checks) == len(weight_checks) + len(x_checks)
-        assert weight_checks == ([OP_NAMES[layers[i].kind] for i in weighted for _ in range(2)]
-                                 if first_pass else [])
+        assert weight_checks == []
         assert x_checks == [OP_NAMES[layers[i].kind] for i in checked_x]
 
 
@@ -434,7 +531,8 @@ def test_run_inference_checks_what_a_streamed_trace_checks(name, monkeypatch):
     """The affine runs after the slabs are gathered and still skips the
     check of the input its activation point quantized, whether the pass
     compiles its plan (a graph with none) or runs the one it has. A pass
-    that compiles checks each layer's weights and bias as it reaches it."""
+    that compiles checks every layer's weights and bias, and the inputs its
+    zero-image pass reaches, before it checks any of its own input."""
     net = QUANTIZED_NETS[name]()
     x = _batch(net)
     assert _slab(net, x.dtype) >= len(x)
@@ -454,9 +552,12 @@ def test_run_inference_checks_what_a_streamed_trace_checks(name, monkeypatch):
     streamed = passes(lambda graph, x: forward_graph(graph, x, keep_outputs=False))
     assert passes(run_inference) == streamed
     first, second = streamed
-    assert first[-1] == ("affine", ["bias", "weights"])
-    assert [check for check in first if "weights" not in check[1]] == second
-    assert second and all(arrays == ["x"] for _, arrays in second)
+    compiled = first[:-len(second)]
+    assert second and first[-len(second):] == second
+    assert [check for check in compiled if "weights" in check[1]][-1] == ("affine",
+                                                                          ["bias", "weights"])
+    assert [check for check in compiled if "weights" not in check[1]] == second
+    assert all(arrays == ["x"] for _, arrays in second)
 
 
 def _counting_quantize_checks(monkeypatch):
@@ -649,6 +750,26 @@ def test_bn_leaves_its_output_unbounded(training):
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(ValueError, match="^quantize: non-finite values in x$"):
         forward_graph(net, _batch(net), training=training)
+
+
+def test_inference_does_not_refuse_an_overflow_a_clamp_hides():
+    """The one asymmetry of the finite-check rule between the modes. With
+    pw1_bn's gamma at 3e38 on a 1e30-scaled batch, pw1_bn overflows to
+    +-inf on its running statistics and relu6 clamps it, so inference gives
+    finite logits; on batch statistics pw1_bn gives nan (a zero-variance
+    channel times an infinite scale), which relu6 passes and dw2 refuses."""
+    net = build_ds_convnet(width=8, blocks=2, seed=0)
+    bn = net.layer("pw1_bn")
+    bn.params = replace(bn.params, gamma=np.full_like(bn.params.gamma, 3e38))
+    data = make_synthetic(4, 2, net.input_shape, seed=0)
+    x = data.images * np.float32(1e30)
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = forward_graph(net, x)
+        assert not np.isfinite(trace.outputs["pw1_bn"]).all()
+        for logits in (run_inference(net, x), trace.outputs["fc"]):
+            assert np.isfinite(logits).all()
+        with pytest.raises(ValueError, match="^depthwise_conv2d: non-finite values in x$"):
+            loss_and_grads(net, x, data.labels)
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
@@ -1098,10 +1219,9 @@ def test_plan_follows_an_edited_graph(edit):
 
 
 def test_a_pass_stopped_part_way_leaves_a_plan_that_still_serves():
-    """A plan builds each step at its first call, so a pass that a
-    non-finite input stops at the stem leaves the later steps unbuilt; the
-    next pass builds them, in the same plan, and gives a fresh compile's
-    bytes."""
+    """A plan is built whole at compile, so a pass that a non-finite input
+    stops at the stem leaves it as it was: the next pass runs the same plan
+    and gives a fresh compile's bytes."""
     net = _calibrated_folded()
     x = _batch(net)
     bad = x.copy()
