@@ -21,8 +21,8 @@ _EXPORTS = {
     "models": ("build", "build_ds_convnet", "build_residual_net", "build_small_convnet"),
     "pruning": ("PruneCandidate", "PruneReport", "apply_pfq", "channel_constancy_report",
                 "compute_bias_correction", "prune_channels", "scan_candidates"),
-    "quantization": ("QuantConfig", "QuantPoint", "insert_quant_points", "quantize",
-                     "quantize_backward", "set_quant_enabled", "update_activation_range"),
+    "quantization": ("QuantConfig", "QuantPoint", "enable_weight_points", "insert_quant_points",
+                     "quantize", "quantize_backward", "update_activation_range"),
     "tensor_ops": ("affine_forward", "conv2d_forward", "depthwise_conv2d_forward",
                    "global_avg_pool_forward", "relu_forward", "relu6_forward",
                    "softmax_cross_entropy"),

@@ -3,9 +3,12 @@
 Every subcommand maps to one library operation. Configuration lives in a
 JSON file validated against a closed schema (unknown keys are rejected);
 individual keys can be overridden with repeated --set dotted.path=value
-flags. Failures print exactly one `error: ...` line to stderr and exit
-nonzero. Heavy imports happen after argument parsing so that --threads can
-cap the BLAS thread pools before numpy loads.
+flags, the one way to change a config key from the command line. The
+remaining flags are settings with no config key: paths, --threads,
+pfq --quantize-act-of-beta, finetune --enable-weight-quant and
+report-constancy --batch. Failures print exactly one `error: ...` line to
+stderr and exit nonzero. Heavy imports happen after argument parsing so
+that --threads can cap the BLAS thread pools before numpy loads.
 """
 
 from __future__ import annotations
@@ -22,11 +25,8 @@ class ConfigError(ValueError):
     pass
 
 
-_EARLY_STOP = {
-    "mode": str,
-    "drop_threshold": float,
-    "reference_accuracy": (float, type(None)),
-}
+# A section means EarlyStopPolicy: reference_accuracy is required.
+_EARLY_STOP = {"reference_accuracy": float, "drop_threshold": float}
 
 # Every config key, once. A leaf holds the key's default, and the key's type is
 # the default's type. A leaf that is a type (or a tuple of types) has no
@@ -155,11 +155,16 @@ def _build_data(cfg):
     raise ConfigError(f"config: unknown data.kind '{d['kind']}'")
 
 
-def _early_stop(section):
-    if not section:
+def _early_stop(cfg, section):
+    """The EarlyStopPolicy of cfg[section]["early_stop"], or None for an
+    empty or absent one."""
+    spec = cfg[section]["early_stop"]
+    if not spec:
         return None
+    if "reference_accuracy" not in spec:
+        raise ConfigError(f"config: '{section}.early_stop' needs reference_accuracy")
     from .training import EarlyStopPolicy
-    return EarlyStopPolicy(**section)  # the schema admits exactly its fields
+    return EarlyStopPolicy(**spec)  # the schema admits exactly its fields
 
 
 def _out_dir(args):
@@ -168,7 +173,7 @@ def _out_dir(args):
     return out
 
 
-def _train_and_save(args, cfg, graph, data, epochs):
+def _train_and_save(args, cfg, graph, data):
     """Train with the config's train section, then save the run directory
     (model and metrics.csv) under --out. Returns the epoch metrics."""
     from .training import LRSchedule, OptimizerState, train_epochs
@@ -177,9 +182,9 @@ def _train_and_save(args, cfg, graph, data, epochs):
     t = cfg["train"]
     schedule = LRSchedule(t["base_lr"], t["warmup_epochs"], t["period"])
     opt = OptimizerState(momentum=t["momentum"], weight_decay=t["weight_decay"])
-    graph, metrics = train_epochs(graph, data, schedule, opt, epochs=epochs,
+    graph, metrics = train_epochs(graph, data, schedule, opt, epochs=t["epochs"],
                                   batch_size=t["batch_size"], seed=cfg["seed"],
-                                  stop=_early_stop(t["early_stop"]))
+                                  stop=_early_stop(cfg, "train"))
     save_run(args.out, graph, metrics=metrics)
     return metrics
 
@@ -192,7 +197,7 @@ def cmd_train(args, cfg, graph):
     arch.setdefault("class_count", cfg["data"]["class_count"])
     arch["input_shape"] = tuple(arch.get("input_shape", cfg["data"]["shape"]))
     arch.setdefault("seed", cfg["seed"])
-    metrics = _train_and_save(args, cfg, build(arch), data, cfg["train"]["epochs"])
+    metrics = _train_and_save(args, cfg, build(arch), data)
     if metrics and metrics[-1].test_acc is not None:
         print(f"test_acc={metrics[-1].test_acc!r}")
     return 0
@@ -202,8 +207,8 @@ def cmd_pfq(args, cfg, graph):
     from .pruning import apply_pfq
     from .workflow import save_run
 
-    epsilon = args.epsilon if args.epsilon is not None else cfg["pfq"]["epsilon"]
-    graph, report = apply_pfq(graph, epsilon, quantize_act_of_beta=args.quantize_act_of_beta)
+    graph, report = apply_pfq(graph, cfg["pfq"]["epsilon"],
+                              quantize_act_of_beta=args.quantize_act_of_beta)
     save_run(args.out, graph, prune_report=report)
     print(report.summary())
     return 0
@@ -223,10 +228,8 @@ def cmd_quantize_annotate(args, cfg, graph):
     from .workflow import save_run
 
     q = cfg["quant"]
-    act_bits = args.act_bits if args.act_bits is not None else q["act_bits"]
-    weight_bits = args.weight_bits if args.weight_bits is not None else q["weight_bits"]
-    graph = insert_quant_points(graph, act_bits, weight_bits, ema_momentum=q["ema_momentum"],
-                                weight_enabled=args.enable_weights)
+    graph = insert_quant_points(graph, q["act_bits"], q["weight_bits"],
+                                ema_momentum=q["ema_momentum"])
     save_run(args.out, graph)
     acts = sum(1 for l in graph.layers if l.kind == "quant_point")
     weights = sum(1 for l in graph.layers if l.weight_quant is not None)
@@ -235,13 +238,12 @@ def cmd_quantize_annotate(args, cfg, graph):
 
 
 def cmd_finetune(args, cfg, graph):
-    from .quantization import set_quant_enabled
+    from .quantization import enable_weight_points
 
     data = _build_data(cfg)
     if args.enable_weight_quant:
-        set_quant_enabled(graph, weights=True)
-    epochs = args.epochs if args.epochs is not None else cfg["train"]["epochs"]
-    metrics = _train_and_save(args, cfg, graph, data, epochs)
+        enable_weight_points(graph)
+    metrics = _train_and_save(args, cfg, graph, data)
     print(f"epochs={len(metrics)}")
     return 0
 
@@ -261,7 +263,7 @@ def cmd_stages(args, cfg, graph):
     wcfg = workflow.WorkflowConfig(
         act_bits=q["act_bits"], weight_bits=q["weight_bits"], ema_momentum=q["ema_momentum"],
         epsilon=cfg["pfq"]["epsilon"], batch_size=cfg["train"]["batch_size"], seed=cfg["seed"],
-        stop_act=_early_stop(w["early_stop"]), stop_weight=_early_stop(w["early_stop"]),
+        stop=_early_stop(cfg, "workflow"),
         **{key: w[key] for key in ("epochs_act", "epochs_weight", "act_momentum",
                                    "weight_momentum", "weight_decay") if key in w},
     )
@@ -345,7 +347,6 @@ def build_parser():
 
     p = sub.add_parser("pfq", help="prune constant channels with compensation")
     _add_common(p, model=True, out=True)
-    p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--quantize-act-of-beta", action="store_true")
     p.set_defaults(func=cmd_pfq)
 
@@ -355,15 +356,10 @@ def build_parser():
 
     p = sub.add_parser("quantize-annotate", help="insert quantization points")
     _add_common(p, model=True, out=True)
-    p.add_argument("--act-bits", type=int, default=None)
-    p.add_argument("--weight-bits", type=int, default=None)
-    p.add_argument("--enable-weights", action="store_true",
-                   help="enable weight points immediately (folded graphs only)")
     p.set_defaults(func=cmd_quantize_annotate)
 
     p = sub.add_parser("finetune", help="train an annotated model")
     _add_common(p, model=True, out=True)
-    p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--enable-weight-quant", action="store_true")
     p.set_defaults(func=cmd_finetune)
 

@@ -78,7 +78,11 @@ def load_cifar_binary(path, variant=10):
 
 def split_validation(dataset, per_class, seed=0):
     """Move exactly per_class randomly chosen images of every class into a
-    validation set. Deterministic for a given seed. Returns (train, val)."""
+    validation set. Deterministic for a given seed. Returns (train, val).
+    Raises DataFormatError on a negative per_class or a class with fewer
+    than per_class images."""
+    if per_class < 0:
+        raise DataFormatError(f"per_class must be >= 0, got {per_class}")
     rng = np.random.default_rng(seed)
     val_idx = []
     for cls in range(dataset.class_count):

@@ -335,7 +335,7 @@ def apply_pfq(graph, epsilon, *, quantize_act_of_beta=False, correct=True):
                   quantize_act_of_beta, correct)
 
 
-def prune_channels(graph, targets, *, correct=True, quantize_act_of_beta=False):
+def prune_channels(graph, targets, *, correct=True):
     """Remove explicitly chosen (bn_layer_name, channel) pairs, regardless of
     their running variance. Channels must share no layer unless listed
     together. Every pair is checked before any surgery: a name that is not a
@@ -357,8 +357,8 @@ def prune_channels(graph, targets, *, correct=True, quantize_act_of_beta=False):
     for name, channels in by_layer.items():
         if len(channels) == layers[name].params.gamma.shape[0]:
             raise ValueError(f"prune targets name every channel of {name!r}: would-empty")
-    return _prune(graph, lambda layer: sorted(by_layer.get(layer.name, [])), True,
-                  quantize_act_of_beta, correct)
+    return _prune(graph, lambda layer: sorted(by_layer.get(layer.name, [])), True, False,
+                  correct)
 
 
 @dataclass
@@ -371,7 +371,10 @@ class ConstancyRow:
 
 def channel_constancy_report(graph, images):
     """Observed output spread (max minus min over batch and space) next to the
-    stored running variance, per BN channel, in inference mode."""
+    stored running variance, per BN channel, in inference mode. Raises
+    ValueError when given no images."""
+    if images.shape[0] == 0:
+        raise ValueError("channel_constancy_report: no images")
     trace = forward_graph(graph, images, training=False)
     rows = []
     for layer in graph.layers:

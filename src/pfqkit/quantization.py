@@ -37,7 +37,8 @@ quantizes them on every call, and inference keeps the quantized tensor in
 the graph's plan while the weight array keeps its bytes and the point its
 bits. The point of a quant_point layer tracks its activation range as an
 exponential moving average of observed batch min/max, frozen outside of
-training.
+training. insert_quant_points places both kinds, weight points disabled
+unless asked; enable_weight_points turns them on after the BN fold.
 
 quantize and quantize_backward write into out= when handed one (it may be
 an input): quantize only when out has the dtype it would compute in, so the
@@ -229,7 +230,8 @@ def insert_quant_points(graph, act_bits, weight_bits, *, ema_momentum=0.99,
     consumer sees the same tensor.
 
     Weight points start disabled by default because the staged workflow turns
-    them on only after folding; pass weight_enabled=True for standalone use.
+    them on only after folding (enable_weight_points); weight_enabled=True
+    enables them at once, as the single-stage baseline does.
     """
     from . import graph as graph_mod
 
@@ -258,11 +260,8 @@ def insert_quant_points(graph, act_bits, weight_bits, *, ema_momentum=0.99,
     return graph_mod.ModelGraph(layers=new_layers, input_shape=graph.input_shape)
 
 
-def set_quant_enabled(graph, *, weights=None, activations=None):
-    """Flip the enabled flag on weight and/or activation points, in place."""
+def enable_weight_points(graph):
+    """Enable every weight point of the graph, in place."""
     for layer in graph.layers:
-        if weights is not None and layer.weight_quant is not None:
-            layer.weight_quant.enabled = weights
-        if activations is not None and layer.kind == "quant_point":
-            layer.params.enabled = activations
-    return graph
+        if layer.weight_quant is not None:
+            layer.weight_quant.enabled = True

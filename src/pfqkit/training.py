@@ -5,7 +5,8 @@ ramps linearly from zero, and from the warmup epoch on it follows
 base * (1 + cos((e - w) / period * pi)), which peaks at twice the base rate
 at e == w and reaches zero at e == w + period. Weight decay applies to conv,
 depthwise conv, and affine weights only; biases and BN scale/shift are never
-decayed.
+decayed. Early stopping has one rule (EarlyStopPolicy): stop once the
+validation accuracy is within drop_threshold of a reference accuracy.
 """
 
 from __future__ import annotations
@@ -72,13 +73,12 @@ def sgd_step(graph, param_grads, state, lr):
 
 @dataclass
 class EarlyStopPolicy:
-    """mode "fixed_epochs" runs the full budget. Mode "accuracy_drop" stops at
-    the first epoch whose validation accuracy is at least
-    reference_accuracy - drop_threshold, both as fractions in [0, 1]."""
+    """Stop at the first epoch whose validation accuracy is at least
+    reference_accuracy - drop_threshold, both as fractions in [0, 1].
+    Training without a policy runs its full epoch budget."""
 
-    mode: str = "fixed_epochs"
+    reference_accuracy: float
     drop_threshold: float = 0.005
-    reference_accuracy: float | None = None
 
 
 @dataclass
@@ -96,31 +96,38 @@ def metrics_to_csv(metrics, path):
 
 
 def train_epochs(graph, data, schedule, optimizer, *, epochs, batch_size=16, seed=0,
-                 stop=None, range_update_epochs=None, bn_stats_log=None):
+                 stop=None, range_update_epochs=None):
     """Train a copy of the graph for up to `epochs` epochs.
 
     data is a DataBundle; batches are drawn from its train split in a
     seed-derived order that changes each epoch. Enabled activation quant
     points fold each batch's observed range into their EMA, in the first
-    range_update_epochs epochs only when that is given. bn_stats_log, if
-    given, collects (layer, BatchStats) tuples for every BN update so the
-    running-statistic recurrences can be replayed externally.
+    range_update_epochs epochs only when that is given. stop, an
+    EarlyStopPolicy, ends training at the first epoch that meets it.
+
+    Raises ValueError before the first step, naming the argument, on
+    epochs < 0, batch_size < 1, a schedule period <= 0, an empty train split
+    when epochs > 0, a stop policy without a validation split, and enabled
+    weight points on a graph that still has BN layers. epochs == 0 trains
+    nothing and returns a copy of the graph with no metrics.
 
     Returns (trained graph, list of EpochMetrics).
     """
-    g = copy_graph(graph)
-    if any(l.weight_quant is not None and l.weight_quant.enabled for l in g.layers) and any(
-        l.kind == "bn" for l in g.layers
+    if epochs < 0:
+        raise ValueError(f"train_epochs: epochs must be >= 0, got {epochs}")
+    if batch_size < 1:
+        raise ValueError(f"train_epochs: batch_size must be >= 1, got {batch_size}")
+    if not schedule.period > 0:
+        raise ValueError(f"train_epochs: schedule period must be > 0, got {schedule.period}")
+    if epochs and len(data.train_images) == 0:
+        raise ValueError("train_epochs: the train split is empty")
+    if stop is not None and (data.val_images is None or len(data.val_images) == 0):
+        raise ValueError("train_epochs: early stop needs a validation split")
+    if any(l.weight_quant is not None and l.weight_quant.enabled for l in graph.layers) and any(
+        l.kind == "bn" for l in graph.layers
     ):
         raise ValueError("weight quantization requires a folded graph (BN layers still present)")
-    if stop is not None and stop.mode not in ("fixed_epochs", "accuracy_drop"):
-        raise ValueError(f"unknown early stop mode {stop.mode!r}; "
-                         "expected 'fixed_epochs' or 'accuracy_drop'")
-    if stop is not None and stop.mode == "accuracy_drop":
-        if stop.reference_accuracy is None:
-            raise ValueError("accuracy_drop early stop needs a reference_accuracy")
-        if data.val_images is None or len(data.val_images) == 0:
-            raise ValueError("accuracy_drop early stop needs a validation split")
+    g = copy_graph(graph)
 
     metrics = []
     for epoch in range(epochs):
@@ -129,14 +136,11 @@ def train_epochs(graph, data, schedule, optimizer, *, epochs, batch_size=16, see
         losses = []
         order_rng = np.random.default_rng((seed, epoch))
         for bx, by in iter_batches(data.train_images, data.train_labels, batch_size, order_rng):
-            loss, _, grads, stats = loss_and_grads(g, bx, by, update_ranges=ranges_on)
+            loss, _, grads, _ = loss_and_grads(g, bx, by, update_ranges=ranges_on)
             if not np.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite loss {loss} at epoch {epoch}, iteration {optimizer.iteration}"
                 )
-            if bn_stats_log is not None:
-                for name, s in stats.items():
-                    bn_stats_log.append((name, s))
             sgd_step(g, grads, optimizer, lr)
             losses.append(float(loss))
 
@@ -146,11 +150,8 @@ def train_epochs(graph, data, schedule, optimizer, *, epochs, batch_size=16, see
         test_acc = None
         if data.test_images is not None and len(data.test_images):
             test_acc = evaluate(g, data.test_images, data.test_labels)
-        metrics.append(EpochMetrics(epoch=epoch, lr=lr,
-                                    train_loss=float(np.mean(losses)) if losses else 0.0,
+        metrics.append(EpochMetrics(epoch=epoch, lr=lr, train_loss=float(np.mean(losses)),
                                     val_acc=val_acc, test_acc=test_acc))
-        if (stop is not None and stop.mode == "accuracy_drop"
-                and val_acc is not None
-                and val_acc >= stop.reference_accuracy - stop.drop_threshold):
+        if stop is not None and val_acc >= stop.reference_accuracy - stop.drop_threshold:
             break
     return g, metrics

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .graph import fold_bn_graph, save_model
 from .pruning import apply_pfq
-from .quantization import check_weight_ranges, insert_quant_points, set_quant_enabled
+from .quantization import check_weight_ranges, enable_weight_points, insert_quant_points
 from .training import EarlyStopPolicy, LRSchedule, OptimizerState, metrics_to_csv, train_epochs
 
 
@@ -34,7 +34,9 @@ class WorkflowError(ValueError):
 @dataclass
 class WorkflowConfig:
     """Every knob of both runs, with its one default; the CLI's workflow keys
-    fill only the fields a config sets."""
+    fill only the fields a config sets. stop, when given, ends each tuning
+    phase at its first epoch that meets it: stages 1 and 4 of run_workflow
+    and the single phase of run_single_stage_baseline."""
 
     epochs_act: int = 2
     epochs_weight: int = 2
@@ -49,8 +51,7 @@ class WorkflowConfig:
     act_momentum: float = 0.9
     weight_momentum: float = 0.0
     weight_decay: float = 0.0
-    stop_act: EarlyStopPolicy | None = None
-    stop_weight: EarlyStopPolicy | None = None
+    stop: EarlyStopPolicy | None = None
 
 
 @dataclass
@@ -100,7 +101,7 @@ def run_workflow(graph, data, cfg, out_dir=None):
     g, metrics_act = train_epochs(
         g, data, cfg.act_schedule, opt,
         epochs=cfg.epochs_act, batch_size=cfg.batch_size, seed=cfg.seed,
-        stop=cfg.stop_act,
+        stop=cfg.stop,
     )
     trace.append(f"stage1 finetune-activations: epochs={len(metrics_act)}")
     save_run(out_dir, g, "stage1", metrics=metrics_act)
@@ -116,13 +117,13 @@ def run_workflow(graph, data, cfg, out_dir=None):
     # A zero weight budget skips the whole stage, enabling included, so the
     # degenerate workflow stays functionally equal to prune + prune + fold.
     if cfg.epochs_weight > 0:
-        set_quant_enabled(g, weights=True)
+        enable_weight_points(g)
         check_weight_ranges(g)
     opt = OptimizerState(momentum=cfg.weight_momentum, weight_decay=cfg.weight_decay)
     g, metrics_weight = train_epochs(
         g, data, cfg.weight_schedule, opt,
         epochs=cfg.epochs_weight, batch_size=cfg.batch_size, seed=cfg.seed + 1,
-        stop=cfg.stop_weight, range_update_epochs=1,
+        stop=cfg.stop, range_update_epochs=1,
     )
     trace.append(f"stage4 finetune-weights: epochs={len(metrics_weight)}")
     save_run(out_dir, g, "stage4", metrics=metrics_weight)
@@ -153,7 +154,7 @@ def run_single_stage_baseline(graph, data, cfg, out_dir=None):
     g, metrics = train_epochs(
         g, data, cfg.act_schedule, opt,
         epochs=total_epochs, batch_size=cfg.batch_size,
-        seed=cfg.seed, stop=cfg.stop_act,
+        seed=cfg.seed, stop=cfg.stop,
     )
     trace.append(f"baseline finetune: epochs={len(metrics)}")
 

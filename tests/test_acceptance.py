@@ -20,9 +20,10 @@ import pytest
 from conftest import record_acceptance_line
 from oracles import max_rel_err, numeric_grad, replay_running_stats
 
+from pfqkit import training
 from pfqkit.batchnorm import BNParams, bn_forward_infer, fold_bn
 from pfqkit.data import bundle_from_datasets, make_synthetic, split_validation
-from pfqkit.engine import backward_graph, evaluate, forward_graph, run_inference
+from pfqkit.engine import backward_graph, evaluate, forward_graph, loss_and_grads, run_inference
 from pfqkit.graph import (
     LayerSpec,
     ModelGraph,
@@ -401,9 +402,11 @@ def test_staged_workflow_against_plain_quantization():
             f"MACs {macs['pruned'][0]} < {macs['plain'][0]}, {elapsed:.0f}s")
 
 
-def test_running_stat_replay():
+def test_running_stat_replay(monkeypatch):
     """Replaying logged batch statistics through an independent recurrence
-    reproduces the trainer's running mean and variance."""
+    reproduces the trainer's running mean and variance. The statistics are
+    logged by wrapping the trainer's loss_and_grads, whose fourth value maps
+    each BN layer to its batch statistics."""
     full = make_synthetic(3, 20, (3, 8, 8), seed=30)
     train, val = split_validation(full, 3, seed=0)
     data = bundle_from_datasets(train, val, val)
@@ -413,9 +416,16 @@ def test_running_stat_replay():
                             layer.params.rho)
                for layer in g.layers if layer.kind == "bn"}
     log = []
+
+    def logged(*args, **kwargs):
+        result = loss_and_grads(*args, **kwargs)
+        log.extend(result[3].items())
+        return result
+
+    monkeypatch.setattr(training, "loss_and_grads", logged)
     trained, _ = train_epochs(g, data, LRSchedule(0.02, 0, 3),
                               OptimizerState(momentum=0.9), epochs=3,
-                              batch_size=8, seed=32, bn_stats_log=log)
+                              batch_size=8, seed=32)
     worst = 0.0
     for name, (mean0, var0, rho) in initial.items():
         seq = [(s.mu, s.sigma2, s.count) for n, s in log if n == name]

@@ -7,6 +7,8 @@ correctly, and that failures surface as a single `error:` line.
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -17,12 +19,15 @@ import pytest
 import pfqkit
 from pfqkit.cli import ConfigError, _build_data, load_config, main
 from pfqkit.engine import evaluate
-from pfqkit.graph import count_macs, load_model
+from pfqkit.graph import count_macs, load_model, save_model
+from pfqkit.pruning import apply_pfq
+from pfqkit.quantization import insert_quant_points
+from pfqkit.training import LRSchedule, OptimizerState, train_epochs
 from pfqkit.workflow import WorkflowConfig, run_workflow
 
 
 # Stops at the first epoch: every validation accuracy is >= 0.0 - 1.0.
-_STOP_AT_ONCE = {"mode": "accuracy_drop", "drop_threshold": 1.0, "reference_accuracy": 0.0}
+_STOP_AT_ONCE = {"reference_accuracy": 0.0, "drop_threshold": 1.0}
 
 
 def _write_cfg(directory, **extra):
@@ -212,6 +217,16 @@ class TestTrain:
         assert main(["train", "--config", cfg, "--out", str(out)]) == 0
         assert len((out / "metrics.csv").read_text().splitlines()) == 2
 
+    def test_a_section_without_mode_stops(self, trained, tmp_path, capsys):
+        """An early_stop section always means accuracy drop; one that never
+        had a mode key used to run the full budget."""
+        cfg, model, _ = trained
+        capsys.readouterr()
+        assert main(["finetune", "--config", cfg, "--model", model, "--set", "train.epochs=3",
+                     "--set", f"train.early_stop={json.dumps(_STOP_AT_ONCE)}",
+                     "--out", str(tmp_path / "run")]) == 0
+        assert capsys.readouterr().out == "epochs=1\n"
+
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = _write_cfg(tmp_path, train={"epochs": 2, "batch_size": 8,
                                           "base_lr": 0.05, "period": 2})
@@ -264,7 +279,7 @@ class TestCompressionChain:
         out = root / "tuned"
         capsys.readouterr()
         rc = main(["finetune", "--config", cfg, "--model", str(annot / "model.json"),
-                   "--epochs", "1", "--out", str(out)])
+                   "--set", "train.epochs=1", "--out", str(out)])
         text = capsys.readouterr().out
         assert rc == 0
         assert text.strip() == "epochs=1"
@@ -280,10 +295,32 @@ class TestCompressionChain:
                   if l.weight_quant is not None]
         assert len(points) == 3 and not any(p.enabled for p in points)
         assert main(["finetune", "--config", cfg, "--model", str(annot / "model.json"),
-                     "--epochs", "1", "--enable-weight-quant", "--out", str(out)]) == 0
+                     "--set", "train.epochs=1", "--enable-weight-quant", "--out", str(out)]) == 0
         points = [l.weight_quant for l in load_model(out / "model.json").layers
                   if l.weight_quant is not None]
         assert len(points) == 3 and all(p.enabled for p in points)
+
+    def test_pfq_quantizes_constants_as_apply_pfq_does(self, trained, tmp_path):
+        """pfq --quantize-act-of-beta on a calibrated, annotated model writes
+        apply_pfq(..., quantize_act_of_beta=True)'s prune report; bn2's
+        channel 1, made constant at 0.43, reaches fc through relu2_q, so the
+        report without the flag differs."""
+        cfg, model, _ = trained
+        g = insert_quant_points(load_model(model), 4, 4)
+        g, _ = train_epochs(g, _build_data(load_config(cfg)), LRSchedule(0.01, 0, 1),
+                            OptimizerState(), epochs=1, batch_size=8)
+        bn = g.layer("bn2").params
+        bn.running_var[1], bn.beta[1] = 1e-7, 0.43
+        save_model(g, tmp_path / "m.json")
+        assert main(["pfq", "--config", cfg, "--model", str(tmp_path / "m.json"),
+                     "--quantize-act-of-beta", "--out", str(tmp_path / "pfq")]) == 0
+        written = (tmp_path / "pfq" / "prune_report.csv").read_text()
+        for quantize_act_of_beta in (True, False):
+            _, report = apply_pfq(load_model(tmp_path / "m.json"), 1e-5,
+                                  quantize_act_of_beta=quantize_act_of_beta)
+            report.to_csv(tmp_path / "lib.csv")
+            assert ((tmp_path / "lib.csv").read_text() == written) is quantize_act_of_beta
+        assert "bn2,1," in written
 
     def test_eval_reports_accuracy(self, trained, capsys):
         cfg, model, root = trained
@@ -376,6 +413,14 @@ class TestReports:
             assert len(line.split(",")) == 4
         assert (out / "range.csv").exists()
 
+    def test_constancy_report_on_no_images_is_a_named_error(self, trained, capsys):
+        cfg, model, _ = trained
+        capsys.readouterr()
+        assert main(["report-constancy", "--config", cfg, "--model", model,
+                     "--batch", "0"]) == 1
+        assert capsys.readouterr().err == (
+            "error: ValueError: channel_constancy_report: no images\n")
+
     def test_constancy_report(self, trained, capsys):
         cfg, model, root = trained
         out = root / "const"
@@ -406,6 +451,26 @@ class TestReports:
         assert int(out.strip()) == expected
 
 
+def test_readme_command_lines_run(tmp_path, monkeypatch):
+    """Every `pfqkit` line of README's "Command line" sh block exits 0 as
+    written, in a directory holding the section's config as run.json; lines
+    that take --config get --set overrides that shrink the data and epochs."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```(\w+)\n(.*?)```", section, re.S)
+    (tmp_path / "run.json").write_text(next(body for kind, body in blocks if kind == "json"))
+    lines = [line for kind, body in blocks if kind == "sh"
+             for line in body.splitlines() if line.startswith("pfqkit ")]
+    shrink = [f"--set={item}" for item in (
+        "data.per_class=3", "data.test_per_class=1", "data.shape=[3,8,8]", "split.per_class=1",
+        "train.epochs=1", "workflow.epochs_act=1", "workflow.epochs_weight=1")]
+    monkeypatch.chdir(tmp_path)
+    assert lines
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        assert main(argv + shrink if "--config" in argv else argv) == 0, line
+
+
 class TestFailureSurface:
     def test_missing_model_single_error_line(self, tmp_path, capsys):
         capsys.readouterr()
@@ -425,6 +490,40 @@ class TestFailureSurface:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments: --set seed=1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flags", [
+        ("pfq", ["--epsilon", "1e-4"]),
+        ("quantize-annotate", ["--act-bits", "3"]),
+        ("quantize-annotate", ["--weight-bits", "3"]),
+        ("quantize-annotate", ["--enable-weights"]),
+        ("finetune", ["--epochs", "1"]),
+    ])
+    def test_no_flag_repeats_a_config_key(self, tmp_path, capsys, command, flags):
+        argv = [command, "--model", str(tmp_path / "m.json"), "--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + flags)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+
+    def test_early_stop_mode_is_an_unknown_key(self, tmp_path, capsys):
+        capsys.readouterr()
+        assert main(["train", "--set", 'train.early_stop={"mode": "accuracy_drop"}',
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "unknown key 'train.early_stop.mode'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["train", "workflow"])
+    def test_early_stop_without_reference_is_a_config_error(self, trained, tmp_path, capsys,
+                                                            section):
+        """The section is read by the subcommand of its name."""
+        cfg, model, _ = trained
+        argv = [section, "--config", cfg, "--out", str(tmp_path / "out"),
+                "--set", f'{section}.early_stop={{"drop_threshold": 0.1}}']
+        if section == "workflow":
+            argv += ["--model", model]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: ConfigError: config: '{section}.early_stop' needs reference_accuracy\n")
 
     def test_bad_config_key_via_cli(self, tmp_path, capsys):
         path = tmp_path / "c.json"

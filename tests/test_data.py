@@ -131,6 +131,11 @@ class TestSplit:
         with pytest.raises(DataFormatError):
             split_validation(ds, 4, seed=0)
 
+    def test_negative_count_rejected(self):
+        ds = make_synthetic(4, 6, seed=0)
+        with pytest.raises(DataFormatError, match="^per_class must be >= 0, got -2$"):
+            split_validation(ds, -2, seed=0)
+
 
 class TestSynthetic:
     def test_shapes_and_range(self):

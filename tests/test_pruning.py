@@ -500,6 +500,12 @@ class TestConstancyReport:
         assert by_channel[("b1", 0)].spread > 1e-3
         assert by_channel[("b1", 2)].spread > 1e-3
 
+    def test_no_images_is_a_named_error(self):
+        rng = np.random.default_rng(89)
+        g = _graph_bias_consumer(rng)
+        with pytest.raises(ValueError, match="^channel_constancy_report: no images$"):
+            channel_constancy_report(g, _probe(rng, g, n=8)[:0])
+
     def test_csv_layout(self, tmp_path):
         rng = np.random.default_rng(97)
         g = _graph_bias_consumer(rng)

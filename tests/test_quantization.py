@@ -7,10 +7,10 @@ from pfqkit.models import build_small_convnet
 from pfqkit.quantization import (
     QuantConfig,
     QuantRangeError,
+    enable_weight_points,
     insert_quant_points,
     quantize,
     quantize_backward,
-    set_quant_enabled,
     update_activation_range,
     weight_range_cfg,
 )
@@ -272,8 +272,8 @@ class TestPlacement:
             insert_quant_points(g, 4, 8)
 
     def test_enable_toggles(self):
-        g = insert_quant_points(build_small_convnet(seed=0), 4, 8)
-        set_quant_enabled(g, weights=True, activations=False)
+        g = insert_quant_points(build_small_convnet(seed=0), 4, 8, act_enabled=False)
+        enable_weight_points(g)
         for layer in g.layers:
             if layer.weight_quant is not None:
                 assert layer.weight_quant.enabled

@@ -8,7 +8,7 @@ import pytest
 from pfqkit.data import bundle_from_datasets, make_synthetic, split_validation
 from pfqkit.graph import LayerSpec, ModelGraph, WeightParams
 from pfqkit.models import build_small_convnet
-from pfqkit.quantization import insert_quant_points, set_quant_enabled
+from pfqkit.quantization import enable_weight_points, insert_quant_points
 from pfqkit.training import (
     EarlyStopPolicy,
     LRSchedule,
@@ -178,22 +178,10 @@ class TestTrainLoop:
     def test_weight_quant_on_unfolded_graph_rejected(self):
         data = _bundle(seed=13)
         g = insert_quant_points(build_small_convnet(class_count=3, width=4, seed=5), 4, 4)
-        set_quant_enabled(g, weights=True)
+        enable_weight_points(g)
         with pytest.raises(ValueError):
             train_epochs(g, data, LRSchedule(0.02, 0, 1), OptimizerState(),
                          epochs=1, batch_size=8, seed=0)
-
-    def test_bn_stats_log_grows_per_update(self):
-        data = _bundle(seed=15, per_class=8)  # 12 train images
-        g = build_small_convnet(class_count=3, width=4, seed=5)
-        log = []
-        train_epochs(g, data, LRSchedule(0.02, 0, 1), OptimizerState(),
-                     epochs=2, batch_size=6, seed=0, bn_stats_log=log)
-        n_bn = sum(1 for l in g.layers if l.kind == "bn")
-        n_batches = 2 * 2  # 12 images / 6 per batch, 2 epochs
-        assert len(log) == n_bn * n_batches
-        names = {name for name, _ in log}
-        assert names == {l.name for l in g.layers if l.kind == "bn"}
 
 
 class TestEarlyStop:
@@ -202,14 +190,13 @@ class TestEarlyStop:
         g = build_small_convnet(class_count=3, width=4, seed=5)
         _, metrics = train_epochs(g, data, LRSchedule(0.02, 0, 3), OptimizerState(),
                                   epochs=3, batch_size=8, seed=0,
-                                  stop=EarlyStopPolicy(mode="fixed_epochs"))
+                                  stop=None)
         assert len(metrics) == 3
 
     def test_vacuous_reference_stops_immediately(self):
         data = _bundle(seed=17)
         g = build_small_convnet(class_count=3, width=4, seed=5)
-        stop = EarlyStopPolicy(mode="accuracy_drop", drop_threshold=0.005,
-                               reference_accuracy=0.0)
+        stop = EarlyStopPolicy(reference_accuracy=0.0, drop_threshold=0.005)
         _, metrics = train_epochs(g, data, LRSchedule(0.02, 0, 5), OptimizerState(),
                                   epochs=5, batch_size=8, seed=0, stop=stop)
         assert len(metrics) == 1
@@ -217,37 +204,51 @@ class TestEarlyStop:
     def test_unreachable_reference_never_stops(self):
         data = _bundle(seed=17)
         g = build_small_convnet(class_count=3, width=4, seed=5)
-        stop = EarlyStopPolicy(mode="accuracy_drop", drop_threshold=0.005,
-                               reference_accuracy=2.0)
+        stop = EarlyStopPolicy(reference_accuracy=2.0, drop_threshold=0.005)
         _, metrics = train_epochs(g, data, LRSchedule(0.02, 0, 3), OptimizerState(),
                                   epochs=3, batch_size=8, seed=0, stop=stop)
         assert len(metrics) == 3
 
     def test_missing_reference_rejected(self):
-        data = _bundle(seed=17)
-        g = build_small_convnet(class_count=3, width=4, seed=5)
-        with pytest.raises(ValueError):
-            train_epochs(g, data, LRSchedule(0.02, 0, 1), OptimizerState(),
-                         epochs=1, seed=0,
-                         stop=EarlyStopPolicy(mode="accuracy_drop"))
+        with pytest.raises(TypeError, match="reference_accuracy"):
+            EarlyStopPolicy(drop_threshold=0.005)
 
     @pytest.mark.parametrize("val", ["none", "empty"])
     def test_accuracy_drop_without_a_validation_split_rejected(self, val):
         data = _bundle(seed=17)
         data.val_images = None if val == "none" else data.val_images[:0]
         g = build_small_convnet(class_count=3, width=4, seed=5)
-        with pytest.raises(ValueError, match="^accuracy_drop early stop needs a validation split$"):
+        with pytest.raises(ValueError,
+                           match="^train_epochs: early stop needs a validation split$"):
             train_epochs(g, data, LRSchedule(0.02, 0, 1), OptimizerState(),
-                         epochs=1, seed=0,
-                         stop=EarlyStopPolicy(mode="accuracy_drop", reference_accuracy=0.5))
+                         epochs=1, seed=0, stop=EarlyStopPolicy(reference_accuracy=0.5))
 
-    def test_unknown_mode_rejected(self):
-        data = _bundle(seed=17)
+
+class TestDegenerateArguments:
+    """Each degenerate argument fails with its name before the first step."""
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"batch_size": 0}, "batch_size must be >= 1, got 0"),
+        ({"batch_size": -5}, "batch_size must be >= 1, got -5"),
+        ({"epochs": -1}, "epochs must be >= 0, got -1"),
+        ({"schedule": LRSchedule(0.02, 0, 0)}, "schedule period must be > 0, got 0"),
+    ], ids=["batch_size_0", "batch_size_negative", "epochs_negative", "period_0"])
+    def test_rejected(self, kwargs, message):
+        args = {"epochs": 1, "batch_size": 8, "schedule": LRSchedule(0.02, 0, 1), **kwargs}
         g = build_small_convnet(class_count=3, width=4, seed=5)
-        with pytest.raises(ValueError, match="unknown early stop mode 'acuracy_drop'"):
-            train_epochs(g, data, LRSchedule(0.02, 0, 1), OptimizerState(),
-                         epochs=1, seed=0,
-                         stop=EarlyStopPolicy(mode="acuracy_drop", reference_accuracy=0.5))
+        with pytest.raises(ValueError, match=f"^train_epochs: {message}$"):
+            train_epochs(g, _bundle(seed=17), args.pop("schedule"), OptimizerState(),
+                         seed=0, **args)
+
+    def test_empty_train_split_rejected_unless_no_epochs_run(self):
+        data = _bundle(seed=17)
+        data.train_images, data.train_labels = data.train_images[:0], data.train_labels[:0]
+        g = build_small_convnet(class_count=3, width=4, seed=5)
+        with pytest.raises(ValueError, match="^train_epochs: the train split is empty$"):
+            train_epochs(g, data, LRSchedule(0.02, 0, 1), OptimizerState(), epochs=1, seed=0)
+        _, metrics = train_epochs(g, data, LRSchedule(0.02, 0, 1), OptimizerState(),
+                                  epochs=0, seed=0)
+        assert metrics == []
 
 
 class TestMetricsCsv:
