@@ -322,10 +322,17 @@ def cmd_count_macs(args, cfg, graph):
     return 0
 
 
+def _count(text):
+    """argparse type of a count of images: an integer of at least 1."""
+    if not (text.isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got '{text}'")
+    return int(text)
+
+
 def _add_common(p, *, config=True, model=False, out=False):
     p.add_argument("--threads", type=int, default=None,
                    help="cap BLAS thread pools (set before numpy loads); run_inference's "
-                        "slab threads follow the CPUs the process may use (taskset)")
+                        "threads follow the CPUs the process may use (taskset)")
     if config:
         p.add_argument("--config", default=None, help="JSON run configuration")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -383,7 +390,7 @@ def build_parser():
     p = sub.add_parser("report-constancy", help="BN channel spread vs running variance")
     _add_common(p, model=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--batch", type=int, default=256)
+    p.add_argument("--batch", type=_count, default=256)
     p.set_defaults(func=cmd_report_constancy)
 
     p = sub.add_parser("count-macs", help="multiply-accumulate totals")

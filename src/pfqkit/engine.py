@@ -90,28 +90,49 @@ logits are finite; on batch statistics a channel of zero variance makes
 its scale gamma * inv_std overflow, 0 * inf gives nan, relu6 passes it and
 the depthwise conv after raises. No check is added for the clamped case.
 
-Slabs: run_inference runs the batch in slabs of as many images as keep the
-graph's widest per-image layer output, for the per-image input shape the
-plan is compiled for (once per plan), within SLAB_BYTES, so a slab's
-activations stay in cache across a block's elementwise passes. Every layer
-before the first affine computes each image on its own (per-image and
-per-channel matmuls, elementwise passes, per-plane means), so its bytes do
-not depend on how many images share a call. An affine is one matmul over
-the batch, and BLAS rounds a product of one or a few rows differently
-(numpy runs a 1-row product as a gemv), so the first affine and every step
-after it run once on the gathered slabs. run_inference thus gives the bytes
-of one unslabbed pass at every batch size.
+Slabs: run_inference runs the steps before the first affine (the head) on
+slabs of the batch, so a slab's activations stay in cache across a block's
+elementwise passes. Step i's slab is as many images as keep the widest
+per-image input or output of steps i to the first affine within SLAB_BYTES,
+for the per-image input shape the plan is compiled for (once per plan), so
+slabs never shrink along the head. A segment is a maximal run of steps with
+one slab size, and each ends after a layer that narrows the activations: on
+the width-32 net at float32 the slabs are 8, 16 and 64 images, and 4096 for
+the point on the pooled features. Every layer before the first affine
+computes each image on its own (per-image and per-channel matmuls,
+elementwise passes, per-plane means), so its bytes do not depend on how
+many images share a call. An affine is one matmul over the batch, and BLAS
+rounds a product of one or a few rows differently (numpy runs a 1-row
+product as a gemv), so the first affine and every step after it run once on
+the gathered batch. run_inference thus gives the bytes of one unslabbed
+pass at every batch size.
 
-The slabs run on every CPU the process may run on (its affinity mask, so
-taskset restricts them): cut into contiguous shares, at most one per slab,
-the calling thread runs the first and a helper thread each other one, and
-the helpers are joined before run_inference returns or raises. The shares
-only read the plan, which the compile built whole. A slab's bytes are its
-own images' whatever runs it, and the slabs are gathered in order, so
-neither the CPU count nor the thread a slab ran on can move a byte; numpy
-releases the GIL inside matmul and ufunc loops, which is where the threads
-overlap. Training stays on one thread: BN on batch statistics couples
-every image of a training batch, so it has no independent slabs to share.
+Shares: the batch is cut into contiguous, near-equal image shares, one per
+CPU the process may run on (its affinity mask, so taskset restricts them)
+and at most one per first-segment slab. The calling thread runs the first
+share and a helper thread each other one, in a copy of the caller's context
+(so under its np.errstate); the helpers are joined before run_inference
+returns or raises. A share runs its last segment on slabs cut from its own
+images, and each slab of a segment runs the segment before it on slabs cut
+from that slab's images; at each boundary the outputs still live (the next
+step's input, and one a later add_junction reads) are joined in image
+order. A boundary thus joins at most one slab of the segment after it,
+whose SLAB_BYTES bound covers every output it reads, so memory does not
+grow with the batch past the head's gathered outputs. The shares only read
+the plan, which the compile built whole, and they are gathered in share
+order, so neither the CPU count nor the thread a share ran on can move a
+byte. The threads overlap inside numpy's matmul and ufunc loops, which
+release the GIL, but every call gives it up and takes it back: on a 2-vCPU
+VM two threads doing in-place elementwise calls on 4K-16K-element float32
+arrays did 0.58-0.65x the work of one thread, and 1.75x on 64K-element
+arrays (medians of 7 repeats), which is why each segment takes the largest
+slab its own activations allow. A share's slabs are cut from its own first
+image, so which of two failing images it meets first can depend on the CPU
+count: a call cut into more than one share that fails runs the head again
+on the calling thread alone and raises the error of that run, the one a
+single CPU raises. Training stays on one thread: BN on batch statistics
+couples every image of a training batch, so it has no independent slabs to
+share.
 
 Absorption: in a pass that drops outputs in inference mode, a relu or relu6
 whose only reader is an applying activation point with range [m, M] inside
@@ -128,6 +149,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextvars import copy_context
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -363,8 +385,9 @@ class _Plan(NamedTuple):
     arrays: tuple  # every weight and bias array the steps are built from
     blobs: list  # their bytes at compile time
     steps: tuple  # per layer, (forward(x, out, outputs), own, name, release)
-    split: int  # the steps before the first affine, which run per slab
-    slab: int  # images per slab
+    # Per run of the steps before the first affine that share one slab size,
+    # (its first step, the step after its last, images per slab).
+    segments: tuple
 
 
 def _key(graph, x, keep_outputs):
@@ -402,7 +425,9 @@ def _compile(graph, x, key):
     it leaves) on a zero-image batch, so a weight, bias, range or shape
     error raises before any input is run; the plan is read-only after."""
     layers = graph.layers
-    widest = max(1, *map(math.prod, _shapes(layers, x.shape[1:]).values()))
+    # Per-image sizes of the input and of each output; _shapes names the
+    # layer whose geometry does not fit x before any step is built.
+    widths = [math.prod(x.shape[1:]), *map(math.prod, _shapes(layers, x.shape[1:]).values())]
     arrays, steps, outputs, prev, bound = [], [], {}, x[:0], np.inf
     for layer, (own, release, absorbed) in zip(layers, _schedule(layers, False, key[0])):
         if absorbed or layer.kind == "quant_point" and not act_point_applies(layer.params):
@@ -414,9 +439,14 @@ def _compile(graph, x, key):
             prev = forward(prev, None, outputs)
         outputs[layer.name] = prev
         steps.append((forward, own, layer.name, tuple(release)))
+    # Step i's slab fits the widest per-image input or output from step i to
+    # the first affine, so slabs never shrink along the head.
     split = next((i for i, layer in enumerate(layers) if layer.kind == "affine"), len(layers))
-    return _Plan(key, tuple(arrays), [a.tobytes() for a in arrays], tuple(steps), split,
-                 max(1, SLAB_BYTES // (widest * x.itemsize)))
+    slabs = [max(1, SLAB_BYTES // (max(1, *widths[i:split + 1]) * x.itemsize))
+             for i in range(split)]
+    cuts = [0] + [i for i in range(1, split) if slabs[i] != slabs[i - 1]] + [split]
+    return _Plan(key, tuple(arrays), [a.tobytes() for a in arrays], tuple(steps),
+                 tuple((a, b, slabs[a]) for a, b in zip(cuts, cuts[1:])))
 
 
 def _pass_through(x, out, outputs):
@@ -564,41 +594,61 @@ def run_inference(graph, x):
     """Inference-mode output of the whole graph, byte for byte the final
     output of forward_graph(graph, x, keep_outputs=False).
 
-    Runs the graph's plan. When the batch is wider than one slab, the steps
-    before the first affine run on slabs of the batch, as many images as
-    keep the graph's widest layer output on x within SLAB_BYTES. The slabs
-    are cut into contiguous shares, one per CPU the process may run on
-    (_cpus) and at most one per slab: the calling thread runs the first
-    share and a helper thread each other one, and every helper has ended
-    when the call returns or raises; the shares only read the plan. A slab
-    that raises fails the call with the error one thread running the slabs
-    in order would raise. Each output still live after the slabs is
-    gathered, in slab order, into a whole-batch array; the first affine and
-    the steps after it then run once on those.
+    Runs the graph's plan. A batch wider than the first segment's slab is
+    cut into one share per CPU the process may run on (_cpus), at most one
+    per first slab, and each share runs the head on slabs of its own images,
+    each segment's slab cut from one of the next segment's (the module
+    docstring's slabs and shares); every helper thread has ended when the
+    call returns or raises. A failing call raises the error of one CPU's
+    run, which it makes again on the calling thread when it ran more than
+    one share. The first affine and the steps after it run once on the
+    gathered shares.
     """
     plan = _plan(graph, x, False)
-    n, size, steps, split = x.shape[0], plan.slab, plan.steps, plan.split
-    if n <= size:
+    n, steps, segments = x.shape[0], plan.steps, plan.segments
+    if n <= segments[0][2]:
         return _run(steps, x, {})
-    head, slabs = steps[:split], range(0, n, size)
 
-    def share(los):
-        for lo in los:
-            outputs = {}
-            _run(head, x[lo:lo + size], outputs)
-            yield outputs
-
-    k = min(_cpus(), len(slabs))
-    shares = [slabs[i * len(slabs) // k:(i + 1) * len(slabs) // k] for i in range(k)]
-    # The pool starts a thread per submitted share only, and joins them on exit.
-    with ThreadPoolExecutor(max(k - 1, 1)) as pool:
-        helpers = [pool.submit(list, share(los)) for los in shares[1:]]
-        pieces = list(share(shares[0]))
-        for helper in helpers:
-            pieces += helper.result()
-    gathered = {name: np.concatenate([p[name] for p in pieces]) for name in pieces[0]}
+    k = min(_cpus(), -(-n // segments[0][2]))
+    cuts = [i * n // k for i in range(k + 1)]
+    try:
+        # The pool starts a thread per submitted share only, and joins them
+        # on exit. A helper runs in a copy of the caller's context, which
+        # holds numpy's error state (np.errstate).
+        with ThreadPoolExecutor(max(k - 1, 1)) as pool:
+            helpers = [pool.submit(copy_context().run, _head, plan, x[lo:hi])
+                       for lo, hi in zip(cuts[1:-1], cuts[2:])]
+            shares = [_head(plan, x[:cuts[1]])] + [helper.result() for helper in helpers]
+    except Exception:
+        if k > 1:  # the shares' slabs are cut where one CPU's are not
+            _head(plan, x)
+        raise
+    gathered = _gathered(shares)
     # The first step is never an affine (it needs a flat input), so split > 0.
+    split = segments[-1][1]
     return _run(steps[split:], gathered[steps[split - 1][2]], gathered)
+
+
+def _head(plan, x, j=-1):
+    """The outputs still live after the plan's segment j (its last by
+    default) on the images of x: the segment runs on slabs of its size, each
+    fed by segment j - 1 on the slab's images, so a boundary joins at most
+    one slab of the segment after it."""
+    a, b, slab = plan.segments[j]
+    pieces = []
+    for s in range(0, len(x), slab):
+        outputs = _head(plan, x[s:s + slab], j - 1) if a else {}
+        _run(plan.steps[a:b], outputs[plan.steps[a - 1][2]] if a else x[s:s + slab], outputs)
+        pieces.append(outputs)
+    return _gathered(pieces)
+
+
+def _gathered(pieces):
+    """The outputs of runs over consecutive images of one batch, each
+    concatenated in image order (one run's as they are)."""
+    if len(pieces) == 1:
+        return pieces[0]
+    return {name: np.concatenate([p[name] for p in pieces]) for name in pieces[0]}
 
 
 def loss_and_grads(graph, x, labels, *, update_ranges=False):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import iter_batches
 from .engine import evaluate, loss_and_grads
-from .graph import CONV_LIKE, copy_graph, write_csv
+from .graph import CONV_LIKE, _real, copy_graph, write_csv
 
 
 class TrainingDiverged(RuntimeError):
@@ -73,12 +73,21 @@ def sgd_step(graph, param_grads, state, lr):
 
 @dataclass
 class EarlyStopPolicy:
-    """Stop at the first epoch whose validation accuracy is at least
-    reference_accuracy - drop_threshold, both as fractions in [0, 1].
-    Training without a policy runs its full epoch budget."""
+    """Stop at the first epoch whose validation accuracy, a fraction in
+    [0, 1], is at least reference_accuracy - drop_threshold; a bar above 1
+    never stops. Training without a policy runs its full epoch budget. A
+    field that is not a finite real number (a bool is not) raises
+    ValueError naming it."""
 
     reference_accuracy: float
     drop_threshold: float = 0.005
+
+    def __post_init__(self):
+        for name in ("reference_accuracy", "drop_threshold"):
+            value = getattr(self, name)
+            if not (_real(value) and math.isfinite(value)):
+                raise ValueError(f"EarlyStopPolicy: {name} must be a finite real number, "
+                                 f"got {value!r}")
 
 
 @dataclass

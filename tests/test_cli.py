@@ -414,12 +414,27 @@ class TestReports:
         assert (out / "range.csv").exists()
 
     def test_constancy_report_on_no_images_is_a_named_error(self, trained, capsys):
+        """A validation split that takes every pool image leaves no train
+        images to report on."""
         cfg, model, _ = trained
         capsys.readouterr()
         assert main(["report-constancy", "--config", cfg, "--model", model,
-                     "--batch", "0"]) == 1
+                     "--set", "split.per_class=8"]) == 1
         assert capsys.readouterr().err == (
             "error: ValueError: channel_constancy_report: no images\n")
+
+    @pytest.mark.parametrize("batch", ["0", "-5", "2.5", "x"])
+    def test_constancy_report_batch_that_is_no_count_is_a_usage_error(self, trained, capsys, batch):
+        """--batch counts images, at least one: a negative count would slice
+        from the end."""
+        cfg, model, _ = trained
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["report-constancy", "--config", cfg, "--model", model, "--batch", batch])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "pfqkit report-constancy: error: argument --batch: expected an integer of at "
+            f"least 1, got '{batch}'")
 
     def test_constancy_report(self, trained, capsys):
         cfg, model, root = trained
@@ -524,6 +539,25 @@ class TestFailureSurface:
         assert main(argv) == 1
         assert capsys.readouterr().err == (
             f"error: ConfigError: config: '{section}.early_stop' needs reference_accuracy\n")
+
+    @pytest.mark.parametrize("section", ["train", "workflow"])
+    @pytest.mark.parametrize("field, value", [("reference_accuracy", float("nan")),
+                                              ("drop_threshold", float("inf"))])
+    def test_early_stop_not_finite_is_one_error_line(self, trained, tmp_path, capsys, section,
+                                                     field, value):
+        """JSON admits NaN and Infinity, and the schema types them float."""
+        cfg, model, _ = trained
+        spec = json.dumps({"reference_accuracy": 0.5, field: value})
+        argv = [section, "--config", cfg, "--out", str(tmp_path / "out"),
+                "--set", f"{section}.early_stop={spec}"]
+        if section == "workflow":
+            argv += ["--model", model]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: ValueError: EarlyStopPolicy: {field} must be a finite real number, "
+            f"got {value!r}\n")
+        assert not (tmp_path / "out" / "model.json").exists()
 
     def test_bad_config_key_via_cli(self, tmp_path, capsys):
         path = tmp_path / "c.json"

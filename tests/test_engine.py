@@ -1,12 +1,15 @@
 """The engine's trace contract and the memory it keeps alive.
 
 run_inference keeps each layer output only until its last reader, so it must
-give exactly the final output of a full trace; it runs the layers before the
-first affine in slabs, shared among threads as the CPUs the process may use
-allow, and the rest on the whole batch, which must change no byte at any
-batch size around the slab size, at any thread count, and when a slab
-fails on a helper thread. backward_graph consumes its
-trace and names the error when it is given one it cannot backpropagate.
+give exactly the final output of a full trace; it cuts the batch into one
+share per CPU the process may use, runs each segment of the layers before
+the first affine on slabs of a share sized for that segment's own layers,
+and runs the rest on the whole batch, which must change no byte at any
+batch size around the slab sizes, at any thread count, when a junction
+reads across a segment boundary, and when shares fail (the error of one
+CPU's run wins), at a peak memory that does not grow with the batch.
+backward_graph consumes its trace and names the error when it is given one
+it cannot backpropagate.
 Peak memory is measured with tracemalloc on a deep chain of cheap
 elementwise layers: there the set of live activations sets the peak, where on
 the builder nets a convolution's im2col transient would. A conv, depthwise
@@ -25,12 +28,14 @@ clamps, where training on the same graph raises.
 
 import collections
 import copy
+import gc
 import json
 import os
 import re
 import sys
 import threading
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -41,8 +46,8 @@ from pfqkit import tensor_ops as T
 from pfqkit.batchnorm import init_bn
 from pfqkit.data import make_synthetic
 from pfqkit.engine import backward_graph, forward_graph, loss_and_grads, run_inference
-from pfqkit.graph import (LayerSpec, ModelGraph, WeightParams, copy_graph, fold_bn_graph,
-                          infer_shapes, load_model, save_model)
+from pfqkit.graph import (CONV_LIKE, GraphError, LayerSpec, ModelGraph, WeightParams,
+                          copy_graph, fold_bn_graph, infer_shapes, load_model, save_model)
 from pfqkit.models import BUILDERS, build_ds_convnet, build_small_convnet
 from pfqkit.quantization import (QuantConfig, QuantPoint, QuantRangeError, act_point_applies,
                                  insert_quant_points)
@@ -93,23 +98,43 @@ def test_run_inference_equals_full_trace_folded_4bit():
 
 # --- slabs ---------------------------------------------------------------------
 
+def _segment_slabs(graph, dtype):
+    """Per layer before the first affine, the images per slab of its
+    segment: SLAB_BYTES over the widest per-image input or output from that
+    layer to the first affine."""
+    layers, shapes = graph.layers, infer_shapes(graph)
+    split = next(i for i, l in enumerate(layers) if l.kind == "affine")
+    widths = [int(np.prod(s)) for s in
+              [graph.input_shape] + [shapes[l.name] for l in layers[:split]]]
+    return {l.name: engine.SLAB_BYTES // (max(widths[i:]) * np.dtype(dtype).itemsize)
+            for i, l in enumerate(layers[:split])}
+
+
 def _slab(graph, dtype):
-    widest = max(int(np.prod(s)) for s in infer_shapes(graph).values())
-    return engine.SLAB_BYTES // (widest * np.dtype(dtype).itemsize)
+    """The first segment's slab, which decides whether a batch is cut."""
+    return _segment_slabs(graph, dtype)[graph.layers[0].name]
 
 
-def _batch_sizes(monkeypatch):
-    """Records (op, batch extent) of every conv, depthwise conv and affine call."""
+def _shares(n, workers, first):
+    """The image counts of run_inference's shares of an n-image batch."""
+    k = min(workers, -(-n // first))
+    return [(i + 1) * n // k - i * n // k for i in range(k)]
+
+
+def _layer_batches(monkeypatch):
+    """Records (layer name, batch extent) of every call of a conv, depthwise
+    conv or affine plan step compiled from here on."""
     seen = []
 
-    def recording(name, op):
-        def wrapped(x, *args, **kwargs):
-            seen.append((name, x.shape[0]))
-            return op(x, *args, **kwargs)
-        return wrapped
+    def recording(build):
+        def build_recorded(layer, *args):
+            forward, bound = build(layer, *args)
+            return lambda x, out, outputs: (
+                seen.append((layer.name, x.shape[0])) or forward(x, out, outputs)), bound
+        return build_recorded
 
-    for name in CHECKING_OPS:
-        monkeypatch.setattr(T, name, recording(name, getattr(T, name)))
+    for kind in CONV_LIKE:
+        monkeypatch.setitem(engine._STEPS, kind, recording(engine._STEPS[kind]))
     return seen
 
 
@@ -148,30 +173,43 @@ WORKERS = [1, 2, 3]
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("workers", WORKERS)
 def test_slabs_change_no_byte(name, dtype, workers, monkeypatch):
-    """run_inference runs the layers before the affine on slabs of the batch,
-    shared among `workers` threads, the affine on the whole batch, and gives
-    the bytes of one unslabbed inference at every batch size around the slab
-    size, on a fresh plan and on a built one."""
+    """run_inference cuts the batch into shares among `workers` threads and
+    runs each segment of the layers before the affine on slabs of a share,
+    of the segment's size, the affine on the whole batch, and gives the
+    bytes of one unslabbed inference at every batch size around the first
+    slab size, on a fresh plan and on a built one."""
     monkeypatch.setattr(engine, "_cpus", lambda: workers)
     net = BUILDERS[name](seed=6, dtype=dtype)
     q = _calibrated_4bit(net, fold=name != "residual_net")
     assert all(act_point_applies(l.params) for l in q.layers if l.kind == "quant_point")
+    slabs = _segment_slabs(q, dtype)
     slab = _slab(q, dtype)
     assert slab > 1
+    # Each segment's slab divides the next one's, so a share's slabs of every
+    # segment start at multiples of that slab from the share's first image.
+    sizes = sorted(set(slabs.values()))
+    assert all(b % a == 0 for a, b in zip(sizes, sizes[1:]))
     x = _batch(q, n=3 * slab + 5, seed=8).astype(dtype)
-    seen = _batch_sizes(monkeypatch)
-    per_slab = sum(l.kind in ("conv", "depthwise_conv") for l in q.layers)
+    seen = _layer_batches(monkeypatch)
     for n in (1, slab - 1, slab, slab + 1, 3 * slab + 5):
         whole = forward_graph(q, x[:n], keep_outputs=False).outputs[q.layers[-1].name]
+        shares = _shares(n, workers, slab)
         for g in (copy_graph(q), q):  # a fresh plan, then the one forward_graph built
             engine._plan(g, x[:n], False)  # the compile's zero-image pass is not counted
             seen.clear()
             streamed = run_inference(g, x[:n])
             assert streamed.dtype == whole.dtype == dtype and streamed.shape == whole.shape
             assert streamed.tobytes() == whole.tobytes()
-            assert [k for op, k in seen if op == "affine_forward"] == [n]
-            convs = [k for op, k in seen if op != "affine_forward"]
-            assert len(convs) == per_slab * -(-n // slab) and max(convs) == min(n, slab)
+            calls = collections.defaultdict(list)
+            for layer, k in seen:
+                calls[layer].append(k)
+            for layer in q.layers:
+                if layer.kind == "affine":
+                    assert calls[layer.name] == [n]
+                elif layer.kind in ("conv", "depthwise_conv"):
+                    size, extents = slabs[layer.name], calls[layer.name]
+                    assert sum(extents) == n and max(extents) <= size
+                    assert len(extents) == sum(-(-share // size) for share in shares)
 
 
 def _flat_junction_net():
@@ -201,16 +239,171 @@ def test_outputs_read_after_the_slabs_are_gathered(n, workers, monkeypatch):
 @pytest.mark.parametrize("workers", WORKERS)
 def test_slabs_are_sized_for_the_input_the_plan_runs_on(workers, monkeypatch):
     """A small_convnet declared (3, 8, 8) and run on 64x64 images sizes its
-    slabs for 64x64 images, so a slab's widest layer output stays within
-    SLAB_BYTES, and the slabbed logits are those of one unslabbed pass."""
+    slabs for 64x64 images: each segment's slab is the largest whose widest
+    per-image input or output, from the segment's first layer to the affine,
+    stays within SLAB_BYTES, so none of the segment's own do either, and the
+    slabbed logits are those of one unslabbed pass."""
     monkeypatch.setattr(engine, "_cpus", lambda: workers)
     net = build_small_convnet(seed=2)
     x = np.random.default_rng(5).standard_normal((300, 3, 64, 64)).astype(np.float32)
     run_inference(net, x)
     wide = build_small_convnet(input_shape=(3, 64, 64), seed=2)
-    widest = max(int(np.prod(s)) for s in infer_shapes(wide).values())
-    assert net.plan.slab == 8 and net.plan.slab * widest * x.itemsize <= engine.SLAB_BYTES
-    _slabbed_exactly(net, x[:20])  # three slabs
+    shapes, slabs, segments = infer_shapes(wide), _segment_slabs(wide, x.dtype), net.plan.segments
+    assert segments[0][0] == 0 and segments[0][2] == 8
+    assert [b for _, b, _ in segments[:-1]] == [a for a, _, _ in segments[1:]]
+    assert segments[-1][1] == len(slabs)
+    for a, b, slab in segments:
+        assert {slabs[l.name] for l in wide.layers[a:b]} == {slab}
+        ins = [x.shape[1:] if i == 0 else shapes[wide.layers[i - 1].name] for i in range(a, b)]
+        widest = max(int(np.prod(s)) for s in ins + [shapes[l.name] for l in wide.layers[a:b]])
+        assert slab * widest * x.itemsize <= engine.SLAB_BYTES
+    _slabbed_exactly(net, x[:20])  # three first slabs
+
+
+@pytest.mark.parametrize("shape, message", [
+    ((2, 4, 8, 8), "conv 'conv1' expects 3 input channels, gets 4"),
+    ((2, 3, 8), r"conv 'conv1' needs a \(C, H, W\) input, got \(3, 8\)"),
+])
+def test_an_input_the_slabs_cannot_be_sized_for_names_the_layer(shape, message):
+    """The compile sizes its slabs from the layer geometry on the input's
+    shape, which names the first layer the input does not fit."""
+    net = build_small_convnet(seed=2)
+    with pytest.raises(GraphError, match=f"^{message}$"):
+        run_inference(net, np.ones(shape, np.float32))
+    assert net.plan is None
+
+
+def _bottleneck_net():
+    """A stride-2 conv, then a residual bottleneck block whose junction adds
+    the conv's output to the block's: at float32 the layers before the
+    affine run in segments of 64, 128 and 256 images, so the conv's output
+    is live across two segment boundaries. The block's BN is live (not
+    folded), so nothing bounds what reaches the depthwise conv after it."""
+    rng = np.random.default_rng(7)
+
+    def weights(*shape, bias=True):
+        out, fan_in = shape[::-1] if len(shape) == 2 else (shape[0], np.prod(shape[1:]))
+        return WeightParams((rng.standard_normal(shape) / np.sqrt(fan_in)).astype(np.float32),
+                            rng.standard_normal(out).astype(np.float32) if bias else None)
+
+    return ModelGraph(layers=[
+        LayerSpec("stem", "conv", weights(4, 2, 3, 3), stride=(2, 2), padding=(1, 1)),
+        LayerSpec("expand", "conv", weights(16, 4, 1, 1)),
+        LayerSpec("relu1", "relu"),
+        LayerSpec("reduce1", "conv", weights(8, 16, 1, 1, bias=False)),
+        LayerSpec("bn", "bn", init_bn(8)),
+        LayerSpec("dw", "depthwise_conv", weights(8, 1, 3, 3), padding=(1, 1)),
+        LayerSpec("reduce2", "conv", weights(4, 8, 1, 1)),
+        LayerSpec("join", "add_junction", ("stem", "reduce2")),
+        LayerSpec("relu2", "relu"),
+        LayerSpec("pool", "global_avg_pool"),
+        LayerSpec("fc", "affine", weights(4, 3)),
+    ], input_shape=(2, 32, 32))
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+def test_slabs_of_a_junction_read_across_segment_boundaries(workers, monkeypatch):
+    """A junction that reads an output from before two segment boundaries
+    gives the bytes of one unslabbed pass at every batch size around the
+    segments' slabs, on a fresh plan and on a built one."""
+    monkeypatch.setattr(engine, "_cpus", lambda: workers)
+    net = _bottleneck_net()
+    x = np.random.default_rng(8).standard_normal((3 * 256 + 7, 2, 32, 32)).astype(np.float32)
+    run_inference(net, x[:1])
+    assert net.plan.segments == ((0, 4, 64), (4, 7, 128), (7, 10, 256))
+    for n in (1, 64, 65, 129, 300, 3 * 256 + 7):
+        _slabbed_exactly(net, x[:n])
+
+
+def test_slab_errors_of_two_shares_fail_as_on_one_cpu(monkeypatch):
+    """An image scaled by 1e10 overflows past the live BN and fails the
+    depthwise conv, in the second segment; a nan image fails the stem, in
+    the first. At each placement of the two in a 130-image batch, 2 and 3
+    workers raise exactly the error of one, which runs each 128-image slab
+    of the second segment after its two 64-image slabs of the first: the
+    slab met first fails. At (100, 128) the last share of 2 or 3 meets the
+    nan first, where one CPU meets the overflow first. Every helper thread
+    has ended when the call raises."""
+    net = _bottleneck_net()
+    net.layers[4].params.gamma[:] = 1e30
+    x = np.random.default_rng(9).standard_normal((130, 2, 32, 32)).astype(np.float32)
+    whole = _unslabbed(net, x)
+    assert np.isfinite(whole).all()
+    stem, dw = "^conv2d: non-finite values in x$", "^depthwise_conv2d: non-finite values in x$"
+    cases = []
+    for over, nan, message in [(129, None, dw), (0, 129, dw), (100, 128, dw), (129, 0, stem)]:
+        bad = x.copy()
+        bad[over] *= 1e10
+        if nan is not None:
+            bad[nan, 0, 0, 0] = np.nan
+        cases.append((bad, message))
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(engine, "_cpus", lambda: workers)
+        for g in (copy_graph(net), net):  # a fresh plan, then a built one
+            threads = threading.active_count()
+            with np.errstate(over="ignore"):
+                for bad, message in cases:
+                    with pytest.raises(ValueError, match=message):
+                        run_inference(g, bad)
+            assert threading.active_count() == threads
+            assert run_inference(g, x).tobytes() == whole.tobytes()
+
+
+def test_slab_helpers_run_under_the_callers_error_state(monkeypatch):
+    """The live stem BN's scale overflows on the last image, which a helper
+    thread runs, and relu6 clamps the inf: the call gives finite logits
+    where the caller ignores overflows and raises where it raises them."""
+    net = build_ds_convnet(blocks=2, seed=3)
+    net.layers[1].params.gamma[:] = 1e30
+    assert net.layers[2].kind == "relu6"
+    x = _batch(net, n=3 * _slab(net, np.float32), seed=9)
+    x[-1] *= 1e10
+    for workers in WORKERS:
+        monkeypatch.setattr(engine, "_cpus", lambda: workers)
+        with np.errstate(over="ignore"):
+            assert np.isfinite(run_inference(net, x)).all()
+        with np.errstate(over="raise"), pytest.raises(
+                FloatingPointError, match="^overflow encountered in multiply$"):
+            run_inference(net, x)
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+def test_slab_memory_does_not_grow_with_the_batch(workers, monkeypatch):
+    """run_inference's peak on the bottleneck net, whose segments join
+    their slabs' outputs at two boundaries, is the same at 64 times its
+    largest slab as at 4 times it, and at most one share's per thread.
+    SLAB_BYTES is cut to 64 KiB, which makes the slabs 4, 8 and 16 images,
+    so that the batches stay small."""
+    monkeypatch.setattr(engine, "SLAB_BYTES", 1 << 16)
+    net = _bottleneck_net()
+    x = np.random.default_rng(10).standard_normal((64 * 16, 2, 32, 32)).astype(np.float32)
+    run_inference(net, x[:1])
+    assert net.plan.segments == ((0, 4, 4), (4, 7, 8), (7, 10, 16))
+    monkeypatch.setattr(engine, "_cpus", lambda: 1)
+    one = _peak_bytes(run_inference, net, x[:4 * 16])
+    monkeypatch.setattr(engine, "_cpus", lambda: workers)
+    # What grows with the batch: the pooled features, 16 bytes an image, held
+    # as a share's slabs and joined, then as the shares and gathered, and the
+    # logits, 16 bytes an image: at most 80 bytes an image.
+    assert _peak_bytes(run_inference, net, x) <= workers * one + 128 * len(x)
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+def test_slabs_leave_no_reference_cycle(workers, monkeypatch):
+    """A call that cuts its batch into shares and nested slabs leaves no
+    reference cycle: with the cyclic collector off, the batch is freed as
+    soon as the caller drops it."""
+    monkeypatch.setattr(engine, "_cpus", lambda: workers)
+    net = _bottleneck_net()
+    x = np.random.default_rng(11).standard_normal((300, 2, 32, 32)).astype(np.float32)
+    freed = weakref.ref(x)
+    gc.disable()
+    try:
+        run_inference(net, x)
+        del x
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 def test_slab_threads_follow_the_cpus_the_process_may_use(monkeypatch):
@@ -355,7 +548,7 @@ def test_a_non_finite_last_weight_fails_the_compile_on_the_calling_thread(monkey
         return compile_(*args)
 
     monkeypatch.setattr(engine, "_compile", compile_recorded)
-    seen = _batch_sizes(monkeypatch)
+    seen = _layer_batches(monkeypatch)
     threads = threading.active_count()
     with pytest.raises(ValueError, match="^affine: non-finite values in weights$") as raised:
         run_inference(net, x)

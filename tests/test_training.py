@@ -1,6 +1,7 @@
 """Learning-rate schedule values, SGD mechanics, and the training loop."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -212,6 +213,21 @@ class TestEarlyStop:
     def test_missing_reference_rejected(self):
         with pytest.raises(TypeError, match="reference_accuracy"):
             EarlyStopPolicy(drop_threshold=0.005)
+
+    @pytest.mark.parametrize("field", ["reference_accuracy", "drop_threshold"])
+    @pytest.mark.parametrize("value", [None, float("nan"), float("inf"), -float("inf"), True,
+                                       "0.5", np.float64(np.nan)])
+    def test_a_field_that_is_not_a_finite_real_is_rejected(self, field, value):
+        """None would fail only after the first epoch, and nan never stops."""
+        kwargs = {"reference_accuracy": 0.5, field: value}
+        with pytest.raises(ValueError, match=rf"^EarlyStopPolicy: {field} must be a finite "
+                                             rf"real number, got {re.escape(repr(value))}$"):
+            EarlyStopPolicy(**kwargs)
+
+    @pytest.mark.parametrize("value", [0, 1, 0.25, np.float32(0.5), np.int64(0)])
+    def test_finite_reals_are_kept_as_given(self, value):
+        policy = EarlyStopPolicy(value, value)
+        assert policy.reference_accuracy is value and policy.drop_threshold is value
 
     @pytest.mark.parametrize("val", ["none", "empty"])
     def test_accuracy_drop_without_a_validation_split_rejected(self, val):
