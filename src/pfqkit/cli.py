@@ -5,10 +5,10 @@ JSON file validated against a closed schema (unknown keys are rejected);
 individual keys can be overridden with repeated --set dotted.path=value
 flags, the one way to change a config key from the command line. The
 remaining flags are settings with no config key: paths, --threads,
-pfq --quantize-act-of-beta, finetune --enable-weight-quant and
-report-constancy --batch. Failures print exactly one `error: ...` line to
-stderr and exit nonzero. Heavy imports happen after argument parsing so
-that --threads can cap the BLAS thread pools before numpy loads.
+finetune --enable-weight-quant and report-constancy --batch. Failures print
+exactly one `error: ...` line to stderr and exit nonzero. Heavy imports
+happen after argument parsing so that --threads can cap the BLAS thread
+pools before numpy loads.
 """
 
 from __future__ import annotations
@@ -207,8 +207,7 @@ def cmd_pfq(args, cfg, graph):
     from .pruning import apply_pfq
     from .workflow import save_run
 
-    graph, report = apply_pfq(graph, cfg["pfq"]["epsilon"],
-                              quantize_act_of_beta=args.quantize_act_of_beta)
+    graph, report = apply_pfq(graph, cfg["pfq"]["epsilon"])
     save_run(args.out, graph, prune_report=report)
     print(report.summary())
     return 0
@@ -354,7 +353,6 @@ def build_parser():
 
     p = sub.add_parser("pfq", help="prune constant channels with compensation")
     _add_common(p, model=True, out=True)
-    p.add_argument("--quantize-act-of-beta", action="store_true")
     p.set_defaults(func=cmd_pfq)
 
     p = sub.add_parser("fold-bn", help="fold BN layers into their convolutions")

@@ -148,7 +148,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextvars import copy_context
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -618,8 +618,11 @@ def run_inference(graph, x):
         with ThreadPoolExecutor(max(k - 1, 1)) as pool:
             helpers = [pool.submit(copy_context().run, _head, plan, x[lo:hi])
                        for lo, hi in zip(cuts[1:-1], cuts[2:])]
-            shares = [_head(plan, x[:cuts[1]])] + [helper.result() for helper in helpers]
+            shares = [_head(plan, x[:cuts[1]]), *map(Future.result, helpers)]
     except Exception:
+        # A failed helper's future holds its error, whose traceback holds
+        # this frame; no frame may keep the futures, or a cycle keeps x alive.
+        helpers = None
         if k > 1:  # the shares' slabs are cut where one CPU's are not
             _head(plan, x)
         raise

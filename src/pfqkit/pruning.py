@@ -1,16 +1,22 @@
 """Channel pruning driven by near-zero BN running variance.
 
-A channel whose running variance sits below the BN epsilon produces an
-output that is constant in practice, equal to its shift beta after
-normalization. Such a channel is removed and the constant it fed downstream
-is pushed along one path of layers, from the BN to its consumer: through
-relu, relu6, quant_point and global_avg_pool, and through any depthwise conv
-(with its BN), which cannot absorb the constant because it does not mix
-channels, so its channel is removed too (the cascade). The consumer absorbs
-what arrives: a conv adds the kernel sum of its input slice times the
-constant to its bias; a conv with no bias but a BN after it shifts that BN's
-beta instead; a conv with neither gets a bias; an affine corrects its bias
-with its single weight per output unit.
+apply_pfq(graph, epsilon) prunes every BN channel whose running variance is
+strictly below epsilon, a threshold of its own: WorkflowConfig.epsilon and
+the config key pfq.epsilon, default 1e-5, which equals the builders' default
+bn_epsilon. A BN's own epsilon is not read. Such a channel outputs a constant
+in practice, its shift beta after normalization. It is removed and the
+constant it fed downstream is pushed along one path of layers, from the BN
+to its consumer: through relu, relu6, global_avg_pool and quant_point (an
+activation point that applies snaps the constant as inference snaps it),
+and through any depthwise conv (with its BN), which cannot absorb the
+constant because it does not mix channels, so its channel is removed too
+(the cascade).
+
+One rule places what arrives: the consumer (a conv or an affine) adds the
+constant times its weights for the channel, summed over a conv's kernel, to
+its bias, created if missing; a correction of all zeros changes nothing. So
+a BN after the consumer stays exact in training too, where its batch mean
+cancels that bias as it cancelled the constant.
 
 Candidates are left in place, with the skip reason in the report, when
 - residual: the channel, on its way to the consumer, feeds an add junction,
@@ -20,20 +26,17 @@ Candidates are left in place, with the skip reason in the report, when
 - affine-producer: the BN follows an affine (output units are out of scope);
 - network-output: the path runs off the end of the graph;
 - would-empty: every channel of the BN is a candidate;
-- padded-consumer: with correct=True only, the constant enters a
-  zero-padded conv or depthwise conv, on the path or as the consumer, as a
-  nonzero value; at the zero-padded border that layer sees only part of its
-  kernel, so the kernel sum is not the exact correction there.
+- padded-consumer: the constant enters a zero-padded conv or depthwise conv,
+  on the path or as the consumer, as a nonzero value; at the zero-padded
+  border that layer sees only part of its kernel, so the kernel sum is not
+  the exact correction there (prune_channels' uncorrected arm prunes it).
 prune_channels raises ValueError for such a channel instead.
 
 Compensation is exact, so that run_inference of the pruned graph equals the
-original to float rounding, for every channel pruned with correct=True,
-provided that the channel's BN output really is the constant beta at
-inference, that weight quantization is off, and that quantize_act_of_beta is
-True whenever an activation quant point that snaps values lies on the path
-(the constant is then snapped as inference snaps it). A zero constant
-contributes nothing, at a padded border or not, so it stays prunable; one
-that a ReLU clipped to zero is reported as kind none-ReLU-zero.
+original to float rounding, provided that the channel's BN output really is
+the constant beta at inference and that weight quantization is off. A zero
+constant contributes nothing, at a padded border or not, so it stays
+prunable; one that a ReLU clipped to zero is reported as kind none-ReLU-zero.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from itertools import takewhile
 import numpy as np
 
 from .engine import forward_graph
-from .graph import copy_graph, count_macs, param_count, write_csv
+from .graph import _TENSOR_FIELDS, copy_graph, count_macs, param_count, write_csv
 from .quantization import act_point_applies, quantize
 
 _PASS_THROUGH = ("relu", "relu6", "global_avg_pool", "quant_point")
@@ -140,7 +143,7 @@ def _resolve_plan(graph, bn_index):
     return "network-output"
 
 
-def _push_const(graph, path, value, channel, quantize_act_of_beta, dtype):
+def _push_const(graph, path, value, channel, dtype):
     """Push one channel's constant through the layers at the indices in path.
 
     Returns (value, clipped, padded): clipped tells that a ReLU clipped the
@@ -156,7 +159,7 @@ def _push_const(graph, path, value, channel, quantize_act_of_beta, dtype):
             clipped = clipped or value <= 0.0
             value = max(value, 0.0) if layer.kind == "relu" else min(max(value, 0.0), 6.0)
         elif layer.kind == "quant_point":
-            if quantize_act_of_beta and act_point_applies(p):
+            if act_point_applies(p):
                 value = float(quantize(np.asarray([value], dtype=dtype), p.cfg)[0])
         elif layer.kind == "depthwise_conv":
             value = float(p.weights[channel, 0].sum()) * value
@@ -177,7 +180,8 @@ def _below(layer, epsilon):
 def scan_candidates(graph, epsilon):
     """All BN channels with running variance strictly below epsilon, in layer
     then channel order. act_of_beta is beta pushed through the pass-through
-    layers after the BN, unsnapped by any activation point."""
+    layers after the BN, snapped by each activation point that applies, so
+    the value inference sees; on a float graph no point applies."""
     layers, out = graph.layers, []
     for i, layer in enumerate(layers):
         if layer.kind != "bn":
@@ -187,7 +191,7 @@ def scan_candidates(graph, epsilon):
                                range(i + 1, len(layers))))
         for c in _below(layer, epsilon):
             beta = float(p.beta[c])
-            a, _, _ = _push_const(graph, chain, beta, c, False, p.beta.dtype)
+            a, _, _ = _push_const(graph, chain, beta, c, p.beta.dtype)
             out.append(PruneCandidate(layer=layer.name, channel=c,
                                       running_var=float(p.running_var[c]), beta=beta,
                                       act_of_beta=a))
@@ -210,28 +214,21 @@ def _drop_channels(layer, channels):
     """Delete output channels of a conv or depthwise conv (filters and bias
     entries) or of a BN (every per-channel vector)."""
     p = layer.params
-    fields = ("gamma", "beta", "running_mean", "running_var") if layer.kind == "bn" else ("weights", "bias")
     layer.params = replace(p, **{f: np.delete(getattr(p, f), channels, axis=0)
-                                 for f in fields if getattr(p, f) is not None})
+                                 for f in _TENSOR_FIELDS[layer.kind] if getattr(p, f) is not None})
 
 
 def _process_group(graph, bn_index, pushed, path, correct):
     """Prune channels of the BN layer at bn_index along a resolved path;
     pushed holds (channel, value, clipped) with each channel's constant as it
-    reaches the consumer. Mutates graph layers in place; returns the
-    PruneEntries."""
+    reaches the consumer, whose bias takes the correction when correct.
+    Mutates graph layers in place; returns the PruneEntries."""
     layers = graph.layers
     bn_layer = layers[bn_index]
     consumer = layers[path[-1]]
     dtype = bn_layer.params.beta.dtype
     cascade = [i for i in path if layers[i].kind in ("depthwise_conv", "bn")]
     channels = [c for c, _, _ in pushed]
-    # A bias-free consumer followed by a BN takes the correction on that BN's
-    # beta; any other gets it on its bias, created if missing.
-    after = path[-1] + 1
-    bn_after = None
-    if consumer.params.bias is None and after < len(layers) and layers[after].kind == "bn":
-        bn_after = layers[after]
 
     entries = []
     total_u = None
@@ -247,8 +244,6 @@ def _process_group(graph, bn_index, pushed, path, correct):
             kind = "uncorrected"
         elif value == 0.0 and clipped:
             kind = "none-ReLU-zero"
-        elif bn_after is not None:
-            kind = "beta"
         else:
             kind = "bias"
         entries.append(PruneEntry(layer=bn_layer.name, channel=c, kind=kind,
@@ -257,11 +252,7 @@ def _process_group(graph, bn_index, pushed, path, correct):
                                   u_norm=u_norm, cascade=[(layers[i].name, c) for i in cascade]))
         total_u = u if total_u is None else total_u + u
 
-    if correct and bn_after is not None:
-        bnp = bn_after.params
-        factor = bnp.gamma / np.sqrt(bnp.running_var + bnp.epsilon)
-        bnp.beta = (bnp.beta + factor * total_u).astype(dtype, copy=False)
-    elif correct:
+    if correct and np.any(total_u):
         bias = consumer.params.bias
         consumer.params.bias = (total_u if bias is None else bias + total_u).astype(dtype, copy=False)
 
@@ -274,12 +265,12 @@ def _process_group(graph, bn_index, pushed, path, correct):
     return entries
 
 
-def _prune(graph, select, strict, quantize_act_of_beta, correct):
+def _prune(graph, select, correct):
     """Shared driver: one pass over the BN layers of a copy of graph, in graph
     order, pruning the channels select(layer) returns. Pruning a BN changes
     only layers after it, so each BN is seen after every earlier change.
-    Unprunable channels raise ValueError when strict, else they are recorded
-    as PruneSkips. Returns (new_graph, PruneReport)."""
+    Unprunable channels are recorded as PruneSkips. Returns (new_graph,
+    PruneReport)."""
     g = copy_graph(graph)
     params_before = param_count(g)
     macs_before = sum(count_macs(g).values())
@@ -287,8 +278,6 @@ def _prune(graph, select, strict, quantize_act_of_beta, correct):
     skips = []
 
     def reject(layer, channels, reason):
-        if strict:
-            raise ValueError(f"cannot prune channels of '{layer.name}': {reason}")
         p = layer.params
         skips.extend(PruneSkip(layer=layer.name, channel=c, reason=reason,
                                running_var=float(p.running_var[c]), beta=float(p.beta[c]))
@@ -298,8 +287,8 @@ def _prune(graph, select, strict, quantize_act_of_beta, correct):
         channels = select(layer) if layer.kind == "bn" else []
         if not channels:
             continue
-        if not strict and len(channels) == layer.params.gamma.shape[0]:
-            plan = "would-empty"  # prune_channels checks this before any surgery
+        if len(channels) == layer.params.gamma.shape[0]:
+            plan = "would-empty"
         else:
             plan = _resolve_plan(g, i)
         if isinstance(plan, str):
@@ -308,7 +297,7 @@ def _prune(graph, select, strict, quantize_act_of_beta, correct):
         pushed, padded = [], []
         for c in channels:
             value, clipped, pad = _push_const(g, plan, float(layer.params.beta[c]), c,
-                                              quantize_act_of_beta, layer.params.beta.dtype)
+                                              layer.params.beta.dtype)
             if correct and pad:
                 padded.append(c)
             else:
@@ -324,24 +313,23 @@ def _prune(graph, select, strict, quantize_act_of_beta, correct):
     return g, report
 
 
-def apply_pfq(graph, epsilon, *, quantize_act_of_beta=False, correct=True):
-    """Remove every prunable sub-epsilon-variance channel with downstream
-    compensation. Returns (new_graph, PruneReport).
-
-    With correct=False the channels are removed without any compensation
-    (the ablation arm); inference output is then not preserved.
-    """
-    return _prune(graph, lambda layer: _below(layer, epsilon), False,
-                  quantize_act_of_beta, correct)
+def apply_pfq(graph, epsilon):
+    """Remove every prunable channel whose running variance is strictly below
+    epsilon, compensating each in its consumer's bias. Returns (new_graph,
+    PruneReport); the report lists the channels left in place as skips."""
+    return _prune(graph, lambda layer: _below(layer, epsilon), True)
 
 
 def prune_channels(graph, targets, *, correct=True):
     """Remove explicitly chosen (bn_layer_name, channel) pairs, regardless of
-    their running variance. Channels must share no layer unless listed
-    together. Every pair is checked before any surgery: a name that is not a
-    BN layer, a channel outside [0, C), a pair listed twice or a set naming
-    every channel of a layer raises ValueError. Returns (new_graph,
-    PruneReport)."""
+    their running variance; returns (new_graph, PruneReport) and never
+    changes graph. Channels must share no layer unless listed together.
+    Raises ValueError for a name that is not a BN layer, a channel outside
+    [0, C), a pair listed twice or a set naming every channel of a layer,
+    and "cannot prune channels of '<layer>': <reason>" for the first target
+    a skip rule leaves in place. correct=False is the ablation arm: nothing
+    is compensated, so inference output moves, and a padded consumer is no
+    reason to skip."""
     layers = {layer.name: layer for layer in graph.layers}
     by_layer = {}
     for name, channel in targets:
@@ -357,8 +345,11 @@ def prune_channels(graph, targets, *, correct=True):
     for name, channels in by_layer.items():
         if len(channels) == layers[name].params.gamma.shape[0]:
             raise ValueError(f"prune targets name every channel of {name!r}: would-empty")
-    return _prune(graph, lambda layer: sorted(by_layer.get(layer.name, [])), True, False,
-                  correct)
+    g, report = _prune(graph, lambda layer: sorted(by_layer.get(layer.name, [])), correct)
+    if report.skips:
+        skip = report.skips[0]
+        raise ValueError(f"cannot prune channels of '{skip.layer}': {skip.reason}")
+    return g, report
 
 
 @dataclass

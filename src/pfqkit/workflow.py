@@ -90,7 +90,7 @@ def run_workflow(graph, data, cfg, out_dir=None):
         raise WorkflowError("workflow needs a pre-trained graph with BN layers")
     trace = []
 
-    g, prune_first = apply_pfq(graph, cfg.epsilon, quantize_act_of_beta=False)
+    g, prune_first = apply_pfq(graph, cfg.epsilon)
     trace.append(f"stage0 pfq: {prune_first.summary()}")
     save_run(out_dir, g, "stage0", prune_report=prune_first)
 
@@ -106,7 +106,7 @@ def run_workflow(graph, data, cfg, out_dir=None):
     trace.append(f"stage1 finetune-activations: epochs={len(metrics_act)}")
     save_run(out_dir, g, "stage1", metrics=metrics_act)
 
-    g, prune_second = apply_pfq(g, cfg.epsilon, quantize_act_of_beta=True)
+    g, prune_second = apply_pfq(g, cfg.epsilon)
     trace.append(f"stage2 pfq: {prune_second.summary()}")
     save_run(out_dir, g, "stage2", prune_report=prune_second)
 
@@ -141,7 +141,7 @@ def run_single_stage_baseline(graph, data, cfg, out_dir=None):
         raise WorkflowError("baseline needs a pre-trained graph with BN layers")
     trace = []
 
-    g, prune_report = apply_pfq(graph, cfg.epsilon, quantize_act_of_beta=False)
+    g, prune_report = apply_pfq(graph, cfg.epsilon)
     trace.append(f"baseline pfq: {prune_report.summary()}")
     g = fold_bn_graph(g)
     trace.append("baseline fold-bn: remaining_bn=0")

@@ -20,7 +20,7 @@ import pfqkit
 from pfqkit.cli import ConfigError, _build_data, load_config, main
 from pfqkit.engine import evaluate
 from pfqkit.graph import count_macs, load_model, save_model
-from pfqkit.pruning import apply_pfq
+from pfqkit.pruning import apply_pfq, scan_candidates
 from pfqkit.quantization import insert_quant_points
 from pfqkit.training import LRSchedule, OptimizerState, train_epochs
 from pfqkit.workflow import WorkflowConfig, run_workflow
@@ -300,11 +300,11 @@ class TestCompressionChain:
                   if l.weight_quant is not None]
         assert len(points) == 3 and all(p.enabled for p in points)
 
-    def test_pfq_quantizes_constants_as_apply_pfq_does(self, trained, tmp_path):
-        """pfq --quantize-act-of-beta on a calibrated, annotated model writes
-        apply_pfq(..., quantize_act_of_beta=True)'s prune report; bn2's
-        channel 1, made constant at 0.43, reaches fc through relu2_q, so the
-        report without the flag differs."""
+    def test_pfq_quantizes_constants_as_apply_pfq_does(self, trained, tmp_path, capsys):
+        """pfq on a calibrated, annotated model writes apply_pfq's prune
+        report; bn2's channel 1, made constant at 0.43, reaches fc through
+        relu2_q, which snaps it, so fc's bias takes the snapped constant
+        times its weights. --quantize-act-of-beta is an unknown argument."""
         cfg, model, _ = trained
         g = insert_quant_points(load_model(model), 4, 4)
         g, _ = train_epochs(g, _build_data(load_config(cfg)), LRSchedule(0.01, 0, 1),
@@ -312,15 +312,26 @@ class TestCompressionChain:
         bn = g.layer("bn2").params
         bn.running_var[1], bn.beta[1] = 1e-7, 0.43
         save_model(g, tmp_path / "m.json")
-        assert main(["pfq", "--config", cfg, "--model", str(tmp_path / "m.json"),
-                     "--quantize-act-of-beta", "--out", str(tmp_path / "pfq")]) == 0
+        argv = ["pfq", "--config", cfg, "--model", str(tmp_path / "m.json"),
+                "--out", str(tmp_path / "pfq")]
+        assert main(argv) == 0
         written = (tmp_path / "pfq" / "prune_report.csv").read_text()
-        for quantize_act_of_beta in (True, False):
-            _, report = apply_pfq(load_model(tmp_path / "m.json"), 1e-5,
-                                  quantize_act_of_beta=quantize_act_of_beta)
-            report.to_csv(tmp_path / "lib.csv")
-            assert ((tmp_path / "lib.csv").read_text() == written) is quantize_act_of_beta
-        assert "bn2,1," in written
+        g = load_model(tmp_path / "m.json")
+        _, report = apply_pfq(g, 1e-5)
+        report.to_csv(tmp_path / "lib.csv")
+        assert (tmp_path / "lib.csv").read_text() == written
+        snapped = next(c.act_of_beta for c in scan_candidates(g, 1e-5)
+                       if (c.layer, c.channel) == ("bn2", 1))
+        assert snapped != np.float32(0.43)
+        entry = next(e for e in report.entries if (e.layer, e.channel) == ("bn2", 1))
+        assert entry.kind == "bias"
+        w = g.layer("fc").params.weights[1]
+        assert entry.u_norm == pytest.approx(float(np.linalg.norm(w * np.float32(snapped))),
+                                             rel=1e-6)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--quantize-act-of-beta"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --quantize-act-of-beta" in capsys.readouterr().err
 
     def test_eval_reports_accuracy(self, trained, capsys):
         cfg, model, root = trained

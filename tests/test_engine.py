@@ -388,18 +388,28 @@ def test_slab_memory_does_not_grow_with_the_batch(workers, monkeypatch):
     assert _peak_bytes(run_inference, net, x) <= workers * one + 128 * len(x)
 
 
+@pytest.mark.parametrize("nan_at", [None, 0, -1])
 @pytest.mark.parametrize("workers", WORKERS)
-def test_slabs_leave_no_reference_cycle(workers, monkeypatch):
+def test_slabs_leave_no_reference_cycle(workers, nan_at, monkeypatch):
     """A call that cuts its batch into shares and nested slabs leaves no
-    reference cycle: with the cyclic collector off, the batch is freed as
-    soon as the caller drops it."""
+    reference cycle, whether it returns or fails on a nan in the first image
+    (the calling thread's share) or in the last (a helper's share, with more
+    than one worker): with the cyclic collector off, the batch is freed as
+    soon as the caller drops it and the error."""
     monkeypatch.setattr(engine, "_cpus", lambda: workers)
     net = _bottleneck_net()
     x = np.random.default_rng(11).standard_normal((300, 2, 32, 32)).astype(np.float32)
+    if nan_at is not None:
+        x[nan_at] = np.nan
     freed = weakref.ref(x)
     gc.disable()
     try:
-        run_inference(net, x)
+        try:
+            run_inference(net, x)
+        except ValueError:
+            assert nan_at is not None
+        else:
+            assert nan_at is None
         del x
         assert freed() is None
     finally:

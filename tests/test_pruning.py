@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from pfqkit.batchnorm import BNParams
-from pfqkit.engine import run_inference
+from pfqkit.engine import forward_graph, run_inference
 from pfqkit.graph import LayerSpec, ModelGraph, WeightParams, param_count
 from pfqkit.models import build_residual_net
 from pfqkit.pruning import (
@@ -108,6 +108,37 @@ def _graph_cascade_consumer(rng):
     return ModelGraph(layers=layers, input_shape=(2, 10, 10))
 
 
+def _graph_network_output(rng):
+    layers = [
+        _conv(rng, "c1", 3, 2, 3),
+        LayerSpec(name="b1", kind="bn", params=_bn(rng, 3)),
+        LayerSpec(name="r1", kind="relu"),
+    ]
+    return ModelGraph(layers=layers, input_shape=(2, 8, 8))
+
+
+def _graph_affine_producer(rng):
+    layers = [
+        _conv(rng, "c1", 3, 2, 3),
+        LayerSpec(name="p1", kind="global_avg_pool"),
+        LayerSpec(name="fc", kind="affine", params=WeightParams(
+            weights=rng.standard_normal((3, 4)) * 0.4, bias=None)),
+        LayerSpec(name="bfc", kind="bn", params=_bn(rng, 4)),
+        LayerSpec(name="r", kind="relu"),
+        LayerSpec(name="fc2", kind="affine", params=WeightParams(
+            weights=rng.standard_normal((4, 2)) * 0.4,
+            bias=rng.standard_normal(2))),
+    ]
+    return ModelGraph(layers=layers, input_shape=(2, 8, 8))
+
+
+def _arrays(graph):
+    """A copy of every parameter array of graph, by layer name and field."""
+    return {(layer.name, name): value.copy() for layer in graph.layers
+            for name, value in getattr(layer.params, "__dict__", {}).items()
+            if isinstance(value, np.ndarray)}
+
+
 def _probe(rng, graph, n=6):
     c, h, w = graph.input_shape
     return rng.uniform(-1, 1, (n, c, h, w))
@@ -165,12 +196,36 @@ class TestExactPreservation:
         assert len(report.entries) == 1
 
     def test_beta_consumer(self):
+        """A bias-free consumer followed by a BN gets a bias; that BN keeps
+        its beta."""
         rng = np.random.default_rng(13)
         g = _kill_channel(_graph_beta_consumer(rng), "b1", 2)
         pruned, report = apply_pfq(g, EPS)
         x = _probe(rng, g)
         assert np.max(np.abs(run_inference(pruned, x) - run_inference(g, x))) < 1e-9
-        assert report.entries[0].kind == "beta"
+        assert report.entries[0].kind == "bias"
+        assert pruned.layer("c2").params.bias is not None
+        assert np.array_equal(pruned.layer("b2").params.beta, g.layer("b2").params.beta)
+
+    def test_beta_consumer_stays_exact_with_bn_live(self):
+        """The bias before b2 is cancelled by b2's batch mean in training
+        mode, as the pruned constant was: training-mode logits agree, and so
+        does inference after 100 BN-live forwards of both graphs move their
+        running statistics."""
+        rng = np.random.default_rng(14)
+        g = _kill_channel(_graph_beta_consumer(rng), "b1", 2)
+        pruned, _ = apply_pfq(g, EPS)
+        x = _probe(rng, g)
+
+        def logits(graph, batch):
+            return forward_graph(graph, batch, training=True).outputs[graph.layers[-1].name]
+
+        assert np.max(np.abs(logits(pruned, x) - logits(g, x))) < 1e-9
+        for _ in range(100):
+            batch = _probe(rng, g, n=4)
+            logits(g, batch)
+            logits(pruned, batch)
+        assert np.max(np.abs(run_inference(pruned, x) - run_inference(g, x))) < 1e-9
 
     def test_affine_consumer(self):
         rng = np.random.default_rng(17)
@@ -201,8 +256,7 @@ class TestExactPreservation:
         x = _probe(rng, g)
         assert np.max(np.abs(run_inference(pruned, x) - run_inference(g, x))) < 1e-9
 
-    def test_materialized_bias(self):
-        rng = np.random.default_rng(29)
+    def _bias_free_consumer(self, rng):
         layers = [
             _conv(rng, "c1", 3, 2, 3),
             LayerSpec(name="b1", kind="bn", params=_bn(rng, 3)),
@@ -210,16 +264,30 @@ class TestExactPreservation:
             _conv(rng, "c2", 4, 3, 3),  # no bias, no bn after
             LayerSpec(name="r2", kind="relu"),
         ]
-        g = _kill_channel(ModelGraph(layers=layers, input_shape=(2, 8, 8)), "b1", 1)
+        return ModelGraph(layers=layers, input_shape=(2, 8, 8))
+
+    def test_materialized_bias(self):
+        rng = np.random.default_rng(29)
+        g = _kill_channel(self._bias_free_consumer(rng), "b1", 1)
         pruned, report = apply_pfq(g, EPS)
         assert pruned.layer("c2").params.bias is not None
         x = _probe(rng, g)
         assert np.max(np.abs(run_inference(pruned, x) - run_inference(g, x))) < 1e-9
         assert report.weights_removed == report.params_before - report.params_after
 
+    def test_zero_correction_creates_no_bias(self):
+        rng = np.random.default_rng(30)
+        g = _kill_channel(self._bias_free_consumer(rng), "b1", 1, beta=-0.8)
+        pruned, report = apply_pfq(g, EPS)
+        assert report.entries[0].kind == "none-ReLU-zero"
+        assert pruned.layer("c2").params.bias is None
+        x = _probe(rng, g)
+        assert np.max(np.abs(run_inference(pruned, x) - run_inference(g, x))) < 1e-9
+
     def test_quantized_constant_correction(self):
-        """With an initialized quant point between BN and consumer, the
-        correction uses the snapped constant and stays exact."""
+        """With an initialized quant point between BN and consumer, apply_pfq
+        snaps the constant as inference does (0.43 to 0.375 on the 3-bit
+        grid), so the correction stays exact."""
         rng = np.random.default_rng(31)
         g = _kill_channel(_graph_bias_consumer(rng), "b1", 1, beta=0.43)
         point = QuantPoint(enabled=True,
@@ -227,7 +295,8 @@ class TestExactPreservation:
         layers = list(g.layers)
         layers.insert(3, LayerSpec(name="r1_q", kind="quant_point", params=point))
         g = ModelGraph(layers=layers, input_shape=g.input_shape)
-        pruned, _ = apply_pfq(g, EPS, quantize_act_of_beta=True)
+        assert [c.act_of_beta for c in scan_candidates(g, EPS)] == [0.375]
+        pruned, _ = apply_pfq(g, EPS)
         x = _probe(rng, g)
         assert np.max(np.abs(run_inference(pruned, x) - run_inference(g, x))) < 1e-9
 
@@ -236,7 +305,7 @@ class TestUncorrected:
     def test_output_moves_without_compensation(self):
         rng = np.random.default_rng(37)
         g = _kill_channel(_graph_bias_consumer(rng), "b1", 1)
-        plain, report = apply_pfq(g, EPS, correct=False)
+        plain, report = prune_channels(g, [("b1", 1)], correct=False)
         x = _probe(rng, g)
         dev = np.max(np.abs(run_inference(plain, x) - run_inference(g, x)))
         assert dev > 1e-3
@@ -247,8 +316,8 @@ class TestUncorrected:
         g = _kill_channel(_graph_bias_consumer(rng), "b1", 1)
         x = _probe(rng, g)
         base = run_inference(g, x)
-        good, _ = apply_pfq(g, EPS, correct=True)
-        bad, _ = apply_pfq(g, EPS, correct=False)
+        good, _ = prune_channels(g, [("b1", 1)])
+        bad, _ = prune_channels(g, [("b1", 1)], correct=False)
         dev_good = np.max(np.abs(run_inference(good, x) - base))
         dev_bad = np.max(np.abs(run_inference(bad, x) - base))
         assert dev_good < dev_bad
@@ -283,31 +352,13 @@ class TestSkips:
         assert param_count(pruned) == param_count(g)
 
     def test_network_output_skipped(self):
-        rng = np.random.default_rng(53)
-        layers = [
-            _conv(rng, "c1", 3, 2, 3),
-            LayerSpec(name="b1", kind="bn", params=_bn(rng, 3)),
-            LayerSpec(name="r1", kind="relu"),
-        ]
-        g = ModelGraph(layers=layers, input_shape=(2, 8, 8))
+        g = _graph_network_output(np.random.default_rng(53))
         g.layer("b1").params.running_var[0] = 1e-8
         _, report = apply_pfq(g, EPS)
         assert report.skips[0].reason == "network-output"
 
     def test_affine_producer_skipped(self):
-        rng = np.random.default_rng(59)
-        layers = [
-            _conv(rng, "c1", 3, 2, 3),
-            LayerSpec(name="p1", kind="global_avg_pool"),
-            LayerSpec(name="fc", kind="affine", params=WeightParams(
-                weights=rng.standard_normal((3, 4)) * 0.4, bias=None)),
-            LayerSpec(name="bfc", kind="bn", params=_bn(rng, 4)),
-            LayerSpec(name="r", kind="relu"),
-            LayerSpec(name="fc2", kind="affine", params=WeightParams(
-                weights=rng.standard_normal((4, 2)) * 0.4,
-                bias=rng.standard_normal(2))),
-        ]
-        g = ModelGraph(layers=layers, input_shape=(2, 8, 8))
+        g = _graph_affine_producer(np.random.default_rng(59))
         g.layer("bfc").params.running_var[1] = 1e-8
         _, report = apply_pfq(g, EPS)
         assert report.skips[0].reason == "affine-producer"
@@ -357,7 +408,7 @@ class TestPaddedConsumer:
 
     def test_uncorrected_ablation_still_prunes(self):
         g = self._padded(_graph_bias_consumer, "c2", 1, 0.42)
-        _, report = apply_pfq(g, EPS, correct=False)
+        _, report = prune_channels(g, [("b1", 1)], correct=False)
         assert [e.kind for e in report.entries] == ["uncorrected"]
 
     def test_prune_channels_refuses(self):
@@ -399,19 +450,19 @@ class TestBookkeeping:
         assert np.max(np.abs(run_inference(pruned, x) - run_inference(g, x))) < 1e-9
 
     def test_later_bn_pruned_in_the_same_pass(self):
-        """Pruning b1 in mode beta shifts b2's beta; b2's own dead channel is
-        then pruned from the shifted graph in the same call, as two calls in
-        a row would."""
+        """Pruning b1 gives c2 a bias; b2's own dead channel is then pruned
+        from the changed graph in the same call, as two calls in a row
+        would."""
         rng = np.random.default_rng(75)
         g = _kill_channel(_graph_beta_consumer(rng), "b1", 2, beta=0.5)
         _kill_channel(g, "b2", 1, beta=0.3)
         pruned, report = apply_pfq(g, EPS)
         assert [(e.layer, e.channel, e.kind) for e in report.entries] == [
-            ("b1", 2, "beta"), ("b2", 1, "bias")]
+            ("b1", 2, "bias"), ("b2", 1, "bias")]
         first, _ = prune_channels(g, [("b1", 2)])
-        assert not np.array_equal(first.layer("b2").params.beta, g.layer("b2").params.beta)
+        assert first.layer("c2").params.bias is not None
         second, _ = prune_channels(first, [("b2", 1)])
-        for name in ("b2", "c3"):
+        for name in ("c2", "b2", "c3"):
             for a, b in zip(vars(pruned.layer(name).params).values(),
                             vars(second.layer(name).params).values()):
                 assert np.array_equal(a, b)
@@ -456,12 +507,23 @@ class TestExplicitTargets:
         assert report.entries[0].channel == 1
         assert pruned.layer("b1").params.gamma.shape[0] == 2
 
-    def test_refuses_unprunable_target(self):
-        g = build_residual_net(seed=5)
-        junction = next(l for l in g.layers if l.kind == "add_junction")
-        bn_name = next(n for n in junction.params if g.layer(n).kind == "bn")
-        with pytest.raises(ValueError):
-            prune_channels(g, [(bn_name, 0)])
+    @pytest.mark.parametrize("make, target, reason", [
+        (lambda: build_residual_net(seed=5), ("bn_b", 0), "residual"),
+        (lambda: _graph_cascade_consumer(np.random.default_rng(43)), ("bd", 1),
+         "depthwise-producer"),
+        (lambda: _graph_affine_producer(np.random.default_rng(59)), ("bfc", 1), "affine-producer"),
+        (lambda: _graph_network_output(np.random.default_rng(53)), ("b1", 0), "network-output"),
+    ], ids=["residual", "depthwise-producer", "affine-producer", "network-output"])
+    def test_refuses_unprunable_target(self, make, target, reason):
+        """The refusal names the layer and the skip reason, and the input
+        graph keeps every array it had."""
+        g = make()
+        before = _arrays(g)
+        with pytest.raises(ValueError, match=f"^cannot prune channels of '{target[0]}': {reason}$"):
+            prune_channels(g, [target])
+        after = _arrays(g)
+        assert before.keys() == after.keys()
+        assert all(np.array_equal(before[k], after[k]) for k in before)
 
     def test_rejects_duplicate_target(self):
         g = _graph_bias_consumer(np.random.default_rng(101))
