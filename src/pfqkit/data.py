@@ -27,15 +27,30 @@ class Dataset:
     def __post_init__(self):
         if self.images.ndim != 4:
             raise DataFormatError("images must be (N, C, H, W)")
-        if self.labels.shape != (self.images.shape[0],):
-            raise DataFormatError("labels must be one id per image")
+        check_labels("Dataset", self.labels, self.images, self.class_count)
         if self.images.size and (self.images.min() < 0.0 or self.images.max() > 1.0):
             raise DataFormatError("images must lie in [0, 1]")
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.class_count):
-            raise DataFormatError("labels must lie in [0, class_count)")
 
     def __len__(self):
         return self.images.shape[0]
+
+
+def check_labels(where, labels, images, class_count):
+    """Raise DataFormatError, its message prefixed with where, unless labels
+    are integer class ids, one per image of images (shape (N,)), each in
+    [0, class_count)."""
+    labels = np.asarray(labels)
+    n = images.shape[0]
+    if labels.shape != (n,):
+        raise DataFormatError(f"{where}: labels of shape {labels.shape} for images of shape "
+                              f"{images.shape}; expected one class id per image, shape ({n},)")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise DataFormatError(f"{where}: labels of dtype {labels.dtype}; expected integer "
+                              "class ids")
+    outside = (labels < 0) | (labels >= class_count)
+    if outside.any():
+        raise DataFormatError(f"{where}: labels {np.unique(labels[outside]).tolist()} lie "
+                              f"outside [0, {class_count})")
 
 
 @dataclass

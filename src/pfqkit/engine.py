@@ -78,7 +78,11 @@ largest sum over an output channel of |w| * B + |b|. A step whose input
 bound lies below half the dtype's largest value skips that input's check
 (check_x=False): the conv after a point, and every point behind bounded
 layers, but not the point after the stem, which reads the graph input.
-Direct op calls check every argument.
+Direct op calls check every argument. An error an op raises inside a
+per-layer loop (the compile, a plan run, a training forward, backward_graph)
+is re-raised once, its type and traceback kept, with "layer '<name>'
+(<kind>): " before its message; loss_and_grads and evaluate check their
+labels (data.check_labels) before any layer runs.
 A plan checks its weights, bias and point ranges as it compiles, so their
 errors come before any check of the input. An overflow is refused only
 where it reaches a check as nan or +-inf, and relu and relu6 clamp +-inf
@@ -157,7 +161,8 @@ import numpy as np
 
 from . import tensor_ops as T
 from .batchnorm import bn_backward_train, bn_forward_infer, bn_forward_train
-from .graph import CONV_LIKE, _shapes
+from .data import check_labels
+from .graph import CONV_LIKE, _shapes, infer_shapes
 from .quantization import (act_point_applies, quantize, quantize_backward, quantize_prepare,
                            update_activation_range, weight_range_cfg)
 
@@ -366,8 +371,12 @@ def forward_graph(graph, x, *, training=False, update_ranges=False, keep_outputs
     prev, bound = x, np.inf
     for layer, (own, release, _) in zip(graph.layers,
                                         _schedule(graph.layers, True, keep_outputs)):
-        prev, bound, cache = _LAYER_OPS[layer.kind][0](layer, prev, bound, trace, update_ranges,
-                                                       prev if own else None)
+        try:
+            prev, bound, cache = _LAYER_OPS[layer.kind][0](layer, prev, bound, trace,
+                                                           update_ranges, prev if own else None)
+        except Exception as e:
+            _name_layer(e, layer.name, layer.kind)
+            raise
         trace.caches[layer.name] = cache
         # An unrecorded cache would keep this layer's input alive through the next layer.
         del cache
@@ -384,7 +393,7 @@ class _Plan(NamedTuple):
     key: list  # _key at compile time
     arrays: tuple  # every weight and bias array the steps are built from
     blobs: list  # their bytes at compile time
-    steps: tuple  # per layer, (forward(x, out, outputs), own, name, release)
+    steps: tuple  # per layer, (forward(x, out, outputs), own, name, release, kind)
     # Per run of the steps before the first affine that share one slab size,
     # (its first step, the step after its last, images per slab).
     segments: tuple
@@ -435,10 +444,14 @@ def _compile(graph, x, key):
         else:
             if layer.kind in CONV_LIKE:
                 arrays += [a for a in (layer.params.weights, layer.params.bias) if a is not None]
-            forward, bound = _STEPS[layer.kind](layer, prev, bound)
-            prev = forward(prev, None, outputs)
+            try:
+                forward, bound = _STEPS[layer.kind](layer, prev, bound)
+                prev = forward(prev, None, outputs)
+            except Exception as e:
+                _name_layer(e, layer.name, layer.kind)
+                raise
         outputs[layer.name] = prev
-        steps.append((forward, own, layer.name, tuple(release)))
+        steps.append((forward, own, layer.name, tuple(release), layer.kind))
     # Step i's slab fits the widest per-image input or output from step i to
     # the first affine, so slabs never shrink along the head.
     split = next((i for i, layer in enumerate(layers) if layer.kind == "affine"), len(layers))
@@ -447,6 +460,13 @@ def _compile(graph, x, key):
     cuts = [0] + [i for i in range(1, split) if slabs[i] != slabs[i - 1]] + [split]
     return _Plan(key, tuple(arrays), [a.tobytes() for a in arrays], tuple(steps),
                  tuple((a, b, slabs[a]) for a, b in zip(cuts, cuts[1:])))
+
+
+def _name_layer(e, name, kind):
+    """Prefix the message of e, an error a layer's op raised, with the
+    layer's name and kind; the caller re-raises it, type and traceback
+    kept."""
+    e.args = (f"layer '{name}' ({kind}): {e}",)
 
 
 def _pass_through(x, out, outputs):
@@ -458,8 +478,12 @@ def _run(steps, x, outputs):
     """Run steps of a plan on x, which the first of them reads, recording
     the outputs they keep in outputs. Returns the last step's output."""
     prev = x
-    for forward, own, name, release in steps:
-        prev = outputs[name] = forward(prev, prev if own else None, outputs)
+    for forward, own, name, release, kind in steps:
+        try:
+            prev = outputs[name] = forward(prev, prev if own else None, outputs)
+        except Exception as e:
+            _name_layer(e, name, kind)
+            raise
         for done in release:
             del outputs[done]
     return prev
@@ -573,8 +597,12 @@ def backward_graph(graph, trace, grad_final):
         if entry is None:
             continue
         g, owned = entry
-        upstream, grads = _LAYER_OPS[layer.kind][1](layer, g, cache, send, i > 0,
-                                                    g if owned else None)
+        try:
+            upstream, grads = _LAYER_OPS[layer.kind][1](layer, g, cache, send, i > 0,
+                                                        g if owned else None)
+        except Exception as e:
+            _name_layer(e, layer.name, layer.kind)
+            raise
         if grads is not None:
             param_grads[layer.name] = grads
         if upstream is not None and i > 0:
@@ -654,10 +682,18 @@ def _gathered(pieces):
     return {name: np.concatenate([p[name] for p in pieces]) for name in pieces[0]}
 
 
+def _class_count(graph):
+    """K of the graph's (N, K) logits."""
+    return infer_shapes(graph)[graph.layers[-1].name][0]
+
+
 def loss_and_grads(graph, x, labels, *, update_ranges=False):
     """One training-mode forward/backward with softmax cross entropy.
 
-    Returns (loss, logits, param_grads, bn_stats)."""
+    Returns (loss, logits, param_grads, bn_stats). Labels that are not one
+    class id of the graph's output per image raise data.check_labels's
+    DataFormatError before the forward changes the graph."""
+    check_labels("loss_and_grads", labels, x, _class_count(graph))
     trace = forward_graph(graph, x, training=True, update_ranges=update_ranges,
                           keep_outputs=False)
     logits = trace.outputs[graph.layers[-1].name]
@@ -668,13 +704,11 @@ def loss_and_grads(graph, x, labels, *, update_ranges=False):
 
 def evaluate(graph, images, labels):
     """Inference-mode classification accuracy as a fraction in [0, 1]; raises
-    ValueError when given no images, or labels that are not one class id
-    per image (shape (N,))."""
+    ValueError when given no images, and data.check_labels's DataFormatError
+    on labels that are not one class id of the graph's output per image."""
     n = images.shape[0]
     if n == 0:
         raise ValueError("evaluate: no images to evaluate")
-    if np.shape(labels) != (n,):
-        raise ValueError(f"evaluate: labels of shape {np.shape(labels)} for images of shape "
-                         f"{images.shape}; expected one class id per image, shape ({n},)")
+    check_labels("evaluate", labels, images, _class_count(graph))
     hits = int((np.argmax(run_inference(graph, images), axis=1) == labels).sum())
     return hits / n

@@ -35,23 +35,9 @@ row u reads inside the unpadded input (_row_plan), as (rows, W) matrices,
 times the W rows of a banded (Wp, Wo) matrix per channel that carries that
 row's taps on its diagonals (_bands). The input gradient is the adjoint:
 grad_out times the transposed band, onto the input rows row u read, so its
-cost follows grad_out. The first kernel row to reach each residue of the
-input rows modulo the stride writes its product there directly (matmul
-out=), and only the rows of that residue it does not reach are zeroed;
-each later row writes into a temporary shaped like the residue's rows,
-zero outside its own, which is added whole onto them, since numpy runs an
-in-place add over a row range or strided slice of every plane through its
-small ufunc buffers. The result is the same bytes as adding every row onto
-a zero-filled gradient, up to the sign of a zero, which adding onto +0
-would clear. The forward's transient is the output and one output-sized
-product temporary (allocated empty, since every row zeroes what it does
-not write), plus the prepared record when it prepares its own; the
-backward's is one (N, C, W, Wo) per-row product for the weight gradient,
-then the input gradient and one residue-sized temporary for it. The band
-does about W/kw times the multiply-adds of a direct per-tap sum, which
-BLAS repays at the widths the library serves (at most 32x32) but not far
-beyond. The band diagonals are set and read through a strided view of the
-band, with no index arrays, and the row plans are cached per shape.
+cost follows grad_out. Both directions sum their kernel rows through
+_row_sums. The band diagonals are set and read through a strided view of
+the band, with no index arrays, and the row plans are cached per shape.
 
 A conv or depthwise bias is added as a row (_row): the bias repeated into
 one C-contiguous (O, Ho, Wo) image, broadcast over the batch, so numpy runs
@@ -295,36 +281,33 @@ def _bands(taps, w, sw, pw, wo, dtype):
     return bands.reshape(kh, c, w + 2 * pw, wo)[:, :, pw:pw + w]
 
 
-def _depthwise_rows(x, plan, bands, sh, ho, wo, dtype):
-    """Per-channel cross-correlation of x (N, C, H, W) as one batched matmul
-    per kernel row u of plan (_row_plan): the input rows that row reads, as
-    (j1-j0, W) matrices, times its band bands[u] (_bands), lands on output rows
-    [j0, j1), so no padded copy of x is built. A row that covers every
-    output row writes the output directly, and the output starts from zeros
-    only when no row covers it all. Each other row's product goes into the
-    same rows of one output-sized temporary, whose other rows it zeroes (so
-    the temporary starts empty), and the temporary is added whole: a numpy
-    ufunc over a row range of every plane runs buffered (see the module
-    docstring).
+def _row_sums(dest, terms):
+    """Sum kernel-row products into dest (N, C, rows, cols), every row of
+    dest adding its terms in the order given. terms yields (rows, band, i0,
+    i1) in _row_plan order: the product rows @ band belongs on dest's rows
+    [i0, i1). The first term writes its product there (matmul out=) and
+    zeroes dest's other rows; each later term fills the same rows of one
+    temporary shaped like dest, zero elsewhere, which is then added whole,
+    since numpy runs an in-place add over a row range or a strided slice of
+    every plane through its small ufunc buffers. No terms at all zero dest.
+    The bytes are those of adding every product onto a zero-filled dest, up
+    to the sign of a zero, which adding onto +0 would clear. A term is drawn
+    only after the one before it has been multiplied, so terms may refill
+    one band between yields.
     """
-    def product(i, out=None):
-        u, j0, j1, r0 = plan[i]
-        return np.matmul(x[:, :, r0:r0 + (j1 - j0) * sh:sh], bands[u], out=out)
-
-    first = 0
-    if plan and plan[0][2] - plan[0][1] == ho:
-        out = product(0)
-        first = 1
-    else:
-        out = np.zeros(x.shape[:2] + (ho, wo), dtype=dtype)
-    tmp = np.empty(out.shape, dtype=out.dtype) if first < len(plan) else None
-    for i in range(first, len(plan)):
-        _, j0, j1, _ = plan[i]
-        tmp[:, :, :j0] = 0
-        tmp[:, :, j1:] = 0
-        product(i, out=tmp[:, :, j0:j1])
-        out += tmp
-    return out
+    part = None
+    for rows, band, i0, i1 in terms:
+        if part is dest:
+            part = np.empty(dest.shape, dtype=np.result_type(rows, band))
+        elif part is None:
+            part = dest
+        part[:, :, :i0] = 0
+        part[:, :, i1:] = 0
+        np.matmul(rows, band, out=part[:, :, i0:i1])
+        if part is not dest:
+            dest += part
+    if part is None:
+        dest[...] = 0
 
 
 def depthwise_conv2d_prepare(weights, bias, stride, padding, image, dtype):
@@ -365,7 +348,10 @@ def depthwise_conv2d_forward(x, weights, bias=None, stride=(1, 1), padding=(0, 0
     if prepared is None:
         prepared = depthwise_conv2d_prepare(weights, bias, stride, padding, x.shape[1:], x.dtype)
     plan, bands, row, ho, wo, dtype = prepared
-    out = _depthwise_rows(x, plan, bands, stride[0], ho, wo, dtype)
+    sh = stride[0]
+    out = np.empty(x.shape[:2] + (ho, wo), dtype=dtype)
+    _row_sums(out, ((x[:, :, r0:r0 + (j1 - j0) * sh:sh], bands[u], j0, j1)
+                    for u, j0, j1, r0 in plan))
     if row is not None:
         out += row
     return out
@@ -376,30 +362,14 @@ def depthwise_conv2d_backward(grad_out, x, weights, stride=(1, 1), padding=(0, 0
     """Gradients of depthwise_conv2d_forward. Returns (grad_x, grad_weights,
     grad_bias); grad_x is None when input_grad is False.
 
-    The forward is a banded matmul per kernel row (_depthwise_rows), and both
-    gradients walk the same rows of the unpadded input (_row_plan). Kernel
-    row u's weight gradient is read off the (C, Wp, Wo) matrix sum over
-    images of x_rows^T @ grad_out[:, :, j0:j1]: the product fills the rows of
-    the unpadded columns of a zero-bordered (C, Wp, Wo) array, and tap (u, v)
-    is the sum along its band diagonal (k*sw + v, k). Its input gradient is
-    the adjoint of the same product: grad_out[:, :, j0:j1] @ band_u^T, with
-    the transposed band cut to the unpadded input's columns, lands straight
-    on the input rows that row u read, so neither gradient builds a padded
-    array. The input gradient's multiply-adds scale with grad_out, so a
-    stride-2 layer does a quarter of a stride-1 layer's on the same input.
-
-    The input rows fall into one group per residue modulo sh,
-    grad_x[:, :, group::sh]. The first kernel row of a group in plan order
-    writes its product into its rows of the group (matmul out=) and zeroes
-    the group's other rows. Each later row does the same in a temporary of
-    the group's shape, which is then added whole onto the group: one
-    contiguous add of all of grad_x at stride 1, never an add over a row
-    range. Every input row thus sums its terms in plan order, as adding each
-    row onto a zero-filled grad_x did, and keeps those bytes up to the sign
-    of a zero (adding a -0.0 onto +0 gave +0.0). A group no kernel row
-    reaches is zeroed whole. For a 3x3 kernel at padding 1, the middle
-    kernel row writes the whole gradient at stride 1, and nothing is added
-    onto the even rows at stride 2.
+    Both gradients walk the forward's kernel rows over the unpadded input
+    (_row_plan). Kernel row u's weight gradient is read off the (C, Wp, Wo)
+    matrix sum over images of x_rows^T @ grad_out[:, :, j0:j1]: the product
+    fills the rows of the unpadded columns of a zero-bordered (C, Wp, Wo)
+    array, and tap (u, v) is the sum along its band diagonal (k*sw + v, k).
+    Its input gradient is the adjoint, grad_out[:, :, j0:j1] @ band_u^T with
+    the transposed band cut to the unpadded input's columns, summed by
+    _row_sums onto each stride residue grad_x[:, :, g::sh] of the input rows.
 
     grad_out is not checked for finite values (the forward still raises
     ValueError on a non-finite input through ensure_finite). A non-finite
@@ -438,24 +408,18 @@ def depthwise_conv2d_backward(grad_out, x, weights, stride=(1, 1), padding=(0, 0
     band_t = np.zeros((c, wo, w + 2 * pw), dtype=np.result_type(grad_out, weights))
     diag_t = _diagonals(band_t, kw, sw, transposed=True)
     cols = band_t[:, :, pw:pw + w]  # the columns of the unpadded input
+
+    def terms(group):
+        # Kernel row u reads input rows r0, r0 + sh, ...: rows r0 // sh on of
+        # its stride residue group.
+        for u, j0, j1, r0 in plan:
+            if r0 % sh == group:
+                diag_t[...] = weights[:, 0, u, :, None]
+                yield grad_out[:, :, j0:j1], cols, r0 // sh, r0 // sh + j1 - j0
+
     grad_x = np.empty(x.shape, dtype=x.dtype)
-    tmp = np.empty((n, c, -(-h // sh), w), dtype=band_t.dtype)  # the largest residue group
-    written = set()  # the residues r0 % sh whose first kernel row has run
-    for u, j0, j1, r0 in plan:
-        diag_t[...] = weights[:, 0, u, :, None]
-        group = r0 % sh
-        dest = grad_x[:, :, group::sh]
-        part = tmp[:, :, :dest.shape[2]] if group in written else dest
-        i0 = r0 // sh  # row r0 is the group's row i0
-        part[:, :, :i0] = 0
-        part[:, :, i0 + j1 - j0:] = 0
-        np.matmul(grad_out[:, :, j0:j1], cols, out=part[:, :, i0:i0 + j1 - j0])
-        if part is not dest:
-            dest += part
-        written.add(group)
     for group in range(sh):
-        if group not in written:
-            grad_x[:, :, group::sh] = 0
+        _row_sums(grad_x[:, :, group::sh], terms(group))
     return grad_x, grad_w, grad_b
 
 

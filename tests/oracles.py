@@ -136,6 +136,31 @@ def fancy_index_depthwise_weight_grad(grad_out, x, weights, stride, padding):
     return grad_w
 
 
+def zero_fill_depthwise_forward(x, weights, bias, stride, padding):
+    """The banded depthwise forward as the library first wrote it: each
+    kernel row's product x_rows @ band_u is added onto a zero-filled output
+    at the output rows the row covers, in plan order, and the band's
+    diagonals are set through fancy-index arrays. The library writes the
+    first product directly instead, which gives the same bytes up to the
+    sign of a zero."""
+    n, c, h, w = x.shape
+    kh, kw = weights.shape[2], weights.shape[3]
+    sh, sw = stride
+    ph, pw = padding
+    ho, wo = (h + 2 * ph - kh) // sh + 1, (w + 2 * pw - kw) // sw + 1
+    _, rows, k = _band_index(kw, sw, wo)
+    dtype = np.result_type(x, weights)
+    band = np.zeros((c, w + 2 * pw, wo), dtype=dtype)
+    cols = band[:, pw:pw + w]  # the rows of the unpadded input's columns
+    out = np.zeros((n, c, ho, wo), dtype=dtype)
+    for u, j0, j1, r0 in _banded_plan(kh, h, ho, sh, ph):
+        band[:, rows, k] = weights[:, 0, u, :, None]
+        out[:, :, j0:j1] += np.matmul(x[:, :, r0:r0 + (j1 - j0) * sh:sh], cols)
+    if bias is not None:
+        out += bias.reshape(1, c, 1, 1)
+    return out
+
+
 def zero_fill_depthwise_input_grad(grad_out, x, weights, stride, padding):
     """The banded depthwise input gradient as the library first wrote it:
     each kernel row's product grad_out[:, :, j0:j1] @ band_u^T is added onto

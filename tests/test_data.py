@@ -94,9 +94,15 @@ class TestDatasetChecks:
                     labels=np.zeros(2, dtype=np.int64), class_count=2)
 
     def test_rejects_a_label_at_class_count(self):
-        with pytest.raises(DataFormatError, match=r"^labels must lie in \[0, class_count\)$"):
+        with pytest.raises(DataFormatError, match=r"^Dataset: labels \[2\] lie outside \[0, 2\)$"):
             Dataset(images=np.zeros((2, 1, 2, 2), dtype=np.float32),
                     labels=np.array([0, 2], dtype=np.int64), class_count=2)
+
+    def test_rejects_labels_that_are_not_integers(self):
+        with pytest.raises(DataFormatError, match="^Dataset: labels of dtype float32; expected "
+                                                  "integer class ids$"):
+            Dataset(images=np.zeros((2, 1, 2, 2), dtype=np.float32),
+                    labels=np.zeros(2, dtype=np.float32), class_count=2)
 
 
 class TestSplit:

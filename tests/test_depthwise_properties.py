@@ -12,7 +12,9 @@ it (checked against the reference again) and all of it. For the dense and
 both cut gradients, the gradients must match the forms they replaced
 (tests/oracles.py): the weight gradient byte for byte, the input gradient
 byte for byte up to the sign of a zero, with exactly +0.0 on input rows no
-kernel row reads. The pinned examples have kernel rows and columns that
+kernel row reads. The forward must match its zero-filled form byte for
+byte up to the sign of a zero; paddings up to the kernel size reach plans
+where no kernel row covers every output row. The pinned examples have kernel rows and columns that
 read only padding, which the input gradient skips, input rows no kernel
 row reads, and a row wide enough for numpy's pairwise sum.
 """
@@ -24,7 +26,8 @@ from hypothesis import strategies as st
 from pfqkit.tensor_ops import depthwise_conv2d_backward, depthwise_conv2d_forward
 
 from oracles import (fancy_index_depthwise_weight_grad, max_rel_err, reference_depthwise_backward,
-                     reference_depthwise_forward, zero_fill_depthwise_input_grad)
+                     reference_depthwise_forward, zero_fill_depthwise_forward,
+                     zero_fill_depthwise_input_grad)
 
 TOL = {np.float32: 1e-5, np.float64: 1e-12}
 
@@ -71,6 +74,8 @@ def test_matches_reference(case):
     before = [None if a is None else a.tobytes() for a in (x, w, b)]
     got, g = run()
     assert [None if a is None else a.tobytes() for a in (x, w, b)] == before
+    old = zero_fill_depthwise_forward(x, w, b, stride, pad)
+    assert (got[0] + 0.0).tobytes() == (old + 0.0).tobytes()  # -0.0 + 0.0 is +0.0
     wide = [None if a is None else a.astype(np.float64) for a in (x, w, b)]
     check((reference_depthwise_forward(*wide, stride, pad),) +
           reference_depthwise_backward(g.astype(np.float64), *wide[:2], stride, pad, has_bias), got)

@@ -329,7 +329,8 @@ def test_slab_errors_of_two_shares_fail_as_on_one_cpu(monkeypatch):
     x = np.random.default_rng(9).standard_normal((130, 2, 32, 32)).astype(np.float32)
     whole = _unslabbed(net, x)
     assert np.isfinite(whole).all()
-    stem, dw = "^conv2d: non-finite values in x$", "^depthwise_conv2d: non-finite values in x$"
+    stem = r"^layer 'stem' \(conv\): conv2d: non-finite values in x$"
+    dw = r"^layer 'dw' \(depthwise_conv\): depthwise_conv2d: non-finite values in x$"
     cases = []
     for over, nan, message in [(129, None, dw), (0, 129, dw), (100, 128, dw), (129, 0, stem)]:
         bad = x.copy()
@@ -363,7 +364,8 @@ def test_slab_helpers_run_under_the_callers_error_state(monkeypatch):
         with np.errstate(over="ignore"):
             assert np.isfinite(run_inference(net, x)).all()
         with np.errstate(over="raise"), pytest.raises(
-                FloatingPointError, match="^overflow encountered in multiply$"):
+                FloatingPointError, match=r"^layer 'stem_bn' \(bn\): overflow encountered in "
+                                          "multiply$"):
             run_inference(net, x)
 
 
@@ -469,7 +471,7 @@ def _counted_builds(monkeypatch):
 
 def _built(plan):
     """The layer names of a plan's steps that do work, each counted once."""
-    return collections.Counter(name for forward, _, name, _ in plan.steps
+    return collections.Counter(name for forward, _, name, *_ in plan.steps
                                if forward is not engine._pass_through)
 
 
@@ -560,7 +562,8 @@ def test_a_non_finite_last_weight_fails_the_compile_on_the_calling_thread(monkey
     monkeypatch.setattr(engine, "_compile", compile_recorded)
     seen = _layer_batches(monkeypatch)
     threads = threading.active_count()
-    with pytest.raises(ValueError, match="^affine: non-finite values in weights$") as raised:
+    with pytest.raises(ValueError, match=r"^layer 'fc' \(affine\): affine: non-finite values in "
+                                         "weights$") as raised:
         run_inference(net, x)
     assert threading.active_count() == threads
     assert compiling == [threading.get_ident()]
@@ -602,7 +605,8 @@ def test_a_slab_that_fails_on_a_helper_thread_fails_as_on_one(fresh, monkeypatch
         else:
             assert not builds
     assert not outside
-    assert errors[0] == errors[1] == (ValueError, "conv2d: non-finite values in x")
+    assert errors[0] == errors[1] == (ValueError,
+                                      "layer 'stem' (conv): conv2d: non-finite values in x")
 
 
 def _evaluate_per_batch(graph, images, labels, batch_size=64):
@@ -645,6 +649,61 @@ def test_evaluate_names_labels_that_are_not_one_per_image(labels):
                                          r"shape \(5, 3, 8, 8\); expected one class id per "
                                          r"image, shape \(5,\)$"):
         engine.evaluate(net, x, labels)
+
+
+def _statistics(graph):
+    """Every BN running statistic's bytes and every activation point's range."""
+    state = []
+    for layer in graph.layers:
+        p = layer.params
+        if layer.kind == "bn":
+            state.append((p.running_mean.tobytes(), p.running_var.tobytes()))
+        elif layer.kind == "quant_point":
+            state.append((p.cfg.m, p.cfg.M_up, p.cfg.initialized))
+    return state
+
+
+@pytest.mark.parametrize("labels, message", [
+    ([0, 1, 2, 9], r"labels \[9\] lie outside \[0, 4\)"),
+    ([0, -1, 2, 4], r"labels \[-1, 4\] lie outside \[0, 4\)"),
+    ([-1, 1, 2, 3], r"labels \[-1\] lie outside \[0, 4\)"),
+    ([0.0, 1.0, 2.0, 3.0], "labels of dtype float64; expected integer class ids"),
+], ids=["nine", "minus_one_and_four", "minus_one", "float"])
+def test_labels_that_are_not_class_ids_fail_before_the_forward(labels, message):
+    """On a 4-class ds_convnet with live BN and activation points, labels
+    that are not integer ids in [0, 4) raise a ValueError naming them from
+    loss_and_grads before its training forward moves a BN statistic or a
+    range (a 9 raised IndexError after it, and a -1 trained class 3), and
+    from evaluate, which scored a -1 or a 4 as a miss."""
+    net = insert_quant_points(build_ds_convnet(blocks=2, seed=2), 4, 4)
+    x = _batch(net, n=4)
+    loss_and_grads(net, x, np.arange(4), update_ranges=True)  # ranges initialized
+    before = _statistics(net)
+    with pytest.raises(ValueError, match=f"^loss_and_grads: {message}$"):
+        loss_and_grads(net, x, labels, update_ranges=True)
+    assert _statistics(net) == before
+    with pytest.raises(ValueError, match=f"^evaluate: {message}$"):
+        engine.evaluate(net, x, np.array(labels))
+
+
+@pytest.mark.parametrize("at", [0, -1], ids=["first", "last"])
+def test_a_failing_op_names_its_layer_at_every_share_count(at, monkeypatch):
+    """A nan in one image of a ds_convnet batch fails the stem's input
+    check. run_inference at 1, 2 and 3 shares and loss_and_grads raise the
+    same ValueError: the op's message after the layer's name and kind."""
+    net = build_ds_convnet(blocks=2, seed=3)
+    x = _batch(net, n=3 * _slab(net, np.float32), seed=4)
+    x[at, 0, 0, 0] = np.nan
+    errors = []
+    for workers in WORKERS:
+        monkeypatch.setattr(engine, "_cpus", lambda: workers)
+        with pytest.raises(ValueError) as raised:
+            run_inference(net, x)
+        errors.append((type(raised.value), str(raised.value)))
+    with pytest.raises(ValueError) as raised:
+        loss_and_grads(net, x, np.arange(len(x)) % 4)
+    errors.append((type(raised.value), str(raised.value)))
+    assert errors == [(ValueError, "layer 'stem' (conv): conv2d: non-finite values in x")] * 4
 
 
 # --- values a point quantized are not checked again ---------------------------
@@ -850,7 +909,8 @@ def test_a_conv_that_overflows_behind_a_point_is_checked_after_its_relu(run):
     conv2.weight_quant.enabled = False
     conv2.params.weights = np.full_like(conv2.params.weights, 3e38)
     with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(ValueError, match="^quantize: non-finite values in x$"):
+            pytest.raises(ValueError, match=r"^layer 'relu2_q' \(quant_point\): quantize: "
+                                            "non-finite values in x$"):
         run(net, _batch(net))
 
 
@@ -879,7 +939,8 @@ def test_a_bias_that_overflows_a_conv_behind_a_point_is_checked_after(run):
     net.validate()
     x = np.full((1, 1, 2, 2), 1e19, np.float32)
     with np.errstate(over="ignore"), \
-            pytest.raises(ValueError, match="^quantize: non-finite values in x$"):
+            pytest.raises(ValueError, match=r"^layer 'out_q' \(quant_point\): quantize: "
+                                            "non-finite values in x$"):
         run(net, x)
 
 
@@ -899,7 +960,8 @@ def test_non_finite_master_weights_behind_a_weight_point_are_named(name, value):
     x = _batch(net)
     labels = np.arange(len(x)) % net.layers[-1].params.weights.shape[1]
     for run in (run_inference, lambda g, x: loss_and_grads(g, x, labels)):
-        with pytest.raises(ValueError, match=f"^{OP_NAMES[layer.kind]}: non-finite values in "
+        with pytest.raises(ValueError, match=rf"^layer '{name}' \({layer.kind}\): "
+                                             f"{OP_NAMES[layer.kind]}: non-finite values in "
                                              "weights$"):
             run(copy_graph(net), x)
     with pytest.raises(QuantRangeError, match=f"^layer '{name}': weight tensor holds "
@@ -917,7 +979,8 @@ def test_a_non_finite_range_update_names_the_input_and_keeps_the_range():
     point = net.layer("relu1_q").params
     cfg = point.cfg
     with np.errstate(over="ignore"), \
-            pytest.raises(ValueError, match="^quantize: non-finite values in x$"):
+            pytest.raises(ValueError, match=r"^layer 'relu1_q' \(quant_point\): quantize: "
+                                            "non-finite values in x$"):
         forward_graph(net, np.ones((2,) + net.input_shape, np.float32), training=True,
                       update_ranges=True)
     assert point.cfg is cfg and not cfg.initialized
@@ -935,7 +998,8 @@ def test_a_range_update_on_a_non_finite_input_changes_no_range(value, initialize
                      input_shape=(1, 2, 2))
     x = np.zeros((1, 1, 2, 2), np.float32)
     x[0, 0, 1, 1] = value
-    with pytest.raises(ValueError, match="^quantize: non-finite values in x$"):
+    with pytest.raises(ValueError, match=r"^layer 'in_q' \(quant_point\): quantize: "
+                                         "non-finite values in x$"):
         forward_graph(net, x, training=True, update_ranges=True)
     assert net.layer("in_q").params.cfg is cfg
 
@@ -951,7 +1015,8 @@ def test_bn_leaves_its_output_unbounded(training):
     bn = net.layer("bn2")
     bn.params = replace(bn.params, gamma=np.full_like(bn.params.gamma, 3e38))
     with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(ValueError, match="^quantize: non-finite values in x$"):
+            pytest.raises(ValueError, match=r"^layer 'relu2_q' \(quant_point\): quantize: "
+                                            "non-finite values in x$"):
         forward_graph(net, _batch(net), training=training)
 
 
@@ -971,7 +1036,8 @@ def test_inference_does_not_refuse_an_overflow_a_clamp_hides():
         assert not np.isfinite(trace.outputs["pw1_bn"]).all()
         for logits in (run_inference(net, x), trace.outputs["fc"]):
             assert np.isfinite(logits).all()
-        with pytest.raises(ValueError, match="^depthwise_conv2d: non-finite values in x$"):
+        with pytest.raises(ValueError, match=r"^layer 'dw2' \(depthwise_conv\): "
+                                             "depthwise_conv2d: non-finite values in x$"):
             loss_and_grads(net, x, data.labels)
 
 
@@ -1012,7 +1078,8 @@ def test_a_conv_behind_a_pass_through_point_checks_its_input(how, kind, op):
     x = np.ones((1, 2, 4, 4), np.float32)
     x[0, 1, 2, 2] = np.inf
     for run in (run_inference, forward_graph):
-        with pytest.raises(ValueError, match=f"^{op}: non-finite values in x$"):
+        with pytest.raises(ValueError, match=rf"^layer 'k' \({kind}\): {op}: non-finite values "
+                                             "in x$"):
             run(net, x)
 
 
