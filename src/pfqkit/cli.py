@@ -29,10 +29,10 @@ class ConfigError(ValueError):
 _EARLY_STOP = {"reference_accuracy": float, "drop_threshold": float}
 
 # Every config key, once. A leaf holds the key's default, and the key's type is
-# the default's type. A leaf that is a type (or a tuple of types) has no
-# default here: the arch keys fall back to the data section, the seed or the
-# builder's defaults, an absent early_stop means none, and the workflow keys
-# fall back to WorkflowConfig's defaults.
+# the default's type. A leaf that is a type has no default here: the arch keys
+# fall back to the data section, the seed or the builder's defaults, an absent
+# early_stop means none, and the workflow keys fall back to WorkflowConfig's
+# defaults.
 _CONFIG = {
     "seed": 0,
     "data": {"kind": "synthetic", "class_count": 4, "per_class": 40, "test_per_class": 10,
@@ -53,43 +53,25 @@ _CONFIG = {
 }
 
 
-def _has_default(leaf):
-    return not isinstance(leaf, (type, tuple))
-
-
-def _defaults(spec):
-    """The sections of spec, holding every leaf that has a default."""
-    return {key: _defaults(leaf) if isinstance(leaf, dict) else leaf
-            for key, leaf in spec.items() if _has_default(leaf)}
-
-
-def _check_types(value, spec, path):
-    if isinstance(spec, dict):
-        if not isinstance(value, dict):
-            raise ConfigError(f"config: '{path}' must be a mapping")
-        for key, sub in value.items():
-            if key not in spec:
-                raise ConfigError(f"config: unknown key '{path}.{key}'" if path else
-                                  f"config: unknown key '{key}'")
-            _check_types(sub, spec[key], f"{path}.{key}" if path else key)
-        return
-    if _has_default(spec):
-        spec = type(spec)
-    types = spec if isinstance(spec, tuple) else (spec,)
-    if float in types and isinstance(value, int) and not isinstance(value, bool):
-        return
-    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
-        names = "/".join(t.__name__ for t in types)
-        raise ConfigError(f"config: '{path}' must be {names}, got {type(value).__name__}")
-
-
-def _merge(base, override):
-    out = dict(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
-        else:
-            out[key] = value
+def _resolve(value, spec, path):
+    """value checked against spec, with every default that value leaves out
+    filled in. A dict in spec is a section; any other leaf is the key's
+    default, or its type when it has none."""
+    if not isinstance(spec, dict):
+        kind = spec if isinstance(spec, type) else type(spec)
+        if isinstance(value, bool) != (kind is bool) or not isinstance(
+                value, (int, float) if kind is float else kind):
+            raise ConfigError(f"config: '{path}' must be {kind.__name__}, got {type(value).__name__}")
+        return value
+    if not isinstance(value, dict):
+        raise ConfigError(f"config: '{path}' must be a mapping")
+    out = {key: _resolve({}, leaf, key) if isinstance(leaf, dict) else leaf
+           for key, leaf in spec.items() if not isinstance(leaf, type)}
+    for key, sub in value.items():
+        where = f"{path}.{key}" if path else key
+        if key not in spec:
+            raise ConfigError(f"config: unknown key '{where}'")
+        out[key] = _resolve(sub, spec[key], where)
     return out
 
 
@@ -120,8 +102,7 @@ def load_config(path=None, overrides=()):
             if not isinstance(node, dict):
                 raise ConfigError(f"config: cannot override through non-mapping '{dotted}'")
         node[keys[-1]] = value
-    _check_types(raw, _CONFIG, "")
-    return _merge(_defaults(_CONFIG), raw)
+    return _resolve(raw, _CONFIG, "")
 
 
 def _build_data(cfg):
@@ -331,7 +312,8 @@ def _count(text):
 def _add_common(p, *, config=True, model=False, out=False):
     p.add_argument("--threads", type=int, default=None,
                    help="cap BLAS thread pools (set before numpy loads); run_inference's "
-                        "threads follow the CPUs the process may use (taskset)")
+                        "threads follow the CPUs the process may use (taskset), so "
+                        "inference on more than one CPU wants --threads 1")
     if config:
         p.add_argument("--config", default=None, help="JSON run configuration")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",

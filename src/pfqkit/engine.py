@@ -84,15 +84,11 @@ is re-raised once, its type and traceback kept, with "layer '<name>'
 (<kind>): " before its message; loss_and_grads and evaluate check their
 labels (data.check_labels) before any layer runs.
 A plan checks its weights, bias and point ranges as it compiles, so their
-errors come before any check of the input. An overflow is refused only
-where it reaches a check as nan or +-inf, and relu and relu6 clamp +-inf
-(a nan passes), so inference does not refuse an overflow they clamp, while
-a training forward on the same graph may raise at the next checked op. On
-ds_convnet with a BN gamma of 3e38 and a 1e30-scaled batch, that BN
-overflows to +-inf on its running statistics, relu6 clamps it and the
-logits are finite; on batch statistics a channel of zero variance makes
-its scale gamma * inv_std overflow, 0 * inf gives nan, relu6 passes it and
-the depthwise conv after raises. No check is added for the clamped case.
+errors come before any check of the input. An overflow is refused only where
+it reaches a check as nan or +-inf, and relu and relu6 clamp +-inf (a nan
+passes), so inference does not refuse an overflow they clamp, while a
+training forward on the same graph may raise at the next checked op. No
+check is added for the clamped case.
 
 Slabs: run_inference runs the steps before the first affine (the head) on
 slabs of the batch, so a slab's activations stay in cache across a block's
@@ -100,16 +96,14 @@ elementwise passes. Step i's slab is as many images as keep the widest
 per-image input or output of steps i to the first affine within SLAB_BYTES,
 for the per-image input shape the plan is compiled for (once per plan), so
 slabs never shrink along the head. A segment is a maximal run of steps with
-one slab size, and each ends after a layer that narrows the activations: on
-the width-32 net at float32 the slabs are 8, 16 and 64 images, and 4096 for
-the point on the pooled features. Every layer before the first affine
-computes each image on its own (per-image and per-channel matmuls,
-elementwise passes, per-plane means), so its bytes do not depend on how
-many images share a call. An affine is one matmul over the batch, and BLAS
-rounds a product of one or a few rows differently (numpy runs a 1-row
-product as a gemv), so the first affine and every step after it run once on
-the gathered batch. run_inference thus gives the bytes of one unslabbed
-pass at every batch size.
+one slab size, and each ends after a layer that narrows the activations.
+Every layer before the first affine computes each image on its own
+(per-image and per-channel matmuls, elementwise passes, per-plane means), so
+its bytes do not depend on how many images share a call. An affine is one
+matmul over the batch, and BLAS rounds a product of one or a few rows
+differently (numpy runs a 1-row product as a gemv), so the first affine and
+every step after it run once on the gathered batch. run_inference thus gives
+the bytes of one unslabbed pass at every batch size.
 
 Shares: the batch is cut into contiguous, near-equal image shares, one per
 CPU the process may run on (its affinity mask, so taskset restricts them)
@@ -119,24 +113,23 @@ share and a helper thread each other one, in a copy of the caller's context
 returns or raises. A share runs its last segment on slabs cut from its own
 images, and each slab of a segment runs the segment before it on slabs cut
 from that slab's images; at each boundary the outputs still live (the next
-step's input, and one a later add_junction reads) are joined in image
-order. A boundary thus joins at most one slab of the segment after it,
-whose SLAB_BYTES bound covers every output it reads, so memory does not
-grow with the batch past the head's gathered outputs. The shares only read
-the plan, which the compile built whole, and they are gathered in share
-order, so neither the CPU count nor the thread a share ran on can move a
-byte. The threads overlap inside numpy's matmul and ufunc loops, which
-release the GIL, but every call gives it up and takes it back: on a 2-vCPU
-VM two threads doing in-place elementwise calls on 4K-16K-element float32
-arrays did 0.58-0.65x the work of one thread, and 1.75x on 64K-element
-arrays (medians of 7 repeats), which is why each segment takes the largest
-slab its own activations allow. A share's slabs are cut from its own first
-image, so which of two failing images it meets first can depend on the CPU
-count: a call cut into more than one share that fails runs the head again
-on the calling thread alone and raises the error of that run, the one a
-single CPU raises. Training stays on one thread: BN on batch statistics
-couples every image of a training batch, so it has no independent slabs to
-share.
+step's input, and one a later add_junction reads) are joined in image order.
+A boundary thus joins at most one slab of the segment after it, whose
+SLAB_BYTES bound covers every output it reads, so memory does not grow with
+the batch past the head's gathered outputs. The shares only read the plan,
+which the compile built whole, and they are gathered in share order, so
+neither the CPU count nor the thread a share ran on can move a byte. The
+threads overlap inside numpy's matmul and ufunc loops, which release the
+GIL, but every call gives it up and takes it back, so each segment takes the
+largest slab its own activations allow. Each share's matmuls also run on the
+BLAS pool's threads, so inference on more than one CPU wants a pool of one
+thread (--threads 1, or OPENBLAS_NUM_THREADS=1 set before numpy loads). A
+share's slabs are cut from its own first image, so which of two failing
+images it meets first can depend on the CPU count: a call cut into more than
+one share that fails runs the head again on the calling thread alone and
+raises the error of that run, the one a single CPU raises. Training stays on
+one thread: BN on batch statistics couples every image of a training batch,
+so it has no independent slabs to share.
 
 Absorption: in a pass that drops outputs in inference mode, a relu or relu6
 whose only reader is an applying activation point with range [m, M] inside

@@ -590,24 +590,16 @@ def load_model(manifest_path):
         if kind in ("conv", "depthwise_conv"):
             layer.stride = tuple(get("stride", list))
             layer.padding = tuple(get("padding", list))
+        fields = {f: tensor(name, f) for f in _TENSOR_FIELDS.get(kind, ())
+                  if f != "bias" or get("has_bias", bool)}
         if kind in CONV_LIKE:
-            layer.params = WeightParams(
-                weights=tensor(name, "weights"),
-                bias=tensor(name, "bias") if get("has_bias", bool) else None,
-            )
+            layer.params = WeightParams(**fields)
             point = get("weight_quant")
             if point is not None:
                 layer.weight_quant = _quant_from_dict(point, f"{what} weight quantizer",
                                                       "weights")
         elif kind == "bn":
-            layer.params = BNParams(
-                gamma=tensor(name, "gamma"),
-                beta=tensor(name, "beta"),
-                running_mean=tensor(name, "running_mean"),
-                running_var=tensor(name, "running_var"),
-                epsilon=get("epsilon"),
-                rho=get("rho"),
-            )
+            layer.params = BNParams(**fields, epsilon=get("epsilon"), rho=get("rho"))
         elif kind == "add_junction":
             layer.params = tuple(get("inputs", list))
         elif kind == "quant_point":

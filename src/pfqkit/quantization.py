@@ -9,16 +9,8 @@ index t = (x - m) / scale is never negative, so rounding half away from
 zero is exactly floor(t + 0.5), which the quantizer computes in one output
 buffer.
 
-A zero offset is skipped: with m == 0 (also -0.0) the quantizer does not
-subtract m before scaling nor add it back at the end, since neither pass
-can change a byte. x - 0.0 is x bit for bit, -0.0 included; the last
-product k * scale is never -0.0, because k = floor(t + 0.5) >= +0, so
-adding 0.0 to it changes nothing; and for m == -0.0, subtracting it would
-turn a -0.0 input into +0.0, a sign that the + 0.5 erases anyway. Every
-activation point after a relu-family layer calibrates to m == 0 exactly
-(the EMA of batch minima that are all 0 stays 0), the zero-point-0 case of
-Jacob et al., arXiv 1712.05877, so a streamed 4-bit inference runs two
-passes fewer per point.
+A zero offset is skipped: with m == 0 (also -0.0) the quantizer neither
+subtracts m before scaling nor adds it back, which changes no byte.
 
 The output is finite: a range whose grid cannot be computed in the working
 dtype (an end that overflows it, a step that rounds to zero, more grid

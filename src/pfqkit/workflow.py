@@ -80,29 +80,45 @@ def save_run(out_dir, graph, subdir="", *, prune_report=None, metrics=None):
         metrics_to_csv(metrics, stage_dir / "metrics.csv")
 
 
+def _require_bn(graph, run):
+    if not any(l.kind == "bn" for l in graph.layers):
+        raise WorkflowError(f"{run} needs a pre-trained graph with BN layers")
+
+
+def _annotate(g, cfg, weight_enabled):
+    return insert_quant_points(g, cfg.act_bits, cfg.weight_bits, ema_momentum=cfg.ema_momentum,
+                               act_enabled=True, weight_enabled=weight_enabled)
+
+
+def _finetune(g, data, cfg, schedule, momentum, epochs, seed, range_update_epochs=None):
+    """One tuning phase: a fresh optimizer, the config's batch size, weight
+    decay and stop. Returns (graph, metrics)."""
+    opt = OptimizerState(momentum=momentum, weight_decay=cfg.weight_decay)
+    return train_epochs(g, data, schedule, opt, epochs=epochs, batch_size=cfg.batch_size,
+                        seed=seed, stop=cfg.stop, range_update_epochs=range_update_epochs)
+
+
+def _write_log(out_dir, trace):
+    if out_dir is not None:
+        (Path(out_dir) / "workflow.log").write_text("\n".join(trace) + "\n")
+
+
 def run_workflow(graph, data, cfg, out_dir=None):
     """Run the five stages on a pre-trained float graph with BN layers.
 
     Persists stage artifacts under out_dir when given (stage0..stage4 plus
     workflow.log). Returns a WorkflowResult whose trace lists one line per
     stage."""
-    if not any(l.kind == "bn" for l in graph.layers):
-        raise WorkflowError("workflow needs a pre-trained graph with BN layers")
+    _require_bn(graph, "workflow")
     trace = []
 
     g, prune_first = apply_pfq(graph, cfg.epsilon)
     trace.append(f"stage0 pfq: {prune_first.summary()}")
     save_run(out_dir, g, "stage0", prune_report=prune_first)
 
-    g = insert_quant_points(g, cfg.act_bits, cfg.weight_bits,
-                            ema_momentum=cfg.ema_momentum,
-                            act_enabled=True, weight_enabled=False)
-    opt = OptimizerState(momentum=cfg.act_momentum, weight_decay=cfg.weight_decay)
-    g, metrics_act = train_epochs(
-        g, data, cfg.act_schedule, opt,
-        epochs=cfg.epochs_act, batch_size=cfg.batch_size, seed=cfg.seed,
-        stop=cfg.stop,
-    )
+    g = _annotate(g, cfg, weight_enabled=False)
+    g, metrics_act = _finetune(g, data, cfg, cfg.act_schedule, cfg.act_momentum,
+                               cfg.epochs_act, cfg.seed)
     trace.append(f"stage1 finetune-activations: epochs={len(metrics_act)}")
     save_run(out_dir, g, "stage1", metrics=metrics_act)
 
@@ -119,17 +135,12 @@ def run_workflow(graph, data, cfg, out_dir=None):
     if cfg.epochs_weight > 0:
         enable_weight_points(g)
         check_weight_ranges(g)
-    opt = OptimizerState(momentum=cfg.weight_momentum, weight_decay=cfg.weight_decay)
-    g, metrics_weight = train_epochs(
-        g, data, cfg.weight_schedule, opt,
-        epochs=cfg.epochs_weight, batch_size=cfg.batch_size, seed=cfg.seed + 1,
-        stop=cfg.stop, range_update_epochs=1,
-    )
+    g, metrics_weight = _finetune(g, data, cfg, cfg.weight_schedule, cfg.weight_momentum,
+                                  cfg.epochs_weight, cfg.seed + 1, range_update_epochs=1)
     trace.append(f"stage4 finetune-weights: epochs={len(metrics_weight)}")
     save_run(out_dir, g, "stage4", metrics=metrics_weight)
 
-    if out_dir is not None:
-        (Path(out_dir) / "workflow.log").write_text("\n".join(trace) + "\n")
+    _write_log(out_dir, trace)
     return WorkflowResult(graph=g, prune_first=prune_first, prune_second=prune_second,
                           metrics_act=metrics_act, metrics_weight=metrics_weight, trace=trace)
 
@@ -137,8 +148,7 @@ def run_workflow(graph, data, cfg, out_dir=None):
 def run_single_stage_baseline(graph, data, cfg, out_dir=None):
     """Ablation baseline: prune once, fold, then train with activation and
     weight quantization together for the combined budget."""
-    if not any(l.kind == "bn" for l in graph.layers):
-        raise WorkflowError("baseline needs a pre-trained graph with BN layers")
+    _require_bn(graph, "baseline")
     trace = []
 
     g, prune_report = apply_pfq(graph, cfg.epsilon)
@@ -146,20 +156,13 @@ def run_single_stage_baseline(graph, data, cfg, out_dir=None):
     g = fold_bn_graph(g)
     trace.append("baseline fold-bn: remaining_bn=0")
     total_epochs = cfg.epochs_act + cfg.epochs_weight
-    g = insert_quant_points(g, cfg.act_bits, cfg.weight_bits,
-                            ema_momentum=cfg.ema_momentum,
-                            act_enabled=True, weight_enabled=total_epochs > 0)
+    g = _annotate(g, cfg, weight_enabled=total_epochs > 0)
     check_weight_ranges(g)
-    opt = OptimizerState(momentum=cfg.act_momentum, weight_decay=cfg.weight_decay)
-    g, metrics = train_epochs(
-        g, data, cfg.act_schedule, opt,
-        epochs=total_epochs, batch_size=cfg.batch_size,
-        seed=cfg.seed, stop=cfg.stop,
-    )
+    g, metrics = _finetune(g, data, cfg, cfg.act_schedule, cfg.act_momentum,
+                           total_epochs, cfg.seed)
     trace.append(f"baseline finetune: epochs={len(metrics)}")
 
     save_run(out_dir, g, prune_report=prune_report, metrics=metrics)
-    if out_dir is not None:
-        (Path(out_dir) / "workflow.log").write_text("\n".join(trace) + "\n")
+    _write_log(out_dir, trace)
     return WorkflowResult(graph=g, prune_first=prune_report, prune_second=None,
                           metrics_act=metrics, metrics_weight=[], trace=trace)

@@ -53,6 +53,8 @@ from pfqkit.quantization import (QuantConfig, QuantPoint, QuantRangeError, act_p
                                  insert_quant_points)
 from pfqkit.training import OptimizerState, sgd_step
 
+from oracles import numeric_grad
+
 CONSUMED = "needs a training-mode trace that has not been consumed"
 
 
@@ -1100,6 +1102,61 @@ def test_backward_rejects_a_consumed_trace():
     assert not trace.caches and not trace.outputs
     with pytest.raises(ValueError, match=f"{CONSUMED}; got a consumed trace"):
         backward_graph(net, trace, grad)
+
+
+def test_backward_names_the_layer_an_error_comes_from():
+    """A grad_final whose shape the last layer cannot take fails in that
+    layer's backward, which names the layer and keeps the error's type."""
+    net = build_small_convnet(seed=1)
+    x = _batch(net)
+    trace = forward_graph(net, x, training=True)
+    with pytest.raises(ValueError, match=r"^layer 'fc' \(affine\): matmul: ") as info:
+        backward_graph(net, trace, np.ones((len(x), 5), np.float32))
+    assert type(info.value) is ValueError
+
+
+GRAD_TOL = 1e-7  # max abs error against central differences, float64
+
+
+def _dead_branch_net():
+    """A relu whose output nothing reads: the junction adds the first relu's
+    output to the second conv's, so no gradient reaches r2."""
+    rng = np.random.default_rng(11)
+
+    def conv(o, c):
+        return WeightParams(rng.standard_normal((o, c, 3, 3)) / 3, rng.standard_normal(o) / 4)
+
+    return ModelGraph(layers=[
+        LayerSpec("c1", "conv", conv(3, 2), padding=(1, 1)),
+        LayerSpec("r1", "relu"),
+        LayerSpec("c2", "conv", conv(3, 3), padding=(1, 1)),
+        LayerSpec("r2", "relu"),
+        LayerSpec("join", "add_junction", ("r1", "c2")),
+        LayerSpec("pool", "global_avg_pool"),
+        LayerSpec("fc", "affine", WeightParams(rng.standard_normal((3, 4)), rng.standard_normal(4))),
+    ], input_shape=(2, 5, 5))
+
+
+def test_backward_skips_a_layer_no_gradient_reaches():
+    """backward_graph passes over r2, which no gradient reaches, and goes on
+    to the layers before it: every weight gradient matches central
+    differences, and the training logits are run_inference's bytes."""
+    net = _dead_branch_net()
+    x = np.random.default_rng(12).standard_normal((4, 2, 5, 5))
+    labels = np.array([0, 1, 2, 3])
+    _, logits, grads, _ = loss_and_grads(net, x, labels)
+    assert sorted(grads) == ["c1", "c2", "fc"]
+    assert run_inference(net, x).tobytes() == logits.tobytes()
+    for name in grads:
+        w = net.layer(name).params.weights
+        probe = copy_graph(net)
+
+        def loss_of(flat):
+            probe.layer(name).params.weights = flat.reshape(w.shape)
+            return loss_and_grads(probe, x, labels)[0]
+
+        numeric = numeric_grad(loss_of, w.ravel().copy(), h=1e-6)
+        assert np.max(np.abs(grads[name]["weights"].ravel() - numeric)) < GRAD_TOL, name
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))

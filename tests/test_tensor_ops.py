@@ -38,6 +38,30 @@ from pfqkit.tensor_ops import (
 from oracles import brute_force_conv2d, depthwise_as_grouped, max_rel_err, numeric_grad
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: conv2d_forward(np.ones((2, 3, 4)), np.ones((1, 2, 3, 3))),
+     "conv2d expects 4-d input and weights"),
+    (lambda: depthwise_conv2d_forward(np.ones((1, 2, 4, 4)), np.ones((2, 3, 3))),
+     "depthwise_conv2d expects 4-d input and weights"),
+    (lambda: affine_forward(np.ones((2, 3, 1)), np.ones((3, 2))),
+     "affine expects 2-d input and weights"),
+    (lambda: affine_forward(np.ones((2, 3)), np.ones((4, 2))),
+     "affine dim mismatch: input 3, weights 4"),
+    (lambda: global_avg_pool_forward(np.ones((2, 3))), "global_avg_pool expects 4-d input"),
+    (lambda: softmax_cross_entropy(np.ones((2, 3, 1)), np.zeros(2, int)),
+     r"softmax_cross_entropy expects \(N, K\) logits"),
+    (lambda: bn_forward_infer(np.ones((2, 3, 4)), init_bn(3)), "bn expects 2-d or 4-d input"),
+    (lambda: bn_forward_infer(np.ones((2, 4)), init_bn(3)),
+     "bn channel mismatch: input 4, params 3"),
+])
+def test_direct_op_calls_name_the_shape_they_reject(call, message):
+    """An op called directly, outside a graph that validated its shapes,
+    raises ShapeError with its own message on an input or weights of the
+    wrong rank, and on a size that does not match its parameters."""
+    with pytest.raises(ShapeError, match=f"^{message}$"):
+        call()
+
+
 class TestConvForward:
     def test_all_ones_3x3(self):
         """A 3x3 all-ones kernel over an all-ones image sums 9 cells."""
